@@ -5,7 +5,7 @@ giving up the single-engine contract.  This bench pins the costs of
 that claim:
 
 * *scaling curve* — the same corpus through fleets of 1, 2, 4, and 8
-  workers on both detect paths; records/second per width lands in
+  workers; records/second per width lands in
   ``BENCH_scaling.json`` under ``"fleet"``.  The parallel-speedup bar
   (>= 2.5x at four workers over one) is asserted only when the machine
   actually has four cores to scale onto — on smaller boxes the curve
@@ -69,60 +69,49 @@ def _run(repeats, merge):
     cpus = os.cpu_count() or 1
     widths = (1, 2, 4, 8)
 
-    curves = {}
+    curve = {}
     merge_overhead_max = 0.0
     failures = []
-    for columnar in (False, True):
-        path_key = "columnar" if columnar else "tuples"
-        curve = {}
-        reference = None
-        for workers in widths:
-            out = base / f"merged-{path_key}-{workers}.jsonl"
-            started = time.perf_counter()
-            code, service = run_fleet(
-                context.rules,
-                context.hitlist,
-                flow_path,
-                base / f"fleet-{path_key}-{workers}",
-                out,
-                FleetConfig(
-                    workers=workers,
-                    columnar=columnar,
-                    batch_size=4096,
-                    chunk_size=1 << 16,
-                    checkpoint_every=0,
-                ),
+    reference = None
+    for workers in widths:
+        out = base / f"merged-{workers}.jsonl"
+        started = time.perf_counter()
+        code, service = run_fleet(
+            context.rules,
+            context.hitlist,
+            flow_path,
+            base / f"fleet-{workers}",
+            out,
+            FleetConfig(
+                workers=workers,
+                chunk_size=1 << 16,
+                checkpoint_every=0,
+            ),
+        )
+        wall = time.perf_counter() - started
+        if code != 0:
+            failures.append(f"N={workers}: exit {code}")
+            continue
+        data = out.read_bytes()
+        if reference is None:
+            reference = data
+        elif data != reference:
+            failures.append(
+                f"N={workers}: merged log diverged from N=1"
             )
-            wall = time.perf_counter() - started
-            if code != 0:
-                failures.append(
-                    f"{path_key} N={workers}: exit {code}"
-                )
-                continue
-            data = out.read_bytes()
-            if reference is None:
-                reference = data
-            elif data != reference:
-                failures.append(
-                    f"{path_key} N={workers}: merged log diverged "
-                    f"from N=1"
-                )
-            overhead = service.metrics.merge_seconds / wall
-            merge_overhead_max = max(merge_overhead_max, overhead)
-            curve[str(workers)] = {
-                "wall_seconds": wall,
-                "records_per_second": records / wall,
-                "merge_seconds": service.metrics.merge_seconds,
-                "merge_overhead": overhead,
-                "events": service.metrics.merged_events,
-            }
-        curves[path_key] = curve
+        overhead = service.metrics.merge_seconds / wall
+        merge_overhead_max = max(merge_overhead_max, overhead)
+        curve[str(workers)] = {
+            "wall_seconds": wall,
+            "records_per_second": records / wall,
+            "merge_seconds": service.metrics.merge_seconds,
+            "merge_overhead": overhead,
+            "events": service.metrics.merged_events,
+        }
 
-    def speedup(path_key):
-        curve = curves[path_key]
-        if "1" not in curve or "4" not in curve:
-            return None
-        return (
+    speedup = None
+    if "1" in curve and "4" in curve:
+        speedup = (
             curve["4"]["records_per_second"]
             / curve["1"]["records_per_second"]
         )
@@ -132,9 +121,8 @@ def _run(repeats, merge):
         "records": records,
         "cpus": cpus,
         "widths": list(widths),
-        "curves": curves,
-        "speedup_at_4_tuples": speedup("tuples"),
-        "speedup_at_4_columnar": speedup("columnar"),
+        "curve": curve,
+        "speedup_at_4": speedup,
         "merge_overhead_max": merge_overhead_max,
         "speedup_bar_enforced": enforce_bar,
     }
@@ -145,14 +133,9 @@ def _run(repeats, merge):
             f"{_MERGE_OVERHEAD_BOUND:.0%}"
         )
     if enforce_bar:
-        best = max(
-            value
-            for value in (speedup("tuples"), speedup("columnar"))
-            if value is not None
-        )
-        if best < _SPEEDUP_AT_4_FLOOR:
+        if speedup is not None and speedup < _SPEEDUP_AT_4_FLOOR:
             failures.append(
-                f"4-worker speedup {best:.2f}x below "
+                f"4-worker speedup {speedup:.2f}x below "
                 f"{_SPEEDUP_AT_4_FLOOR}x floor ({cpus} cpus)"
             )
     else:

@@ -1,7 +1,7 @@
 """Streaming vs batch throughput, and the price of crash safety.
 
 The streaming engine exists to serve detections online without giving
-up speed: its tuple fast path must beat the batch path's per-record
+up speed: its flow-file replay must beat the batch path's per-record
 throughput (the acceptance bar is 2x), and checkpointing must stay a
 small fraction of wall time.  Results are merged into
 ``BENCH_scaling.json`` under a ``"stream"`` key so the trajectory is
@@ -124,7 +124,7 @@ def bench_stream(
 
     # the stream path finds exactly the batch detections, faster
     # (the shared memoised line parser sped the batch oracle up too,
-    # so the tuple fast path's edge is narrower than it once was)
+    # so the stream replay's edge is narrower than it once was)
     assert stream_events == batch_detections
     assert stream_rps >= 1.5 * batch_rps
     assert overhead < 0.25

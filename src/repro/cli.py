@@ -257,14 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="detection threshold D (default 0.4)",
     )
     detect.add_argument(
-        "--columnar", action="store_true",
-        help="fold the flow file through the vectorized columnar "
-        "path (identical detections, chunked numpy hot loop)",
-    )
-    detect.add_argument(
         "--chunk-size", type=int, default=65536,
-        help="rows per decoded column chunk with --columnar "
-        "(default 65536)",
+        help="rows per decoded column chunk (default 65536)",
     )
 
     stream = commands.add_parser(
@@ -343,14 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream_run.add_argument(
         "--columnar", action="store_true",
-        help="fold the flow file through the vectorized columnar "
-        "path (identical events; guards/checkpoints polled per "
-        "chunk)",
+        help="accepted and ignored: a flow file always folds as "
+        "column chunks (kept only for benchmarks/perf, which still "
+        "passes it)",
     )
     stream_run.add_argument(
         "--chunk-size", type=int, default=65536,
-        help="rows per decoded column chunk with --columnar "
-        "(default 65536)",
+        help="rows per decoded column chunk (default 65536)",
     )
     stream_run.add_argument(
         "--hitlist-dir", type=pathlib.Path, default=None,
@@ -391,8 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream_run.add_argument(
         "--fleet-batch-size", type=int, default=2048,
-        help="records per routed batch with --fleet-workers "
-        "(default 2048)",
+        help="replayed records per routed chunk with --fleet-workers "
+        "(default 2048; admission routes --chunk-size chunks)",
     )
     stream_run.add_argument(
         "--rebalance", action="store_true",
@@ -542,8 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_run = sweep_commands.add_parser(
         "run",
         help=(
-            "expand a grid into cells, run per-record + columnar "
-            "detection per cell, write metrics JSONs + a scorecard"
+            "expand a grid into cells, run detection per cell, "
+            "write metrics JSONs + a scorecard"
         ),
     )
     sweep_run.add_argument(
@@ -582,8 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_run.add_argument(
         "--chunk-size", type=int, default=4096,
-        help="rows per decoded column chunk on the columnar leg "
-        "(default 4096)",
+        help="rows per decoded column chunk (default 4096)",
     )
     return parser
 
@@ -706,7 +698,6 @@ def _run_stream(args) -> int:
             args.checkpoint_every if args.checkpoint_dir else 0
         ),
         quarantine_dir=args.quarantine_dir,
-        columnar=args.columnar,
         chunk_size=args.chunk_size,
     )
     sink = (
@@ -872,7 +863,6 @@ def _run_stream_fleet(args, rules, hitlist, rules_version) -> int:
         ring_slots=args.fleet_ring_slots,
         batch_size=args.fleet_batch_size,
         checkpoint_every=args.checkpoint_every,
-        columnar=args.columnar,
         chunk_size=args.chunk_size,
         threshold=args.threshold,
         require_established=args.require_established,
@@ -1200,31 +1190,31 @@ def _run_collect(args) -> int:
 def _stream_ingest(engine, args, max_records=None) -> int:
     """Run the stream engine's ingest, optionally under fault probes.
 
-    The fault harness (``--inject-sigterm-at``) always drives the
-    per-record tuple path — the probe fires at an exact record index,
-    which a chunked fold cannot honour; ``--columnar`` applies to
-    ordinary ingest via ``engine.process_flowfile``.
+    The fault harness (``--inject-sigterm-at N``) bounds the fold at
+    record index N, delivers a real SIGTERM there and carries on: the
+    engine's next guard poll sees the stop before record N folds, so
+    the drain lands on exactly N records for any ``--chunk-size``.
     """
     if max_records is None:
         max_records = args.max_records
-    if args.inject_sigterm_at is None:
-        return engine.process_flowfile(
-            args.flows, max_records=max_records
-        )
-    from repro.faults import SignalPlan
-    from repro.netflow.replay import iter_flow_tuples
+    if args.inject_sigterm_at is not None:
+        import os
+        import signal
 
-    skip = engine.records_processed
-    tuples = iter_flow_tuples(args.flows, quarantine=engine.quarantine)
-    for _ in range(skip):
-        if next(tuples, None) is None:
-            return 0
-    target = args.inject_sigterm_at - skip
-    if target >= 0:
-        tuples = SignalPlan(at_index=target).wrap(tuples)
-    return engine.process_tuples(
-        tuples, start_index=skip, max_records=max_records
-    )
+        before = args.inject_sigterm_at - engine.records_processed
+        if before >= 0 and (max_records is None or before < max_records):
+            processed = engine.process_flowfile(
+                args.flows, max_records=before
+            )
+            if processed < before or engine.stopped:
+                return processed
+            os.kill(os.getpid(), signal.SIGTERM)
+            if max_records is not None:
+                max_records -= before
+            return processed + engine.process_flowfile(
+                args.flows, max_records=max_records
+            )
+    return engine.process_flowfile(args.flows, max_records=max_records)
 
 
 def _stream_ingest_with_refresh(engine, args, store) -> int:
@@ -1273,7 +1263,7 @@ def _maybe_stage_refresh(engine, store) -> None:
         loaded.artifact.version,
         loaded.artifact.rules,
         loaded.artifact.hitlist,
-        build_index=engine.config.columnar,
+        build_index=True,
     )
     boundary = engine.stage_rules(generation)
     print(
@@ -1346,7 +1336,7 @@ def _restage_pending_rules(engine, store) -> None:
         artifact.version,
         artifact.rules,
         artifact.hitlist,
-        build_index=engine.config.columnar,
+        build_index=True,
     )
     engine.stage_rules(generation, activate_at=activate_at)
 
@@ -1355,9 +1345,7 @@ def _run_sweep(args) -> int:
     """``repro sweep run``: evaluate the detector over a scenario grid.
 
     Writes one ``repro.sweep.metrics/1`` JSON per cell plus
-    ``scorecard.json``/``scorecard.md`` into ``--out``.  Exit code 0
-    when every cell's per-record and columnar detections agreed, 1
-    otherwise (the sweep is also an equivalence harness).
+    ``scorecard.json``/``scorecard.md`` into ``--out``.
     """
     from repro.sweep import TrafficModel, load_grid, run_sweep
 
@@ -1391,7 +1379,7 @@ def _run_sweep(args) -> int:
         f"{args.out}",
         file=sys.stderr,
     )
-    return 0 if result.all_paths_equal else 1
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1532,7 +1520,6 @@ def _run_batch(args, parse_memory_size) -> int:
             args.flows,
             PipelineConfig.from_args(
                 threshold=args.threshold,
-                columnar=args.columnar,
                 chunk_size=args.chunk_size,
                 quarantine_dir=args.quarantine_dir,
                 memory_budget=(

@@ -17,7 +17,7 @@ lot of lines.  This package turns the serial per-cohort simulation of
   :class:`concurrent.futures.ProcessPoolExecutor` and aggregates shard
   results deterministically (results are folded in shard order, so the
   output is identical for any worker count);
-* :mod:`repro.engine.metrics` — per-stage wall time, shard memory,
+* :mod:`repro.pipeline.metrics` — per-stage wall time, shard memory,
   throughput and cohort-size metrics, serialisable to JSON for
   ``BENCH_*.json`` trajectories.
 
@@ -29,10 +29,10 @@ bypasses the engine entirely and stays bit-exact with the historical
 serial implementation.
 """
 
-from repro.engine.metrics import EngineMetrics, ShardMetrics
 from repro.engine.plan import CohortPlan, RulePlan, build_cohort_plan, plan_shards
 from repro.engine.runner import run_wild_isp_sharded
 from repro.engine.worker import ShardResult, ShardTask, simulate_shard
+from repro.pipeline.metrics import EngineMetrics, ShardMetrics
 
 __all__ = [
     "CohortPlan",

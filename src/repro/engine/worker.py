@@ -31,8 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.metrics import ShardMetrics
 from repro.engine.plan import CohortPlan
+from repro.pipeline.metrics import ShardMetrics
 
 __all__ = ["ShardTask", "ShardResult", "simulate_shard", "DEFAULT_BLOCK_BYTES"]
 

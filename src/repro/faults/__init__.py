@@ -6,8 +6,7 @@ seams in the same vocabulary:
 
 * :mod:`repro.faults.files` — on-disk damage: truncation, header and
   payload corruption, half-written temp files, bounded out-of-order
-  delivery (grown out of the former ``repro.stream.faults``, since
-  removed — this package is the only import path);
+  delivery;
 * :mod:`repro.faults.injection` — runtime damage: crash-on-nth-shard /
   slow-worker / hung-worker plans for the supervised shard pool
   (:class:`ShardFaultPlan`), seeded lookup-error-rate wrappers for the

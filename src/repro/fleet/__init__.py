@@ -14,8 +14,9 @@ pieces:
 * :mod:`repro.fleet.worker` — the worker process: command-queue
   protocol (batches, adoption, staged rule swaps, drain), worker-owned
   checkpoint cadence, per-slot fold counts in checkpoint lineage;
-* :mod:`repro.fleet.service` — the router: admission (per-record or
-  columnar), supervision (capped-backoff restart, ack-progress hang
+* :mod:`repro.fleet.service` — the router: admission (decoded column
+  chunks from a file, pushed tuples from the live collector — both
+  reach workers as indexed chunks), supervision (capped-backoff restart, ack-progress hang
   detection, quarantine + rebalance), the unified replay mechanism,
   fan-out-aware drain ordering, and the merge;
 * :mod:`repro.fleet.metrics` — the ``"fleet"`` section of the metrics

@@ -3,7 +3,7 @@
 The fleet partitions the subscriber key space into a fixed number of
 *ring slots* — many more slots than workers — and assigns each slot to
 a worker.  Records hash to slots via the pipeline's memoised keying
-(:class:`~repro.pipeline.flow.RecordRouter`), so the record → slot
+(:class:`~repro.pipeline.flow.SubscriberKeying`), so the record → slot
 mapping is a pure function of the keying salt and never changes; only
 the slot → worker mapping moves.  That split is what makes rebalance
 cheap and deterministic: when a worker is quarantined, its slots are

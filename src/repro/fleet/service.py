@@ -2,13 +2,13 @@
 
 One process — the router — reads the flow stream once, assigns every
 record to a ring slot through the pipeline's memoised keying
-(:class:`~repro.pipeline.flow.RecordRouter`), and fans indexed batches
-out to N worker processes over bounded queues.  Each worker is a full
-single-stream assembly (`repro.stream`); the router holds **no
-detection state** — everything it knows is recomputable from the
-keying salt, the persisted ``ring.json``, and the workers' checkpoint
-lineage, which is what makes a router crash recoverable by a
-whole-fleet resume.
+(:class:`~repro.pipeline.flow.SubscriberKeying`), and fans indexed
+column chunks out to N worker processes over bounded queues.  Each
+worker is a full single-stream assembly (`repro.stream`); the router
+holds **no detection state** — everything it knows is recomputable
+from the keying salt, the persisted ``ring.json``, and the workers'
+checkpoint lineage, which is what makes a router crash recoverable by
+a whole-fleet resume.
 
 **One replay mechanism.**  Worker restart, quarantine rebalance, and
 whole-fleet resume are the same operation: read each target worker's
@@ -59,7 +59,7 @@ from repro.fleet.worker import (
 )
 from repro.netflow.parse import ColumnarDecodeStage, DEFAULT_CHUNK_SIZE
 from repro.netflow.replay import iter_flow_tuples
-from repro.pipeline.flow import RecordRouter, SubscriberKeying
+from repro.pipeline.flow import SubscriberKeying
 from repro.pipeline.metrics import StreamMetrics
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervisor import RestartTracker
@@ -78,10 +78,6 @@ __all__ = [
     "run_fleet",
 ]
 
-#: How many admitted records between router housekeeping passes (ack
-#: drain, death/hang scan, stop-token poll).
-_PUMP_STRIDE = 2048
-
 
 class RouterCrash(RuntimeError):
     """Raised by the injected ``router_crash`` fault (simulated death).
@@ -99,14 +95,14 @@ class FleetConfig:
 
     workers: int = 2
     ring_slots: int = DEFAULT_RING_SLOTS
-    #: per-record path: records buffered per worker before a send
+    #: pushed tuples and replayed records buffered per worker before
+    #: they are sent as one chunk
     batch_size: int = 2048
     #: bounded command-queue depth per worker (backpressure)
     queue_depth: int = 8
     #: worker-owned checkpoint cadence (records); 0 = drain/adopt only
     checkpoint_every: int = 0
-    #: route decoded column chunks instead of per-record tuples
-    columnar: bool = False
+    #: rows per column chunk the router decodes from a flow file
     chunk_size: int = DEFAULT_CHUNK_SIZE
     # -- engine knobs (mirrored into every WorkerSpec) ----------------
     threshold: float = 0.4
@@ -189,6 +185,13 @@ class _WorkerHandle:
         return self.sent - self.acked
 
 
+def _columns(items: List[tuple]) -> Tuple[np.ndarray, ...]:
+    """``(index, first, src, dst, proto, dport, flags)`` rows as the
+    seven parallel int64 columns of an
+    :class:`~repro.netflow.parse.IndexedFlowChunk`."""
+    return tuple(np.array(items, dtype=np.int64).T.copy())
+
+
 def _lineage_counts(payload: Optional[dict]) -> Dict[int, int]:
     """Normalised per-slot fold counts from a checkpoint payload."""
     if not payload:
@@ -222,10 +225,14 @@ class FleetService:
         self.stop_token = (
             stop_token if stop_token is not None else current_token()
         )
-        keying = SubscriberKeying(
+        # Sharded ``ring_slots`` ways, so the keying's memoised
+        # ``identity(src)[1]`` is the ring slot directly (one dict hit
+        # per repeated source).  Stateless beyond that recomputable
+        # memo: a crashed router rebuilds assignment from the salt
+        # alone, which is what makes whole-fleet resume possible.
+        self.keying = SubscriberKeying(
             salt=self.config.salt, shards=self.config.ring_slots
         )
-        self.router = RecordRouter(keying)
         self.metrics = FleetMetrics(
             workers=self.config.workers,
             ring_slots=self.config.ring_slots,
@@ -312,14 +319,14 @@ class FleetService:
         admitted record in the source.
         """
         assert self.ring is not None
-        identity = self.router.keying.identity
+        identity = self.keying.identity
         assignment = self.ring.assignment
         handles = self._handles
         count = 0
         for record in tuples:
             slot = identity(record[1])[1]
             handle = handles[assignment[slot]]
-            handle.buffer.append((self._position, record))
+            handle.buffer.append((self._position, *record))
             handle.buffer_slots[slot] = (
                 handle.buffer_slots.get(slot, 0) + 1
             )
@@ -543,11 +550,10 @@ class FleetService:
     def _send_batch(
         self,
         handle: _WorkerHandle,
-        kind: str,
-        body,
+        columns: Tuple[np.ndarray, ...],
         slot_counts: Dict[int, int],
-        records: int,
     ) -> bool:
+        """Send one indexed chunk (its seven columns) to a worker."""
         if self.plan is not None and self.plan.router_crashes_at(
             self._batches_sent
         ):
@@ -556,7 +562,7 @@ class FleetService:
                 f"{self._batches_sent} batches"
             )
         if not self._put(
-            handle, (kind, handle.seq, body, slot_counts)
+            handle, ("chunk", handle.seq, columns, slot_counts)
         ):
             return False
         handle.seq += 1
@@ -564,7 +570,7 @@ class FleetService:
         self._batches_sent += 1
         stats = self.metrics.worker(handle.worker_id)
         stats.batches_sent += 1
-        stats.records_sent += records
+        stats.records_sent += len(columns[0])
         depth = handle.outstanding
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
@@ -577,9 +583,7 @@ class FleetService:
         slot_counts = handle.buffer_slots
         handle.buffer = []
         handle.buffer_slots = {}
-        self._send_batch(
-            handle, "batch", items, slot_counts, len(items)
-        )
+        self._send_batch(handle, _columns(items), slot_counts)
 
     def _flush_all(self) -> None:
         for worker_id in sorted(self._handles):
@@ -724,7 +728,7 @@ class FleetService:
         never tracks in-flight batches.
         """
         assert self._flow_path is not None
-        identity = self.router.keying.identity
+        identity = self.keying.identity
         position = self._position
         buffer: List[tuple] = []
         buffer_slots: Dict[int, int] = {}
@@ -741,18 +745,16 @@ class FleetService:
             if remaining:
                 skips[slot] = remaining - 1
                 continue
-            buffer.append((current, record))
+            buffer.append((current, *record))
             buffer_slots[slot] = buffer_slots.get(slot, 0) + 1
             if len(buffer) >= self.config.batch_size:
                 if not self._send_batch(
-                    handle, "batch", buffer, buffer_slots, len(buffer)
+                    handle, _columns(buffer), buffer_slots
                 ):
                     return  # target died; its death path re-replays
                 buffer, buffer_slots = [], {}
         if buffer:
-            self._send_batch(
-                handle, "batch", buffer, buffer_slots, len(buffer)
-            )
+            self._send_batch(handle, _columns(buffer), buffer_slots)
 
     # -- admission -----------------------------------------------------
 
@@ -769,166 +771,123 @@ class FleetService:
         os.kill(os.getpid(), signal.SIGTERM)
 
     def _admit(self, skips: Dict[int, int]) -> bool:
-        """Route the stream; returns True if a stop token ended it."""
-        if self.config.columnar:
-            return self._admit_columnar(skips)
-        assert self.ring is not None and self._flow_path is not None
-        identity = self.router.keying.identity
-        # the ring mutates this list in place on rebalance, so the
-        # local binding stays current across quarantines
-        assignment = self.ring.assignment
-        batch_size = self.config.batch_size
-        handles = self._handles
-        stopped = False
-        since_pump = 0
-        inject_at = self.config.inject_sigterm_at
-        for record in iter_flow_tuples(self._flow_path):
-            if inject_at is not None and self._position >= inject_at:
-                inject_at = None
-                self._inject_sigterm()
-                self._pump()
-                if self._stop_requested():
-                    stopped = True
-                    break
-            slot = identity(record[1])[1]
-            if skips:
-                remaining = skips.get(slot, 0)
-                if remaining:
-                    skips[slot] = remaining - 1
-                    self._position += 1
-                    self.metrics.records_skipped += 1
-                    continue
-            handle = handles[assignment[slot]]
-            handle.buffer.append((self._position, record))
-            handle.buffer_slots[slot] = (
-                handle.buffer_slots.get(slot, 0) + 1
-            )
-            self._position += 1
-            self.metrics.records_routed += 1
-            since_pump += 1
-            if len(handle.buffer) >= batch_size:
-                self._flush(handle)
-            if since_pump >= _PUMP_STRIDE:
-                since_pump = 0
-                self._pump()
-                if self._stop_requested():
-                    stopped = True
-                    break
-        self._flush_all()
-        self._pump()
-        return stopped or self._stop_requested()
+        """Route the stream; returns True if a stop token ended it.
 
-    def _admit_columnar(self, skips: Dict[int, int]) -> bool:
-        """Columnar admission: decode once, slice per worker.
-
-        The router decodes column chunks exactly as a single columnar
-        engine would, computes each row's ring slot through the same
-        memoised keying (one digest per distinct source), and ships
-        each worker its rows as an indexed sub-chunk — explicit global
-        indices, so the worker's events carry single-stream
-        ``record_index`` values.
+        ``inject_sigterm_at`` puts a chunk boundary exactly at that
+        global record index and delivers the signal there, so the drain
+        position is the same for any ``chunk_size``.
         """
-        assert self.ring is not None and self._flow_path is not None
-        identity = self.router.keying.identity
+        assert self._flow_path is not None
         decode = ColumnarDecodeStage(self.config.chunk_size)
-        stopped = False
         inject_at = self.config.inject_sigterm_at
         for chunk in decode.iter_chunks(self._flow_path):
-            count = len(chunk)
-            if count == 0:
-                continue
             if (
                 inject_at is not None
-                and self._position + count > inject_at
+                and inject_at < self._position + len(chunk)
             ):
-                # chunk granularity, like the single engine's chunked
-                # guard polling
+                cut = inject_at - self._position
                 inject_at = None
+                if cut:
+                    self._route_chunk(chunk.head(cut), skips)
+                    chunk = chunk.tail(cut)
                 self._inject_sigterm()
                 self._pump()
                 if self._stop_requested():
-                    stopped = True
-                    break
-            uniques, inverse = np.unique(
-                chunk.src, return_inverse=True
-            )
-            unique_slots = np.fromiter(
-                (identity(int(value))[1] for value in uniques),
-                dtype=np.int64,
-                count=len(uniques),
-            )
-            row_slots = unique_slots[inverse]
-            indices = np.arange(
-                self._position,
-                self._position + count,
-                dtype=np.int64,
-            )
-            keep = None
-            if skips:
-                keep = np.ones(count, dtype=bool)
-                for slot in list(skips):
-                    rows = np.nonzero(row_slots == slot)[0]
-                    take = min(skips[slot], len(rows))
-                    if take:
-                        keep[rows[:take]] = False
-                        self.metrics.records_skipped += take
-                    if take == skips[slot]:
-                        del skips[slot]
-                    else:
-                        skips[slot] -= take
-            self._position += count
-            if keep is not None:
-                kept = np.nonzero(keep)[0]
-                if len(kept) == 0:
-                    continue
-                indices = indices[kept]
-                row_slots = row_slots[kept]
-                columns = (
-                    chunk.first[kept],
-                    chunk.src[kept],
-                    chunk.dst[kept],
-                    chunk.proto[kept],
-                    chunk.dport[kept],
-                    chunk.flags[kept],
-                )
-            else:
-                columns = (
-                    chunk.first,
-                    chunk.src,
-                    chunk.dst,
-                    chunk.proto,
-                    chunk.dport,
-                    chunk.flags,
-                )
-            assignment = np.asarray(
-                self.ring.assignment, dtype=np.int64
-            )
-            row_workers = assignment[row_slots]
-            for worker_id in np.unique(row_workers):
-                rows = np.nonzero(row_workers == worker_id)[0]
-                handle = self._handles[int(worker_id)]
-                if handle.dead:  # pragma: no cover - replay covers
-                    continue
-                slot_values, slot_counts_arr = np.unique(
-                    row_slots[rows], return_counts=True
-                )
-                slot_counts = {
-                    int(slot): int(n)
-                    for slot, n in zip(slot_values, slot_counts_arr)
-                }
-                body = (indices[rows],) + tuple(
-                    column[rows] for column in columns
-                )
-                self._send_batch(
-                    handle, "chunk", body, slot_counts, len(rows)
-                )
-                self.metrics.records_routed += len(rows)
+                    return True
+            self._route_chunk(chunk, skips)
             self._pump()
             if self._stop_requested():
-                stopped = True
-                break
+                return True
         self._pump()
-        return stopped or self._stop_requested()
+        return self._stop_requested()
+
+    def _route_chunk(self, chunk, skips: Dict[int, int]) -> None:
+        """Decode once, slice per worker.
+
+        The router decodes column chunks exactly as a single engine
+        would, computes each row's ring slot through the same memoised
+        keying (one digest per distinct source), and ships each worker
+        its rows as an indexed sub-chunk — explicit global indices, so
+        the worker's events carry single-stream ``record_index``
+        values.
+        """
+        assert self.ring is not None
+        identity = self.keying.identity
+        count = len(chunk)
+        uniques, inverse = np.unique(
+            chunk.src, return_inverse=True
+        )
+        unique_slots = np.fromiter(
+            (identity(int(value))[1] for value in uniques),
+            dtype=np.int64,
+            count=len(uniques),
+        )
+        row_slots = unique_slots[inverse]
+        indices = np.arange(
+            self._position,
+            self._position + count,
+            dtype=np.int64,
+        )
+        keep = None
+        if skips:
+            keep = np.ones(count, dtype=bool)
+            for slot in list(skips):
+                rows = np.nonzero(row_slots == slot)[0]
+                take = min(skips[slot], len(rows))
+                if take:
+                    keep[rows[:take]] = False
+                    self.metrics.records_skipped += take
+                if take == skips[slot]:
+                    del skips[slot]
+                else:
+                    skips[slot] -= take
+        self._position += count
+        if keep is not None:
+            kept = np.nonzero(keep)[0]
+            if len(kept) == 0:
+                return
+            indices = indices[kept]
+            row_slots = row_slots[kept]
+            columns = (
+                chunk.first[kept],
+                chunk.src[kept],
+                chunk.dst[kept],
+                chunk.proto[kept],
+                chunk.dport[kept],
+                chunk.flags[kept],
+            )
+        else:
+            columns = (
+                chunk.first,
+                chunk.src,
+                chunk.dst,
+                chunk.proto,
+                chunk.dport,
+                chunk.flags,
+            )
+        assignment = np.asarray(
+            self.ring.assignment, dtype=np.int64
+        )
+        row_workers = assignment[row_slots]
+        for worker_id in np.unique(row_workers):
+            rows = np.nonzero(row_workers == worker_id)[0]
+            handle = self._handles[int(worker_id)]
+            if handle.dead:  # pragma: no cover - replay covers
+                continue
+            slot_values, slot_counts_arr = np.unique(
+                row_slots[rows], return_counts=True
+            )
+            slot_counts = {
+                int(slot): int(n)
+                for slot, n in zip(slot_values, slot_counts_arr)
+            }
+            self._send_batch(
+                handle,
+                (indices[rows],)
+                + tuple(column[rows] for column in columns),
+                slot_counts,
+            )
+            self.metrics.records_routed += len(rows)
 
     # -- drain / merge -------------------------------------------------
 

@@ -3,8 +3,8 @@
 Each worker runs the *existing* stream assembly — a
 :class:`~repro.stream.processor.StreamDetectionEngine` with its own
 :class:`~repro.pipeline.state.EvidenceStateTable`, JSONL event sink,
-and checkpoint directory — fed routed ``(global index, tuple)`` batches
-(or routed columnar sub-chunks) from its command queue instead of a
+and checkpoint directory — fed routed column sub-chunks (each row
+carrying its global stream index) from its command queue instead of a
 file.  Design points:
 
 **The worker owns checkpoint cadence** (engine built with
@@ -268,7 +268,7 @@ def _serve(
                     return EXIT_ORPHANED
                 continue
             kind = message[0]
-            if kind in ("batch", "chunk"):
+            if kind == "chunk":
                 seq = message[1]
                 if plan is not None:
                     action = plan.worker_action(
@@ -278,18 +278,11 @@ def _serve(
                         if action[0] == "crash":
                             os._exit(EXIT_ERROR)
                         time.sleep(action[1])  # hang; router kills us
-                if kind == "batch":
-                    items = message[2]
-                    folded = engine.process_pairs(iter(items))
-                    expected = len(items)
-                else:
-                    columns = message[2]
-                    chunk = IndexedFlowChunk(*columns)
-                    folded = engine.process_chunks(iter([chunk]))
-                    expected = len(chunk)
-                if folded != expected:  # pragma: no cover - no guards
+                chunk = IndexedFlowChunk(*message[2])
+                folded = engine.process_chunks(iter([chunk]))
+                if folded != len(chunk):  # pragma: no cover - no guards
                     raise RuntimeError(
-                        f"worker folded {folded}/{expected} records"
+                        f"worker folded {folded}/{len(chunk)} records"
                     )
                 for slot, count in message[3].items():
                     slot_counts[slot] = slot_counts.get(slot, 0) + count

@@ -31,7 +31,6 @@ from repro.core.rules import RuleSet
 from repro.ixp.fabric import IxpConfig
 from repro.netflow.parse import chunks_from_records
 from repro.netflow.records import FlowRecord
-from repro.pipeline.columnar import ColumnarFlowPipeline
 from repro.pipeline.core import GuardSet
 from repro.pipeline.flow import AddressKeying, BatchDetectStage, FlowPipeline
 from repro.pipeline.metrics import StreamMetrics
@@ -70,11 +69,10 @@ def detect_fabric_flows(
 
     ``config`` supplies the threshold and the anti-spoofing switch
     (:class:`~repro.ixp.fabric.IxpConfig` defaults keep
-    ``require_established`` on) plus the ``columnar`` toggle, which
-    folds the same flows through the vectorized chunk path with
-    identical output.  Guards are optional; a guarded stop leaves the
-    result partial, with the reason recorded in the metrics overload
-    section like every other assembly.
+    ``require_established`` on); the flows fold as column chunks of
+    ``config.chunk_size`` rows.  Guards are optional; a guarded stop
+    leaves the result partial, with the reason recorded in the metrics
+    overload section like every other assembly.
     """
     config = config or IxpConfig()
     keying = AddressKeying()
@@ -86,13 +84,9 @@ def detect_fabric_flows(
         require_established=config.require_established,
         metrics=StreamMetrics(threshold=config.threshold),
     )
-    if config.columnar:
-        ColumnarFlowPipeline(stage, guards=guards).run_chunks(
-            chunks_from_records(flows, config.chunk_size)
-        )
-    else:
-        pipeline = FlowPipeline(stage, guards=guards)
-        pipeline.run_records(enumerate(flows))
+    FlowPipeline(stage, guards=guards).run_chunks(
+        chunks_from_records(flows, config.chunk_size)
+    )
     return IxpDetectionResult(
         detections=stage.detections(), metrics=stage.metrics
     )

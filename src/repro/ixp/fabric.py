@@ -58,9 +58,7 @@ class IxpConfig:
     #: fraction of each member's population emitting spoofed-SYN noise
     spoofed_fraction: float = 0.15
     require_established: bool = True
-    #: fold fabric flows through the vectorized columnar path
-    columnar: bool = False
-    #: rows per decoded column chunk on the columnar path
+    #: rows per column chunk in flow-level detection
     chunk_size: int = 65536
 
 

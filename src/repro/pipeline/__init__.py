@@ -11,11 +11,14 @@ implemented once, assembled three ways:
 * the **IXP path** (:mod:`repro.ixp`) keys by address and keeps the
   TCP-established anti-spoofing filter on in the Validate stage.
 
-Each assembly can also run the Decode/Validate/Detect stages
-*columnar*: :class:`ColumnarFlowPipeline` folds numpy column chunks
-(``FlowChunk``) with vectorized filtering and endpoint lookup, staying
-record-for-record equivalent to the per-record path — the equivalence
-the ``tests/test_columnar.py`` suite pins.
+The input picks the fold loop, not an option: bulk input (flow files,
+record iterables, fleet admission, the IXP fabric, sweep cells) folds
+as numpy column chunks (``FlowChunk``) through
+:meth:`FlowPipeline.run_chunks` with vectorized filtering and endpoint
+lookup; the live collector's datagram-sized batches fold record by
+record through :meth:`FlowPipeline.run_tuples`.  The two loops are
+record-for-record equivalent — the cross-loop cases in
+``tests/test_columnar.py`` pin it.
 
 The layering contract is directional: those three packages import
 :mod:`repro.pipeline`, never each other, and this package imports none
@@ -28,7 +31,7 @@ from repro.pipeline.assemble import (
     run_flow_detection,
     streaming_assembly,
 )
-from repro.pipeline.columnar import ColumnarFlowPipeline, EndpointDayIndex
+from repro.pipeline.columnar import EndpointDayIndex
 from repro.pipeline.config import (
     CheckpointConfig,
     ColumnarConfig,
@@ -98,7 +101,6 @@ __all__ = [
     "BatchDetectStage",
     "SubscriberKeying",
     "AddressKeying",
-    "ColumnarFlowPipeline",
     "EndpointDayIndex",
     # state / events
     "EvidenceStateTable",

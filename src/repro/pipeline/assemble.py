@@ -26,8 +26,6 @@ from repro.core.hitlist import Hitlist
 from repro.core.rules import RuleSet
 from repro.netflow.parse import ColumnarDecodeStage, chunks_from_records
 from repro.netflow.records import FlowRecord
-from repro.netflow.replay import iter_flow_tuples
-from repro.pipeline.columnar import ColumnarFlowPipeline
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import GuardSet
 from repro.pipeline.flow import (
@@ -160,12 +158,12 @@ def run_flow_detection(
 ) -> FlowDetectionResult:
     """Offline detection over a flow file or record iterable.
 
-    A path (or text stream) takes the tuple fast path —
-    :func:`~repro.netflow.replay.iter_flow_tuples`, no record
-    construction; any other iterable is folded record by record.
-    With ``config.columnar.enabled`` both source shapes run the
-    vectorized :class:`~repro.pipeline.columnar.ColumnarFlowPipeline`
-    instead — identical detections, metrics, and quarantine output.
+    Both source shapes fold as column chunks of
+    ``config.columnar.chunk_size`` rows: a path (or text stream) is
+    decoded by :class:`~repro.netflow.parse.ColumnarDecodeStage`
+    (malformed lines go to the quarantine when one is configured), any
+    other iterable is batched by
+    :func:`~repro.netflow.parse.chunks_from_records`.
     Subscriber identity is the source address, matching the CLI
     ``detect`` command and the batch detector convention.
     """
@@ -178,28 +176,14 @@ def run_flow_detection(
         if config.quarantine.directory is not None
         else None
     )
-    is_file = isinstance(source, (str, pathlib.Path)) or hasattr(
-        source, "read"
-    )
-    if config.columnar.enabled:
-        columnar = ColumnarFlowPipeline(
-            pipeline.stage, sink=pipeline.sink, guards=pipeline.guards
-        )
-        if is_file:
-            decode = ColumnarDecodeStage(
-                config.columnar.chunk_size, quarantine=quarantine
-            )
-            columnar.run_chunks(decode.iter_chunks(source))
-        else:
-            columnar.run_chunks(
-                chunks_from_records(source, config.columnar.chunk_size)
-            )
-    elif is_file:
-        pipeline.run_tuples(
-            iter_flow_tuples(source, quarantine=quarantine)
-        )
+    chunk_size = config.columnar.chunk_size
+    if isinstance(source, (str, pathlib.Path)) or hasattr(source, "read"):
+        chunks = ColumnarDecodeStage(
+            chunk_size, quarantine=quarantine
+        ).iter_chunks(source)
     else:
-        pipeline.run_records(enumerate(source))
+        chunks = chunks_from_records(source, chunk_size)
+    pipeline.run_chunks(chunks)
     stage = pipeline.stage
     metrics = stage.metrics
     if quarantine is not None:

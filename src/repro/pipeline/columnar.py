@@ -1,45 +1,41 @@
-"""Vectorized columnar twin of the :class:`FlowPipeline` hot loop.
+"""The fused ``Validate → Detect`` stages over column chunks.
 
-The per-record path pays one Python ``observe()`` call per flow; at
-ISP replay rates that call dominates wall time even though the vast
-majority of records match nothing.  This module runs the same fused
-``Validate → Detect`` stages over :class:`~repro.netflow.parse.FlowChunk`
-column batches instead:
+The per-record :meth:`~repro.pipeline.flow.FlowDetectStage.observe`
+pays one Python call per flow; on bulk input that call dominates wall
+time even though the vast majority of records match nothing.
+:func:`observe_chunk` runs the same fused stages over a
+:class:`~repro.netflow.parse.FlowChunk` column batch instead:
 
 * the TCP-established anti-spoofing filter is one boolean mask over the
   ``proto``/``flags`` columns;
 * the hitlist endpoint lookup is a binary search of ``(dst << 16) |
   dport`` keys against a per-day sorted index precompiled lazily by
   :class:`EndpointDayIndex`;
-* only the (rare) matching rows drop into the existing per-subscriber
-  ``_fold`` of the wrapped :class:`~repro.pipeline.flow.FlowDetectStage`
-  subclass, in ascending row order — so events, indices, metrics, and
-  checkpoint-visible state are *identical* to the per-record path over
-  the same flows.  The per-record path stays the equivalence oracle
+* only the (rare) matching rows drop into the per-subscriber ``_fold``
+  of the :class:`~repro.pipeline.flow.FlowDetectStage` subclass, in
+  ascending row order — so events, indices, metrics, and
+  checkpoint-visible state are *identical* to ``observe`` called on
+  every row.  ``observe`` stays for the live collector's datagram-sized
+  batches and as the cross-check for this kernel
   (``tests/test_columnar.py``).
 
-Guards are polled once per chunk rather than every
-:data:`~repro.pipeline.core.GUARD_STRIDE` records, and checkpoint
-cadence fires at chunk boundaries once ``records_since_checkpoint``
-reaches the configured period — cadence coarsens to the chunk size,
-resumability does not change.
+The stage is duck-typed here (this module imports nothing from
+:mod:`repro.pipeline.flow`, which imports it); the driver that feeds
+chunks, splits them at ``max_records``/checkpoint boundaries and polls
+the guards is :meth:`~repro.pipeline.flow.FlowPipeline.run_chunks`.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.netflow.parse import FlowChunk
 from repro.netflow.records import PROTO_TCP, TCP_ACK, TCP_SYN
-from repro.pipeline.core import GuardSet
-from repro.pipeline.events import MemoryEventSink
-from repro.pipeline.flow import FlowDetectStage
 from repro.timeutil import SECONDS_PER_DAY, STUDY_START
 
-__all__ = ["EndpointDayIndex", "ColumnarFlowPipeline"]
+__all__ = ["EndpointDayIndex", "observe_chunk"]
 
 
 class EndpointDayIndex:
@@ -93,216 +89,118 @@ class EndpointDayIndex:
         return self._daily.keys()
 
 
-class ColumnarFlowPipeline:
-    """Chunked vectorized ingest sharing a scalar stage's semantics.
+def observe_chunk(stage, chunk: FlowChunk, emit) -> None:
+    """Fold one chunk through ``stage``, handing completed detections
+    to ``emit`` as they complete.
 
-    Wraps an existing :class:`~repro.pipeline.flow.FlowDetectStage`
-    subclass — the *same instance* an assembly would hand to
-    :class:`~repro.pipeline.flow.FlowPipeline` — so state tables,
-    keying, metrics, and checkpoints are shared verbatim between the
-    two paths; an assembly can even mix them (resume per-record,
-    continue columnar).
+    Equivalent to calling ``stage.observe`` on every row in order,
+    including across a staged rule swap: ``observe`` applies the swap
+    at the first record whose timestamp reaches ``activate_at`` — in
+    arrival order — and folds that record and everything after it
+    under the new generation.  Here rows before the first boundary row
+    fold under the old generation, then the stage swap is applied
+    (which also exchanges the stage's endpoint index), and the
+    boundary row onward folds under the new generation — so the two
+    loops stay record-for-record identical across swaps that land
+    mid-chunk.
     """
-
-    def __init__(
-        self,
-        stage: FlowDetectStage,
-        sink=None,
-        guards: Optional[GuardSet] = None,
-        checkpoint_every: int = 0,
-        on_checkpoint=None,
-    ) -> None:
-        if checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        if checkpoint_every and on_checkpoint is None:
-            raise ValueError("checkpoint_every needs an on_checkpoint")
-        self.stage = stage
-        self.sink = sink if sink is not None else MemoryEventSink()
-        self.guards = guards if guards is not None else GuardSet()
-        self.checkpoint_every = checkpoint_every
-        self.on_checkpoint = on_checkpoint
-        self.index = EndpointDayIndex(stage._daily)
-
-    # -- ingest -------------------------------------------------------
-
-    def run_chunks(
-        self,
-        chunks: Iterable[FlowChunk],
-        max_records: Optional[int] = None,
-    ) -> int:
-        """Fold decoded column chunks; records folded.
-
-        Equivalent to feeding the rows of every chunk through
-        ``stage.observe`` one by one — same events in the same order,
-        same metrics — at vector speed for the non-matching majority.
-        """
-        guards = self.guards
-        checkpoint_every = self.checkpoint_every
-        metrics = self.stage.metrics
-        processed = 0
-        if self.index._daily is not self.stage._daily:
-            # A rule swap applied on the per-record path (the stage is
-            # shared) retired the mapping this index was compiled from.
-            self.index = EndpointDayIndex(self.stage._daily)
-        if guards.check(0) is not None:  # stop already requested
-            return 0
-        if checkpoint_every:
-            metrics.records_since_checkpoint = 0
-        started = time.perf_counter()
-        try:
-            for chunk in chunks:
-                if max_records is not None:
-                    budget = max_records - processed
-                    if len(chunk) > budget:
-                        chunk = chunk.head(budget)
-                count = len(chunk)
-                if count:
-                    if self.stage._pending_swap is not None:
-                        self._observe_split(chunk)
-                    else:
-                        self._observe_chunk(chunk)
-                    processed += count
-                if (
-                    checkpoint_every
-                    and metrics.records_since_checkpoint >= checkpoint_every
-                ):
-                    self.on_checkpoint()
-                    metrics.records_since_checkpoint = 0
-                if guards.check(count) is not None:
-                    break
-                if max_records is not None and processed >= max_records:
-                    break
-        finally:
-            metrics.process_seconds += time.perf_counter() - started
-        return processed
-
-    # -- the vectorized fused stage -----------------------------------
-
-    def _observe_split(self, chunk: FlowChunk) -> None:
-        """Fold a chunk across a staged rule swap's activation boundary.
-
-        The per-record path applies a staged swap at the first record
-        whose timestamp reaches ``activate_at`` — in arrival order —
-        and folds that record and everything after it under the new
-        generation.  This reproduces those semantics chunked: rows
-        before the first boundary row fold under the old generation,
-        then the stage swap is applied and the endpoint index is
-        exchanged for the generation's prebuilt one (or a lazily
-        compiled replacement), and the boundary row onward folds under
-        the new generation.  Splitting keeps the two paths
-        record-for-record identical across swaps, including swaps that
-        land mid-chunk.
-        """
-        stage = self.stage
+    pending = stage._pending_swap
+    while pending is not None and len(chunk):
+        boundary = np.flatnonzero(chunk.first >= pending.activate_at)
+        if not len(boundary):
+            break
+        split = int(boundary[0])
+        if split:
+            _fold_rows(stage, chunk.head(split), emit)
+            chunk = chunk.tail(split)
+        stage._apply_swap()
         pending = stage._pending_swap
-        while pending is not None and len(chunk):
-            boundary = np.flatnonzero(chunk.first >= pending.activate_at)
-            if not len(boundary):
-                break
-            split = int(boundary[0])
-            if split:
-                self._observe_chunk(chunk.head(split))
-                chunk = chunk.tail(split)
-            generation = pending.generation
-            stage._apply_swap()
-            self.index = (
-                generation.index
-                if generation.index is not None
-                else EndpointDayIndex(stage._daily)
-            )
-            pending = stage._pending_swap
-        if len(chunk):
-            self._observe_chunk(chunk)
+    if len(chunk):
+        _fold_rows(stage, chunk, emit)
 
-    def _observe_chunk(self, chunk: FlowChunk) -> None:
-        stage = self.stage
-        metrics = stage.metrics
-        count = len(chunk)
-        metrics.records_processed += count
-        metrics.records_since_checkpoint += count
-        first = chunk.first
-        watermark = int(first.max())
-        if watermark > metrics.watermark:
-            metrics.watermark = watermark
-        rows = None  # admitted row positions, None == all
-        if stage.require_established:
-            keep = (chunk.proto != PROTO_TCP) | (
-                ((chunk.flags & TCP_ACK) != 0)
-                & ((chunk.flags & TCP_SYN) == 0)
-            )
-            rejected = count - int(keep.sum())
-            if rejected:
-                metrics.flows_rejected_spoof += rejected
-                rows = np.flatnonzero(keep)
-                first = first[rows]
-                if not len(first):
-                    return
-        day = (first - STUDY_START) // SECONDS_PER_DAY
-        day_lo = int(day.min())
-        day_hi = int(day.max())
-        dst = chunk.dst if rows is None else chunk.dst[rows]
-        dport = chunk.dport if rows is None else chunk.dport[rows]
-        key = (dst << np.int64(16)) | dport
-        matches: List[Tuple[np.ndarray, List[str]]] = []
-        for index_day in self.index.days():
-            if index_day < day_lo or index_day > day_hi:
-                continue
-            compiled = self.index.day(index_day)
-            if compiled is None:
-                continue
-            keys, fqdns = compiled
-            if day_lo == day_hi:
-                sub_rows = None
-                sub_key = key
-            else:
-                sub_rows = np.flatnonzero(day == index_day)
-                if not len(sub_rows):
-                    continue
-                sub_key = key[sub_rows]
-            pos = np.searchsorted(keys, sub_key)
-            hit = keys[np.minimum(pos, len(keys) - 1)] == sub_key
-            hit_rows = np.flatnonzero(hit)
-            if not len(hit_rows):
-                continue
-            hit_fqdns = [fqdns[i] for i in pos[hit_rows].tolist()]
-            if sub_rows is not None:
-                hit_rows = sub_rows[hit_rows]
-            matches.append((hit_rows, hit_fqdns))
-        if not matches:
-            return
-        if len(matches) == 1:
-            hit_rows, hit_fqdns = matches[0]
-        else:
-            hit_rows = np.concatenate([m[0] for m in matches])
-            order = np.argsort(hit_rows, kind="stable")
-            flat = [fqdn for _, fqdns in matches for fqdn in fqdns]
-            hit_fqdns = [flat[i] for i in order.tolist()]
-            hit_rows = hit_rows[order]
-        # Map admitted-row positions back to chunk rows when the
-        # established filter dropped rows.
-        if rows is not None:
-            hit_rows = rows[hit_rows]
-        whens = chunk.first[hit_rows].tolist()
-        srcs = chunk.src[hit_rows].tolist()
-        metrics.flows_matched += len(hit_rows)
-        fold = stage._fold
-        # Routed fleet sub-chunks carry explicit per-row global stream
-        # indices; plain chunks number contiguously from start_index.
-        explicit = getattr(chunk, "indices", None)
-        if explicit is None:
-            hit_indices = (chunk.start_index + hit_rows).tolist()
-        else:
-            hit_indices = explicit[hit_rows].tolist()
-        emit = self._emit
-        for index, when, src, fqdn in zip(
-            hit_indices, whens, srcs, hit_fqdns
-        ):
-            events = fold(index, when, src, fqdn)
-            if events:
-                emit(events)
 
-    def _emit(self, events) -> None:
-        append = self.sink.append
-        for event in events:
-            append(event)
-        self.stage.metrics.events_emitted += len(events)
+def _fold_rows(stage, chunk: FlowChunk, emit) -> None:
+    metrics = stage.metrics
+    index = stage.index
+    count = len(chunk)
+    metrics.records_processed += count
+    metrics.records_since_checkpoint += count
+    first = chunk.first
+    watermark = int(first.max())
+    if watermark > metrics.watermark:
+        metrics.watermark = watermark
+    rows = None  # admitted row positions, None == all
+    if stage.require_established:
+        keep = (chunk.proto != PROTO_TCP) | (
+            ((chunk.flags & TCP_ACK) != 0)
+            & ((chunk.flags & TCP_SYN) == 0)
+        )
+        rejected = count - int(keep.sum())
+        if rejected:
+            metrics.flows_rejected_spoof += rejected
+            rows = np.flatnonzero(keep)
+            first = first[rows]
+            if not len(first):
+                return
+    day = (first - STUDY_START) // SECONDS_PER_DAY
+    day_lo = int(day.min())
+    day_hi = int(day.max())
+    dst = chunk.dst if rows is None else chunk.dst[rows]
+    dport = chunk.dport if rows is None else chunk.dport[rows]
+    key = (dst << np.int64(16)) | dport
+    matches: List[Tuple[np.ndarray, List[str]]] = []
+    for index_day in index.days():
+        if index_day < day_lo or index_day > day_hi:
+            continue
+        compiled = index.day(index_day)
+        if compiled is None:
+            continue
+        keys, fqdns = compiled
+        if day_lo == day_hi:
+            sub_rows = None
+            sub_key = key
+        else:
+            sub_rows = np.flatnonzero(day == index_day)
+            if not len(sub_rows):
+                continue
+            sub_key = key[sub_rows]
+        pos = np.searchsorted(keys, sub_key)
+        hit = keys[np.minimum(pos, len(keys) - 1)] == sub_key
+        hit_rows = np.flatnonzero(hit)
+        if not len(hit_rows):
+            continue
+        hit_fqdns = [fqdns[i] for i in pos[hit_rows].tolist()]
+        if sub_rows is not None:
+            hit_rows = sub_rows[hit_rows]
+        matches.append((hit_rows, hit_fqdns))
+    if not matches:
+        return
+    if len(matches) == 1:
+        hit_rows, hit_fqdns = matches[0]
+    else:
+        hit_rows = np.concatenate([m[0] for m in matches])
+        order = np.argsort(hit_rows, kind="stable")
+        flat = [fqdn for _, fqdns in matches for fqdn in fqdns]
+        hit_fqdns = [flat[i] for i in order.tolist()]
+        hit_rows = hit_rows[order]
+    # Map admitted-row positions back to chunk rows when the
+    # established filter dropped rows.
+    if rows is not None:
+        hit_rows = rows[hit_rows]
+    whens = chunk.first[hit_rows].tolist()
+    srcs = chunk.src[hit_rows].tolist()
+    metrics.flows_matched += len(hit_rows)
+    fold = stage._fold
+    # Routed fleet sub-chunks carry explicit per-row global stream
+    # indices; plain chunks number contiguously from start_index.
+    explicit = getattr(chunk, "indices", None)
+    if explicit is None:
+        hit_indices = (chunk.start_index + hit_rows).tolist()
+    else:
+        hit_indices = explicit[hit_rows].tolist()
+    for row_index, when, src, fqdn in zip(
+        hit_indices, whens, srcs, hit_fqdns
+    ):
+        events = fold(row_index, when, src, fqdn)
+        if events:
+            emit(events)

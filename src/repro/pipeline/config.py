@@ -144,17 +144,15 @@ class RulesConfig:
 
 @dataclass(frozen=True)
 class ColumnarConfig:
-    """The vectorized chunked detect path (Decode/Validate/Detect).
+    """Sizing of the chunked detect path (Decode/Validate/Detect).
 
-    When ``enabled``, assemblies decode flow sources into
+    Assemblies decode bulk flow sources into
     :class:`~repro.netflow.parse.FlowChunk` column batches of
-    ``chunk_size`` rows and run them through
-    :class:`~repro.pipeline.columnar.ColumnarFlowPipeline` — same
-    events, metrics, and checkpoints as the per-record path, at vector
-    speed.
+    ``chunk_size`` rows and fold them through
+    :meth:`~repro.pipeline.flow.FlowPipeline.run_chunks`.  Detection
+    output does not depend on the value.
     """
 
-    enabled: bool = False
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
@@ -189,7 +187,6 @@ class PipelineConfig:
         quarantine_dir: Optional[_PathLike] = None,
         memory_budget: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
-        columnar: bool = False,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         hitlist_dir: Optional[_PathLike] = None,
         hitlist_refresh_every: int = 0,
@@ -216,9 +213,7 @@ class PipelineConfig:
                 memory_budget=memory_budget,
                 deadline_seconds=deadline_seconds,
             ),
-            columnar=ColumnarConfig(
-                enabled=columnar, chunk_size=chunk_size
-            ),
+            columnar=ColumnarConfig(chunk_size=chunk_size),
             rules=RulesConfig(
                 hitlist_dir=hitlist_dir,
                 refresh_every=hitlist_refresh_every,

@@ -9,13 +9,13 @@ stages plus guarded task admission, so the accounting every metrics
 document carries (``stop_reason``, ``partial``, per-stage seconds) is
 produced by one implementation.
 
-The polling contract is shared with the flow hot loop
-(:mod:`repro.pipeline.flow`): guards are checked every
-:data:`GUARD_STRIDE` records, cheap enough to leave the per-record cost
-at one integer decrement while a SIGTERM still drains within a
-fraction of a millisecond of stream time.  The columnar loop
-(:mod:`repro.pipeline.columnar`) polls the same guards once per decoded
-chunk instead — coarser by ``chunk_size`` records, same attribution.
+The polling contract is shared with the flow driver
+(:mod:`repro.pipeline.flow`): its per-record loop checks the guards
+every :data:`GUARD_STRIDE` records, cheap enough to leave the
+per-record cost at one integer decrement while a SIGTERM still drains
+within a fraction of a millisecond of stream time; its chunk loop
+polls the same guards once per folded chunk instead — coarser by
+``chunk_size`` records, same attribution.
 """
 
 from __future__ import annotations

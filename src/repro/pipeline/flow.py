@@ -28,11 +28,19 @@ raw subscriber line identifiers into salted digests and shards by
 digest (ISP paths), :class:`AddressKeying` keys by source address
 (the IXP path, where no subscriber notion exists).
 
-:class:`FlowPipeline` is the driver: one guarded ingest loop — records
-or pre-parsed tuples — owning checkpoint cadence, sink emission, guard
-polling every :data:`~repro.pipeline.core.GUARD_STRIDE` records, and
-source drop/backpressure accounting.  The batch engine, the stream
-engine, and the IXP fabric path are thin assemblies of these parts.
+:class:`FlowPipeline` is the driver, and the shape of its input picks
+the loop: bulk input (flow files, record iterables, fleet admission,
+the IXP fabric, sweep cells) arrives as
+:class:`~repro.netflow.parse.FlowChunk` column batches and folds
+through :meth:`FlowPipeline.run_chunks` — the same fused stages
+vectorized (:mod:`repro.pipeline.columnar`); the per-record loop
+(:meth:`FlowPipeline.run_tuples` / :meth:`FlowPipeline.run_records`)
+is what the live collector's datagram-sized batches and the
+backpressure-aware replay source need.  Both loops share one sink
+emission, one checkpoint cadence (``checkpoint_every`` names the same
+record positions on either) and one guard set.  The batch engine, the
+stream engine, and the IXP fabric path are thin assemblies of these
+parts.
 """
 
 from __future__ import annotations
@@ -49,7 +57,9 @@ from repro.core.detector import (
 )
 from repro.core.hitlist import Hitlist
 from repro.core.rules import RuleSet
+from repro.netflow.parse import FlowChunk
 from repro.netflow.records import PROTO_TCP, TCP_ACK, TCP_SYN
+from repro.pipeline.columnar import EndpointDayIndex, observe_chunk
 from repro.pipeline.core import GUARD_STRIDE, GuardSet
 from repro.pipeline.events import DetectionEvent, MemoryEventSink
 from repro.pipeline.metrics import StreamMetrics
@@ -65,7 +75,6 @@ from repro.timeutil import SECONDS_PER_DAY, STUDY_START
 __all__ = [
     "SubscriberKeying",
     "AddressKeying",
-    "RecordRouter",
     "FlowDetectStage",
     "StreamingDetectStage",
     "BatchDetectStage",
@@ -164,58 +173,18 @@ class AddressKeying:
         return count
 
 
-class RecordRouter:
-    """Consistent record → ring-slot assignment for fleet fan-out.
-
-    The router stage in front of a worker fleet must send every record
-    of one subscriber key to the same slot, across runs and across
-    rebalances — detection folds per-key evidence in arrival order, so
-    splitting a key over two workers would reorder its folds.  The
-    assignment therefore reuses the keying's *memoised* identity: the
-    router is built with a keying whose ``shards`` equals the ring slot
-    count, making ``identity(src)[1]`` the slot directly (one dict hit
-    per repeated source, digest arithmetic only on first sight).
-
-    This stage is deliberately stateless beyond the recomputable memo:
-    a crashed router rebuilds assignment from the keying salt alone,
-    which is what makes whole-fleet resume possible.
-    """
-
-    __slots__ = ("keying", "slots")
-
-    def __init__(self, keying, slots: Optional[int] = None) -> None:
-        if slots is None:
-            slots = keying.shards
-        if slots != keying.shards:
-            raise ValueError(
-                f"router over {slots} slots needs a keying sharded "
-                f"{slots} ways, got {keying.shards}"
-            )
-        self.keying = keying
-        self.slots = slots
-
-    def slot_of(self, src: int) -> int:
-        """The ring slot of a raw source key (memoised)."""
-        return self.keying.identity(src)[1]
-
-    def route(
-        self, pairs: Iterable[Tuple[int, Tuple[int, int, int, int, int, int]]]
-    ) -> Iterable[Tuple[int, int, Tuple[int, int, int, int, int, int]]]:
-        """Yield ``(slot, index, tuple)`` for indexed flow tuples."""
-        identity = self.keying.identity
-        for index, record in pairs:
-            yield identity(record[1])[1], index, record
-
-
 class FlowDetectStage:
     """Fused Decode/Validate/Detect over raw record fields.
 
-    :meth:`observe` is *the* per-record hot call of every assembly.  It
-    takes scalar fields rather than a record object so the tuple fast
-    path never constructs records, and it fuses the cheap universal
-    work — counters, watermark, the established filter, the day-cached
+    :meth:`observe` is the per-record hot call.  It takes scalar
+    fields rather than a record object so the tuple path never
+    constructs records, and it fuses the cheap universal work —
+    counters, watermark, the established filter, the day-cached
     endpoint lookup — dispatching to the subclass :meth:`_fold` only
     for the records that matched a hitlist endpoint.
+    :func:`~repro.pipeline.columnar.observe_chunk` is the same fused
+    work over a whole column chunk, reading :attr:`index` where
+    ``observe`` reads the day dicts.
     """
 
     __slots__ = (
@@ -230,6 +199,7 @@ class FlowDetectStage:
         "_endpoints_front",
         "_day_back",
         "_endpoints_back",
+        "_index",
         "_pending_swap",
     )
 
@@ -258,8 +228,18 @@ class FlowDetectStage:
         self._endpoints_front: Dict[Tuple[int, int], str] = {}
         self._day_back: Optional[int] = None
         self._endpoints_back: Dict[Tuple[int, int], str] = {}
+        self._index: Optional[EndpointDayIndex] = None
         #: staged rule generation awaiting its event-time boundary
         self._pending_swap: Optional[PendingSwap] = None
+
+    @property
+    def index(self) -> EndpointDayIndex:
+        """The active hitlist as the sorted per-day index chunk
+        lookups search (compiled on first use, swapped with the
+        rules)."""
+        if self._index is None:
+            self._index = EndpointDayIndex(self._daily)
+        return self._index
 
     def observe(
         self,
@@ -340,9 +320,11 @@ class FlowDetectStage:
         """Take the staged generation live (called on the hot path).
 
         Reference flips plus one bounded evidence-migration pass: the
-        rule set and daily-endpoint mapping are exchanged, the two-day
-        endpoint cache is invalidated, and subclasses migrate their
-        per-key evidence in :meth:`_migrate_evidence`.
+        rule set, daily-endpoint mapping and chunk index (the
+        generation's prebuilt one, else compiled on next use) are
+        exchanged, the two-day endpoint cache is invalidated, and
+        subclasses migrate their per-key evidence in
+        :meth:`_migrate_evidence`.
         """
         pending = self._pending_swap
         assert pending is not None
@@ -351,6 +333,7 @@ class FlowDetectStage:
         self.rules = generation.rules
         self.hitlist = generation.hitlist
         self._daily = generation.hitlist.daily_endpoints
+        self._index = generation.index
         self._day_front = None
         self._endpoints_front = {}
         self._day_back = None
@@ -526,15 +509,25 @@ class BatchDetectStage(FlowDetectStage):
 
 
 class FlowPipeline:
-    """The guarded ingest loop every flow assembly runs.
+    """The guarded ingest driver every flow assembly runs.
 
     Owns the loop-level concerns the Detect stage must not: sink
     emission, checkpoint cadence (``checkpoint_every`` records, via the
     ``on_checkpoint`` callback the owning assembly provides), guard
-    polling every :data:`~repro.pipeline.core.GUARD_STRIDE` records,
-    ``max_records`` bounding, wall-time accounting, and — for
+    polling, ``max_records`` bounding, wall-time accounting, and — for
     backpressure-aware sources — high-watermark and shed-drop folding
     into the overload metrics.
+
+    Two loops, one policy.  :meth:`run_chunks` folds column chunks and
+    is what every bulk input uses; it splits a chunk at the
+    ``max_records`` budget and at the ``checkpoint_every`` boundary, so
+    both name exact record positions, and polls the guards once per
+    (sub-)chunk.  :meth:`run_tuples`/:meth:`run_records` fold record by
+    record, polling the guards every
+    :data:`~repro.pipeline.core.GUARD_STRIDE` records.  The cadence
+    counter (``metrics.records_since_checkpoint``) runs across calls
+    and loops: only a checkpoint resets it, so ingest segmented into
+    calls shorter than ``checkpoint_every`` still checkpoints on time.
 
     A guard stop ends the ingest call early and records the reason in
     the shared overload metrics; the assembly stays resumable and
@@ -560,6 +553,61 @@ class FlowPipeline:
         self.on_checkpoint = on_checkpoint
 
     # -- ingest -------------------------------------------------------
+
+    def run_chunks(
+        self,
+        chunks: Iterable[FlowChunk],
+        max_records: Optional[int] = None,
+    ) -> int:
+        """Fold decoded column chunks; records folded.
+
+        Equivalent to feeding the rows of every chunk through
+        :meth:`run_tuples` — same events in the same order, same
+        metrics, checkpoints at the same record positions — at vector
+        speed for the non-matching majority.
+        """
+        stage = self.stage
+        metrics = stage.metrics
+        guards = self.guards
+        checkpoint_every = self.checkpoint_every
+        emit = self._emit
+        processed = 0
+        if guards.check(0) is not None:  # stop already requested
+            return 0
+        if max_records is not None and max_records <= 0:
+            return 0
+        started = time.perf_counter()
+        try:
+            for rest in chunks:
+                while len(rest):
+                    take = len(rest)
+                    if max_records is not None:
+                        take = min(take, max_records - processed)
+                    if checkpoint_every:
+                        take = min(
+                            take,
+                            max(
+                                1,
+                                checkpoint_every
+                                - metrics.records_since_checkpoint,
+                            ),
+                        )
+                    chunk, rest = rest.head(take), rest.tail(take)
+                    observe_chunk(stage, chunk, emit)
+                    processed += take
+                    if (
+                        checkpoint_every
+                        and metrics.records_since_checkpoint
+                        >= checkpoint_every
+                    ):
+                        self._checkpoint()
+                    if guards.check(take) is not None:
+                        return processed
+                    if max_records is not None and processed >= max_records:
+                        return processed
+        finally:
+            metrics.process_seconds += time.perf_counter() - started
+        return processed
 
     def run_records(self, source, max_records: Optional[int] = None) -> int:
         """Fold ``(index, FlowRecord)`` pairs; records folded.
@@ -603,29 +651,17 @@ class FlowPipeline:
         start_index: int = 0,
         max_records: Optional[int] = None,
     ) -> int:
-        """Fast-path ingest of pre-parsed flow tuples.
+        """Per-record ingest of pre-parsed flow tuples.
 
         ``tuples`` yields ``(first, src, dst, proto, dport, flags)``
         (see :func:`repro.netflow.replay.iter_flow_tuples`); indices
-        are assigned from ``start_index``.
+        are assigned from ``start_index``.  The loop for input that
+        arrives a datagram at a time: a 25-record batch costs less
+        folded here than built into a chunk first.
         """
         return self._run(
             zip(itertools.count(start_index), tuples), max_records
         )
-
-    def run_pairs(
-        self,
-        pairs: Iterable[Tuple[int, Tuple[int, int, int, int, int, int]]],
-        max_records: Optional[int] = None,
-    ) -> int:
-        """Ingest explicitly indexed ``(index, tuple)`` pairs.
-
-        The fleet path: a routed worker receives records whose global
-        stream indices are not contiguous (the router keeps the index a
-        record had in the single-stream order), and event-log merge
-        identity depends on folding them under exactly those indices.
-        """
-        return self._run(pairs, max_records)
 
     def _run(self, pairs, max_records: Optional[int]) -> int:
         observe = self.stage.observe
@@ -637,12 +673,6 @@ class FlowPipeline:
         guard_left = GUARD_STRIDE
         if guards.check(0) is not None:  # stop already requested
             return 0
-        if checkpoint_every:
-            # Cadence counts records since the last checkpoint, not the
-            # cumulative total — a resume restored to a count that is
-            # not a multiple of ``checkpoint_every`` must still write
-            # its next checkpoint ``checkpoint_every`` records in.
-            metrics.records_since_checkpoint = 0
         started = time.perf_counter()
         try:
             for index, (when, src, dst, proto, dport, flags) in pairs:
@@ -654,8 +684,7 @@ class FlowPipeline:
                     checkpoint_every
                     and metrics.records_since_checkpoint >= checkpoint_every
                 ):
-                    self.on_checkpoint()
-                    metrics.records_since_checkpoint = 0
+                    self._checkpoint()
                 guard_left -= 1
                 if guard_left <= 0:
                     guard_left = GUARD_STRIDE
@@ -666,6 +695,10 @@ class FlowPipeline:
         finally:
             metrics.process_seconds += time.perf_counter() - started
         return processed
+
+    def _checkpoint(self) -> None:
+        self.on_checkpoint()
+        self.stage.metrics.records_since_checkpoint = 0
 
     def _emit(self, events: List[DetectionEvent]) -> None:
         append = self.sink.append

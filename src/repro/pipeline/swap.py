@@ -2,7 +2,7 @@
 migration.
 
 A running assembly detects against one *rule generation* — a
-``(version, RuleSet, Hitlist)`` triple plus, for the columnar path, a
+``(version, RuleSet, Hitlist)`` triple plus, for chunk lookups, a
 prebuilt :class:`~repro.pipeline.columnar.EndpointDayIndex`.  The rule
 lifecycle (:mod:`repro.rules.lifecycle`) publishes new generations
 while the pipeline runs; this module owns the mechanics of taking one
@@ -15,8 +15,8 @@ live without stopping ingest or corrupting evidence:
   arrival order, so activation is a pure function of the record stream
   and the staged ``activate_at``, never of guard strides, chunk sizes,
   resume points, or wall-clock.  A kill/resume across a staged swap
-  therefore replays bit-identically, and the per-record and columnar
-  paths activate on exactly the same record.
+  therefore replays bit-identically, and the per-record and chunk
+  loops activate on exactly the same record.
 * **Migration** — evidence accumulated under version ``k`` is folded
   into ``k+1`` by :func:`migrate_tables`: first-seen domain windows
   for domains still monitored survive untouched, windows for dropped
@@ -26,7 +26,7 @@ live without stopping ingest or corrupting evidence:
   ``k+1`` equals ``k`` nothing is touched at all, which is what makes
   an identity swap provably bit-identical to a no-swap run.
 
-Rebuilding the heavy structures (the columnar day index) belongs to
+Rebuilding the heavy structures (the chunk day index) belongs to
 the refresher thread via :meth:`RuleGeneration.prepare`; the ingest
 thread's apply is reference flips plus one bounded migration pass.
 """
@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.core.hitlist import Hitlist
 from repro.core.rules import RuleSet
+from repro.pipeline.columnar import EndpointDayIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.detector import SubscriberProgress
@@ -60,8 +61,8 @@ def next_activation(watermark: int) -> int:
     """The next hour boundary strictly after ``watermark``.
 
     Swaps activate at hour boundaries of *event time* so the boundary
-    is stable across kills, resumes, and per-record/columnar path
-    choice — everything that varies between runs over the same stream.
+    is stable across kills, resumes, and which loop folds the stream
+    — everything that varies between runs over the same stream.
     """
     return (watermark // SECONDS_PER_HOUR + 1) * SECONDS_PER_HOUR
 
@@ -70,16 +71,16 @@ def next_activation(watermark: int) -> int:
 class RuleGeneration:
     """One immutable, swappable rule version.
 
-    ``index`` is the columnar path's prebuilt
+    ``index`` is the prebuilt
     :class:`~repro.pipeline.columnar.EndpointDayIndex`; ``None`` means
-    the columnar pipeline compiles lazily after the flip (correct, but
-    the first chunk per day pays the compile).
+    the stage compiles it lazily after the flip (correct, but the
+    first chunk per day pays the compile).
     """
 
     version: int
     rules: RuleSet
     hitlist: Hitlist
-    index: Optional[object] = field(default=None, compare=False)
+    index: Optional[EndpointDayIndex] = field(default=None, compare=False)
 
     @classmethod
     def prepare(
@@ -96,10 +97,6 @@ class RuleGeneration:
         """
         index = None
         if build_index:
-            # Imported lazily: repro.pipeline.columnar imports
-            # repro.pipeline.flow, which imports this module.
-            from repro.pipeline.columnar import EndpointDayIndex
-
             index = EndpointDayIndex(hitlist.daily_endpoints)
             for day in tuple(index.days()):
                 index.day(day)

@@ -26,8 +26,7 @@ This package is the *online assembly* of the shared staged pipeline
   agree with.
 
 Fault-injection helpers for the robustness test-suite live in
-:mod:`repro.faults` (the historical ``repro.stream.faults`` alias was
-removed).
+:mod:`repro.faults`.
 """
 
 from repro.stream.checkpoint import (
@@ -39,14 +38,14 @@ from repro.stream.checkpoint import (
     tmp_leftover_count,
     write_checkpoint,
 )
-from repro.stream.events import (
+from repro.pipeline.events import (
     DetectionEvent,
     JsonlEventSink,
     MemoryEventSink,
     read_event_log,
 )
+from repro.pipeline.state import EvidenceStateTable
 from repro.stream.processor import StreamConfig, StreamDetectionEngine
-from repro.stream.state import EvidenceStateTable
 
 __all__ = [
     "CheckpointError",

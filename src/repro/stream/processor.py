@@ -8,12 +8,13 @@ driven by a :class:`~repro.pipeline.flow.FlowPipeline` ingest loop,
 guarded by a :class:`~repro.pipeline.core.GuardSet` — plus the one
 concern this module owns outright: crash-safe checkpoint/resume.
 
-The engine consumes an ordered flow-record stream (a
-:class:`~repro.netflow.replay.FlowReplaySource`, or the tuple fast
-path over a flow file), folds each record into bounded per-subscriber
-state, and emits a :class:`~repro.pipeline.events.DetectionEvent` the
-moment a rule's domain-evidence threshold ``D`` — and every ancestor's
-— is crossed.  Rule evaluation is
+The engine consumes an ordered flow-record stream (column chunks
+decoded from a flow file, a collector's datagram-sized tuple batches,
+or a :class:`~repro.netflow.replay.FlowReplaySource`), folds each
+record into bounded per-subscriber state, and emits a
+:class:`~repro.pipeline.events.DetectionEvent` the moment a rule's
+domain-evidence threshold ``D`` — and every ancestor's — is crossed.
+Rule evaluation is
 :class:`repro.core.detector.SubscriberProgress`, the exact core the
 batch :class:`~repro.core.detector.FlowDetector` replays through, so on
 an in-order replay the stream's events equal the batch detections (the
@@ -49,8 +50,7 @@ from typing import Dict, Iterable, List, Optional, Set, Union
 from repro.core.hitlist import Hitlist
 from repro.core.rules import RuleSet
 from repro.netflow.parse import DEFAULT_CHUNK_SIZE, ColumnarDecodeStage
-from repro.netflow.replay import FlowReplaySource, FlowTuple, iter_flow_tuples
-from repro.pipeline.columnar import ColumnarFlowPipeline
+from repro.netflow.replay import FlowReplaySource, FlowTuple
 from repro.pipeline.core import GUARD_STRIDE, GuardSet
 from repro.pipeline.events import MemoryEventSink
 from repro.pipeline.flow import (
@@ -116,10 +116,11 @@ class StreamConfig:
     #: sample malformed/impossible records here instead of raising;
     #: ``None`` keeps the historical raise-on-bad-record behaviour
     quarantine_dir: Optional[pathlib.Path] = None
-    #: fold flow files through the vectorized columnar path (not a
-    #: detection-identity field: output is record-for-record equal)
+    #: accepted and ignored — flow files always fold as column chunks.
+    #: Kept only because ``benchmarks/perf`` spells it; the next
+    #: benchmark change should drop it there and here.
     columnar: bool = False
-    #: rows per decoded column chunk on the columnar path
+    #: rows per column chunk decoded from a flow file
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
 
@@ -202,13 +203,6 @@ class StreamDetectionEngine:
             metrics=self.metrics,
         )
         self._pipeline = FlowPipeline(
-            self._stage,
-            sink=self.sink,
-            guards=self._guards,
-            checkpoint_every=config.checkpoint_every,
-            on_checkpoint=self.write_checkpoint,
-        )
-        self._columnar = ColumnarFlowPipeline(
             self._stage,
             sink=self.sink,
             guards=self._guards,
@@ -428,11 +422,13 @@ class StreamDetectionEngine:
         start_index: int = 0,
         max_records: Optional[int] = None,
     ) -> int:
-        """Fast-path ingest of pre-parsed flow tuples.
+        """Per-record ingest of pre-parsed flow tuples.
 
         ``tuples`` yields ``(first, src, dst, proto, dport, flags)``
         (see :func:`repro.netflow.replay.iter_flow_tuples`); indices
-        are assigned from ``start_index``.
+        are assigned from ``start_index``.  The live collector folds
+        each datagram's records here; bulk input belongs in
+        :meth:`process_chunks`.
         """
         try:
             return self._pipeline.run_tuples(
@@ -443,38 +439,21 @@ class StreamDetectionEngine:
         finally:
             self._sync_state_metrics()
 
-    def process_pairs(
-        self,
-        pairs,
-        max_records: Optional[int] = None,
-    ) -> int:
-        """Ingest explicitly indexed ``(index, tuple)`` pairs.
-
-        The fleet worker path: routed records keep the global stream
-        index they had before the router split the stream, so the
-        events this engine emits carry single-stream ``record_index``
-        values and the merged fleet log can be proven byte-identical to
-        the unsharded run.
-        """
-        try:
-            return self._pipeline.run_pairs(
-                pairs, max_records=max_records
-            )
-        finally:
-            self._sync_state_metrics()
-
     def process_chunks(
         self,
         chunks,
         max_records: Optional[int] = None,
     ) -> int:
         """Vectorized ingest of :class:`~repro.netflow.parse.FlowChunk`
-        batches — the columnar twin of :meth:`process_tuples`, sharing
-        the same stage, sink, guards, and checkpoint cadence (polled
-        per chunk instead of every record).
+        batches — same stage, sink, guards, and checkpoint positions
+        as :meth:`process_tuples` (guards polled per chunk instead of
+        every :data:`~repro.pipeline.core.GUARD_STRIDE` records).
+        Fleet workers pass
+        :class:`~repro.netflow.parse.IndexedFlowChunk` rows, which
+        fold under the global stream indices they carry.
         """
         try:
-            return self._columnar.run_chunks(
+            return self._pipeline.run_chunks(
                 chunks, max_records=max_records
             )
         finally:
@@ -483,7 +462,6 @@ class StreamDetectionEngine:
     def process_flowfile(
         self,
         path,
-        fast: bool = True,
         max_records: Optional[int] = None,
     ) -> int:
         """Replay a flow file, continuing from ``records_processed``.
@@ -491,33 +469,17 @@ class StreamDetectionEngine:
         Records already folded (a fresh engine has none; a resumed one
         skips the checkpointed prefix) are fast-forwarded over, so
         calling this repeatedly — across kills and resumes — always
-        continues where the engine left off.  With ``config.columnar``
-        the fast path decodes column chunks and folds them vectorized;
-        events and state stay identical to the per-record replay.
+        continues where the engine left off.  The file is decoded into
+        column chunks of ``config.chunk_size`` rows and folded through
+        :meth:`process_chunks`.
         """
-        skip = self.records_processed
-        if fast and self.config.columnar:
-            decode = ColumnarDecodeStage(
-                self.config.chunk_size, quarantine=self.quarantine
-            )
-            return self.process_chunks(
-                decode.iter_chunks(path, skip=skip),
-                max_records=max_records,
-            )
-        if fast:
-            tuples = iter_flow_tuples(path, quarantine=self.quarantine)
-            for _ in range(skip):
-                if next(tuples, None) is None:
-                    return 0
-            return self.process_tuples(
-                tuples, start_index=skip, max_records=max_records
-            )
-        source = FlowReplaySource.from_flowfile(
-            path, quarantine=self.quarantine
+        decode = ColumnarDecodeStage(
+            self.config.chunk_size, quarantine=self.quarantine
         )
-        source.skip(skip)
-        source.next_index = skip
-        return self.process(source, max_records=max_records)
+        return self.process_chunks(
+            decode.iter_chunks(path, skip=self.records_processed),
+            max_records=max_records,
+        )
 
     # -- checkpointing ------------------------------------------------
 

@@ -5,9 +5,8 @@
 sampling interval, mimicry fraction, device-hiding fraction); a *grid*
 is the cartesian product of axis value lists.  Every cell synthesises a
 ground-truth world on top of the ISP substrate, runs
-:func:`~repro.pipeline.assemble.run_flow_detection` through **both**
-the per-record and columnar paths, scores the detections against the
-truth, and emits one ``repro.sweep.metrics/1`` JSON.  The scorecard
+:func:`~repro.pipeline.assemble.run_flow_detection` over it, scores
+the detections against the truth, and emits one ``repro.sweep.metrics/1`` JSON.  The scorecard
 aggregates cells into a precision/recall/F1/time-to-detection table.
 """
 

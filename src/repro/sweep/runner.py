@@ -1,11 +1,8 @@
-"""Cell execution: synthesise -> detect twice -> score -> metrics JSON.
+"""Cell execution: synthesise -> detect -> score -> metrics JSON.
 
 Every cell runs :func:`~repro.pipeline.assemble.run_flow_detection`
-through **both** the per-record and the columnar path over the exact
-same synthesised flow text, with a fresh
-:class:`~repro.pipeline.flow.AddressKeying` each, and records whether
-the two paths agreed (``paths_equal``) — the sweep doubles as the
-broadest cross-path equivalence harness the repo has.  Scoring inverts
+over its synthesised flow text, keyed by a fresh
+:class:`~repro.pipeline.flow.AddressKeying`.  Scoring inverts
 the cell's :class:`~repro.isp.cgnat.AddressPlan`: a detection names an
 address, and every line that address could name on the detection day
 is flagged, which is exactly how CGNAT erodes precision.
@@ -51,32 +48,6 @@ CELL_SCHEMA = "repro.sweep.metrics/1"
 
 #: Address space for artifact-only runs (no scenario to carve from).
 DEFAULT_SWEEP_SPACE = Prefix(0x0A000000, 12)
-
-#: Metric fields that must agree between the two paths for a cell to
-#: count as equivalent (timing fields legitimately differ).
-_EQUAL_FIELDS = (
-    "records_processed",
-    "flows_matched",
-    "flows_rejected_spoof",
-    "records_quarantined",
-)
-
-
-def _detect(
-    rules: RuleSet,
-    hitlist,
-    text: str,
-    threshold: float,
-    columnar: bool,
-    chunk_size: int,
-):
-    config = PipelineConfig.from_args(
-        threshold=threshold, columnar=columnar, chunk_size=chunk_size
-    )
-    result = run_flow_detection(
-        rules, hitlist, io.StringIO(text), config, keying=AddressKeying()
-    )
-    return result
 
 
 def _score(
@@ -155,18 +126,16 @@ def run_cell(
     text, truth = synthesize_cell(
         rules, hitlist, cell, model, plan, seed
     )
-    per_record = _detect(
-        rules, hitlist, text, threshold, False, chunk_size
+    result = run_flow_detection(
+        rules,
+        hitlist,
+        io.StringIO(text),
+        PipelineConfig.from_args(
+            threshold=threshold, chunk_size=chunk_size
+        ),
+        keying=AddressKeying(),
     )
-    columnar = _detect(
-        rules, hitlist, text, threshold, True, chunk_size
-    )
-    paths_equal = per_record.detections == columnar.detections and all(
-        getattr(per_record.metrics, name)
-        == getattr(columnar.metrics, name)
-        for name in _EQUAL_FIELDS
-    )
-    score = _score(rules, truth, plan, per_record.detections)
+    score = _score(rules, truth, plan, result.detections)
     document: Dict[str, object] = {
         "schema": CELL_SCHEMA,
         "cell_id": cell.cell_id,
@@ -186,13 +155,11 @@ def run_cell(
             "mimics": len(truth.mimics),
             "classes": len(truth.truth_lines(rules)),
         },
-        "flows": per_record.metrics.records_processed,
-        "detections": len(per_record.detections),
-        "paths_equal": paths_equal,
+        "flows": result.metrics.records_processed,
+        "detections": len(result.detections),
         "score": score,
         "throughput": {
-            "per_record_rps": per_record.metrics.records_per_second,
-            "columnar_rps": columnar.metrics.records_per_second,
+            "records_per_second": result.metrics.records_per_second,
         },
     }
     if out_dir is not None:
@@ -215,10 +182,6 @@ class SweepResult:
     scorecard: Dict[str, object]
     markdown: str
     out_dir: Optional[pathlib.Path] = None
-
-    @property
-    def all_paths_equal(self) -> bool:
-        return all(doc["paths_equal"] for doc in self.cells)
 
 
 def run_sweep(

@@ -30,7 +30,7 @@ def _baseline_key(document: Dict[str, object]):
 def build_scorecard(
     documents: List[Dict[str, object]], grid_name: str
 ) -> Dict[str, object]:
-    """One row per cell, plus the baseline cell id and equality tally."""
+    """One row per cell, plus the baseline cell id."""
     if not documents:
         raise ValueError("cannot build a scorecard from zero cells")
     ordered = sorted(documents, key=lambda doc: doc["cell_id"])
@@ -51,11 +51,9 @@ def build_scorecard(
                 "recall": score["recall"],
                 "f1": score["f1"],
                 "median_ttd_seconds": score["median_ttd_seconds"],
-                "per_record_rps": document["throughput"][
-                    "per_record_rps"
+                "records_per_second": document["throughput"][
+                    "records_per_second"
                 ],
-                "columnar_rps": document["throughput"]["columnar_rps"],
-                "paths_equal": document["paths_equal"],
             }
         )
     return {
@@ -63,7 +61,6 @@ def build_scorecard(
         "grid": grid_name,
         "cells": len(rows),
         "baseline_cell_id": baseline["cell_id"],
-        "all_paths_equal": all(row["paths_equal"] for row in rows),
         "rows": rows,
     }
 
@@ -86,12 +83,11 @@ def render_markdown(scorecard: Dict[str, object]) -> str:
         f"# Sweep scorecard — grid `{scorecard['grid']}`",
         "",
         f"{scorecard['cells']} cells; baseline "
-        f"`{scorecard['baseline_cell_id']}`; per-record == columnar in "
-        f"{'all' if scorecard['all_paths_equal'] else 'NOT all'} cells.",
+        f"`{scorecard['baseline_cell_id']}`.",
         "",
         "| cell | pool | churn | 1/N | mimic | hide | P | R | F1 "
-        "| TTD (h) | rec/s (col) | = |",
-        "|---|---|---|---|---|---|---|---|---|---|---|---|",
+        "| TTD (h) | rec/s |",
+        "|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for row in scorecard["rows"]:
         cell = row["cell"]
@@ -101,8 +97,7 @@ def render_markdown(scorecard: Dict[str, object]) -> str:
         ) else ""
         lines.append(
             "| {id} | {pool} | {churn:.2f} | {samp} | {mim:.2f} "
-            "| {hide:.2f} | {p} | {r} | {f1} | {ttd} | {rps} "
-            "| {eq} |".format(
+            "| {hide:.2f} | {p} | {r} | {f1} | {ttd} | {rps} |".format(
                 id=f"{marker}`{row['cell_id']}`",
                 pool=cell["cgnat_pool"],
                 churn=cell["churn"],
@@ -115,8 +110,7 @@ def render_markdown(scorecard: Dict[str, object]) -> str:
                 ttd=(
                     "—" if ttd is None else f"{ttd / 3600:.1f}"
                 ),
-                rps=_fmt_rate(row["columnar_rps"]),
-                eq="yes" if row["paths_equal"] else "NO",
+                rps=_fmt_rate(row["records_per_second"]),
             )
         )
     lines.append("")

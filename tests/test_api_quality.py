@@ -14,9 +14,6 @@ _MODULES = [
         repro.__path__, prefix="repro."
     )
     if not name.startswith("repro.experiments.")  # covered separately
-    # tombstone for the removed shim: raises ImportError by design
-    # (tests/test_pipeline.py pins the message)
-    and name != "repro.stream.faults"
 ]
 
 

@@ -1,17 +1,21 @@
-"""Columnar == per-record equivalence over the staged pipeline.
+"""Cross-loop equivalence: ``run_chunks`` == ``run_tuples``.
 
-The vectorized path (:mod:`repro.pipeline.columnar` fed by
-:class:`~repro.netflow.parse.ColumnarDecodeStage`) must be *semantics
-free*: same detections, same event log (including record indices),
-same metrics, same quarantine accounting as the per-record hot loop —
-over in-order, out-of-order, day-straddling, and malformed input, for
-every assembly that grew a ``columnar`` knob.  The per-record path is
-the oracle throughout; nothing here relaxes an equality to a set
-comparison unless the per-record path itself is order-free.
+The one pipeline driver has two fold loops.  The chunk loop
+(:func:`repro.pipeline.columnar.observe_chunk` fed by
+:class:`~repro.netflow.parse.ColumnarDecodeStage`) folds every bulk
+input; the per-record loop stays for the live collector.  Over one
+corpus they must be *indistinguishable*: same detections, same event
+log (including record indices), same metrics, same quarantine
+accounting, same checkpoint positions — over in-order, out-of-order,
+day-straddling, spoofed, and malformed input.  The per-record loop is
+the reference throughout; nothing here relaxes an equality to a set
+comparison unless the per-record loop itself is order-free.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 import types
 
@@ -19,14 +23,19 @@ import numpy as np
 import pytest
 
 from repro.core.rules import DetectionRule, RuleSet
+from repro.cli import main as cli_main
+from repro.core.serialization import hitlist_to_json, rules_to_json
 from repro.ixp import IxpConfig, detect_fabric_flows, make_spoofed_flows
 from repro.netflow.flowfile import write_flow_file
 from repro.netflow.parse import ColumnarDecodeStage, chunks_from_records
 from repro.netflow.replay import iter_flow_tuples
 from repro.pipeline import (
-    ColumnarFlowPipeline,
+    AddressKeying,
+    BatchDetectStage,
+    FlowPipeline,
     MemoryEventSink,
     PipelineConfig,
+    batch_assembly,
     run_flow_detection,
     streaming_assembly,
 )
@@ -36,6 +45,15 @@ from repro.runtime.shutdown import StopToken
 from repro.pipeline.core import GuardSet
 from repro.stream import JsonlEventSink, StreamConfig, StreamDetectionEngine
 from repro.timeutil import SECONDS_PER_DAY, STUDY_START
+
+
+#: sha256 of the event log ``repro stream run`` wrote for the
+#: ``gt_flowfile`` corpus at commit 02d6ccb, through the per-record
+#: flow-file loop that commit still had (its ``--columnar`` log had the
+#: same digest).
+PARENT_PER_RECORD_LOG_SHA256 = (
+    "385f058ed7bfa8b2592ebab4241533144a329000ce42312e7fc7cc566f5aed01"
+)
 
 
 # -- shared replay material -------------------------------------------
@@ -80,6 +98,22 @@ def _metric_fields(metrics):
             "quarantine_reasons",
         )
     }
+
+
+def _fold(rules, hitlist, path, chunk_size=None):
+    """Events + metrics of one streaming fold of ``path``: through the
+    per-record loop, or the chunk loop when ``chunk_size`` is given."""
+    sink = MemoryEventSink()
+    pipeline = streaming_assembly(
+        rules, hitlist, PipelineConfig(), sink=sink
+    )
+    if chunk_size is None:
+        pipeline.run_tuples(iter_flow_tuples(path))
+    else:
+        pipeline.run_chunks(
+            ColumnarDecodeStage(chunk_size).iter_chunks(path)
+        )
+    return _events(sink), _metric_fields(pipeline.stage.metrics)
 
 
 def _tiny_world():
@@ -141,35 +175,33 @@ class TestBatchEquivalence:
         self, rules, hitlist, gt_flowfile
     ):
         """Same file, same detections *list* (not just set) and same
-        metrics through the columnar batch assembly."""
-        per_record = run_flow_detection(rules, hitlist, gt_flowfile)
-        columnar = run_flow_detection(
-            rules,
-            hitlist,
-            gt_flowfile,
-            PipelineConfig.from_args(columnar=True),
-        )
-        assert per_record.detections  # the scenario detects at all
-        assert columnar.detections == per_record.detections
-        assert _metric_fields(columnar.metrics) == _metric_fields(
-            per_record.metrics
+        metrics from the batch assembly on either loop."""
+        per_record = batch_assembly(rules, hitlist)
+        per_record.run_tuples(iter_flow_tuples(gt_flowfile))
+        detections = per_record.stage.detections()
+        chunked = run_flow_detection(rules, hitlist, gt_flowfile)
+        assert detections  # the scenario detects at all
+        assert chunked.detections == detections
+        assert _metric_fields(chunked.metrics) == _metric_fields(
+            per_record.stage.metrics
         )
 
     def test_record_iterable_detections_identical(
         self, rules, hitlist, gt_flows
     ):
         """An in-memory record iterable chunks via
-        ``chunks_from_records`` and still reproduces the oracle."""
-        per_record = run_flow_detection(rules, hitlist, gt_flows)
-        columnar = run_flow_detection(
+        ``chunks_from_records`` and still reproduces the record loop."""
+        per_record = batch_assembly(rules, hitlist)
+        per_record.run_records(enumerate(gt_flows))
+        chunked = run_flow_detection(
             rules,
             hitlist,
             gt_flows,
-            PipelineConfig.from_args(columnar=True, chunk_size=777),
+            PipelineConfig.from_args(chunk_size=777),
         )
-        assert columnar.detections == per_record.detections
-        assert _metric_fields(columnar.metrics) == _metric_fields(
-            per_record.metrics
+        assert chunked.detections == per_record.stage.detections()
+        assert _metric_fields(chunked.metrics) == _metric_fields(
+            per_record.stage.metrics
         )
 
     def test_chunk_size_does_not_matter(
@@ -180,13 +212,13 @@ class TestBatchEquivalence:
             rules,
             hitlist,
             gt_flowfile,
-            PipelineConfig.from_args(columnar=True, chunk_size=3),
+            PipelineConfig.from_args(chunk_size=3),
         )
         huge = run_flow_detection(
             rules,
             hitlist,
             gt_flowfile,
-            PipelineConfig.from_args(columnar=True, chunk_size=1 << 20),
+            PipelineConfig.from_args(chunk_size=1 << 20),
         )
         assert tiny.detections == huge.detections
         assert _metric_fields(tiny.metrics) == _metric_fields(
@@ -202,7 +234,7 @@ class TestStreamingEquivalence:
         self, rules, hitlist, gt_flowfile
     ):
         """The online path emits the *same events in the same order at
-        the same record indices* columnar and per-record."""
+        the same record indices* on either loop."""
         config = PipelineConfig.from_args(shards=4)
         scalar_sink = MemoryEventSink()
         scalar = streaming_assembly(
@@ -210,17 +242,14 @@ class TestStreamingEquivalence:
         )
         scalar.run_tuples(iter_flow_tuples(gt_flowfile))
 
-        columnar_sink = MemoryEventSink()
+        chunk_sink = MemoryEventSink()
         vector = streaming_assembly(
-            rules, hitlist, config, sink=columnar_sink
+            rules, hitlist, config, sink=chunk_sink
         )
-        columnar = ColumnarFlowPipeline(
-            vector.stage, sink=columnar_sink, guards=vector.guards
-        )
-        columnar.run_chunks(
+        vector.run_chunks(
             ColumnarDecodeStage(chunk_size=4096).iter_chunks(gt_flowfile)
         )
-        assert _events(columnar_sink) == _events(scalar_sink)
+        assert _events(chunk_sink) == _events(scalar_sink)
         assert _metric_fields(vector.stage.metrics) == _metric_fields(
             scalar.stage.metrics
         )
@@ -232,33 +261,17 @@ class TestStreamingEquivalence:
         path = tmp_path / "jitter.csv"
         path.write_text("\n".join(_jittered_lines(3000)) + "\n")
 
-        def run(columnar, chunk_size=256):
-            sink = MemoryEventSink()
-            pipeline = streaming_assembly(
-                rules, hitlist, PipelineConfig(), sink=sink
-            )
-            if columnar:
-                ColumnarFlowPipeline(
-                    pipeline.stage, sink=sink, guards=pipeline.guards
-                ).run_chunks(
-                    ColumnarDecodeStage(chunk_size).iter_chunks(path)
-                )
-            else:
-                pipeline.run_tuples(iter_flow_tuples(path))
-            return _events(sink), _metric_fields(pipeline.stage.metrics)
-
-        scalar_events, scalar_metrics = run(columnar=False)
+        scalar_events, scalar_metrics = _fold(rules, hitlist, path)
         assert scalar_events  # jitter still detects
         for chunk_size in (17, 256, 100_000):
-            events, metrics = run(columnar=True, chunk_size=chunk_size)
+            events, metrics = _fold(rules, hitlist, path, chunk_size)
             assert events == scalar_events
             assert metrics == scalar_metrics
 
     def test_max_records_stops_mid_chunk(self, rules, hitlist, gt_flowfile):
         sink = MemoryEventSink()
         pipeline = streaming_assembly(rules, hitlist, sink=sink)
-        columnar = ColumnarFlowPipeline(pipeline.stage, sink=sink)
-        processed = columnar.run_chunks(
+        processed = pipeline.run_chunks(
             ColumnarDecodeStage(chunk_size=1000).iter_chunks(gt_flowfile),
             max_records=2500,
         )
@@ -272,8 +285,7 @@ class TestStreamingEquivalence:
         token.stop("sigterm")
         guards = GuardSet(stop_token=token)
         pipeline = streaming_assembly(rules, hitlist, guards=guards)
-        columnar = ColumnarFlowPipeline(pipeline.stage, guards=guards)
-        processed = columnar.run_chunks(
+        processed = pipeline.run_chunks(
             ColumnarDecodeStage().iter_chunks(gt_flowfile)
         )
         assert processed == 0
@@ -304,27 +316,26 @@ class TestDecodeParity:
         corrupted = tmp_path / "flows.csv"
         corrupted.write_text("\n".join(lines) + "\n")
 
-        per_record = run_flow_detection(
-            rules,
-            hitlist,
-            corrupted,
-            PipelineConfig.from_args(quarantine_dir=tmp_path / "q1"),
+        quarantine = QuarantineSink(tmp_path / "q1")
+        per_record = batch_assembly(rules, hitlist)
+        per_record.run_tuples(
+            iter_flow_tuples(corrupted, quarantine=quarantine)
         )
-        columnar = run_flow_detection(
+        chunked = run_flow_detection(
             rules,
             hitlist,
             corrupted,
             PipelineConfig.from_args(
-                columnar=True,
-                chunk_size=997,
-                quarantine_dir=tmp_path / "q2",
+                chunk_size=997, quarantine_dir=tmp_path / "q2"
             ),
         )
-        assert columnar.detections == per_record.detections
-        assert _metric_fields(columnar.metrics) == _metric_fields(
-            per_record.metrics
+        assert chunked.detections == per_record.stage.detections()
+        assert chunked.flows_matched == per_record.stage.metrics.flows_matched
+        assert chunked.flows_seen == (
+            per_record.stage.metrics.records_processed
         )
-        assert per_record.metrics.quarantine_reasons == {
+        assert chunked.metrics.quarantine_reasons == quarantine.counts
+        assert quarantine.counts == {
             "malformed_line": 1,
             "negative_timestamp": 1,
             "bad_port": 1,
@@ -367,47 +378,53 @@ class TestDecodeParity:
         assert decoded == tuples
 
 
-# -- the IXP assembly --------------------------------------------------
+# -- the IXP assembly (established filter) ----------------------------
+
+
+def _fabric_per_record(rules, hitlist, flows, require_established):
+    """The fabric assembly's stage folded record by record."""
+    stage = BatchDetectStage(
+        rules,
+        hitlist,
+        AddressKeying(),
+        require_established=require_established,
+    )
+    FlowPipeline(stage).run_records(enumerate(flows))
+    return stage
 
 
 class TestIxpColumnar:
     def test_spoofed_flows_rejected_identically(self, rules, hitlist):
         spoofed = make_spoofed_flows(hitlist, count=300)
-        per_record = detect_fabric_flows(rules, hitlist, spoofed)
-        columnar = detect_fabric_flows(
-            rules,
-            hitlist,
-            spoofed,
-            IxpConfig(columnar=True, chunk_size=64),
+        per_record = _fabric_per_record(rules, hitlist, spoofed, True)
+        chunked = detect_fabric_flows(
+            rules, hitlist, spoofed, IxpConfig(chunk_size=64)
         )
-        assert columnar.detections == per_record.detections
+        assert chunked.detections == per_record.detections()
         assert (
-            columnar.flows_rejected_spoof
-            == per_record.flows_rejected_spoof
+            chunked.flows_rejected_spoof
+            == per_record.metrics.flows_rejected_spoof
             == 300
         )
-        assert columnar.metrics.records_processed == 300
+        assert chunked.metrics.records_processed == 300
 
     def test_fabric_flows_detect_identically(
         self, rules, hitlist, gt_flows
     ):
-        config_scalar = IxpConfig(require_established=False)
-        config_columnar = IxpConfig(
-            require_established=False, columnar=True, chunk_size=1000
+        per_record = _fabric_per_record(rules, hitlist, gt_flows, False)
+        chunked = detect_fabric_flows(
+            rules,
+            hitlist,
+            gt_flows,
+            IxpConfig(require_established=False, chunk_size=1000),
         )
-        per_record = detect_fabric_flows(
-            rules, hitlist, gt_flows, config_scalar
-        )
-        columnar = detect_fabric_flows(
-            rules, hitlist, gt_flows, config_columnar
-        )
-        assert columnar.detections == per_record.detections
-        assert _metric_fields(columnar.metrics) == _metric_fields(
+        assert chunked.detections == per_record.detections()
+        assert _metric_fields(chunked.metrics) == _metric_fields(
             per_record.metrics
         )
 
 
-# -- the stream engine: kill/resume on the columnar path ---------------
+# -- the stream engine: kill/resume on the chunk loop ------------------
 
 
 class TestStreamEngineColumnar:
@@ -415,11 +432,9 @@ class TestStreamEngineColumnar:
         self, rules, hitlist, gt_flowfile
     ):
         scalar = StreamDetectionEngine(rules, hitlist, StreamConfig())
-        scalar.process_flowfile(gt_flowfile)
+        scalar.process_tuples(iter_flow_tuples(gt_flowfile))
         vector = StreamDetectionEngine(
-            rules,
-            hitlist,
-            StreamConfig(columnar=True, chunk_size=8192),
+            rules, hitlist, StreamConfig(chunk_size=8192)
         )
         vector.process_flowfile(gt_flowfile)
         assert _events(vector.sink) == _events(scalar.sink)
@@ -430,14 +445,13 @@ class TestStreamEngineColumnar:
     def test_kill_resume_from_non_multiple_offset_byte_identical(
         self, rules, hitlist, gt_flowfile, tmp_path
     ):
-        """Kill the columnar run at a record count that is *not* a
-        checkpoint-cadence multiple, drain, resume columnar: the event
-        log ends byte-identical to an uninterrupted run's."""
+        """Kill the run at a record count that is *not* a
+        checkpoint-cadence multiple, drain, resume: the event log ends
+        byte-identical to an uninterrupted run's."""
 
         def run(name, kill_after=None):
             log = tmp_path / f"{name}.jsonl"
             config = StreamConfig(
-                columnar=True,
                 chunk_size=1024,
                 checkpoint_dir=tmp_path / f"{name}-ckpt",
                 checkpoint_every=5_000,
@@ -465,6 +479,34 @@ class TestStreamEngineColumnar:
         full = run("full")
         resumed = run("killed", kill_after=12_345)
         assert full.read_bytes() == resumed.read_bytes()
+
+    def test_cli_log_equals_parent_per_record_log(
+        self, rules, hitlist, gt_flowfile, tmp_path
+    ):
+        """``repro stream run F`` and the ignored ``--columnar``
+        spelling write the log the parent commit's per-record replay of
+        this corpus wrote (digest recorded before that loop stopped
+        folding flow files)."""
+        artifacts = tmp_path / "artifacts"
+        artifacts.mkdir()
+        (artifacts / "hitlist.json").write_text(hitlist_to_json(hitlist))
+        (artifacts / "rules.json").write_text(rules_to_json(rules))
+        for tag, extra in (("plain", []), ("flag", ["--columnar"])):
+            log = tmp_path / f"events-{tag}.jsonl"
+            code = cli_main(
+                [
+                    "stream", "run", str(gt_flowfile),
+                    "--artifacts", str(artifacts),
+                    "--events-out", str(log),
+                    *extra,
+                ]
+            )
+            assert code == 0
+            assert (
+                hashlib.sha256(log.read_bytes()).hexdigest()
+                == PARENT_PER_RECORD_LOG_SHA256
+            )
+
 
 # -- EndpointDayIndex edge cases ---------------------------------------
 
@@ -569,33 +611,18 @@ class TestEndpointDayIndex:
         path = tmp_path / "boundary.csv"
         path.write_text("\n".join(_boundary_lines()) + "\n")
 
-        def run(columnar, chunk_size=4):
-            sink = MemoryEventSink()
-            pipeline = streaming_assembly(
-                rules_b, hitlist_b, PipelineConfig(), sink=sink
-            )
-            if columnar:
-                ColumnarFlowPipeline(
-                    pipeline.stage, sink=sink, guards=pipeline.guards
-                ).run_chunks(
-                    ColumnarDecodeStage(chunk_size).iter_chunks(path)
-                )
-            else:
-                pipeline.run_tuples(iter_flow_tuples(path))
-            return _events(sink), _metric_fields(pipeline.stage.metrics)
-
-        scalar_events, scalar_metrics = run(columnar=False)
+        scalar_events, scalar_metrics = _fold(rules_b, hitlist_b, path)
         # exactly the 6 true endpoint hits match, nothing else
         assert scalar_metrics["flows_matched"] == 6
         assert scalar_events  # single-domain threshold detects
         for chunk_size in (1, 3, 5, 1000):
-            events, metrics = run(columnar=True, chunk_size=chunk_size)
+            events, metrics = _fold(rules_b, hitlist_b, path, chunk_size)
             assert events == scalar_events
             assert metrics == scalar_metrics
 
 
-# -- PR-6 regressions under the columnar path: two-day endpoint cache
-#    and checkpoint cadence with chunk_size not dividing the cadence
+# -- two-day endpoint cache, and checkpoint cadence with chunk_size
+#    not dividing the cadence
 
 
 class TestColumnarCacheAndCadence:
@@ -604,7 +631,7 @@ class TestColumnarCacheAndCadence:
     ):
         """Adjacent rows alternating between day 0 and day 1 force a
         front/back cache swap on every record of the per-record path
-        and per-day regrouping on the columnar path; both must agree
+        and per-day regrouping on the chunk loop; both must agree
         even when every chunk straddles midnight."""
         rules_t, hitlist_t = _tiny_world()
         endpoints = [
@@ -627,93 +654,104 @@ class TestColumnarCacheAndCadence:
         path = tmp_path / "alternating.csv"
         path.write_text("\n".join(lines) + "\n")
 
-        def run(columnar, chunk_size=7):
-            sink = MemoryEventSink()
-            pipeline = streaming_assembly(
-                rules_t, hitlist_t, PipelineConfig(), sink=sink
-            )
-            if columnar:
-                ColumnarFlowPipeline(
-                    pipeline.stage, sink=sink, guards=pipeline.guards
-                ).run_chunks(
-                    ColumnarDecodeStage(chunk_size).iter_chunks(path)
-                )
-            else:
-                pipeline.run_tuples(iter_flow_tuples(path))
-            return _events(sink), _metric_fields(pipeline.stage.metrics)
-
-        scalar_events, scalar_metrics = run(columnar=False)
+        scalar_events, scalar_metrics = _fold(rules_t, hitlist_t, path)
         assert scalar_events
         # odd chunk sizes guarantee day-straddling chunks throughout
         for chunk_size in (7, 9, 251):
-            events, metrics = run(columnar=True, chunk_size=chunk_size)
+            events, metrics = _fold(rules_t, hitlist_t, path, chunk_size)
             assert events == scalar_events
             assert metrics == scalar_metrics
 
     def test_checkpoint_cadence_with_non_dividing_chunk_size(
         self, tmp_path
     ):
-        """chunk_size 768 does not divide checkpoint_every 5000: the
-        columnar pipeline may only fire at chunk boundaries, exactly
-        when the running count reaches the cadence."""
+        """chunk_size 768 does not divide checkpoint_every 5000, and no
+        chunk boundary lands on a cadence multiple: the chunk loop
+        splits chunks there, so it checkpoints at the record positions
+        the per-record loop does."""
         rules_t, hitlist_t = _tiny_world()
         path = tmp_path / "jitter.csv"
         path.write_text("\n".join(_jittered_lines(17_000)) + "\n")
 
-        fired_at = []
-        boundaries = []
-        pipeline = streaming_assembly(
-            rules_t, hitlist_t, PipelineConfig()
-        )
-        stage = pipeline.stage
-        columnar = ColumnarFlowPipeline(
-            stage,
-            guards=pipeline.guards,
-            checkpoint_every=5_000,
-            on_checkpoint=lambda: fired_at.append(
-                stage.metrics.records_processed
-            ),
-        )
+        def fired(fold):
+            positions = []
+            stage = streaming_assembly(rules_t, hitlist_t).stage
+            pipeline = FlowPipeline(
+                stage,
+                checkpoint_every=5_000,
+                on_checkpoint=lambda: positions.append(
+                    stage.metrics.records_processed
+                ),
+            )
+            assert fold(pipeline) == 17_000
+            return positions
 
-        def record_boundaries(chunks):
-            total = 0
-            for chunk in chunks:
-                total += len(chunk)
-                boundaries.append(total)
-                yield chunk
-
-        processed = columnar.run_chunks(
-            record_boundaries(
-                ColumnarDecodeStage(chunk_size=768).iter_chunks(path)
+        boundaries = list(
+            itertools.accumulate(
+                len(chunk)
+                for chunk in ColumnarDecodeStage(768).iter_chunks(path)
             )
         )
-        assert processed == 17_000
-        # chunk sizing is a byte budget, so rows per chunk vary and
-        # none of the boundaries lines up with the cadence exactly
         assert len(boundaries) > 10
         assert all(b % 5_000 for b in boundaries)
-        # mirror the cadence contract: fire at the first chunk
-        # boundary with >= 5000 records accumulated since last fire
-        expected, last_fire = [], 0
-        for boundary in boundaries:
-            if boundary - last_fire >= 5_000:
-                expected.append(boundary)
-                last_fire = boundary
-        assert fired_at == expected
-        assert len(fired_at) == 3
+        per_record = fired(
+            lambda pipeline: pipeline.run_tuples(iter_flow_tuples(path))
+        )
+        chunked = fired(
+            lambda pipeline: pipeline.run_chunks(
+                ColumnarDecodeStage(768).iter_chunks(path)
+            )
+        )
+        assert chunked == per_record == [5_000, 10_000, 15_000]
+
+    def test_segmented_ingest_keeps_the_cadence(
+        self, rules, hitlist, gt_flowfile, tmp_path
+    ):
+        """Ingest cut into ``max_records`` segments shorter than the
+        cadence (``--hitlist-refresh-every`` below
+        ``--checkpoint-every``) still checkpoints every
+        ``checkpoint_every`` records, on either loop."""
+
+        def written(name, segment):
+            engine = StreamDetectionEngine(
+                rules,
+                hitlist,
+                StreamConfig(
+                    checkpoint_dir=tmp_path / name,
+                    checkpoint_every=5_000,
+                ),
+            )
+            while engine.records_processed < 20_000:
+                assert segment(engine) == 1_000
+            return engine.metrics.checkpoints_written
+
+        assert written(
+            "chunks",
+            lambda engine: engine.process_flowfile(
+                gt_flowfile, max_records=1_000
+            ),
+        ) == 4
+        tuples = iter_flow_tuples(gt_flowfile)
+        assert written(
+            "tuples",
+            lambda engine: engine.process_tuples(
+                tuples,
+                start_index=engine.records_processed,
+                max_records=1_000,
+            ),
+        ) == 4
 
     def test_kill_resume_chunk_not_dividing_cadence_byte_identical(
         self, rules, hitlist, gt_flowfile, tmp_path
     ):
         """Resume from an offset that is a multiple of neither the
         chunk size nor the checkpoint cadence; the drained checkpoint
-        anchors the cadence so the resumed columnar run finishes with
-        an event log byte-identical to an uninterrupted run's."""
+        anchors the cadence so the resumed run finishes with an event
+        log byte-identical to an uninterrupted run's."""
 
         def run(name, kill_after=None):
             log = tmp_path / f"{name}.jsonl"
             config = StreamConfig(
-                columnar=True,
                 chunk_size=768,
                 checkpoint_dir=tmp_path / f"{name}-ckpt",
                 checkpoint_every=5_000,

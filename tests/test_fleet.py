@@ -2,8 +2,9 @@
 
 The tentpole invariant — an N-worker fleet's merged event log is
 byte-identical to a single engine's — is proven here for N ∈
-{1, 2, 4, 8} on both detect paths (per-record and columnar), plus
-drain/resume.  Fault-schedule equivalence (kills, hangs, rebalances,
+{1, 2, 4, 8} on both admission modes (column chunks routed from a
+file; tuples pushed as a live collector would, buffered into chunks),
+plus drain/resume.  Fault-schedule equivalence (kills, hangs, rebalances,
 router crashes) lives in ``test_fleet_faults.py``.
 """
 
@@ -21,6 +22,7 @@ import pytest
 from repro.fleet import (
     DEFAULT_RING_SLOTS,
     FleetConfig,
+    FleetService,
     HashRing,
     merge_event_logs,
     run_fleet,
@@ -30,6 +32,7 @@ from repro.fleet import (
     worker_log_path,
 )
 from repro.netflow.flowfile import write_flow_file
+from repro.netflow.replay import iter_flow_tuples
 from repro.pipeline.events import JsonlEventSink
 from repro.pipeline.flow import AddressKeying, SubscriberKeying
 from repro.runtime import StopToken
@@ -244,9 +247,7 @@ class TestEquivalence:
     """The headline proof: N workers == 1 engine, byte for byte."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
-    @pytest.mark.parametrize(
-        "columnar", [False, True], ids=["tuples", "columnar"]
-    )
+    @pytest.mark.parametrize("admission", ["tuples", "columnar"])
     def test_merged_log_matches_single_engine(
         self,
         rules,
@@ -256,23 +257,31 @@ class TestEquivalence:
         reference,
         tmp_path,
         workers,
-        columnar,
+        admission,
     ):
+        """``columnar``: the router decodes the file into chunks and
+        routes row slices.  ``tuples``: records are pushed through
+        ``admit_tuples`` (the live collector's entry) and reach the
+        workers as chunks built from the per-worker buffers."""
         out = tmp_path / "merged.jsonl"
-        code, service = run_fleet(
-            rules,
-            hitlist,
-            gt_flowfile,
-            tmp_path / "fleet",
-            out,
-            FleetConfig(
-                workers=workers,
-                columnar=columnar,
-                batch_size=2048,
-                chunk_size=8192,
-                checkpoint_every=20_000,
-            ),
+        config = FleetConfig(
+            workers=workers,
+            batch_size=2048,
+            chunk_size=8192,
+            checkpoint_every=20_000,
         )
+        if admission == "columnar":
+            code, service = run_fleet(
+                rules, hitlist, gt_flowfile, tmp_path / "fleet", out,
+                config,
+            )
+        else:
+            service = FleetService(
+                rules, hitlist, tmp_path / "fleet", config
+            )
+            assert service.start_push(gt_flowfile) == 0
+            service.admit_tuples(iter_flow_tuples(gt_flowfile))
+            code = service.finish_push(out, stopped=False)
         expected, events = reference
         assert code == 0
         assert out.read_bytes() == expected
@@ -297,7 +306,7 @@ class TestEquivalence:
             tmp_path / "fleet",
             out,
             FleetConfig(
-                workers=4, batch_size=1024, checkpoint_every=10_000
+                workers=4, chunk_size=4096, checkpoint_every=10_000
             ),
             stop_token=TripAfter(polls=8),
         )
@@ -314,7 +323,7 @@ class TestEquivalence:
             tmp_path / "fleet",
             out,
             FleetConfig(
-                workers=4, batch_size=1024, checkpoint_every=10_000
+                workers=4, chunk_size=4096, checkpoint_every=10_000
             ),
             resume=True,
         )
@@ -373,7 +382,7 @@ class TestFleetCliSoak:
             "stream", "run", str(flowfile),
             "--artifacts", str(artifacts),
             "--fleet-workers", str(workers),
-            "--fleet-batch-size", "1024",
+            "--chunk-size", "4096",
             "--checkpoint-dir", str(tmp_path / f"fleet-{tag}"),
             "--checkpoint-every", "10000",
             "--events-out", str(tmp_path / f"events-{tag}.jsonl"),
@@ -471,6 +480,8 @@ class TestFleetCliSoak:
         )
         assert killed.returncode == 3, killed.stderr
         assert "drained" in killed.stderr
+        # admission stopped at the injected index, not a chunk boundary
+        assert " routed=30000 " in killed.stderr
 
         resumed = run(
             self._fleet_args(

@@ -3,7 +3,10 @@
 Each cell injects one fault from :data:`repro.faults.FLEET_FAULT_KINDS`
 into an N-worker run and asserts the merged event log is byte-identical
 to the unfaulted single-engine reference — recovery that loses, dupes,
-or reorders even one event fails the ``cmp``.  Run with ``-m faults``.
+or reorders even one event fails the ``cmp``.  ``chunk_size`` stays
+far below the corpus: the default 65536 would route it in so few
+batches that no fault schedule reaches its batch.  Run with
+``-m faults``.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class TestWorkerCrash:
             out,
             FleetConfig(
                 workers=4,
-                batch_size=512,
+                chunk_size=2048,
                 checkpoint_every=4000,
                 max_restarts=1,
             ),
@@ -97,7 +100,7 @@ class TestWorkerCrash:
             out,
             FleetConfig(
                 workers=4,
-                batch_size=512,
+                chunk_size=2048,
                 checkpoint_every=4000,
                 max_restarts=0,
             ),
@@ -111,32 +114,6 @@ class TestWorkerCrash:
         assert service.ring.quarantined == [2]
         # the dead worker's slots all moved to the cyclic successor
         assert service.ring.slots_of(2) == []
-        assert out.read_bytes() == reference
-
-    def test_columnar_quarantine(
-        self, rules, hitlist, gt_flowfile, reference, tmp_path
-    ):
-        # chunk_size must be far below the corpus: the default 65536
-        # would decode a test corpus into so few chunks the fault
-        # schedule never reaches its batch
-        out = tmp_path / "merged.jsonl"
-        code, service = run_fleet(
-            rules,
-            hitlist,
-            gt_flowfile,
-            tmp_path / "fleet",
-            out,
-            FleetConfig(
-                workers=4,
-                columnar=True,
-                chunk_size=4096,
-                checkpoint_every=4000,
-                max_restarts=0,
-            ),
-            plan=FleetPlan(kind="worker_crash", worker=3, at_batch=2),
-        )
-        assert code == 0
-        assert service.metrics.rebalances == 1
         assert out.read_bytes() == reference
 
 
@@ -153,7 +130,7 @@ class TestWorkerHang:
             out,
             FleetConfig(
                 workers=2,
-                batch_size=512,
+                chunk_size=2048,
                 checkpoint_every=4000,
                 max_restarts=1,
                 hang_timeout=1.0,
@@ -177,7 +154,7 @@ class TestRouterCrash:
     ):
         out = tmp_path / "merged.jsonl"
         config = FleetConfig(
-            workers=4, batch_size=512, checkpoint_every=3000
+            workers=4, chunk_size=2048, checkpoint_every=3000
         )
         with pytest.raises(RouterCrash):
             run_fleet(
@@ -237,7 +214,7 @@ class TestRebalanceDuringSwap:
             out,
             FleetConfig(
                 workers=4,
-                batch_size=512,
+                chunk_size=2048,
                 checkpoint_every=4000,
                 max_restarts=0,
             ),

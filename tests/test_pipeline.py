@@ -9,12 +9,11 @@ stream engine's event log, and the generic pipeline assemblies must all
 report identical ``(subscriber, class, detected_at)`` triples over the
 same flows.  The rest covers the pieces the assemblies share: guard
 polling, staged-run admission, the typed config hierarchy, the single
-flow-line parser, and the removal of the ``repro.stream.faults`` shim.
+flow-line parser, and the fault harness's one import path.
 """
 
 from __future__ import annotations
 
-import importlib
 import types
 
 import pytest
@@ -489,13 +488,9 @@ class TestHotLoopFixes:
         assert "10.0.0.0" not in parser._ips
 
 
-# -- the removed compatibility shim -----------------------------------
+# -- the fault harness's canonical home ------------------------------
 
 
 class TestFaultsShimRemoved:
-    def test_stream_faults_import_fails_with_pointer(self):
-        with pytest.raises(ImportError, match="repro.faults"):
-            importlib.import_module("repro.stream.faults")
-
     def test_canonical_home_still_imports(self):
         from repro.faults import jitter_order, truncate_file  # noqa: F401

@@ -7,8 +7,9 @@ Three guarantees are pinned here:
   header tampering, version mismatch) is detected and falls back to
   the last-good generation;
 * *identity swap* — swapping to a generation with identical content is
-  provably invisible: event logs byte-identical to a no-swap run on
-  both the per-record and columnar paths;
+  provably invisible: event logs byte-identical to a no-swap run,
+  and a real swap replays identically on the per-record and chunk
+  loops (including a boundary that lands mid-chunk);
 * *changed-rules swap* — after a real v1→v2 swap, surviving rules
   detect exactly as a fresh v2 run would, dropped rules' evidence is
   expired with counted reasons, and new rules only fire at/after the
@@ -27,6 +28,7 @@ from repro.core.rules import DetectionRule, RuleSet
 from repro.core.serialization import hitlist_to_json, rules_to_json
 from repro.faults import corrupt_payload_byte, truncate_file
 from repro.netflow.flowfile import write_flow_file
+from repro.netflow.replay import iter_flow_tuples
 from repro.pipeline import RuleGeneration
 from repro.resilience.retry import (
     LookupUnavailable,
@@ -53,7 +55,7 @@ from repro.stream import (
     StreamConfig,
     StreamDetectionEngine,
 )
-from repro.stream.events import JsonlEventSink
+from repro.pipeline.events import JsonlEventSink
 from repro.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR, STUDY_START
 
 from tests.test_stream import _mkflow
@@ -528,14 +530,16 @@ class TestJitterPolicy:
 
 
 class TestIdentitySwap:
-    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("build_index", [False, True])
     def test_same_content_swap_is_bit_identical(
-        self, swap_flowfile, tmp_path, columnar
+        self, swap_flowfile, tmp_path, build_index
     ):
         """Swapping to k+1 with content equal to k must be provably
-        invisible: byte-identical event logs, equal counters."""
+        invisible: byte-identical event logs, equal counters — with
+        the generation's day index prebuilt or compiled after the
+        flip."""
         rules, hitlist = world_v1()
-        config = StreamConfig(columnar=columnar, chunk_size=2)
+        config = StreamConfig(chunk_size=2)
 
         def run(tag, swap):
             log = tmp_path / f"events-{tag}.jsonl"
@@ -545,7 +549,7 @@ class TestIdentitySwap:
                 )
                 if swap:
                     generation = RuleGeneration.prepare(
-                        2, rules, hitlist, build_index=columnar
+                        2, rules, hitlist, build_index=build_index
                     )
                     assert (
                         engine.stage_rules(
@@ -573,34 +577,50 @@ class TestIdentitySwap:
     def test_columnar_and_per_record_swaps_agree(
         self, swap_flowfile, tmp_path
     ):
-        """A real v1→v2 swap replays byte-identically on both paths."""
+        """Cross-loop: a real v1→v2 swap replays byte-identically
+        through ``process_tuples`` and through the chunk loop — with
+        two-row chunks, and with the whole file as one chunk so the
+        boundary lands mid-chunk."""
         rules_v1, hitlist_v1 = world_v1()
         rules_v2, hitlist_v2 = world_v2()
 
-        def run(tag, columnar):
+        def run(tag, ingest, **config):
             log = tmp_path / f"events-{tag}.jsonl"
-            config = StreamConfig(columnar=columnar, chunk_size=2)
             with JsonlEventSink(log) as sink:
                 engine = StreamDetectionEngine(
-                    rules_v1, hitlist_v1, config, sink, rules_version=1
+                    rules_v1,
+                    hitlist_v1,
+                    StreamConfig(**config),
+                    sink,
+                    rules_version=1,
                 )
                 engine.stage_rules(
-                    RuleGeneration.prepare(
-                        2, rules_v2, hitlist_v2, build_index=columnar
-                    ),
+                    RuleGeneration.prepare(2, rules_v2, hitlist_v2),
                     activate_at=BOUNDARY,
                 )
-                engine.process_flowfile(swap_flowfile)
+                ingest(engine)
             return log, engine
 
-        record_log, record_engine = run("record", columnar=False)
-        chunk_log, chunk_engine = run("chunk", columnar=True)
-        assert record_log.read_bytes() == chunk_log.read_bytes()
-        assert _counters(record_engine) == _counters(chunk_engine)
-        assert (
-            record_engine.metrics_dict()["rules"]
-            == chunk_engine.metrics_dict()["rules"]
+        record_log, record_engine = run(
+            "record",
+            lambda engine: engine.process_tuples(
+                iter_flow_tuples(swap_flowfile)
+            ),
         )
+        whens = [row[0] for row in iter_flow_tuples(swap_flowfile)]
+        assert whens[0] < BOUNDARY <= whens[-1]
+        for chunk_size in (2, len(whens)):
+            chunk_log, chunk_engine = run(
+                f"chunk-{chunk_size}",
+                lambda engine: engine.process_flowfile(swap_flowfile),
+                chunk_size=chunk_size,
+            )
+            assert record_log.read_bytes() == chunk_log.read_bytes()
+            assert _counters(record_engine) == _counters(chunk_engine)
+            assert (
+                record_engine.metrics_dict()["rules"]
+                == chunk_engine.metrics_dict()["rules"]
+            )
 
 
 class TestChangedRulesSwap:

@@ -459,6 +459,8 @@ class TestCliSignalSoak:
         )
         assert metrics["overload"]["stop_reason"] == "signal:SIGTERM"
         assert metrics["overload"]["degraded"] is False  # resumable
+        # the chunk loop drained on the injected index exactly
+        assert metrics["throughput"]["records"] == 23456
 
         resumed = self._cli(
             stream_args("killed", extra=["--resume"]), tmp_path
@@ -491,7 +493,15 @@ class TestMemoryBudget:
         governor = MemoryGovernor(
             parse_memory_size("32MiB"), sample_every=4096, cooldown=2
         )
-        engine = StreamDetectionEngine(rules, hitlist, governor=governor)
+        # Guards are polled once per chunk: chunks no larger than the
+        # sampling stride give this short stream enough polls to climb
+        # past the ladder's lossless first rung.
+        engine = StreamDetectionEngine(
+            rules,
+            hitlist,
+            StreamConfig(chunk_size=4096),
+            governor=governor,
+        )
         processed = engine.process_flowfile(pressure_flowfile)
         assert processed > 0  # completed, not OOM-killed
 
@@ -569,8 +579,12 @@ class TestDeadlines:
             ticks[0] += 0.25
             return ticks[0]
 
+        # the fake clock advances per guard poll, i.e. per chunk
         engine = StreamDetectionEngine(
-            rules, hitlist, deadline=DeadlineBudget(1.0, clock=clock)
+            rules,
+            hitlist,
+            StreamConfig(chunk_size=4096),
+            deadline=DeadlineBudget(1.0, clock=clock),
         )
         processed = engine.process_flowfile(gt_flowfile)
         assert engine.stopped

@@ -31,7 +31,7 @@ from repro.stream import (
     read_event_log,
 )
 from repro.faults import jitter_order
-from repro.stream.state import EvidenceStateTable
+from repro.pipeline.state import EvidenceStateTable
 from repro.timeutil import STUDY_START
 
 
@@ -111,9 +111,9 @@ class TestGoldenOracle:
         self, rules, hitlist, gt_flowfile
     ):
         fast = StreamDetectionEngine(rules, hitlist)
-        fast.process_flowfile(gt_flowfile, fast=True)
+        fast.process_flowfile(gt_flowfile)
         slow = StreamDetectionEngine(rules, hitlist)
-        slow.process_flowfile(gt_flowfile, fast=False)
+        slow.process(FlowReplaySource.from_flowfile(gt_flowfile))
         assert [e.to_line() for e in fast.sink.events] == [
             e.to_line() for e in slow.sink.events
         ]
