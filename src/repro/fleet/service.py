@@ -58,7 +58,6 @@ from repro.fleet.worker import (
     worker_main,
 )
 from repro.netflow.parse import ColumnarDecodeStage, DEFAULT_CHUNK_SIZE
-from repro.netflow.replay import iter_flow_tuples
 from repro.pipeline.flow import SubscriberKeying
 from repro.pipeline.metrics import StreamMetrics
 from repro.resilience.retry import RetryPolicy
@@ -728,33 +727,18 @@ class FleetService:
         never tracks in-flight batches.
         """
         assert self._flow_path is not None
-        identity = self.keying.identity
-        position = self._position
-        buffer: List[tuple] = []
-        buffer_slots: Dict[int, int] = {}
-        index = 0
-        for record in iter_flow_tuples(self._flow_path):
-            if index >= position:
+        decode = ColumnarDecodeStage(self.config.chunk_size)
+        start = 0
+        for chunk in decode.iter_chunks(self._flow_path):
+            if start >= self._position:
                 break
-            slot = identity(record[1])[1]
-            current = index
-            index += 1
-            if slot not in slots:
-                continue
-            remaining = skips.get(slot, 0)
-            if remaining:
-                skips[slot] = remaining - 1
-                continue
-            buffer.append((current, *record))
-            buffer_slots[slot] = buffer_slots.get(slot, 0) + 1
-            if len(buffer) >= self.config.batch_size:
-                if not self._send_batch(
-                    handle, _columns(buffer), buffer_slots
-                ):
-                    return  # target died; its death path re-replays
-                buffer, buffer_slots = [], {}
-        if buffer:
-            self._send_batch(handle, _columns(buffer), buffer_slots)
+            chunk = chunk.head(self._position - start)
+            rows, row_slots, _ = self._unfolded_rows(chunk, skips, slots)
+            if len(rows) and not self._send_rows(
+                handle, chunk, start, rows, row_slots
+            ):
+                return  # target died; its death path re-replays
+            start += len(chunk)
 
     # -- admission -----------------------------------------------------
 
@@ -812,8 +796,36 @@ class FleetService:
         values.
         """
         assert self.ring is not None
+        rows, row_slots, skipped = self._unfolded_rows(chunk, skips)
+        self.metrics.records_skipped += skipped
+        start = self._position
+        self._position += len(chunk)
+        assignment = np.asarray(
+            self.ring.assignment, dtype=np.int64
+        )
+        row_workers = assignment[row_slots[rows]]
+        for worker_id in np.unique(row_workers):
+            handle = self._handles[int(worker_id)]
+            if handle.dead:  # pragma: no cover - replay covers
+                continue
+            picked = rows[row_workers == worker_id]
+            self._send_rows(handle, chunk, start, picked, row_slots)
+            self.metrics.records_routed += len(picked)
+
+    def _unfolded_rows(
+        self,
+        chunk,
+        skips: Dict[int, int],
+        slots: Optional[set] = None,
+    ):
+        """Rows of ``chunk`` no checkpoint has folded yet.
+
+        Returns ``(rows, row_slots, skipped)``: the row numbers to
+        send — every row (or only those of ``slots``) past its slot's
+        ``skips`` prefix, which is consumed in place — each row's ring
+        slot, and how many rows the prefixes swallowed.
+        """
         identity = self.keying.identity
-        count = len(chunk)
         uniques, inverse = np.unique(
             chunk.src, return_inverse=True
         )
@@ -823,71 +835,45 @@ class FleetService:
             count=len(uniques),
         )
         row_slots = unique_slots[inverse]
-        indices = np.arange(
-            self._position,
-            self._position + count,
-            dtype=np.int64,
-        )
-        keep = None
-        if skips:
-            keep = np.ones(count, dtype=bool)
-            for slot in list(skips):
-                rows = np.nonzero(row_slots == slot)[0]
-                take = min(skips[slot], len(rows))
-                if take:
-                    keep[rows[:take]] = False
-                    self.metrics.records_skipped += take
-                if take == skips[slot]:
-                    del skips[slot]
-                else:
-                    skips[slot] -= take
-        self._position += count
-        if keep is not None:
-            kept = np.nonzero(keep)[0]
-            if len(kept) == 0:
-                return
-            indices = indices[kept]
-            row_slots = row_slots[kept]
-            columns = (
-                chunk.first[kept],
-                chunk.src[kept],
-                chunk.dst[kept],
-                chunk.proto[kept],
-                chunk.dport[kept],
-                chunk.flags[kept],
-            )
+        if slots is None:
+            keep = np.ones(len(chunk), dtype=bool)
         else:
-            columns = (
-                chunk.first,
-                chunk.src,
-                chunk.dst,
-                chunk.proto,
-                chunk.dport,
-                chunk.flags,
-            )
-        assignment = np.asarray(
-            self.ring.assignment, dtype=np.int64
+            keep = np.isin(row_slots, list(slots))
+        skipped = 0
+        for slot in list(skips):
+            rows = np.nonzero(keep & (row_slots == slot))[0]
+            take = min(skips[slot], len(rows))
+            keep[rows[:take]] = False
+            skipped += take
+            if take == skips[slot]:
+                del skips[slot]
+            else:
+                skips[slot] -= take
+        return np.nonzero(keep)[0], row_slots, skipped
+
+    def _send_rows(
+        self, handle: _WorkerHandle, chunk, start: int, rows, row_slots
+    ) -> bool:
+        """Send ``rows`` of ``chunk`` (whose row 0 is stream index
+        ``start``) to one worker as an indexed sub-chunk."""
+        slot_values, slot_counts = np.unique(
+            row_slots[rows], return_counts=True
         )
-        row_workers = assignment[row_slots]
-        for worker_id in np.unique(row_workers):
-            rows = np.nonzero(row_workers == worker_id)[0]
-            handle = self._handles[int(worker_id)]
-            if handle.dead:  # pragma: no cover - replay covers
-                continue
-            slot_values, slot_counts_arr = np.unique(
-                row_slots[rows], return_counts=True
-            )
-            slot_counts = {
-                int(slot): int(n)
-                for slot, n in zip(slot_values, slot_counts_arr)
-            }
-            self._send_batch(
-                handle,
-                (indices[rows],)
-                + tuple(column[rows] for column in columns),
-                slot_counts,
-            )
-            self.metrics.records_routed += len(rows)
+        return self._send_batch(
+            handle,
+            (rows + start,)
+            + tuple(
+                column[rows]
+                for column in (
+                    chunk.first, chunk.src, chunk.dst,
+                    chunk.proto, chunk.dport, chunk.flags,
+                )
+            ),
+            {
+                int(slot): int(count)
+                for slot, count in zip(slot_values, slot_counts)
+            },
+        )
 
     # -- drain / merge -------------------------------------------------
 

@@ -20,17 +20,22 @@ conversion at once).
 :class:`ColumnarDecodeStage` is the batch counterpart of the per-line
 parser: it decodes a flow file into :class:`FlowChunk` batches of
 numpy column arrays for the vectorized detect path
-(:mod:`repro.pipeline.columnar`), falling back to the exact per-line
-semantics of :func:`repro.netflow.replay.iter_flow_tuples` — same
-error messages, same quarantine reasons — whenever a chunk contains
-comments, blank lines, or malformed fields.  numpy is imported lazily
-so the substrate stays importable without it.
+(:mod:`repro.pipeline.columnar`).  It never builds a ``str`` per field:
+one numpy kernel parses each block's raw bytes straight into int64
+columns, so the memo caches above serve the per-line parser only.  A
+block the kernel declines — comments or blank lines mid-block,
+malformed or oddly spelled fields — takes the exact per-line semantics
+of :func:`repro.netflow.replay.iter_flow_tuples` instead: same error
+messages, same quarantine reasons.  numpy is imported lazily so the
+substrate stays importable without it.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import pathlib
+import string
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.cloud.addressing import str_to_ip
@@ -70,9 +75,29 @@ PARSE_CACHE_LIMIT = 1 << 20
 #: that the chunk's column temporaries stay cache/allocator friendly.
 DEFAULT_CHUNK_SIZE = 1 << 16
 
-#: Byte-size heuristic used to turn ``chunk_size`` rows into a read
-#: request (haystack-flows lines average ~45 bytes).
-_BYTES_PER_LINE = 48
+#: Bytes per read, i.e. per kernel call (~3,700 lines).  Chunks are cut
+#: at ``chunk_size`` rows whatever a read brings in, so this only sizes
+#: the kernel's temporaries: measured on the perf corpus, 128-512 KiB
+#: blocks decode a quarter faster than chunk-sized (4.5 MiB) ones and
+#: hold 50 MiB less at the peak.
+_BLOCK_BYTES = 1 << 18
+
+#: The bytes below ``"0"`` of one clean data line, in order: the
+#: commas between the ten columns, the dots of ``src``/``dst`` and the
+#: newline.  Space, ``#``, ``+``, ``-`` and every control character
+#: also sort below ``"0"``, so any of them breaks the pattern.
+_ROW_SEPARATORS = b",,...,...,,,,,,\n"
+
+#: Longest decimal token the kernel takes: 18 digits stay below 2**63.
+_MAX_DIGITS = 18
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: Byte → hex digit value, 255 where the byte is not ``[0-9a-fA-F]``.
+_HEX_VALUES = bytes(
+    int(chr(byte), 16) if chr(byte) in string.hexdigits else 255
+    for byte in range(256)
+)
 
 _np = None
 
@@ -144,8 +169,12 @@ class FlowLineParser:
         return value
 
     def tuple(self, parts: Sequence[str]) -> FlowTuple:
-        """Detection-relevant columns only, no object construction."""
-        return (
+        """Detection-relevant columns only, no object construction.
+
+        A field outside int64 cannot live in a column, so it is as
+        unparseable as a non-number: ``ValueError``.
+        """
+        row = (
             int(parts[0]),  # first
             self.ip(parts[2]),
             self.ip(parts[3]),
@@ -153,6 +182,12 @@ class FlowLineParser:
             int(parts[6]),  # dport
             self.flag_bits(parts[9]),
         )
+        if not _INT64_MIN <= min(row) <= max(row) <= _INT64_MAX:
+            raise ValueError(
+                f"flow line has a field outside int64: "
+                f"{','.join(parts)!r}"
+            )
+        return row
 
     def record(
         self, parts: Sequence[str], sampling_interval: int = 1
@@ -284,21 +319,25 @@ class IndexedFlowChunk(FlowChunk):
 class ColumnarDecodeStage:
     """Decode a flow file into :class:`FlowChunk` column batches.
 
-    The bulk fast path splits a whole block of complete lines at once
-    and converts each needed column with one vectorized conversion (or
-    one memo-map pass for dotted quads and flag bytes, sharing the
-    per-line parser's caches).  Any irregularity — comments, blank
-    lines, a field-count misalignment, a conversion error — drops the
-    whole block to a per-line path that reproduces
+    The text leaves ``bytes`` exactly once: each block of complete
+    lines goes through :func:`_decode_bytes`, one numpy kernel
+    that finds the separator bytes, checks that every row has the exact
+    ``,,...,...,,,,,,\\n`` pattern and gathers the six needed columns
+    digit by digit into int64.  ``#`` header lines at the front of a
+    block are peeled off first, so a standard headered file never
+    leaves the kernel.
+
+    The kernel accepts a block only when every needed token is 1-18
+    plain ASCII digits (``0x`` + 1-2 hex digits for ``flags``), every
+    address octet is at most 255 and, with a quarantine attached,
+    ``proto``/``dport`` are in range.  Anything else — comments or
+    blank lines mid-block, ``\\r``, signs, spaces, ``_``, longer values,
+    non-ASCII bytes, a wrong field count — drops the whole block to
+    :meth:`_decode_lines`, which reproduces
     :func:`repro.netflow.replay.iter_flow_tuples` exactly: same error
     messages without a quarantine, same reason strings with one.
 
-    The fast path is safe against silent misalignment: a block is only
-    bulk-decoded when its total field count and line count agree, and
-    any shifted column puts a dotted quad into an integer column (or
-    vice versa), which raises and falls back.  Field values outside
-    int64 are not supported on the columnar path (no writer in this
-    repo produces them).
+    Chunks hold exactly ``chunk_size`` valid rows (the last one fewer).
     """
 
     def __init__(
@@ -327,103 +366,80 @@ class ColumnarDecodeStage:
         covers the skipped prefix, matching the per-record resume
         path).
         """
-        owns = isinstance(source, (str, pathlib.Path))
-        stream: IO[str] = (
-            open(source, "r", encoding="ascii") if owns else source
-        )
-        read_size = self.chunk_size * _BYTES_PER_LINE
+        np = _numpy()
         index = 0
         to_skip = skip
-        carry = ""
+        for columns in self._cut(self._decode_blocks(source, np), np):
+            chunk = FlowChunk(index, *columns)
+            index += len(chunk)
+            chunk, to_skip = _skip_rows(chunk, to_skip)
+            if len(chunk):
+                yield chunk
+
+    def _cut(self, blocks, np):
+        """Re-cut decoded ``(6, rows)`` blocks into arrays of exactly
+        ``chunk_size`` valid rows (the last one fewer)."""
+        size = self.chunk_size
+        held, rows = [], 0
+        for columns in blocks:
+            held.append(columns)
+            rows += columns.shape[1]
+            if rows < size:
+                continue
+            columns = np.concatenate(held, axis=1)
+            whole = rows - rows % size
+            for at in range(0, whole, size):
+                yield columns[:, at:at + size]
+            held, rows = [columns[:, whole:]], rows - whole
+        if rows:
+            yield np.concatenate(held, axis=1)
+
+    def _decode_blocks(self, source, np):
+        """Read ``source`` in blocks of complete lines and decode each
+        into one ``(6, rows)`` int64 array."""
+        owns = isinstance(source, (str, pathlib.Path))
+        stream = open(source, "rb") if owns else source
+        newline = b"\n" if owns else "\n"
+        carry = newline[:0]
         try:
             while True:
-                block = stream.read(read_size)
+                block = stream.read(_BLOCK_BYTES)
                 if not block:
                     break
-                if carry:
-                    block = carry + block
-                    carry = ""
-                cut = block.rfind("\n")
-                if cut < 0:
-                    carry = block
-                    continue
-                carry = block[cut + 1:]
-                chunk = self._chunk_from_text(block[:cut], index)
-                index += len(chunk)
-                chunk, to_skip = _skip_rows(chunk, to_skip)
-                if len(chunk):
-                    yield chunk
+                block = carry + block
+                cut = block.rfind(newline) + 1
+                carry = block[cut:]
+                if cut:
+                    yield self._decode_block(block[:cut], np)
             if carry:
-                chunk = self._chunk_from_text(carry, index)
-                chunk, to_skip = _skip_rows(chunk, to_skip)
-                if len(chunk):
-                    yield chunk
+                yield self._decode_block(carry + newline, np)
         finally:
             if owns:
                 stream.close()
 
     # -- decoding -----------------------------------------------------
 
-    def _chunk_from_text(self, text: str, start_index: int) -> FlowChunk:
-        """Decode a block of complete newline-separated lines."""
-        np = _numpy()
-        columns = None
-        if text and text[0] != "\n" and "#" not in text and "\n\n" not in text:
-            columns = self._decode_bulk(text, np)
+    def _decode_block(self, block: Union[bytes, str], np):
+        """Decode one block of newline-terminated lines.
+
+        Text-stream blocks are encoded for the kernel (a non-ASCII
+        character becomes ``?``, which no needed token accepts) and fall
+        back on the original text; file blocks fall back through the
+        same ascii, universal-newline reader ``open(path)`` would give
+        the per-line path.
+        """
+        text = isinstance(block, str)
+        columns = _decode_bytes(
+            block.encode("ascii", "replace") if text else block,
+            self.quarantine is not None,
+            np,
+        )
         if columns is None:
-            columns = self._decode_lines(text.split("\n"), np)
-        return FlowChunk(start_index, *columns)
-
-    def _decode_bulk(self, text: str, np):
-        """Vectorized whole-block decode; ``None`` when ineligible."""
-        fields = text.replace("\n", ",").split(",")
-        rows, extra = divmod(len(fields), len(FLOW_FILE_COLUMNS))
-        if extra or text.count("\n") + 1 != rows:
-            return None
-        try:
-            first = np.array(fields[0::10], dtype=np.int64)
-            src = self._map_column(
-                fields[2::10], self.parser._ips, self.parser.ip, np
+            lines = block.split("\n") if text else io.TextIOWrapper(
+                io.BytesIO(block), encoding="ascii"
             )
-            dst = self._map_column(
-                fields[3::10], self.parser._ips, self.parser.ip, np
-            )
-            proto = np.array(fields[4::10], dtype=np.int64)
-            dport = np.array(fields[6::10], dtype=np.int64)
-            flags = self._map_column(
-                fields[9::10], self.parser._flags, self.parser.flag_bits, np
-            )
-        except (ValueError, OverflowError):
-            return None
-        if self.quarantine is not None:
-            bad = (
-                (first < 0)
-                | (proto < 0) | (proto > 255)
-                | (dport < 0) | (dport > 65535)
-                | (flags < 0) | (flags > 0xFF)
-            )
-            if bad.any():
-                lines = text.split("\n")
-                for row in np.flatnonzero(bad).tolist():
-                    reason = validate_flow_tuple(
-                        int(first[row]), int(src[row]), int(dst[row]),
-                        int(proto[row]), int(dport[row]), int(flags[row]),
-                    )
-                    self.quarantine.record(reason, lines[row])
-                keep = ~bad
-                first, src, dst = first[keep], src[keep], dst[keep]
-                proto, dport, flags = proto[keep], dport[keep], flags[keep]
-        return first, src, dst, proto, dport, flags
-
-    @staticmethod
-    def _map_column(texts: List[str], memo: Dict[str, int], convert, np):
-        """One memo-map pass over a column; misses go through the
-        parser's bounded-cache conversion."""
-        try:
-            values = list(map(memo.__getitem__, texts))
-        except KeyError:
-            values = [convert(text) for text in texts]
-        return np.array(values, dtype=np.int64)
+            columns = np.stack(self._decode_lines(lines, np))
+        return columns
 
     def _decode_lines(self, lines: Iterable[str], np):
         """Per-line fallback with exact ``iter_flow_tuples`` semantics."""
@@ -461,6 +477,115 @@ class ColumnarDecodeStage:
         return tuple(
             np.array(column, dtype=np.int64) for column in columns
         )
+
+
+def _decode_bytes(data: bytes, strict: bool, np):
+    """The byte-level kernel: ``(6, rows)`` int64, or ``None`` to
+    decline the block (the caller then takes the per-line path).
+
+    ``data`` is whole lines, the last one newline-terminated.  Every
+    byte below ``"0"`` is a separator candidate; a clean row has
+    exactly the sixteen of :data:`_ROW_SEPARATORS`, which one gather
+    checks for the whole block.  Between separators all bytes are
+    then ``>= "0"``, so a needed token is valid iff each of its bytes
+    maps to a digit.  ``strict`` (a quarantine is attached) also
+    declines rows the quarantine would have to judge.
+    """
+    start = 0
+    while data.startswith(b"#", start):
+        start = data.find(b"\n", start) + 1
+    # a file's reader breaks lines at a lone ``\r`` too, header or not
+    if not data.isascii() or data.find(b"\r", 0, start) >= 0:
+        return None
+    if start == len(data):
+        return np.empty((6, 0), dtype=np.int64)
+    buf = np.frombuffer(data, dtype=np.uint8, offset=start)
+    seps = np.flatnonzero(buf < ord("0"))
+    rows, extra = divmod(len(seps), len(_ROW_SEPARATORS))
+    if extra:
+        return None
+    pattern = np.frombuffer(_ROW_SEPARATORS, dtype=np.uint8)
+    if not (buf[seps].reshape(rows, -1) == pattern).all():
+        return None
+    # token j of a row lies between bounds[j] and bounds[j + 1]: the
+    # previous row's newline, then this row's sixteen separators
+    bounds = np.empty((len(_ROW_SEPARATORS) + 1, rows), dtype=seps.dtype)
+    bounds[1:] = seps.reshape(rows, -1).T
+    bounds[0, 0] = -1
+    bounds[0, 1:] = bounds[-1, :-1]
+    first = _decimal(buf, bounds[0], bounds[1], np)
+    # the eight address octets and ``proto`` are consecutive tokens
+    small = _decimal(buf, bounds[2:11], bounds[3:12], np)
+    dport = _decimal(buf, bounds[12], bounds[13], np)
+    flags = _flag_bits(buf, bounds[15], bounds[16], np)
+    if first is None or small is None or dport is None or flags is None:
+        return None
+    if small[:8].max() > 255:
+        return None
+    if strict and (small[8].max() > 255 or dport.max() > 65535):
+        return None
+    out = np.empty((6, rows), dtype=np.int64)
+    out[0] = first
+    out[1] = (small[0] << 24) | (small[1] << 16) | (small[2] << 8) | small[3]
+    out[2] = (small[4] << 24) | (small[5] << 16) | (small[6] << 8) | small[7]
+    out[3] = small[8]
+    out[4] = dport
+    out[5] = flags
+    return out
+
+
+def _decimal(buf, before, after, np):
+    """The tokens between separator positions ``before`` and ``after``
+    as int64, right-aligned digit by digit; ``None`` unless every token
+    is 1-18 ASCII digits.
+
+    Eighteen digits stay below 2**63, so the sum cannot wrap.  Bytes
+    are widened to int64 *before* scaling: uint8 arithmetic wraps, and
+    what a uint8 array times a numpy integer scalar promotes to differs
+    between numpy 1.x and 2.x.
+    """
+    lengths = after - before
+    lengths -= 1
+    shortest, longest = int(lengths.min()), int(lengths.max())
+    if shortest < 1 or longest > _MAX_DIGITS:
+        return None
+    values = np.zeros(after.shape, dtype=np.int64)
+    at = after.copy()
+    worst = 0
+    for place in range(longest):
+        at -= 1
+        # for a token shorter than `place + 1` this reads whatever
+        # precedes it (before the buffer's start the index goes
+        # negative and wraps, still in bounds: only a longer token in
+        # a later row brings `place` that far); `lengths > place`
+        # zeroes exactly those reads
+        digits = buf[at]
+        digits -= ord("0")
+        if place >= shortest:
+            digits *= lengths > place
+        worst = max(worst, int(digits.max()))
+        wide = digits.astype(np.int64)
+        wide *= 10 ** place
+        values += wide
+    return values if worst <= 9 else None
+
+
+def _flag_bits(buf, before, after, np):
+    """``0x`` + one or two hex digits as int64; ``None`` otherwise."""
+    lengths = after - before
+    if int(lengths.min()) < 4 or int(lengths.max()) > 5:
+        return None
+    if (buf[before + 1] != ord("0")).any() or (
+        buf[before + 2] != ord("x")
+    ).any():
+        return None
+    hex_values = np.frombuffer(_HEX_VALUES, dtype=np.uint8)
+    low = hex_values[buf[after - 1]]
+    high = hex_values[buf[after - 2]]
+    high[lengths == 4] = 0  # one digit only: that byte was the ``x``
+    if max(int(low.max()), int(high.max())) > 15:
+        return None
+    return (high.astype(np.int64) << 4) | low
 
 
 def _skip_rows(chunk: FlowChunk, to_skip: int):

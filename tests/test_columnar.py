@@ -377,6 +377,64 @@ class TestDecodeParity:
                 )
         assert decoded == tuples
 
+    @pytest.mark.parametrize("chunk_size", [7, 4096, 65_536])
+    def test_chunk_size_is_honoured(self, gt_flowfile, chunk_size):
+        """Every chunk but the last holds exactly ``chunk_size`` rows
+        (guards are polled once per chunk)."""
+        total = sum(1 for _ in iter_flow_tuples(gt_flowfile))
+        sizes = [
+            len(chunk)
+            for chunk in ColumnarDecodeStage(chunk_size).iter_chunks(
+                gt_flowfile
+            )
+        ]
+        assert sum(sizes) == total
+        assert set(sizes[:-1]) <= {chunk_size}
+        assert 0 < sizes[-1] <= chunk_size
+
+    def test_clean_headered_file_never_leaves_the_kernel(
+        self, gt_flowfile, monkeypatch
+    ):
+        """The writer's two ``#`` header lines are peeled off the first
+        block; they do not send it down the per-line path."""
+
+        def fell_back(self, lines, np):
+            raise AssertionError("clean block took the per-line path")
+
+        monkeypatch.setattr(ColumnarDecodeStage, "_decode_lines", fell_back)
+        assert gt_flowfile.read_text().startswith("# haystack-flows")
+        for quarantine in (None, QuarantineSink()):
+            rows = sum(
+                len(chunk)
+                for chunk in ColumnarDecodeStage(
+                    4096, quarantine=quarantine
+                ).iter_chunks(gt_flowfile)
+            )
+            assert rows > 4096
+
+    @pytest.mark.parametrize("column", [0, 4, 6])  # first, proto, dport
+    def test_field_outside_int64_is_rejected_not_fatal(
+        self, tmp_path, column
+    ):
+        """Outside input must not take the run down: a value no int64
+        column can hold is quarantined (or a ``ValueError`` naming the
+        line), never an ``OverflowError``."""
+        good = "100,160,10.0.0.1,8.8.8.8,6,1,53,1,1,0x10"
+        parts = good.split(",")
+        parts[column] = "99999999999999999999999"
+        bad = ",".join(parts)
+        path = tmp_path / "flows.csv"
+        path.write_text(f"{good}\n{bad}\n{good}\n")
+        quarantine = QuarantineSink()
+        chunks = list(
+            ColumnarDecodeStage(quarantine=quarantine).iter_chunks(path)
+        )
+        assert sum(len(chunk) for chunk in chunks) == 2
+        assert quarantine.counts == {"unparseable_field": 1}
+        with pytest.raises(ValueError, match="outside int64") as caught:
+            list(ColumnarDecodeStage().iter_chunks(path))
+        assert bad in str(caught.value)
+
 
 # -- the IXP assembly (established filter) ----------------------------
 

@@ -11,6 +11,8 @@ relationships the methodology relies on:
 * collector conservation: packets in == packets across exported flows.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,12 +268,17 @@ class TestPipelineConservation:
 
 
 def _random_flow_line(rng) -> str:
-    """One random line: valid, boundary-valued, or deliberately broken."""
+    """One random line: valid, oddly spelled, or deliberately broken.
+
+    About one line in eight makes the byte kernel decline its block, so
+    at small chunk sizes both decoders see plenty of blocks and a
+    declined block usually owes it to a single line.
+    """
     boundary_ip = ("0.0.0.0", "255.255.255.255", "10.0.0.1", "8.8.8.8")
     roll = rng.random()
-    if roll < 0.05:
+    if roll < 0.03:
         return rng.choice(("", "   ", "# comment noise", "#"))
-    if roll < 0.15:
+    if roll < 0.06:
         # wrong field count -> malformed_line
         fields = rng.randrange(1, 15)
         if fields == 10:
@@ -288,9 +295,10 @@ def _random_flow_line(rng) -> str:
         str(when), str(when + 30), src, dst, str(proto),
         str(sport), str(dport), "3", "300", flags,
     ]
-    if roll < 0.35:
-        # break exactly one field in a well-formed line
-        breakage = rng.choice(
+    if roll < 0.13:
+        # break exactly one field in a well-formed line, or spell it in
+        # a way int() takes and a digit kernel could misread
+        column, value = rng.choice(
             (
                 (0, "-5"),              # negative_timestamp
                 (0, "soon"),            # unparseable_field
@@ -304,38 +312,103 @@ def _random_flow_line(rng) -> str:
                 (6, "1.5"),             # float port
                 (9, "0x100"),           # bad_flags
                 (9, "zz"),              # unparseable flags
+                (0, ""),                # empty field
+                (3, "1.2..4"),          # empty octet
+                (6, "5\r6"),            # a lone CR: a line break in a
+                                        # file, junk in a text stream
+                (0, "+5"),
+                (0, " 5"),
+                (6, "5 "),
+                (9, "0x10 "),
+                (6, "1_000"),
+                (9, "0X1B"),
+                (9, "1b"),              # no prefix
+                (9, "0x_1"),
+                (0, "1234567890123456789"),         # 19, inside int64
+                (0, "9999999999999999999"),         # 19, outside
+                (0, "99999999999999999999999"),     # 23
+                (4, "99999999999999999999999"),
+                (6, "99999999999999999999999"),
+                (3, "0000000000000000010.0.0.1"),
             )
         )
-        parts[breakage[0]] = breakage[1]
+        parts[column] = value
+    elif roll < 0.30:
+        # odd spellings the kernel may keep
+        column, value = rng.choice(
+            (
+                (9, "0x1"),             # one hex digit
+                (9, "0xAb"),
+                (4, "007"),             # leading zeros
+                (6, "00443"),
+                (2, "010.0.0.1"),
+                (3, "0010.0.0.1"),
+                (0, "123456789012345678"),          # 18 digits
+                (0, "000000000000000042"),
+                (1, "later"),           # an ignored column: anything goes
+                (7, ""),
+            )
+        )
+        parts[column] = value
     return ",".join(parts)
 
 
-def _fuzz_corpus(seed: int, size: int = 400):
+def _fuzz_corpus(seed: int, size: int = 800):
+    """``size`` random lines as one text: mixed ``\\n``/``\\r\\n``
+    endings, and about half the seeds end without a final newline."""
     import random as random_module
 
     rng = random_module.Random(seed)
-    return rng, [_random_flow_line(rng) for _ in range(size)]
+    lines = [_random_flow_line(rng) for _ in range(size)]
+    text = "".join(
+        line + ("\r\n" if rng.random() < 0.02 else "\n") for line in lines
+    )
+    if rng.random() < 0.5:
+        text += "1573776000,1573776030,10.0.0.1,8.8.8.8,6,1,443,3,300,0x12"
+    return text
 
 
-def _chunk_tuples(text: str, chunk_size: int, quarantine=None):
+#: Both source shapes ``iter_chunks`` takes, each compared with
+#: ``iter_flow_tuples`` over the same shape (a file is read with
+#: universal newlines, a text stream is not).
+SOURCE_SHAPES = ("path", "stream")
+
+
+def _source(shape: str, text: str, tmp_path):
     import io
 
-    from repro.netflow.parse import ColumnarDecodeStage, FlowLineParser
+    if shape == "stream":
+        return io.StringIO(text)
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(text.encode("ascii"))
+    return path
+
+
+#: The decoder's read sizes the fuzz runs at: most reads end mid-line /
+#: a block is about ten lines, a fair share of them clean, so both
+#: decoders get work / the production value, one block per corpus.
+BLOCK_BYTES = (64, 600, 1 << 18)
+
+
+def _chunk_tuples(source, chunk_size: int, quarantine=None, block_bytes=None):
+    from unittest import mock
+
+    from repro.netflow import parse
 
     decoded = []
-    stage = ColumnarDecodeStage(
-        chunk_size, parser=FlowLineParser(), quarantine=quarantine
+    stage = parse.ColumnarDecodeStage(
+        chunk_size, parser=parse.FlowLineParser(), quarantine=quarantine
     )
-    for chunk in stage.iter_chunks(io.StringIO(text)):
-        for i in range(len(chunk)):
-            decoded.append(
-                (
-                    int(chunk.first[i]),
-                    int(chunk.src[i]),
-                    int(chunk.dst[i]),
-                    int(chunk.proto[i]),
-                    int(chunk.dport[i]),
-                    int(chunk.flags[i]),
+    with mock.patch.object(
+        parse, "_BLOCK_BYTES", block_bytes or parse._BLOCK_BYTES
+    ):
+        for chunk in stage.iter_chunks(source):
+            assert len(chunk) <= chunk_size
+            decoded.extend(
+                zip(
+                    chunk.first.tolist(), chunk.src.tolist(),
+                    chunk.dst.tolist(), chunk.proto.tolist(),
+                    chunk.dport.tolist(), chunk.flags.tolist(),
                 )
             )
     return decoded
@@ -344,20 +417,111 @@ def _chunk_tuples(text: str, chunk_size: int, quarantine=None):
 class TestDecodeFuzzParity:
     """Differential fuzz: the vectorized decoder must be
     indistinguishable from the per-line parser on any input — same
-    tuples, same quarantine reasons, same error messages."""
+    tuples, same quarantine reasons, same error messages — from a file
+    and from a text stream, wherever reads and chunks happen to cut."""
 
     SEEDS = (1, 7, 13, 99, 12345)
+    CHUNK_SIZES = (7, 64, 4096)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_tuples_and_quarantine_reasons_identical(self, seed):
+    def test_tuples_and_quarantine_reasons_identical(self, seed, tmp_path):
+        from repro.netflow.parse import FlowLineParser
+        from repro.netflow.replay import iter_flow_tuples
+        from repro.resilience.quarantine import QuarantineSink
+
+        text = _fuzz_corpus(seed)
+        for shape in SOURCE_SHAPES:
+            scalar_sink = QuarantineSink()
+            scalar = list(
+                iter_flow_tuples(
+                    _source(shape, text, tmp_path),
+                    quarantine=scalar_sink,
+                    parser=FlowLineParser(),
+                )
+            )
+            assert scalar  # the corpus always has surviving records
+            assert scalar_sink.counts  # ... and quarantined ones
+            for block_bytes, chunk_size in itertools.product(
+                BLOCK_BYTES, self.CHUNK_SIZES
+            ):
+                columnar_sink = QuarantineSink()
+                columnar = _chunk_tuples(
+                    _source(shape, text, tmp_path),
+                    chunk_size,
+                    quarantine=columnar_sink,
+                    block_bytes=block_bytes,
+                )
+                assert columnar == scalar
+                assert columnar_sink.counts == scalar_sink.counts
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_error_message_identical(self, seed, tmp_path):
+        from repro.netflow.parse import FlowLineParser
+        from repro.netflow.replay import iter_flow_tuples
+
+        text = _fuzz_corpus(seed, size=120)
+        for shape in SOURCE_SHAPES:
+            try:
+                list(
+                    iter_flow_tuples(
+                        _source(shape, text, tmp_path),
+                        parser=FlowLineParser(),
+                    )
+                )
+                scalar_error = None
+            except ValueError as error:
+                scalar_error = str(error)
+            assert scalar_error is not None  # corpora always contain junk
+            for block_bytes, chunk_size in itertools.product(
+                BLOCK_BYTES, self.CHUNK_SIZES
+            ):
+                with pytest.raises(ValueError) as caught:
+                    _chunk_tuples(
+                        _source(shape, text, tmp_path),
+                        chunk_size,
+                        block_bytes=block_bytes,
+                    )
+                assert str(caught.value) == scalar_error
+
+    @pytest.mark.parametrize("shape", SOURCE_SHAPES)
+    def test_fuzz_reaches_both_decoders(self, shape, tmp_path, monkeypatch):
+        """The corpus is only a differential test of the byte kernel
+        if some blocks take it and some are declined."""
+        from repro.netflow import parse
+        from repro.resilience.quarantine import QuarantineSink
+
+        taken = {"kernel": 0, "lines": 0}
+        kernel = parse._decode_bytes
+
+        def counting(data, strict, np):
+            columns = kernel(data, strict, np)
+            taken["kernel" if columns is not None else "lines"] += 1
+            return columns
+
+        monkeypatch.setattr(parse, "_decode_bytes", counting)
+        text = _fuzz_corpus(self.SEEDS[0])
+        _chunk_tuples(
+            _source(shape, text, tmp_path), 64, QuarantineSink(), 600
+        )
+        assert taken["kernel"] > 10 and taken["lines"] > 10
+
+    def test_non_ascii_never_reaches_a_column(self, tmp_path):
+        """A file with a non-ASCII byte fails as the ascii reader
+        always did; a text stream keeps ``int()``'s reading of it."""
         import io
 
         from repro.netflow.parse import FlowLineParser
         from repro.netflow.replay import iter_flow_tuples
         from repro.resilience.quarantine import QuarantineSink
 
-        rng, lines = _fuzz_corpus(seed)
-        text = "\n".join(lines) + "\n"
+        good = "5,35,10.0.0.1,8.8.8.8,6,1,443,3,300,0x12\n"
+        text = (
+            good
+            + "\u0661\u0662,35,10.0.0.1,8.8.8.8,6,1,443,3,300,0x12\n"  # ١٢
+            + "7,35,10.0.0.1,8.8.8.8,6,1,44\u00e9,3,300,0x12\n"
+            + "8,3\u00e9,10.0.0.1,8.8.8.8,6,1,443,3,300,0x12\n"
+            + "\u00a09,35,10.0.0.1,8.8.8.8,6,1,443,3,300,0x12\n"
+        )
         scalar_sink = QuarantineSink()
         scalar = list(
             iter_flow_tuples(
@@ -366,39 +530,21 @@ class TestDecodeFuzzParity:
                 parser=FlowLineParser(),
             )
         )
-        assert scalar  # the corpus always has surviving records
-        assert scalar_sink.counts  # ... and quarantined ones
-        for chunk_size in (rng.randrange(1, 8), 64, 10_000):
-            columnar_sink = QuarantineSink()
-            columnar = _chunk_tuples(
-                text, chunk_size, quarantine=columnar_sink
-            )
-            assert columnar == scalar
-            assert columnar_sink.counts == scalar_sink.counts
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_first_error_message_identical(self, seed):
-        import io
-
-        from repro.netflow.parse import FlowLineParser
-        from repro.netflow.replay import iter_flow_tuples
-
-        rng, lines = _fuzz_corpus(seed, size=120)
-        text = "\n".join(lines) + "\n"
-        try:
-            list(
-                iter_flow_tuples(
-                    io.StringIO(text), parser=FlowLineParser()
-                )
-            )
-            scalar_error = None
-        except ValueError as error:
-            scalar_error = str(error)
-        assert scalar_error is not None  # corpora always contain junk
-        for chunk_size in (rng.randrange(1, 8), 64, 10_000):
-            with pytest.raises(ValueError) as caught:
-                _chunk_tuples(text, chunk_size)
-            assert str(caught.value) == scalar_error
+        assert [row[0] for row in scalar] == [5, 12, 8, 9]
+        for block_bytes, chunk_size in itertools.product(
+            BLOCK_BYTES, (1, 2, 100)
+        ):
+            sink = QuarantineSink()
+            assert _chunk_tuples(
+                io.StringIO(text), chunk_size, sink, block_bytes
+            ) == scalar
+            assert sink.counts == scalar_sink.counts
+        path = tmp_path / "latin.csv"
+        path.write_bytes(good.encode() + text.encode("utf-8"))
+        with pytest.raises(UnicodeDecodeError):
+            list(iter_flow_tuples(path, quarantine=QuarantineSink()))
+        with pytest.raises(UnicodeDecodeError):
+            _chunk_tuples(path, 100, quarantine=QuarantineSink())
 
     def test_boundary_valid_lines_round_trip(self):
         """All-extreme but valid lines decode identically and without
@@ -426,9 +572,41 @@ class TestDecodeFuzzParity:
         )
         assert len(scalar) == 4
         assert sink.total == 0
-        for chunk_size in (1, 2, 100):
+        for block_bytes, chunk_size in itertools.product(
+            BLOCK_BYTES, (1, 2, 100)
+        ):
             columnar_sink = QuarantineSink()
             assert _chunk_tuples(
-                text, chunk_size, quarantine=columnar_sink
+                io.StringIO(text), chunk_size, columnar_sink, block_bytes
             ) == scalar
             assert columnar_sink.total == 0
+
+
+class TestDecimalKernel:
+    """``_decimal`` may decline a block; it may never misread one."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(alphabet="0123456789", max_size=24).map(str.encode),
+                st.binary(max_size=6).filter(lambda token: b"," not in token),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exact_or_declined(self, tokens):
+        from repro.netflow.parse import _decimal
+
+        data = b",".join(tokens) + b","
+        buf = np.frombuffer(data, dtype=np.uint8)
+        commas = np.flatnonzero(buf == ord(","))
+        before = np.concatenate(([-1], commas[:-1]))
+        values = _decimal(buf, before, commas, np)
+        if values is None:
+            return
+        assert values.dtype == np.int64
+        # int() reads bytes as it reads ascii text
+        assert values.tolist() == [int(token) for token in tokens]
+        assert all(token.isdigit() for token in tokens)
