@@ -8,9 +8,11 @@ loopback socket can sustain far more than a border router exports.
 This bench pins those claims with numbers:
 
 * *decode overhead* — the same record set folded (a) from encoded
-  export datagrams through :class:`CollectorSource` and (b) from
-  pre-parsed tuples through the bare engine; the ratio of added wall
-  time is asserted bounded;
+  export datagrams through :meth:`CollectorService.feed` (the shipped
+  loop: column decode, hold, block validation, chunk fold) and (b) as
+  pre-built column chunks through the bare engine; the ratio of added
+  wall time is asserted bounded, tightly enough that a per-record
+  decode creeping back fails the job;
 * *loopback ingest rate* — a real bound socket, a real sender thread,
   ``max_datagrams`` records/s measured end to end and asserted above a
   (deliberately generous) floor;
@@ -39,10 +41,10 @@ BENCH_PATH = (
 
 _SUBSCRIBERS = 5_000
 _BATCH = 25
-#: collector fold may cost at most this much of the bare-tuple fold
-#: (pure-python struct decode lands ~6-7x; the bound catches
-#: pathological regressions such as per-datagram template re-parsing)
-_DECODE_OVERHEAD_BOUND = 10.0
+#: collector fold may cost at most this much of the bare chunk fold
+#: (hold-and-fold lands ~1.6x here; folding every datagram as its own
+#: chunk is ~7x, and the per-record decode it all replaced was worse)
+_DECODE_OVERHEAD_BOUND = 2.5
 #: CI floor — any working machine folds orders of magnitude more
 _INGEST_FLOOR_RECORDS_PER_SECOND = 1_000
 
@@ -142,41 +144,31 @@ def _engine(rules, hitlist):
     )
 
 
-def _tuple_of(record):
-    return (
-        record.first_switched,
-        record.src_ip,
-        record.dst_ip,
-        record.protocol,
-        record.dst_port,
-        record.tcp_flags,
-    )
+def _fold_chunks(rules, hitlist, flows):
+    """Baseline: the bare engine folding pre-built column chunks."""
+    from repro.netflow.parse import chunks_from_records
 
-
-def _fold_tuples(rules, hitlist, flows):
-    """Baseline: the bare engine folding pre-parsed tuples."""
     engine = _engine(rules, hitlist)
-    tuples = [_tuple_of(flow) for flow in flows]
+    chunks = list(chunks_from_records(flows))
     started = time.perf_counter()
-    engine.process_tuples(iter(tuples))
+    engine.process_chunks(chunks)
     return time.perf_counter() - started, engine
 
 
 def _fold_datagrams(rules, hitlist, datagrams):
-    """The collector path: decode + account + validate + fold."""
-    from repro.collector import CollectorSource
+    """The collector path: decode + account + hold + validate + fold,
+    through the loop the service ships (``feed``), socket taken out."""
+    from repro.collector import CollectorConfig, CollectorService
 
     engine = _engine(rules, hitlist)
-    source = CollectorSource()
+    service = CollectorService(
+        engine, config=CollectorConfig(control_port=None)
+    )
     started = time.perf_counter()
     for number, payload in enumerate(datagrams):
-        records = source.ingest(payload, now=number * 0.0001)
-        if records:
-            engine.process_tuples(
-                (_tuple_of(record) for record in records),
-                start_index=engine.records_processed,
-            )
-    return time.perf_counter() - started, engine, source
+        service.feed(payload, now=number * 0.0001)
+    service._drain()
+    return time.perf_counter() - started, engine, service.source
 
 
 def _measure(runner, repeats):
@@ -267,9 +259,9 @@ def _run(records, repeats, merge):
     flows = _flows(records)
     datagrams = _datagrams(flows)
 
-    _fold_tuples(rules, hitlist, flows)  # warmup (caches, allocator)
+    _fold_chunks(rules, hitlist, flows)  # warmup (caches, allocator)
     base_seconds, base_engine = _measure(
-        lambda: _fold_tuples(rules, hitlist, flows), repeats
+        lambda: _fold_chunks(rules, hitlist, flows), repeats
     )
     collect_seconds, collect_engine, _source = _measure(
         lambda: _fold_datagrams(rules, hitlist, datagrams), repeats
@@ -277,7 +269,7 @@ def _run(records, repeats, merge):
     if [e.to_line() for e in collect_engine.sink.events] != [
         e.to_line() for e in base_engine.sink.events
     ]:
-        print("FAIL: collector fold diverged from the tuple fold")
+        print("FAIL: collector fold diverged from the chunk fold")
         return 1, None
     overhead = collect_seconds / base_seconds
 
@@ -286,7 +278,7 @@ def _run(records, repeats, merge):
 
     document = {
         "records": records,
-        "tuple_records_per_second": records / base_seconds,
+        "chunk_records_per_second": records / base_seconds,
         "collector_records_per_second": records / collect_seconds,
         "decode_overhead_ratio": overhead,
         "decode_overhead_bound": _DECODE_OVERHEAD_BOUND,
@@ -295,7 +287,7 @@ def _run(records, repeats, merge):
         "events": len(collect_engine.sink.events),
     }
     print(
-        f"collector bench: {records:,} records, tuple fold "
+        f"collector bench: {records:,} records, chunk fold "
         f"{records / base_seconds:,.0f} rec/s vs datagram fold "
         f"{records / collect_seconds:,.0f} rec/s "
         f"(decode overhead {overhead:.2f}x), loopback "

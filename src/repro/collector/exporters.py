@@ -33,9 +33,13 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.collector.metrics import CollectorMetrics
-from repro.netflow.datagram import DatagramError, DecodedDatagram
+from repro.netflow.datagram import (
+    DatagramError,
+    DatagramHeader,
+    DecodedDatagram,
+    FlowBlock,
+)
 from repro.netflow.ipfix import IpfixCodec
-from repro.netflow.records import FlowRecord
 from repro.netflow.v9 import NetflowV9Codec
 
 __all__ = ["ExporterState", "ExporterTable"]
@@ -72,17 +76,23 @@ class ExporterState:
 
     # -- ingest --------------------------------------------------------
 
-    def ingest(self, payload: bytes, now: float) -> List[FlowRecord]:
+    def ingest(
+        self,
+        payload: bytes,
+        now: float,
+        header: Optional[DatagramHeader] = None,
+    ) -> List[FlowBlock]:
         """Decode one datagram in this exporter's context.
 
-        Returns the folded-record set in delivery order: pending sets
-        whose template this datagram (re-)sent first (they arrived
-        earlier), then the datagram's own records.  Raises
-        :class:`~repro.netflow.datagram.DatagramError` on structural
-        damage — sequence/pending state is only advanced for datagrams
-        that decoded.
+        Returns the decoded column blocks in delivery order: pending
+        sets whose template this datagram (re-)sent first (they arrived
+        earlier), then the datagram's own data sets.  ``header`` is the
+        peeked header the caller routed on, so it is not parsed twice.
+        Raises :class:`~repro.netflow.datagram.DatagramError` on
+        structural damage — sequence/pending state is only advanced for
+        datagrams that decoded.
         """
-        message = self.codec.decode_message(payload)
+        message = self.codec.decode_message(payload, header)
         self.last_seen = now
         self._expire_pending(now)
         learned = (
@@ -94,7 +104,7 @@ class ExporterState:
         flushed = self._flush_pending(message.templates_learned)
         self._buffer_pending(message, now)
         self._account_sequence(message)
-        return flushed + message.flows
+        return flushed + message.blocks
 
     # -- sequence accounting -------------------------------------------
 
@@ -114,7 +124,7 @@ class ExporterState:
                 self._recent.append(seq)
                 self._next_seq = None
                 return
-            count = len(message.flows)
+            count = message.rows
         metrics = self.metrics
         if self._next_seq is None:
             self._next_seq = (seq + count) & _SEQ_MASK
@@ -157,7 +167,7 @@ class ExporterState:
 
     def _flush_pending(
         self, templates_learned: List[int]
-    ) -> List[FlowRecord]:
+    ) -> List[FlowBlock]:
         """Decode queued sets whose template just landed, in arrival
         order across templates."""
         if not templates_learned or not self._pending:
@@ -173,7 +183,7 @@ class ExporterState:
                 for arrival, _stamp, body in queue
             )
         ready.sort()
-        flows: List[FlowRecord] = []
+        blocks: List[FlowBlock] = []
         for _arrival, template_id, body in ready:
             try:
                 decoded = self.codec.decode_data_body(template_id, body)
@@ -182,10 +192,10 @@ class ExporterState:
                 # body; drop it as expired rather than crash the loop
                 self.metrics.pending_expired_sets += 1
                 continue
-            flows.extend(decoded)
+            blocks.extend(decoded)
             self.metrics.pending_flushed_sets += 1
-            self.metrics.pending_flushed_records += len(decoded)
-        return flows
+            self.metrics.pending_flushed_records += sum(map(len, decoded))
+        return blocks
 
     def _expire_pending(self, now: float) -> None:
         if not self._pending or self.pending_ttl is None:

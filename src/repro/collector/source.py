@@ -4,7 +4,9 @@
 collector: hand it one datagram payload plus its peer address and it
 returns the flow records that are safe to fold — decoded in the right
 exporter's template context, sequence-accounted, semantically
-validated.  It **never raises**: a datagram that cannot be decoded is
+validated — as column blocks (:meth:`CollectorSource.decode` then
+:meth:`CollectorSource.validate`, what the service calls) or as
+objects (:meth:`CollectorSource.ingest`).  It **never raises**: a datagram that cannot be decoded is
 quarantined under a typed ``datagram_<reason>`` slug (see
 :class:`~repro.netflow.datagram.DatagramError`) and yields no records;
 a decodable record with an impossible tuple is quarantined under the
@@ -23,16 +25,27 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.collector.exporters import ExporterTable
 from repro.collector.metrics import CollectorMetrics
-from repro.netflow.datagram import DatagramError, peek_header
+from repro.netflow.datagram import (
+    DatagramError,
+    FlowBlock,
+    block_columns,
+    peek_header,
+    records_from_columns,
+)
 from repro.netflow.records import FlowRecord
 from repro.resilience.quarantine import (
+    FLOW_COLUMN_MAX,
     QuarantineSink,
     validate_flow_record,
 )
 
 __all__ = ["CollectorSource"]
+
+_COLUMN_MAX = np.array(FLOW_COLUMN_MAX, dtype=np.uint64).reshape(-1, 1)
 
 
 class CollectorSource:
@@ -59,13 +72,15 @@ class CollectorSource:
             timeout=exporter_timeout,
         )
 
-    def ingest(
+    def decode(
         self,
         payload: bytes,
         addr: Tuple[str, int] = ("", 0),
         now: float = 0.0,
-    ) -> List[FlowRecord]:
-        """Fold one datagram; returns the records safe to detect on.
+    ) -> List[FlowBlock]:
+        """One datagram's column blocks, decoded and sequence-accounted
+        but not yet validated; ``[]`` (and a typed quarantine entry)
+        when it cannot be decoded.
 
         ``now`` is caller-supplied wall time (monotonic or epoch — it
         only feeds pending-TTL and exporter-expiry arithmetic), which
@@ -78,7 +93,7 @@ class CollectorSource:
             state = self.exporters.state_for(
                 addr, header.exporter_id, header.version
             )
-            records = state.ingest(payload, now)
+            blocks = state.ingest(payload, now, header)
         except DatagramError as exc:
             reason = f"datagram_{exc.reason}"
             metrics.datagrams_quarantined += 1
@@ -88,17 +103,52 @@ class CollectorSource:
             self.quarantine.record(reason, payload)
             return []
         metrics.datagrams_decoded += 1
-        metrics.records_decoded += len(records)
-        kept: List[FlowRecord] = []
-        for record in records:
-            reason = validate_flow_record(record)
-            if reason is not None:
-                metrics.records_invalid += 1
-                self.quarantine.record(reason, record)
-                continue
-            kept.append(record)
-        metrics.records_folded += len(kept)
-        return kept
+        metrics.records_decoded += sum(map(len, blocks))
+        return blocks
+
+    def validate(self, blocks: List[FlowBlock]):
+        """The rows of ``blocks`` that are safe to detect on, as one
+        ``(10, rows)`` column array.
+
+        :func:`~repro.resilience.quarantine.validate_flow_record`'s
+        checks run as masks over the columns (unsigned, so the
+        negative-value checks cannot fire); only a failing row becomes
+        a record, which the scalar validator then names — reason and
+        quarantine sample are what the per-record path produced.
+        """
+        columns = block_columns(blocks)
+        bad = (columns > _COLUMN_MAX).any(axis=0)
+        bad |= columns[1] < columns[0]  # ends before it starts
+        if bad.any():
+            intervals = np.repeat(
+                [block.sampling_interval for block in blocks],
+                [len(block) for block in blocks],
+            )
+            for row in np.flatnonzero(bad).tolist():
+                (record,) = records_from_columns(
+                    columns[:, row : row + 1], int(intervals[row])
+                )
+                self.quarantine.record(validate_flow_record(record), record)
+            self.metrics.records_invalid += int(bad.sum())
+            columns = columns[:, ~bad]
+        self.metrics.records_folded += columns.shape[1]
+        return columns
+
+    def ingest(
+        self,
+        payload: bytes,
+        addr: Tuple[str, int] = ("", 0),
+        now: float = 0.0,
+    ) -> List[FlowRecord]:
+        """:meth:`decode` + :meth:`validate`, as objects: the records of
+        one datagram that are safe to detect on."""
+        return [
+            record
+            for block in self.decode(payload, addr, now)
+            for record in records_from_columns(
+                self.validate([block]), block.sampling_interval
+            )
+        ]
 
     def expire_exporters(self, now: float) -> int:
         """Drop exporters idle past the timeout; returns how many."""

@@ -24,14 +24,18 @@ from repro.netflow.datagram import (
     DatagramError,
     DatagramHeader,
     DecodedDatagram,
+    FlowBlock,
+    learn_templates,
+    peek_header,
 )
-from repro.netflow.records import FlowKey, FlowRecord
+from repro.netflow.records import FlowRecord
 
 __all__ = ["IpfixCodec"]
 
 _HEADER = struct.Struct("!HHIII")  # version, length, export time, seq, odid
 _SET_HEADER = struct.Struct("!HH")
 _TEMPLATE_HEADER = struct.Struct("!HH")
+_LENGTH = struct.Struct("!H")  # the header's total-length field, at 2
 
 _ELEMENTS: Tuple[Tuple[int, int], ...] = (
     (8, 4),  # sourceIPv4Address
@@ -48,6 +52,9 @@ _ELEMENTS: Tuple[Tuple[int, int], ...] = (
 _RECORD = struct.Struct("!IIHHBBQQII")
 _TEMPLATE_ID = 300
 _TEMPLATE_SET_ID = 2
+#: information element feeding each flow-file column (first, last, src,
+#: dst, proto, sport, dport, packets, bytes, flags)
+_COLUMN_ELEMENTS = (150, 151, 8, 12, 4, 7, 11, 2, 1, 6)
 
 
 class IpfixCodec:
@@ -117,47 +124,40 @@ class IpfixCodec:
         data set whose template this codec has never seen (a collector
         that wants to buffer those uses :meth:`decode_message`).
         """
-        return self._decode_message(payload, strict=True).flows
+        return self.decode_message(payload, strict=True).flows
 
-    def decode_message(self, payload: bytes) -> DecodedDatagram:
+    def decode_message(
+        self,
+        payload: bytes,
+        header: Optional[DatagramHeader] = None,
+        strict: bool = False,
+    ) -> DecodedDatagram:
         """Collector-facing decode of one IPFIX message.
 
-        Like :meth:`decode` but data sets referencing an unknown
-        template land in ``.pending`` (raw bodies) instead of raising.
+        Like :meth:`decode` but the data records stay column blocks
+        (``.blocks``) and data sets referencing an unknown template
+        land in ``.pending`` (raw bodies) instead of raising.
         Structural damage still raises :class:`DatagramError`.
+        ``header`` is the caller's :func:`~repro.netflow.datagram.
+        peek_header` of this payload, when it already routed on one;
+        ``strict`` raises ``unknown_template`` as :meth:`decode` does.
         """
-        return self._decode_message(payload, strict=False)
-
-    def _decode_message(
-        self, payload: bytes, strict: bool
-    ) -> DecodedDatagram:
-        if len(payload) < _HEADER.size:
+        if header is None:
+            header = peek_header(payload)
+        if header.version != 10:
             raise DatagramError(
-                "truncated_header",
-                f"{len(payload)} bytes < IPFIX header {_HEADER.size}",
+                "bad_version",
+                f"not an IPFIX message (version {header.version})",
             )
-        version, length, export_time, seq, odid = _HEADER.unpack_from(
-            payload
-        )
-        if version != 10:
-            raise DatagramError(
-                "bad_version", f"not an IPFIX message (version {version})"
-            )
+        odid = header.exporter_id
+        length = _LENGTH.unpack_from(payload, 2)[0]
         if length != len(payload):
             raise DatagramError(
                 "length_mismatch",
                 f"IPFIX length field {length} != payload {len(payload)}",
                 exporter=odid,
             )
-        message = DecodedDatagram(
-            header=DatagramHeader(
-                version=10,
-                exporter_id=odid,
-                sequence=seq,
-                export_time=export_time,
-                count=None,
-            )
-        )
+        message = DecodedDatagram(header=header)
         offset = _HEADER.size
         while offset + _SET_HEADER.size <= len(payload):
             set_id, set_length = _SET_HEADER.unpack_from(payload, offset)
@@ -179,14 +179,12 @@ class IpfixCodec:
             body = payload[offset + _SET_HEADER.size : offset + set_length]
             if set_id == _TEMPLATE_SET_ID:
                 message.templates_learned.extend(
-                    self._decode_templates(
-                        body, self._templates, odid, offset
+                    learn_templates(
+                        body, self._templates, _COLUMN_ELEMENTS, odid, offset
                     )
                 )
             elif set_id >= 256 and set_id in self._templates:
-                message.flows.extend(
-                    self._decode_data(body, self._templates[set_id])
-                )
+                message.blocks.extend(self.decode_data_body(set_id, body))
             elif set_id >= 256:
                 if strict:
                     raise DatagramError(
@@ -200,91 +198,10 @@ class IpfixCodec:
             offset += set_length
         return message
 
-    def decode_data_body(
-        self, set_id: int, body: bytes
-    ) -> List[FlowRecord]:
-        """Decode a buffered data-set body against the template cache."""
-        elements = self._templates.get(set_id)
-        if elements is None:
+    def decode_data_body(self, set_id: int, body: bytes) -> List[FlowBlock]:
+        """Decode a data-set body (buffered or not) against the
+        template cache."""
+        layout = self._templates.get(set_id)
+        if layout is None:
             raise DatagramError("unknown_template", f"data set {set_id}")
-        return self._decode_data(body, elements)
-
-    @staticmethod
-    def _decode_templates(
-        body: bytes,
-        templates: dict,
-        exporter: Optional[int] = None,
-        base_offset: int = 0,
-    ) -> List[int]:
-        learned: List[int] = []
-        offset = 0
-        try:
-            while offset + _TEMPLATE_HEADER.size <= len(body):
-                template_id, field_count = _TEMPLATE_HEADER.unpack_from(
-                    body, offset
-                )
-                if template_id == 0:  # set padding
-                    break
-                offset += _TEMPLATE_HEADER.size
-                elements = []
-                for _ in range(field_count):
-                    element_id, length = struct.unpack_from(
-                        "!HH", body, offset
-                    )
-                    elements.append((element_id, length))
-                    offset += 4
-                if not elements or any(
-                    length == 0 for _, length in elements
-                ):
-                    raise DatagramError(
-                        "zero_length_field",
-                        f"template {template_id} with "
-                        f"{field_count} elements",
-                        exporter=exporter,
-                        offset=base_offset,
-                    )
-                templates[template_id] = tuple(elements)
-                learned.append(template_id)
-        except struct.error as exc:
-            raise DatagramError(
-                "truncated_template",
-                f"template set: {exc}",
-                exporter=exporter,
-                offset=base_offset,
-            ) from exc
-        return learned
-
-    def _decode_data(
-        self, body: bytes, elements: Tuple[Tuple[int, int], ...]
-    ) -> List[FlowRecord]:
-        record_length = sum(length for _, length in elements)
-        flows = []
-        offset = 0
-        while offset + record_length <= len(body):
-            values = {}
-            cursor = offset
-            for element_id, length in elements:
-                raw = body[cursor : cursor + length]
-                values[element_id] = int.from_bytes(raw, "big")
-                cursor += length
-            flows.append(self._record_from_elements(values))
-            offset += record_length
-        return flows
-
-    def _record_from_elements(self, values: dict) -> FlowRecord:
-        key = FlowKey(
-            src_ip=values.get(8, 0),
-            dst_ip=values.get(12, 0),
-            protocol=values.get(4, 0),
-            src_port=values.get(7, 0),
-            dst_port=values.get(11, 0),
-        )
-        return FlowRecord(
-            key=key,
-            first_switched=values.get(150, 0),
-            last_switched=values.get(151, 0),
-            packets=values.get(2, 0),
-            bytes=values.get(1, 0),
-            tcp_flags=values.get(6, 0),
-            sampling_interval=self.sampling_interval,
-        )
+        return layout.block(body, self.sampling_interval)

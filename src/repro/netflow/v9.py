@@ -26,14 +26,20 @@ from repro.netflow.datagram import (
     DatagramError,
     DatagramHeader,
     DecodedDatagram,
+    FlowBlock,
+    learn_templates,
+    peek_header,
 )
-from repro.netflow.records import FlowKey, FlowRecord
+from repro.netflow.records import FlowRecord
 
 __all__ = ["NetflowV9Codec"]
 
 _HEADER = struct.Struct("!HHIIII")  # version, count, uptime, secs, seq, src
 _FLOWSET_HEADER = struct.Struct("!HH")  # flowset id, length
 _TEMPLATE_HEADER = struct.Struct("!HH")  # template id, field count
+#: field type feeding each flow-file column (first, last, src, dst,
+#: proto, sport, dport, packets, bytes, flags)
+_COLUMN_FIELDS = (22, 21, 8, 12, 4, 7, 11, 2, 1, 6)
 
 # (field type, length) in export order — RFC 3954 field-type numbers.
 _FIELDS: Tuple[Tuple[int, int], ...] = (
@@ -187,42 +193,33 @@ class NetflowV9Codec:
         flowset whose template this codec has never seen (a collector
         that wants to buffer those uses :meth:`decode_message`).
         """
-        return self._decode_message(payload, strict=True).flows
+        return self.decode_message(payload, strict=True).flows
 
-    def decode_message(self, payload: bytes) -> DecodedDatagram:
+    def decode_message(
+        self,
+        payload: bytes,
+        header: Optional[DatagramHeader] = None,
+        strict: bool = False,
+    ) -> DecodedDatagram:
         """Collector-facing decode of one export packet.
 
-        Like :meth:`decode` but data flowsets referencing an unknown
-        template land in ``.pending`` (raw bodies, for bounded
-        buffering until the template re-send) instead of raising.
-        Structural damage still raises :class:`DatagramError`.
+        Like :meth:`decode` but the data records stay column blocks
+        (``.blocks``) and data flowsets referencing an unknown template
+        land in ``.pending`` (raw bodies, for bounded buffering until
+        the template re-send) instead of raising.  Structural damage
+        still raises :class:`DatagramError`.  ``header`` is the
+        caller's :func:`~repro.netflow.datagram.peek_header` of this
+        payload, when it already routed on one; ``strict`` raises
+        ``unknown_template`` as :meth:`decode` does.
         """
-        return self._decode_message(payload, strict=False)
-
-    def _decode_message(
-        self, payload: bytes, strict: bool
-    ) -> DecodedDatagram:
-        if len(payload) < _HEADER.size:
+        if header is None:
+            header = peek_header(payload)
+        if header.version != 9:
             raise DatagramError(
-                "truncated_header",
-                f"{len(payload)} bytes < v9 header {_HEADER.size}",
+                "bad_version", f"not NetFlow v9 (version {header.version})"
             )
-        version, count, _uptime, secs, seq, src = _HEADER.unpack_from(
-            payload
-        )
-        if version != 9:
-            raise DatagramError(
-                "bad_version", f"not NetFlow v9 (version {version})"
-            )
-        message = DecodedDatagram(
-            header=DatagramHeader(
-                version=9,
-                exporter_id=src,
-                sequence=seq,
-                export_time=secs,
-                count=count,
-            )
-        )
+        src = header.exporter_id
+        message = DecodedDatagram(header=header)
         offset = _HEADER.size
         discovered_sampling = None
         while offset + _FLOWSET_HEADER.size <= len(payload):
@@ -247,8 +244,8 @@ class NetflowV9Codec:
             body = payload[offset + _FLOWSET_HEADER.size : offset + length]
             if flowset_id == 0:
                 message.templates_learned.extend(
-                    self._decode_templates(
-                        body, self._templates, src, offset
+                    learn_templates(
+                        body, self._templates, _COLUMN_FIELDS, src, offset
                     )
                 )
             elif flowset_id == _OPTIONS_FLOWSET_ID:
@@ -264,8 +261,8 @@ class NetflowV9Codec:
                 if interval is not None:
                     discovered_sampling = interval
             elif flowset_id >= 256 and flowset_id in self._templates:
-                message.flows.extend(
-                    self._decode_data(body, self._templates[flowset_id])
+                message.blocks.extend(
+                    self.decode_data_body(flowset_id, body)
                 )
             elif flowset_id >= 256:
                 if strict:
@@ -280,14 +277,11 @@ class NetflowV9Codec:
             offset += length
         if discovered_sampling:
             self._discovered_sampling = discovered_sampling
-        effective = discovered_sampling or self._discovered_sampling
-        if effective:
-            message.flows = self._apply_sampling(message.flows, effective)
+            for block in message.blocks:  # options may follow the data
+                block.sampling_interval = discovered_sampling
         return message
 
-    def decode_data_body(
-        self, set_id: int, body: bytes
-    ) -> List[FlowRecord]:
+    def decode_data_body(self, set_id: int, body: bytes) -> List[FlowBlock]:
         """Decode a buffered data-flowset body against the cache.
 
         The flush half of data-before-template buffering: once the
@@ -295,35 +289,15 @@ class NetflowV9Codec:
         bodies it queued through this.  Raises ``unknown_template``
         when the template is still missing.
         """
-        fields = self._templates.get(set_id)
-        if fields is None:
+        layout = self._templates.get(set_id)
+        if layout is None:
             raise DatagramError(
                 "unknown_template", f"data flowset {set_id}"
             )
-        flows = self._decode_data(body, fields)
-        if self._discovered_sampling:
-            flows = self._apply_sampling(
-                flows, self._discovered_sampling
-            )
-        return flows
-
-    @staticmethod
-    def _apply_sampling(
-        flows: List[FlowRecord], effective: int
-    ) -> List[FlowRecord]:
-        """Re-stamp decoded flows with the announced sampling rate."""
-        return [
-            FlowRecord(
-                key=flow.key,
-                first_switched=flow.first_switched,
-                last_switched=flow.last_switched,
-                packets=flow.packets,
-                bytes=flow.bytes,
-                tcp_flags=flow.tcp_flags,
-                sampling_interval=effective,
-            )
-            for flow in flows
-        ]
+        # the in-band announced rate, else the configured one
+        return layout.block(
+            body, self._discovered_sampling or self.sampling_interval
+        )
 
     @staticmethod
     def _decode_options_templates(
@@ -404,83 +378,3 @@ class NetflowV9Codec:
             if record_length == 0:
                 break
         return interval
-
-    @staticmethod
-    def _decode_templates(
-        body: bytes,
-        templates: dict,
-        exporter: Optional[int] = None,
-        base_offset: int = 0,
-    ) -> List[int]:
-        learned: List[int] = []
-        offset = 0
-        try:
-            while offset + _TEMPLATE_HEADER.size <= len(body):
-                template_id, field_count = _TEMPLATE_HEADER.unpack_from(
-                    body, offset
-                )
-                if template_id == 0:  # flowset padding
-                    break
-                offset += _TEMPLATE_HEADER.size
-                fields = []
-                for _ in range(field_count):
-                    field_type, length = struct.unpack_from(
-                        "!HH", body, offset
-                    )
-                    fields.append((field_type, length))
-                    offset += 4
-                if not fields or any(
-                    length == 0 for _, length in fields
-                ):
-                    raise DatagramError(
-                        "zero_length_field",
-                        f"template {template_id} with "
-                        f"{field_count} fields",
-                        exporter=exporter,
-                        offset=base_offset,
-                    )
-                templates[template_id] = tuple(fields)
-                learned.append(template_id)
-        except struct.error as exc:
-            raise DatagramError(
-                "truncated_template",
-                f"template flowset: {exc}",
-                exporter=exporter,
-                offset=base_offset,
-            ) from exc
-        return learned
-
-    def _decode_data(
-        self, body: bytes, fields: Tuple[Tuple[int, int], ...]
-    ) -> List[FlowRecord]:
-        record_length = sum(length for _, length in fields)
-        flows = []
-        offset = 0
-        while offset + record_length <= len(body):
-            values = {}
-            cursor = offset
-            for field_type, length in fields:
-                raw = body[cursor : cursor + length]
-                values[field_type] = int.from_bytes(raw, "big")
-                cursor += length
-            flows.append(self._record_from_fields(values))
-            offset += record_length
-        return flows
-
-    def _record_from_fields(self, values: dict) -> FlowRecord:
-        key = FlowKey(
-            src_ip=values.get(8, 0),
-            dst_ip=values.get(12, 0),
-            protocol=values.get(4, 0),
-            src_port=values.get(7, 0),
-            dst_port=values.get(11, 0),
-        )
-        return FlowRecord(
-            key=key,
-            first_switched=values.get(22, 0),
-            last_switched=values.get(21, 0),
-            packets=values.get(2, 0),
-            bytes=values.get(1, 0),
-            tcp_flags=values.get(6, 0),
-            sampling_interval=self.sampling_interval,
-        )

@@ -11,14 +11,13 @@ implemented once, assembled three ways:
 * the **IXP path** (:mod:`repro.ixp`) keys by address and keeps the
   TCP-established anti-spoofing filter on in the Validate stage.
 
-The input picks the fold loop, not an option: bulk input (flow files,
-record iterables, fleet admission, the IXP fabric, sweep cells) folds
-as numpy column chunks (``FlowChunk``) through
+Every production input (flow files, record iterables, fleet admission,
+the IXP fabric, sweep cells, the live collector's held datagram blocks)
+folds as numpy column chunks (``FlowChunk``) through
 :meth:`FlowPipeline.run_chunks` with vectorized filtering and endpoint
-lookup; the live collector's datagram-sized batches fold record by
-record through :meth:`FlowPipeline.run_tuples`.  The two loops are
-record-for-record equivalent — the cross-loop cases in
-``tests/test_columnar.py`` pin it.
+lookup; the record-by-record loop (:meth:`FlowPipeline.run_tuples`) is
+the reference the chunk loop is pinned record-for-record equal to — the
+cross-loop cases in ``tests/test_columnar.py``.
 
 The layering contract is directional: those three packages import
 :mod:`repro.pipeline`, never each other, and this package imports none

@@ -30,13 +30,14 @@ digest (ISP paths), :class:`AddressKeying` keys by source address
 
 :class:`FlowPipeline` is the driver, and the shape of its input picks
 the loop: bulk input (flow files, record iterables, fleet admission,
-the IXP fabric, sweep cells) arrives as
-:class:`~repro.netflow.parse.FlowChunk` column batches and folds
-through :meth:`FlowPipeline.run_chunks` — the same fused stages
-vectorized (:mod:`repro.pipeline.columnar`); the per-record loop
-(:meth:`FlowPipeline.run_tuples` / :meth:`FlowPipeline.run_records`)
-is what the live collector's datagram-sized batches and the
-backpressure-aware replay source need.  Both loops share one sink
+the IXP fabric, sweep cells, the live collector's held datagram
+blocks) arrives as :class:`~repro.netflow.parse.FlowChunk` column
+batches and folds through :meth:`FlowPipeline.run_chunks` — the same
+fused stages vectorized (:mod:`repro.pipeline.columnar`); the
+per-record loop (:meth:`FlowPipeline.run_tuples` /
+:meth:`FlowPipeline.run_records`) is what the backpressure-aware replay
+source needs and what the tests hold the chunk loop to.  Both loops
+share one sink
 emission, one checkpoint cadence (``checkpoint_every`` names the same
 record positions on either) and one guard set.  The batch engine, the
 stream engine, and the IXP fabric path are thin assemblies of these
@@ -655,9 +656,12 @@ class FlowPipeline:
 
         ``tuples`` yields ``(first, src, dst, proto, dport, flags)``
         (see :func:`repro.netflow.replay.iter_flow_tuples`); indices
-        are assigned from ``start_index``.  The loop for input that
-        arrives a datagram at a time: a 25-record batch costs less
-        folded here than built into a chunk first.
+        are assigned from ``start_index``.  No service folds here any
+        more — the live collector holds its datagrams' column blocks
+        and folds them through :meth:`run_chunks`, and the fleet's push
+        mode turns admitted tuples into chunks before they reach a
+        worker: this is the reference loop the tests pin
+        :meth:`run_chunks` against.
         """
         return self._run(
             zip(itertools.count(start_index), tuples), max_records

@@ -24,6 +24,7 @@ import pathlib
 from typing import Dict, Optional, Union
 
 __all__ = [
+    "FLOW_COLUMN_MAX",
     "QuarantineSink",
     "validate_flow_record",
     "validate_flow_tuple",
@@ -33,6 +34,18 @@ _MAX_IP = (1 << 32) - 1
 _MAX_PORT = 65535
 _MAX_PROTO = 255
 _MAX_FLAGS = 0xFF
+#: timestamps and counters have no bound of their own, but every
+#: consumer downstream (column chunks, the flow-file reader replaying
+#: the collector's journal) holds a field in an int64
+_MAX_INT64 = (1 << 63) - 1
+
+#: The upper bound :func:`validate_flow_record` puts on each flow-file
+#: column (``first, last, src, dst, proto, sport, dport, packets,
+#: bytes, flags``), for validators that check whole columns at once.
+FLOW_COLUMN_MAX = (
+    _MAX_INT64, _MAX_INT64, _MAX_IP, _MAX_IP, _MAX_PROTO,
+    _MAX_PORT, _MAX_PORT, _MAX_INT64, _MAX_INT64, _MAX_FLAGS,
+)
 
 
 class QuarantineSink:
@@ -98,6 +111,8 @@ def validate_flow_tuple(
     """Reason string when the tuple is impossible, else ``None``."""
     if when < 0:
         return "negative_timestamp"
+    if when > _MAX_INT64:
+        return "field_overflow"
     if not 0 <= src_ip <= _MAX_IP:
         return "bad_src_ip"
     if not 0 <= dst_ip <= _MAX_IP:
@@ -125,6 +140,8 @@ def validate_flow_record(record) -> Optional[str]:
         return reason
     if not 0 <= record.src_port <= _MAX_PORT:
         return "bad_port"
+    if max(record.last_switched, record.packets, record.bytes) > _MAX_INT64:
+        return "field_overflow"
     if record.last_switched < record.first_switched:
         return "time_travel"
     if record.packets < 0 or record.bytes < 0:

@@ -426,9 +426,9 @@ class StreamDetectionEngine:
 
         ``tuples`` yields ``(first, src, dst, proto, dport, flags)``
         (see :func:`repro.netflow.replay.iter_flow_tuples`); indices
-        are assigned from ``start_index``.  The live collector folds
-        each datagram's records here; bulk input belongs in
-        :meth:`process_chunks`.
+        are assigned from ``start_index``.  The tests' reference loop;
+        every production input — flow files, the live collector's held
+        datagram blocks — belongs in :meth:`process_chunks`.
         """
         try:
             return self._pipeline.run_tuples(

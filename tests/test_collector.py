@@ -64,6 +64,15 @@ def _v9_state(**kwargs):
     return ExporterState(9, CollectorMetrics(), **kwargs)
 
 
+def _ingest(state, payload, now):
+    """One datagram through an exporter state, its blocks as records."""
+    return [
+        record
+        for block in state.ingest(payload, now)
+        for record in block.records()
+    ]
+
+
 class TestSequenceAccounting:
     def test_contiguous_stream_counts_nothing(self):
         state = _v9_state()
@@ -72,7 +81,7 @@ class TestSequenceAccounting:
         )
         total = 0
         for payload in datagrams:
-            total += len(state.ingest(payload, now=0.0))
+            total += len(_ingest(state, payload, 0.0))
         assert total == 30
         metrics = state.metrics
         assert metrics.sequence_gaps == 0
@@ -105,7 +114,7 @@ class TestSequenceAccounting:
         )
         for payload in datagrams:
             state.ingest(payload, now=0.0)
-        again = state.ingest(datagrams[1], now=0.0)
+        again = _ingest(state, datagrams[1], 0.0)
         assert len(again) == 5  # delivered again → decoded again
         assert state.metrics.duplicate_datagrams == 1
         assert state.metrics.sequence_gaps == 0
@@ -119,7 +128,7 @@ class TestSequenceAccounting:
         order = [datagrams[0], datagrams[2], datagrams[1], datagrams[3]]
         total = 0
         for payload in order:
-            total += len(state.ingest(payload, now=0.0))
+            total += len(_ingest(state, payload, 0.0))
         metrics = state.metrics
         assert total == 20  # every delivered record decoded
         assert metrics.sequence_gaps == 1  # when #2 arrived early
@@ -175,7 +184,7 @@ class TestPendingBuffer:
         assert state.ingest(datagrams[0], now=0.0) == []
         assert state.ingest(datagrams[1], now=0.0) == []
         assert state.pending_sets == 2
-        flushed = state.ingest(datagrams[2], now=0.0)
+        flushed = _ingest(state, datagrams[2], 0.0)
         # datagrams 0 and 1 (5 records each, in order), then 2's own
         assert [f.src_ip for f in flushed] == [
             0x0A000001 + i for i in range(15)
@@ -196,7 +205,7 @@ class TestPendingBuffer:
             state.ingest(payload, now=0.0)
         assert state.pending_sets == 2
         assert state.metrics.pending_overflow_sets == 1
-        flushed = state.ingest(datagrams[3], now=0.0)
+        flushed = _ingest(state, datagrams[3], 0.0)
         # datagram 0's set was evicted; 1 and 2 flush, then 3's own
         assert [f.src_ip for f in flushed] == [
             0x0A000001 + i for i in range(5, 20)
@@ -211,7 +220,7 @@ class TestPendingBuffer:
         state.ingest(datagrams[1], now=100.0)  # datagram 0 expires
         assert state.pending_sets == 1
         assert state.metrics.pending_expired_sets == 1
-        flushed = state.ingest(datagrams[2], now=101.0)
+        flushed = _ingest(state, datagrams[2], 101.0)
         assert [f.src_ip for f in flushed] == [
             0x0A000001 + i for i in range(5, 15)
         ]
@@ -334,6 +343,36 @@ class TestTruncateJournal:
     def test_missing_journal_is_empty(self, tmp_path):
         assert truncate_journal(tmp_path / "absent.csv", 5) == 0
 
+    def test_header_only_journal_keeps_its_header(self, tmp_path):
+        path = tmp_path / "journal.csv"
+        path.write_text(JOURNAL_HEADER, encoding="ascii")
+        assert truncate_journal(path, 0) == 0
+        assert path.read_text() == JOURNAL_HEADER
+
+    def test_large_journal_is_cut_in_place(self, tmp_path):
+        """Far larger than any read buffer, comment lines inside the
+        kept prefix: the file is truncated where data line 3,501
+        starts — same inode, no rewrite, nothing held in memory."""
+        import io
+
+        path = tmp_path / "journal.csv"
+        lines = [format_flow(_flow(i)) for i in range(5000)]
+        lines.insert(4000, "# past the cut")
+        lines.insert(3500, "# right before the cut")
+        lines.insert(10, "# rotated")
+        text = JOURNAL_HEADER + "\n".join(lines) + "\n"
+        assert len(text) > 16 * io.DEFAULT_BUFFER_SIZE
+        path.write_text(text, encoding="ascii")
+        inode = path.stat().st_ino
+        assert truncate_journal(path, 3500) == 3500
+        assert path.stat().st_ino == inode
+        kept = path.read_text().splitlines()
+        assert kept == [JOURNAL_HEADER.strip()] + lines[:3502]
+        assert kept[-1] == "# right before the cut"
+        # idempotent, and a no-op when nothing lies past the cut
+        assert truncate_journal(path, 3500) == 3500
+        assert path.read_text().splitlines() == kept
+
 
 def _engine(rules, hitlist, **config_kwargs):
     from repro.stream import (
@@ -430,9 +469,10 @@ class TestControlPlane:
         assert document["records_processed"] == 0
 
     def test_metrics_carries_collector_section(self, service):
-        codec = NetflowV9Codec()
-        records = service.source.ingest(codec.encode([_flow()], 0))
-        service._fold(records)
+        # the row is held, not folded, until the snapshot flushes it:
+        # /metrics reads its own writes
+        service.feed(NetflowV9Codec().encode([_flow()], 0))
+        assert service.engine.records_processed == 0
         status, document = self._get(service, "/metrics")
         assert status == 200
         assert document["collector"]["records"]["folded"] == 1

@@ -8,11 +8,13 @@ the matrix runs the same differential —
 
 1. apply one :class:`~repro.faults.DatagramPlan` fault kind to a clean
    export-datagram stream,
-2. feed the delivered stream through :class:`CollectorSource` into a
-   live :class:`StreamDetectionEngine`, journalling what folded,
-3. replay the journal through a *fresh* engine via the ordinary
+2. feed the delivered stream through :meth:`CollectorService.feed` —
+   the loop the service ships, minus the socket — into a live
+   :class:`StreamDetectionEngine`, journalling to a real file,
+3. replay that journal through a *fresh* engine via the ordinary
    file-replay path,
-4. compare the two event logs line for line.
+4. compare the two event logs line for line, and the journal bytes
+   with the record-at-a-time rendering of the same delivered set.
 
 Undecodable datagrams must be quarantined under typed
 ``datagram_<reason>`` slugs and must never kill the loop.  The soak
@@ -33,7 +35,12 @@ import urllib.request
 
 import pytest
 
-from repro.collector import CollectorSource, JOURNAL_HEADER
+from repro.collector import (
+    CollectorConfig,
+    CollectorService,
+    CollectorSource,
+    JOURNAL_HEADER,
+)
 from repro.faults import (
     DATAGRAM_FAULT_KINDS,
     DatagramPlan,
@@ -81,55 +88,46 @@ def clean_datagrams(batches):
     )
 
 
-def _fold_live(rules, hitlist, delivered):
-    """Drive the delivered stream through source + engine in-process.
+def _fold_live(rules, hitlist, delivered, journal):
+    """Drive the delivered stream through the shipped service loop.
 
-    Returns (event lines, journalled records, collector metrics).
-    The journal is built exactly as the service builds it: the records
-    each datagram folded, in fold order.
+    Returns (event lines, journal data lines, collector metrics); the
+    journal is the file at ``journal``, written by the service.
     """
     sink = MemoryEventSink()
     engine = StreamDetectionEngine(
         rules, hitlist, StreamConfig(checkpoint_every=0), sink
     )
-    source = CollectorSource()
-    journal = []
-    for number, payload in enumerate(delivered):
-        records = source.ingest(payload, now=number * 0.001)
-        if not records:
-            continue
-        tuples = [
-            (
-                record.first_switched,
-                record.src_ip,
-                record.dst_ip,
-                record.protocol,
-                record.dst_port,
-                record.tcp_flags,
-            )
-            for record in records
-        ]
-        processed = engine.process_tuples(
-            iter(tuples), start_index=engine.records_processed
-        )
-        assert processed == len(records)
-        journal.extend(records)
-    lines = [event.to_line() for event in sink.events]
-    return lines, journal, source.metrics
-
-
-def _replay_oracle(rules, hitlist, journal, path):
-    """File-replay the journalled record set through a fresh engine."""
-    path.write_text(
-        JOURNAL_HEADER
-        + "".join(format_flow(record) + "\n" for record in journal),
-        encoding="ascii",
+    service = CollectorService(
+        engine, config=CollectorConfig(journal=journal)
     )
+    service._open_journal()
+    try:
+        for number, payload in enumerate(delivered):
+            service.feed(payload, now=number * 0.001)
+        service._drain()
+    finally:
+        service._journal.close()
+    assert engine.records_processed == service.source.metrics.records_folded
+    lines = [event.to_line() for event in sink.events]
+    return lines, _data_lines(journal), service.source.metrics
+
+
+def _data_lines(journal):
+    return [
+        line
+        for line in journal.read_text(encoding="ascii").splitlines()
+        if line and not line.startswith("#")
+    ]
+
+
+def _replay_oracle(rules, hitlist, journal):
+    """File-replay the service's journal through a fresh engine."""
     sink = MemoryEventSink()
     engine = StreamDetectionEngine(
         rules, hitlist, StreamConfig(checkpoint_every=0), sink
     )
-    engine.process_flowfile(path)
+    engine.process_flowfile(journal)
     return [event.to_line() for event in sink.events]
 
 
@@ -152,13 +150,22 @@ class TestDatagramFaultMatrix:
             plan = DatagramPlan(kind, seed=5)
             delivered = plan.apply(clean_datagrams)
 
-        live, journal, metrics = _fold_live(rules, hitlist, delivered)
-        replayed = _replay_oracle(
-            rules, hitlist, journal, tmp_path / "journal.csv"
+        path = tmp_path / "journal.csv"
+        live, journal, metrics = _fold_live(
+            rules, hitlist, delivered, path
         )
 
         # the contract: live == file replay of the delivered set
-        assert live == replayed
+        assert live == _replay_oracle(rules, hitlist, path)
+        assert len(journal) == metrics.records_folded
+        # the block-rendered journal is, byte for byte, what the
+        # record-at-a-time adapter and format_flow give
+        source = CollectorSource()
+        assert path.read_text(encoding="ascii") == JOURNAL_HEADER + "".join(
+            format_flow(record) + "\n"
+            for number, payload in enumerate(delivered)
+            for record in source.ingest(payload, now=number * 0.001)
+        )
         # the fault must not have silenced the stream entirely
         assert metrics.records_folded > 0, kind
         # every rejected datagram carries a typed reason
@@ -172,11 +179,13 @@ class TestDatagramFaultMatrix:
         )
 
     def test_drop_surfaces_sequence_gaps(
-        self, rules, hitlist, clean_datagrams
+        self, rules, hitlist, clean_datagrams, tmp_path
     ):
         delivered = DatagramPlan("drop", seed=5).apply(clean_datagrams)
         assert len(delivered) < len(clean_datagrams)
-        _live, journal, metrics = _fold_live(rules, hitlist, delivered)
+        _live, journal, metrics = _fold_live(
+            rules, hitlist, delivered, tmp_path / "journal.csv"
+        )
         assert metrics.sequence_gaps > 0
         assert metrics.records_missed > 0
         # gap accounting measures exactly what was never delivered —
@@ -188,13 +197,15 @@ class TestDatagramFaultMatrix:
         assert len(journal) == _BATCH * len(delivered)
 
     def test_duplicate_folds_idempotently(
-        self, rules, hitlist, clean_datagrams
+        self, rules, hitlist, clean_datagrams, tmp_path
     ):
         delivered = DatagramPlan("duplicate", seed=5).apply(
             clean_datagrams
         )
         assert len(delivered) > len(clean_datagrams)
-        live, journal, metrics = _fold_live(rules, hitlist, delivered)
+        live, journal, metrics = _fold_live(
+            rules, hitlist, delivered, tmp_path / "journal.csv"
+        )
         assert metrics.duplicate_datagrams == len(delivered) - len(
             clean_datagrams
         )
@@ -203,7 +214,7 @@ class TestDatagramFaultMatrix:
         # same times as the clean stream (record_index shifts, since
         # duplicates occupy stream positions)
         clean_live, _j, _m = _fold_live(
-            rules, hitlist, clean_datagrams
+            rules, hitlist, clean_datagrams, tmp_path / "clean.csv"
         )
 
         def without_index(lines):
@@ -217,40 +228,46 @@ class TestDatagramFaultMatrix:
         assert without_index(live) == without_index(clean_live)
 
     def test_reorder_is_counted_not_dropped(
-        self, rules, hitlist, clean_datagrams
+        self, rules, hitlist, clean_datagrams, tmp_path
     ):
         delivered = DatagramPlan("reorder", seed=5).apply(
             clean_datagrams
         )
         assert delivered != list(clean_datagrams)
-        _live, journal, metrics = _fold_live(rules, hitlist, delivered)
+        _live, journal, metrics = _fold_live(
+            rules, hitlist, delivered, tmp_path / "journal.csv"
+        )
         assert metrics.reordered_datagrams > 0
         # nothing was lost, only displaced: every record folds
         assert len(journal) == _BATCH * len(clean_datagrams)
 
     def test_exporter_restart_is_a_reset_not_a_gap(
-        self, rules, hitlist, batches
+        self, rules, hitlist, batches, tmp_path
     ):
         delivered = encode_export_stream(
             batches,
             lambda: NetflowV9Codec(source_id=3),
             restart_at=80,
         )
-        _live, journal, metrics = _fold_live(rules, hitlist, delivered)
+        _live, journal, metrics = _fold_live(
+            rules, hitlist, delivered, tmp_path / "journal.csv"
+        )
         assert metrics.sequence_resets == 1
         assert metrics.sequence_gaps == 0
         assert metrics.records_missed == 0
         assert len(journal) == _BATCH * len(batches)
 
     def test_data_before_template_buffers_then_flushes(
-        self, rules, hitlist, batches
+        self, rules, hitlist, batches, tmp_path
     ):
         delivered = encode_export_stream(
             batches,
             lambda: NetflowV9Codec(source_id=3),
             defer_template=12,
         )
-        _live, journal, metrics = _fold_live(rules, hitlist, delivered)
+        _live, journal, metrics = _fold_live(
+            rules, hitlist, delivered, tmp_path / "journal.csv"
+        )
         assert metrics.pending_buffered_sets == 12
         assert metrics.pending_flushed_sets == 12
         assert metrics.pending_flushed_records == 12 * _BATCH
@@ -259,7 +276,7 @@ class TestDatagramFaultMatrix:
         assert len(journal) == _BATCH * len(batches)
 
     def test_corrupt_datagrams_quarantined_typed(
-        self, rules, hitlist, clean_datagrams
+        self, rules, hitlist, clean_datagrams, tmp_path
     ):
         # rate high enough that some corruptions hit structure (length
         # fields, version, set ids), not just record values
@@ -267,7 +284,7 @@ class TestDatagramFaultMatrix:
             clean_datagrams
         )
         _live, _journal, metrics = _fold_live(
-            rules, hitlist, delivered
+            rules, hitlist, delivered, tmp_path / "journal.csv"
         )
         assert metrics.datagrams_quarantined > 0
         assert all(
@@ -276,13 +293,13 @@ class TestDatagramFaultMatrix:
         )
 
     def test_truncation_never_escapes_typed_error(
-        self, rules, hitlist, clean_datagrams
+        self, rules, hitlist, clean_datagrams, tmp_path
     ):
         delivered = DatagramPlan("truncate", seed=7, rate=0.6).apply(
             clean_datagrams
         )
         _live, _journal, metrics = _fold_live(
-            rules, hitlist, delivered
+            rules, hitlist, delivered, tmp_path / "journal.csv"
         )
         assert metrics.datagrams_quarantined > 0
         assert set(metrics.quarantined_by_reason) <= {
