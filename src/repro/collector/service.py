@@ -44,9 +44,12 @@ uncheckpointed tail that the resumed socket loop will not re-receive).
 
 **Drain.**  A stop request (SIGTERM via the CLI's
 :class:`~repro.runtime.shutdown.ShutdownCoordinator`, or a deadline)
-is honoured at the next datagram boundary: the loop exits, the journal
-is flushed, and :meth:`~repro.stream.processor.StreamDetectionEngine.
-drain` persists the final checkpoint — the service returns
+is honoured at the next datagram boundary: the loop exits, the rows
+still held — received before the stop, so folded as ``admitted`` past
+the engine's already-stopped guard — are folded and journaled, the
+journal is flushed, and :meth:`~repro.stream.processor.
+StreamDetectionEngine.drain` persists the final checkpoint — nothing
+the socket delivered is dropped, and the service returns
 :data:`~repro.runtime.shutdown.EXIT_DRAINED` (3).  Consuming a bounded
 input (``max_datagrams`` / ``idle_exit``) returns
 :data:`~repro.runtime.shutdown.EXIT_COMPLETED` (0).
@@ -343,10 +346,13 @@ class CollectorService:
     def _fold(self) -> None:
         """Validate, fold and journal the held rows as one chunk.
 
-        Holds the service lock (caller-acquired).  Journals exactly the
-        prefix the engine accepted — a guard stop must not journal
-        rows that were never folded — and checkpoints when the cadence
-        is due, journal flushed and fsynced first.
+        Holds the service lock (caller-acquired).  The held rows were
+        received before any stop was honoured, so they fold as
+        ``admitted`` — a stop or deadline drains them instead of
+        dropping them.  Journals and counts exactly the prefix the
+        engine accepted — a guard stop must not journal rows that were
+        never folded — and checkpoints when the cadence is due, journal
+        flushed and fsynced first.
         """
         if not self._held:
             return
@@ -361,8 +367,10 @@ class CollectorService:
                     engine.records_processed,
                     first, src, dst, proto, dport, flags,
                 )
-            ]
+            ],
+            admitted=True,
         )
+        self.source.metrics.records_folded += processed
         if self._journal is not None and processed:
             self._journal.write(format_flow_columns(columns[:, :processed]))
         if (

@@ -6,8 +6,9 @@ returns the flow records that are safe to fold — decoded in the right
 exporter's template context, sequence-accounted, semantically
 validated — as column blocks (:meth:`CollectorSource.decode` then
 :meth:`CollectorSource.validate`, what the service calls) or as
-objects (:meth:`CollectorSource.ingest`).  It **never raises**: a datagram that cannot be decoded is
-quarantined under a typed ``datagram_<reason>`` slug (see
+objects (:meth:`CollectorSource.ingest`).  It **never raises**: a
+datagram that cannot be decoded is quarantined under a typed
+``datagram_<reason>`` slug (see
 :class:`~repro.netflow.datagram.DatagramError`) and yields no records;
 a decodable record with an impossible tuple is quarantined under the
 shared semantic reasons (``bad_port``, ``time_travel``, …) exactly as
@@ -131,7 +132,6 @@ class CollectorSource:
                 self.quarantine.record(validate_flow_record(record), record)
             self.metrics.records_invalid += int(bad.sum())
             columns = columns[:, ~bad]
-        self.metrics.records_folded += columns.shape[1]
         return columns
 
     def ingest(
@@ -141,14 +141,18 @@ class CollectorSource:
         now: float = 0.0,
     ) -> List[FlowRecord]:
         """:meth:`decode` + :meth:`validate`, as objects: the records of
-        one datagram that are safe to detect on."""
-        return [
+        one datagram that are safe to detect on, counted as folded
+        (the caller folds them; the service counts what its engine
+        accepted instead)."""
+        records = [
             record
             for block in self.decode(payload, addr, now)
             for record in records_from_columns(
                 self.validate([block]), block.sampling_interval
             )
         ]
+        self.metrics.records_folded += len(records)
+        return records
 
     def expire_exporters(self, now: float) -> int:
         """Drop exporters idle past the timeout; returns how many."""

@@ -559,6 +559,7 @@ class FlowPipeline:
         self,
         chunks: Iterable[FlowChunk],
         max_records: Optional[int] = None,
+        admitted: bool = False,
     ) -> int:
         """Fold decoded column chunks; records folded.
 
@@ -566,6 +567,11 @@ class FlowPipeline:
         :meth:`run_tuples` — same events in the same order, same
         metrics, checkpoints at the same record positions — at vector
         speed for the non-matching majority.
+
+        ``admitted`` says the caller took these rows in before it
+        honoured a stop (the live collector's held datagrams): the
+        already-stopped pre-check is skipped so a drain folds them
+        instead of dropping them; guards are still polled per chunk.
         """
         stage = self.stage
         metrics = stage.metrics
@@ -573,8 +579,8 @@ class FlowPipeline:
         checkpoint_every = self.checkpoint_every
         emit = self._emit
         processed = 0
-        if guards.check(0) is not None:  # stop already requested
-            return 0
+        if not admitted and guards.check(0) is not None:
+            return 0  # stop already requested
         if max_records is not None and max_records <= 0:
             return 0
         started = time.perf_counter()

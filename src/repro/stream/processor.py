@@ -443,6 +443,7 @@ class StreamDetectionEngine:
         self,
         chunks,
         max_records: Optional[int] = None,
+        admitted: bool = False,
     ) -> int:
         """Vectorized ingest of :class:`~repro.netflow.parse.FlowChunk`
         batches — same stage, sink, guards, and checkpoint positions
@@ -450,11 +451,13 @@ class StreamDetectionEngine:
         every :data:`~repro.pipeline.core.GUARD_STRIDE` records).
         Fleet workers pass
         :class:`~repro.netflow.parse.IndexedFlowChunk` rows, which
-        fold under the global stream indices they carry.
+        fold under the global stream indices they carry.  ``admitted``
+        rows were received before the caller honoured a stop and fold
+        even when one is already requested (the collector's drain).
         """
         try:
             return self._pipeline.run_chunks(
-                chunks, max_records=max_records
+                chunks, max_records=max_records, admitted=admitted
             )
         finally:
             self._sync_state_metrics()

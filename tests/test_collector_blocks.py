@@ -42,6 +42,7 @@ from repro.resilience.quarantine import (
     validate_flow_tuple,
 )
 from repro.runtime import StopToken
+from repro.runtime.shutdown import EXIT_DRAINED
 from repro.stream import (
     MemoryEventSink,
     StreamConfig,
@@ -293,7 +294,6 @@ class TestValidateMasks:
                 expected[reason] = expected.get(reason, 0) + 1
         assert source.quarantine.counts == expected
         assert source.metrics.records_invalid == sum(expected.values())
-        assert source.metrics.records_folded == kept.shape[1]
 
     def test_quarantine_sample_is_the_record(self, tmp_path):
         """Failing rows (and only those) become FlowRecords, so the
@@ -455,29 +455,95 @@ class TestHold:
         token = StopToken()
         service = _service(rules, hitlist, tmp_path, token=token)
         codec = NetflowV9Codec()
-        batches = [gt_flows[i : i + 10] for i in range(0, 60, 10)]
-        for number, batch in enumerate(batches[:3]):
+        for number in range(3):
+            batch = gt_flows[number * 10 : number * 10 + 10]
             service.feed(codec.encode(batch, number), now=0.0)
         # the engine takes 12 of the 30 held rows, then the guard stops
         fold = service.engine.process_chunks
 
-        def stopping(chunks):
-            done = fold(chunks, max_records=12)
+        def stopping(chunks, admitted):
+            done = fold(chunks, max_records=12, admitted=admitted)
             token.stop("test")
             return done
 
         service.engine.process_chunks = stopping
         service._fold()
         service.engine.process_chunks = fold
-        assert service.engine.records_processed == 12
-        # a stopped engine accepts nothing more: nothing more is journaled
-        for number, batch in enumerate(batches[3:]):
-            service.feed(codec.encode(batch, 3 + number), now=0.0)
         service._drain()
         service._journal.close()
+        # journal and counter follow the accepted prefix, not the hold
         assert service.engine.records_processed == 12
+        assert service.source.metrics.records_folded == 12
         assert _data_lines(tmp_path / "journal.csv") == [
             format_flow(flow) for flow in gt_flows[:12]
+        ]
+
+    def test_stop_folds_the_held_rows(
+        self, rules, hitlist, gt_flows, tmp_path
+    ):
+        """Rows received before a stop are drained, not dropped: the
+        engine's already-stopped guard does not apply to them."""
+        token = StopToken()
+        service = _service(rules, hitlist, tmp_path, token=token)
+        codec = NetflowV9Codec()
+        for number in range(3):
+            batch = gt_flows[number * 10 : number * 10 + 10]
+            service.feed(codec.encode(batch, number), now=0.0)
+        assert service._held_rows == 30
+        assert service.engine.records_processed == 0
+        token.stop("test")
+        service._drain()
+        service._journal.close()
+        assert service.engine.stopped
+        assert service.engine.records_processed == 30
+        assert service.source.metrics.records_folded == 30
+        assert _data_lines(tmp_path / "journal.csv") == [
+            format_flow(flow) for flow in gt_flows[:30]
+        ]
+        assert [path.name for path in (tmp_path / "ckpt").iterdir()] == [
+            "ckpt-0000000030.json"
+        ]
+
+    def test_sigterm_loses_nothing_the_socket_delivered(
+        self, rules, hitlist, gt_flows, tmp_path
+    ):
+        """The shipped loop: datagrams held under every flush trigger
+        when the stop lands are in the journal and the checkpoint."""
+        token = StopToken()
+        service = _service(
+            rules, hitlist, tmp_path, token=token, poll_interval=1.0
+        )
+        service._journal.close()  # run() opens its own
+        service._journal = None
+        codes = []
+        runner = threading.Thread(target=lambda: codes.append(service.run()))
+        runner.start()
+        try:
+            deadline = time.monotonic() + 10
+            while service.udp_port is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            codec = NetflowV9Codec()
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                for number in range(4):
+                    batch = gt_flows[number * 10 : number * 10 + 10]
+                    sock.sendto(
+                        codec.encode(batch, number),
+                        ("127.0.0.1", service.udp_port),
+                    )
+            while service.datagrams_seen < 4 and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            token.stop("SIGTERM")
+            runner.join(timeout=10)
+        assert not runner.is_alive()
+        assert codes == [EXIT_DRAINED]
+        assert service.engine.records_processed == 40
+        assert service.source.metrics.records_folded == 40
+        assert _data_lines(tmp_path / "journal.csv") == [
+            format_flow(flow) for flow in gt_flows[:40]
+        ]
+        assert [path.name for path in (tmp_path / "ckpt").iterdir()] == [
+            "ckpt-0000000040.json"
         ]
 
     def test_lone_datagram_folds_within_the_poll_interval(
