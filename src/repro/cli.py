@@ -383,11 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default 64)",
     )
     stream_run.add_argument(
-        "--fleet-batch-size", type=int, default=2048,
-        help="replayed records per routed chunk with --fleet-workers "
-        "(default 2048; admission routes --chunk-size chunks)",
-    )
-    stream_run.add_argument(
         "--rebalance", action="store_true",
         help="with --fleet-workers: on worker death, skip in-place "
         "restarts and immediately quarantine + rebalance its ring "
@@ -482,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
     collect.add_argument(
         "--resume", action="store_true",
         help="resume from the newest usable checkpoint in "
-        "--checkpoint-dir (the --journal is truncated to match)",
+        "--checkpoint-dir (the --journal is truncated to match; with "
+        "--fleet-workers it is replayed instead)",
     )
     collect.add_argument(
         "--events-out", type=pathlib.Path, default=None,
@@ -515,11 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
     collect.add_argument(
         "--fleet-ring-slots", type=int, default=64,
         help="consistent-hash ring slots in fleet mode (default 64)",
-    )
-    collect.add_argument(
-        "--fleet-batch-size", type=int, default=2048,
-        help="records per router->worker batch in fleet mode "
-        "(default 2048)",
     )
 
     sweep = commands.add_parser(
@@ -807,6 +798,26 @@ def _run_stream(args) -> int:
     return EXIT_DRAINED if engine.stopped else 0
 
 
+def _fleet_flags_ok(args, needs, unsupported) -> bool:
+    """Whether ``--fleet-workers`` has the flags it needs (the fleet
+    directory, the merged log, ...) and none it cannot honour; prints
+    the first violation."""
+    values = {
+        flag: getattr(args, flag.lstrip("-").replace("-", "_"))
+        for flag in needs + unsupported
+    }
+    problems = [
+        f"--fleet-workers needs {flag}"
+        for flag in needs if values[flag] is None
+    ] + [
+        f"{flag} is not supported with --fleet-workers"
+        for flag in unsupported if values[flag]
+    ]
+    if problems:
+        print(f"error: {problems[0]}", file=sys.stderr)
+    return not problems
+
+
 def _run_stream_fleet(args, rules, hitlist, rules_version) -> int:
     """``repro stream run --fleet-workers N``: sharded streaming.
 
@@ -829,39 +840,21 @@ def _run_stream_fleet(args, rules, hitlist, rules_version) -> int:
         resolve_workers,
     )
 
-    if args.checkpoint_dir is None:
-        print(
-            "error: --fleet-workers needs --checkpoint-dir (the "
-            "fleet directory)",
-            file=sys.stderr,
-        )
+    if not _fleet_flags_ok(
+        args,
+        needs=("--checkpoint-dir", "--events-out"),
+        unsupported=(
+            "--hitlist-refresh-every",
+            "--max-records",
+            "--migrate-rules",
+            "--memory-budget",
+            "--deadline",
+        ),
+    ):
         return 2
-    if args.events_out is None:
-        print(
-            "error: --fleet-workers needs --events-out (the merged "
-            "event log)",
-            file=sys.stderr,
-        )
-        return 2
-    unsupported = [
-        ("--hitlist-refresh-every", args.hitlist_refresh_every),
-        ("--max-records", args.max_records),
-        ("--migrate-rules", args.migrate_rules),
-        ("--memory-budget", args.memory_budget),
-        ("--deadline", args.deadline),
-    ]
-    for flag, value in unsupported:
-        if value:
-            print(
-                f"error: {flag} is not supported with "
-                f"--fleet-workers",
-                file=sys.stderr,
-            )
-            return 2
     config = FleetConfig(
         workers=resolve_workers(args.fleet_workers),
         ring_slots=args.fleet_ring_slots,
-        batch_size=args.fleet_batch_size,
         checkpoint_every=args.checkpoint_every,
         chunk_size=args.chunk_size,
         threshold=args.threshold,
@@ -913,104 +906,97 @@ def _run_stream_fleet(args, rules, hitlist, rules_version) -> int:
     return code
 
 
-def _run_collect_fleet(args, host, port, rules, hitlist) -> int:
-    """``repro collect --fleet-workers N``: socket front, worker fleet.
-
-    The UDP ingest front and control plane stay identical to the
-    single-engine collector; folding routes through a
-    :class:`~repro.fleet.service.FleetService` in push mode, with the
-    ``--journal`` doubling as the fleet's rebalance/resume replay
-    source (and therefore mandatory).
-    """
-    import json
-
-    from repro.collector import CollectorConfig, FleetCollectorService
+def _collect_fleet_target(args, rules, hitlist, token):
+    """``repro collect --fleet-workers N``: the fold target is a
+    :class:`~repro.fleet.service.FleetService` in push mode; the
+    ``--journal`` doubles as its rebalance/resume replay source (and
+    is therefore mandatory).  ``None`` after printing a flag error."""
+    from repro.collector import FleetTarget
     from repro.fleet import FleetConfig, FleetService
-    from repro.runtime import (
-        EXIT_DRAINED,
-        ShutdownCoordinator,
-        StopToken,
-        resolve_workers,
-    )
+    from repro.resilience.quarantine import QuarantineSink
+    from repro.runtime import resolve_workers
 
-    missing = [
-        ("--journal", args.journal),
-        ("--checkpoint-dir", args.checkpoint_dir),
-        ("--events-out", args.events_out),
-    ]
-    for flag, value in missing:
-        if value is None:
-            print(
-                f"error: --fleet-workers needs {flag}",
-                file=sys.stderr,
-            )
-            return 2
-    config = FleetConfig(
-        workers=resolve_workers(args.fleet_workers),
-        ring_slots=args.fleet_ring_slots,
-        batch_size=args.fleet_batch_size,
-        threshold=args.threshold,
-        require_established=args.require_established,
-        max_subscribers=args.max_subscribers,
-        ttl_seconds=args.ttl_seconds,
-    )
-    token = StopToken()
+    if not _fleet_flags_ok(
+        args,
+        needs=("--journal", "--checkpoint-dir", "--events-out"),
+        unsupported=("--memory-budget", "--deadline"),
+    ):
+        return None
     fleet = FleetService(
         rules,
         hitlist,
         args.checkpoint_dir,
-        config,
+        FleetConfig(
+            workers=resolve_workers(args.fleet_workers),
+            ring_slots=args.fleet_ring_slots,
+            threshold=args.threshold,
+            require_established=args.require_established,
+            max_subscribers=args.max_subscribers,
+            ttl_seconds=args.ttl_seconds,
+        ),
         stop_token=token,
     )
-    service = FleetCollectorService(
-        fleet,
-        CollectorConfig(
-            bind_host=host,
-            bind_port=port,
-            control_host=host,
-            control_port=(
-                None if args.no_control else args.control_port
-            ),
-            exporter_timeout=args.exporter_timeout,
-            pending_max_sets=args.pending_sets,
-            pending_ttl=args.pending_ttl,
-            recv_buffer=args.recv_buffer,
-            idle_exit=args.idle_exit,
-            max_datagrams=args.max_datagrams,
-            checkpoint_every=args.checkpoint_every,
-            journal=args.journal,
-            ready_file=args.ready_file,
-        ),
-        args.events_out,
+    return FleetTarget(
+        fleet, args.events_out, QuarantineSink(args.quarantine_dir)
     )
-    with ShutdownCoordinator(token, grace=args.drain_grace):
-        exit_code = service.run(resume=args.resume)
-    collector = service.source.metrics
-    metrics = fleet.metrics
-    print(
-        f"# datagrams={collector.datagrams_received} "
-        f"decoded={collector.datagrams_decoded} "
-        f"quarantined={collector.datagrams_quarantined} "
-        f"records={metrics.records_routed + metrics.records_skipped} "
-        f"events={metrics.merged_events} "
-        f"workers={config.workers} "
-        f"restarts={metrics.restarts} "
-        f"rebalances={metrics.rebalances}",
-        file=sys.stderr,
+
+
+def _collect_engine(args, rules, hitlist, sink, token):
+    """``repro collect``'s in-process engine, fresh or resumed from
+    ``--checkpoint-dir``; ``None`` after printing a flag error."""
+    from repro.runtime import (
+        DeadlineBudget,
+        MemoryGovernor,
+        parse_memory_size,
     )
-    if exit_code == EXIT_DRAINED:
+    from repro.stream import (
+        CheckpointError,
+        StreamConfig,
+        StreamDetectionEngine,
+    )
+
+    if args.checkpoint_dir is None and (
+        args.checkpoint_every or args.resume
+    ):
+        flag = "--resume" if args.resume else "--checkpoint-every"
         print(
-            f"# drained reason={token.reason} resumable=True",
-            file=sys.stderr,
+            f"error: {flag} needs --checkpoint-dir", file=sys.stderr
         )
-    if args.stream_metrics_out is not None:
-        doc = fleet.stream_metrics()
-        doc.collector = collector
-        args.stream_metrics_out.write_text(
-            json.dumps(doc.to_dict(), indent=2, sort_keys=True) + "\n"
+        return None
+    config = StreamConfig(
+        threshold=args.threshold,
+        require_established=args.require_established,
+        max_subscribers=args.max_subscribers,
+        ttl_seconds=args.ttl_seconds,
+        workers=max(1, args.workers),
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=0,  # the service owns the cadence
+        quarantine_dir=args.quarantine_dir,
+    )
+    guards = dict(
+        stop_token=token,
+        governor=(
+            MemoryGovernor(parse_memory_size(args.memory_budget))
+            if args.memory_budget is not None
+            else None
+        ),
+        deadline=(
+            DeadlineBudget(args.deadline)
+            if args.deadline is not None
+            else None
+        ),
+    )
+    if not args.resume:
+        return StreamDetectionEngine(
+            rules, hitlist, config, sink, **guards
         )
-        print(f"wrote {args.stream_metrics_out}", file=sys.stderr)
-    return exit_code
+    try:
+        return StreamDetectionEngine.resume(
+            rules, hitlist, config, sink, **guards
+        )
+    except CheckpointError as exc:
+        print(f"error: cannot resume: {exc}", file=sys.stderr)
+        return None
 
 
 def _run_collect(args) -> int:
@@ -1018,33 +1004,21 @@ def _run_collect(args) -> int:
 
     Binds the data socket and (unless ``--no-control``) the HTTP
     control plane, folds every delivered-and-decodable export record
-    into the streaming engine, and exits 0 when a bounded run
-    (``--max-datagrams`` / ``--idle-exit``) completes or
-    :data:`~repro.runtime.EXIT_DRAINED` (3) when a signal/deadline
-    drained it to a final checkpoint ``--resume`` continues from.
+    into the streaming engine — or, with ``--fleet-workers``, a worker
+    fleet — and exits 0 when a bounded run (``--max-datagrams`` /
+    ``--idle-exit``) completes or :data:`~repro.runtime.EXIT_DRAINED`
+    (3) when a signal/deadline drained it to a final checkpoint
+    ``--resume`` continues from.
     """
     import json
 
-    from repro.collector import (
-        CollectorConfig,
-        CollectorService,
-        truncate_journal,
-    )
+    from repro.collector import CollectorConfig, CollectorService
     from repro.runtime import (
         EXIT_DRAINED,
-        DeadlineBudget,
-        MemoryGovernor,
         ShutdownCoordinator,
         StopToken,
-        parse_memory_size,
     )
-    from repro.stream import (
-        CheckpointError,
-        JsonlEventSink,
-        MemoryEventSink,
-        StreamConfig,
-        StreamDetectionEngine,
-    )
+    from repro.stream import JsonlEventSink, MemoryEventSink
 
     host, _, port_text = args.bind.rpartition(":")
     if not host or not port_text.isdigit():
@@ -1062,123 +1036,81 @@ def _run_collect(args) -> int:
             wild_days=args.days,
         )
         hitlist, rules = context.hitlist, context.rules
-    if args.fleet_workers:
-        return _run_collect_fleet(
-            args, host, int(port_text), rules, hitlist
-        )
-    if args.checkpoint_every and args.checkpoint_dir is None:
-        print(
-            "error: --checkpoint-every needs --checkpoint-dir",
-            file=sys.stderr,
-        )
-        return 2
-    config = StreamConfig(
-        threshold=args.threshold,
-        require_established=args.require_established,
-        max_subscribers=args.max_subscribers,
-        ttl_seconds=args.ttl_seconds,
-        workers=max(1, args.workers),
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=0,  # the service owns the cadence
-        quarantine_dir=args.quarantine_dir,
-    )
-    sink = (
-        JsonlEventSink(args.events_out, resume=args.resume)
-        if args.events_out is not None
-        else MemoryEventSink()
+    config = CollectorConfig(
+        bind_host=host,
+        bind_port=int(port_text),
+        control_host=host,
+        control_port=None if args.no_control else args.control_port,
+        exporter_timeout=args.exporter_timeout,
+        pending_max_sets=args.pending_sets,
+        pending_ttl=args.pending_ttl,
+        recv_buffer=args.recv_buffer,
+        idle_exit=args.idle_exit,
+        max_datagrams=args.max_datagrams,
+        checkpoint_every=args.checkpoint_every,
+        journal=args.journal,
+        ready_file=args.ready_file,
     )
     token = StopToken()
-    governor = (
-        MemoryGovernor(parse_memory_size(args.memory_budget))
-        if args.memory_budget is not None
-        else None
-    )
-    deadline = (
-        DeadlineBudget(args.deadline)
-        if args.deadline is not None
-        else None
-    )
+    sink = None  # the fleet's workers own their sinks
     try:
         with ShutdownCoordinator(token, grace=args.drain_grace):
-            if args.resume:
-                if config.checkpoint_dir is None:
-                    print(
-                        "error: --resume needs --checkpoint-dir",
-                        file=sys.stderr,
-                    )
-                    return 2
-                try:
-                    engine = StreamDetectionEngine.resume(
-                        rules, hitlist, config, sink,
-                        stop_token=token,
-                        governor=governor,
-                        deadline=deadline,
-                    )
-                except CheckpointError as exc:
-                    print(
-                        f"error: cannot resume: {exc}", file=sys.stderr
-                    )
-                    return 2
-                if args.journal is not None:
-                    kept = truncate_journal(
-                        args.journal, engine.records_processed
-                    )
-                    print(
-                        f"# journal truncated to {kept} records",
-                        file=sys.stderr,
-                    )
-            else:
-                engine = StreamDetectionEngine(
-                    rules, hitlist, config, sink,
-                    stop_token=token,
-                    governor=governor,
-                    deadline=deadline,
+            if args.fleet_workers:
+                target = _collect_fleet_target(
+                    args, rules, hitlist, token
                 )
-            service = CollectorService(
-                engine,
-                config=CollectorConfig(
-                    bind_host=host,
-                    bind_port=int(port_text),
-                    control_host=host,
-                    control_port=(
-                        None if args.no_control else args.control_port
-                    ),
-                    exporter_timeout=args.exporter_timeout,
-                    pending_max_sets=args.pending_sets,
-                    pending_ttl=args.pending_ttl,
-                    recv_buffer=args.recv_buffer,
-                    idle_exit=args.idle_exit,
-                    max_datagrams=args.max_datagrams,
-                    checkpoint_every=args.checkpoint_every,
-                    journal=args.journal,
-                    ready_file=args.ready_file,
-                ),
-            )
-            exit_code = service.run()
-            metrics = engine.metrics_dict()
+            else:
+                sink = (
+                    JsonlEventSink(args.events_out, resume=args.resume)
+                    if args.events_out is not None
+                    else MemoryEventSink()
+                )
+                target = _collect_engine(
+                    args, rules, hitlist, sink, token
+                )
+            if target is None:
+                return 2
+            service = CollectorService(target, config=config)
+            exit_code = service.run(resume=args.resume)
+            metrics = service.metrics_snapshot()
+            if service.journal_kept is not None:
+                print(
+                    f"# journal truncated to {service.journal_kept} "
+                    f"records",
+                    file=sys.stderr,
+                )
             collector = service.source.metrics
+            fleet = metrics.get("fleet")
             print(
                 f"# datagrams={collector.datagrams_received} "
                 f"decoded={collector.datagrams_decoded} "
                 f"quarantined={collector.datagrams_quarantined} "
-                f"records={engine.records_processed} "
-                f"events={engine.metrics.events_emitted}",
+                f"records={metrics['throughput']['records']} "
+                f"events={metrics['throughput']['events']}"
+                + (
+                    f" workers={fleet['workers']} "
+                    f"restarts={fleet['restarts']} "
+                    f"rebalances={fleet['rebalances']}"
+                    if fleet
+                    else ""
+                ),
                 file=sys.stderr,
             )
             if exit_code == EXIT_DRAINED:
                 print(
                     f"# drained reason="
-                    f"{engine.metrics.overload.stop_reason or token.reason} "
-                    f"resumable={config.checkpoint_dir is not None}",
+                    f"{metrics['overload']['stop_reason'] or token.reason} "
+                    f"resumable={args.checkpoint_dir is not None}",
                     file=sys.stderr,
                 )
             if isinstance(sink, MemoryEventSink):
                 for event in sink.events:
                     print(event.to_line())
-            else:
+            elif sink is not None:
                 sink.flush(sync=True)
     finally:
-        sink.close()
+        if sink is not None:
+            sink.close()
     if args.stream_metrics_out is not None:
         args.stream_metrics_out.write_text(
             json.dumps(metrics, indent=2, sort_keys=True) + "\n"

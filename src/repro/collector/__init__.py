@@ -6,14 +6,15 @@ deployment mode: a UDP NetFlow v9 / IPFIX socket source with
 per-exporter template caches and sequence-gap accounting
 (:mod:`repro.collector.exporters`), a never-raising ingest front that
 quarantines undecodable datagrams under typed reasons
-(:mod:`repro.collector.source`), a service loop feeding the streaming
-engine with service-owned checkpoint cadence and a delivered-set
-journal (:mod:`repro.collector.service`), and a threaded HTTP control
-plane for health, metrics, and per-subscriber queries
-(:mod:`repro.collector.control`).  With ``--fleet-workers N`` the same
-socket front feeds a horizontally sharded worker fleet instead of one
-in-process engine (:mod:`repro.collector.fleetmode`), with the journal
-doubling as the fleet's rebalance/resume replay source.
+(:mod:`repro.collector.source`), one service loop — hold, validate,
+fold, journal, service-owned checkpoint cadence
+(:mod:`repro.collector.service`) — and a threaded HTTP control plane
+for health, metrics, and per-subscriber queries
+(:mod:`repro.collector.control`).  The service folds into whichever
+target it is handed (:mod:`repro.collector.targets`): one in-process
+streaming engine, or with ``--fleet-workers N`` a horizontally sharded
+worker fleet whose journal doubles as its rebalance/resume replay
+source.
 
 Layering: sits on :mod:`repro.pipeline`, :mod:`repro.netflow`,
 :mod:`repro.stream`, :mod:`repro.runtime`, :mod:`repro.resilience` —
@@ -30,11 +31,8 @@ from repro.collector.service import (
     JOURNAL_HEADER,
     truncate_journal,
 )
-from repro.collector.fleetmode import (
-    FleetCollectorService,
-    trim_torn_tail,
-)
 from repro.collector.source import CollectorSource
+from repro.collector.targets import EngineTarget, FleetTarget
 
 __all__ = [
     "CollectorConfig",
@@ -42,10 +40,10 @@ __all__ = [
     "CollectorService",
     "CollectorSource",
     "ControlPlane",
+    "EngineTarget",
     "ExporterState",
     "ExporterTable",
-    "FleetCollectorService",
+    "FleetTarget",
     "JOURNAL_HEADER",
-    "trim_torn_tail",
     "truncate_journal",
 ]

@@ -2,26 +2,27 @@
 drain.
 
 :class:`CollectorService` ties the pure ingest front
-(:class:`~repro.collector.source.CollectorSource`) to the streaming
-engine (:class:`~repro.stream.processor.StreamDetectionEngine`): one
-UDP socket, one fold loop, one lock shared with the HTTP control
-plane.  Design points that carry the robustness guarantees:
+(:class:`~repro.collector.source.CollectorSource`) to the fold
+*target* it is handed (:mod:`repro.collector.targets`) — one streaming
+engine (:class:`~repro.stream.processor.StreamDetectionEngine`) or a
+worker fleet: one UDP socket, one fold loop, one lock shared with the
+HTTP control plane.  The points below describe the engine target; the
+targets module says where the fleet target differs, and why.  Design
+points that carry the robustness guarantees:
 
 **Checkpoint cadence is service-owned.**  The engine is built with
 ``checkpoint_every=0`` because a checkpoint must never overtake the
 journal: the pipeline's own cadence would write one mid-datagram,
 before the records it covers are journaled.  The service instead
-watches the engine's ``records_since_checkpoint`` (which accumulates
+watches the target's ``since_checkpoint`` (which accumulates
 across batches until a checkpoint resets it), and at a datagram
-boundary — journal flushed and fsynced first — calls
-:meth:`~repro.stream.processor.StreamDetectionEngine.
-write_checkpoint` itself every ``checkpoint_every`` folded records.
+boundary — journal flushed and fsynced first — asks the target to
+checkpoint every ``checkpoint_every`` folded records.
 
 **Hold and fold.**  Datagrams decode straight into column blocks
 (:class:`~repro.netflow.datagram.FlowBlock`); the service holds them
 and validates, folds (one :class:`~repro.netflow.parse.FlowChunk`
-through :meth:`~repro.stream.processor.StreamDetectionEngine.
-process_chunks`) and journals the held rows together.  Five things
+through the target) and journals the held rows together.  Five things
 flush the hold: (i) :data:`FOLD_ROWS` rows are held; (ii) the held
 rows would reach ``checkpoint_every`` — checked after every datagram,
 so checkpoints land on the datagram boundaries a per-datagram fold
@@ -40,7 +41,8 @@ the fault matrix proves exactly that for every datagram fault.  The
 journal is fsynced before every checkpoint so the invariant
 ``journal records >= checkpoint records`` holds across kills, and
 :func:`truncate_journal` restores equality on resume (dropping the
-uncheckpointed tail that the resumed socket loop will not re-receive).
+uncheckpointed tail that the resumed socket loop will not re-receive;
+for the fleet, which replays its journal, only a torn last line).
 
 **Drain.**  A stop request (SIGTERM via the CLI's
 :class:`~repro.runtime.shutdown.ShutdownCoordinator`, or a deadline)
@@ -68,10 +70,10 @@ from typing import IO, List, Optional
 
 from repro.collector.control import ControlPlane
 from repro.collector.source import CollectorSource
+from repro.collector.targets import EngineTarget, FleetTarget
 from repro.netflow.datagram import FlowBlock
 from repro.netflow.flowfile import format_flow_columns
 from repro.netflow.parse import FlowChunk
-from repro.pipeline.metrics import StreamMetrics
 from repro.runtime.shutdown import EXIT_COMPLETED, EXIT_DRAINED
 
 __all__ = [
@@ -130,17 +132,23 @@ class CollectorConfig:
     poll_interval: float = 0.2
 
 
-def truncate_journal(path: pathlib.Path, records: int) -> int:
-    """Cut the journal back to its first ``records`` data lines.
+def truncate_journal(
+    path: pathlib.Path, records: Optional[int] = None
+) -> int:
+    """Cut the journal back to its first ``records`` complete data
+    lines — all of them when ``None`` — and drop a torn final line.
 
-    Called on resume: the checkpoint is authoritative about how many
-    records the continued run starts from, and the journal must agree
-    or the delivered-set oracle would claim records the resumed engine
-    never folded.  The kept lines are a prefix, so the file is scanned
-    (a line at a time, nothing retained) for where data line
-    ``records + 1`` starts and truncated there in place; comment and
-    header lines before that point are preserved.  Returns the data
-    lines kept.
+    Called on resume.  For the engine target the checkpoint is
+    authoritative about how many records the continued run starts
+    from, and the journal must agree or the delivered-set oracle would
+    claim records the resumed engine never folded.  For either target
+    an unclean stop can leave a newline-less last line (writes are
+    buffered) that a replay would reject as malformed.  The kept lines
+    are a prefix, so the file is scanned (a line at a time, nothing
+    retained) for where the first surplus or torn line starts and
+    truncated there in place; comment and header lines before that
+    point stay, and nothing is written when there is nothing to cut.
+    Returns the data lines kept.
     """
     path = pathlib.Path(path)
     if not path.exists():
@@ -149,57 +157,46 @@ def truncate_journal(path: pathlib.Path, records: int) -> int:
     with open(path, "r+b") as fh:
         for line in fh:
             stripped = line.strip()
-            if stripped and not stripped.startswith(b"#"):
-                if data == records:
-                    fh.seek(offset)
-                    fh.truncate()
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                    break
-                data += 1
+            is_data = bool(stripped) and not stripped.startswith(b"#")
+            if not line.endswith(b"\n") or (is_data and data == records):
+                fh.seek(offset)
+                fh.truncate()
+                fh.flush()
+                os.fsync(fh.fileno())
+                break
+            data += is_data
             offset += len(line)
     return data
 
 
 class CollectorService:
-    """One bound socket feeding one streaming engine."""
+    """One bound socket feeding one fold target.
+
+    ``target`` is a stream engine (folded in process, see
+    :class:`~repro.collector.targets.EngineTarget`) or a
+    :class:`~repro.collector.targets.FleetTarget`; nothing else
+    selects between them.
+    """
 
     def __init__(
         self,
-        engine,
+        target,
         source: Optional[CollectorSource] = None,
         config: Optional[CollectorConfig] = None,
     ) -> None:
         config = config or CollectorConfig()
-        if not isinstance(engine.metrics, StreamMetrics):
-            raise TypeError(
-                "collector needs a stream-assembly engine (its metrics "
-                "document carries the 'collector' section)"
-            )
-        if engine.config.checkpoint_every:
-            raise ValueError(
-                "collector engines must be built with "
-                "checkpoint_every=0; the service owns the cadence "
-                "(CollectorConfig.checkpoint_every)"
-            )
-        if (
-            config.checkpoint_every
-            and engine.config.checkpoint_dir is None
-        ):
-            raise ValueError(
-                "checkpoint_every needs an engine checkpoint_dir"
-            )
-        self.engine = engine
+        if not isinstance(target, FleetTarget):
+            target = EngineTarget(target)
+        self.target = target
         self.config = config
         self.source = source if source is not None else CollectorSource(
-            quarantine=engine.quarantine,
+            quarantine=target.quarantine,
             pending_max_sets=config.pending_max_sets,
             pending_ttl=config.pending_ttl,
             reset_window=config.reset_window,
             exporter_timeout=config.exporter_timeout,
         )
-        # surface the collector counters in the stream document
-        engine.metrics.collector = self.source.metrics
+        target.attach(config, self.source.metrics)
         self._lock = threading.Lock()
         self._journal: Optional[IO[str]] = None
         #: decoded, not yet validated blocks awaiting the next fold
@@ -209,7 +206,14 @@ class CollectorService:
         self.udp_port: Optional[int] = None
         self.control_port: Optional[int] = None
         self.datagrams_seen = 0
+        #: data lines the journal held after a resume cut it
+        self.journal_kept: Optional[int] = None
         self._draining = False
+
+    @property
+    def engine(self):
+        """The engine of an engine target."""
+        return self.target.engine
 
     # -- control-plane snapshots (called from handler threads) ---------
 
@@ -218,40 +222,30 @@ class CollectorService:
             self._fold()
             return {
                 "status": "draining" if self._draining else "ok",
-                "mode": "collector",
                 "udp_port": self.udp_port,
                 "control_port": self.control_port,
                 "datagrams_received": (
                     self.source.metrics.datagrams_received
                 ),
-                "records_processed": self.engine.records_processed,
-                "events_emitted": self.engine.metrics.events_emitted,
                 "exporters_active": (
                     self.source.metrics.exporters_active
                 ),
+                **self.target.health(),
             }
 
     def metrics_snapshot(self) -> dict:
         with self._lock:
             self._fold()
-            return self.engine.metrics_dict()
+            return self.target.metrics_dict()
 
     def subscriber_snapshot(self, digest: str) -> dict:
         with self._lock:
             self._fold()
-            for table in self.engine._tables:
-                progress = table.progress_of(digest)
-                if progress is not None:
-                    return {
-                        "digest": digest,
-                        "found": True,
-                        "progress": progress.to_state(),
-                    }
-            return {"digest": digest, "found": False, "progress": None}
+            return self.target.subscriber(digest)
 
     # -- the loop ------------------------------------------------------
 
-    def run(self) -> int:
+    def run(self, resume: bool = False) -> int:
         """Bind, serve, drain; returns the process exit code."""
         config = self.config
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -272,13 +266,16 @@ class CollectorService:
                 )
                 control.start()
                 self.control_port = control.port
-            self._open_journal()
+            self._start(resume)
             self._write_ready_file()
             exit_code = self._serve(sock)
             with self._lock:
                 self._draining = exit_code == EXIT_DRAINED
                 self._drain()
             return exit_code
+        except BaseException:
+            self.target.abort()
+            raise
         finally:
             if control is not None:
                 control.stop()
@@ -287,10 +284,21 @@ class CollectorService:
                 self._journal = None
             sock.close()
 
+    def _start(self, resume: bool = False) -> None:
+        """Start the target and open the journal; a ``resume`` first
+        cuts the journal to what the target's resume rule keeps."""
+        journal = self.config.journal
+        if resume and journal is not None:
+            self.journal_kept = truncate_journal(
+                journal, self.target.resume_records
+            )
+        self.target.start(journal, resume)
+        self._open_journal()
+
     def _serve(self, sock: socket.socket) -> int:
         config = self.config
-        engine = self.engine
-        token = engine.stop_token
+        target = self.target
+        token = target.stop_token
         last_data = time.monotonic()
         while True:
             if token is not None and token.stop_requested():
@@ -310,7 +318,7 @@ class CollectorService:
                 continue
             last_data = time.monotonic()
             self.feed(payload, addr, last_data)
-            if engine.stopped:
+            if target.stopped:
                 return EXIT_DRAINED
             if (
                 config.max_datagrams is not None
@@ -335,7 +343,7 @@ class CollectorService:
                     self._held_since = now
                 self._held += blocks
                 self._held_rows += sum(map(len, blocks))
-            since = self.engine.metrics.records_since_checkpoint
+            since = self.target.since_checkpoint
             if self._held and (
                 self._held_rows >= FOLD_ROWS
                 or now - self._held_since >= self.config.poll_interval
@@ -344,49 +352,47 @@ class CollectorService:
                 self._fold()
 
     def _fold(self) -> None:
-        """Validate, fold and journal the held rows as one chunk.
+        """Validate the held rows and fold them as one chunk; the
+        target says when (and how much of) the chunk is journaled.
 
-        Holds the service lock (caller-acquired).  The held rows were
-        received before any stop was honoured, so they fold as
-        ``admitted`` — a stop or deadline drains them instead of
-        dropping them.  Journals and counts exactly the prefix the
-        engine accepted — a guard stop must not journal rows that were
-        never folded — and checkpoints when the cadence is due, journal
-        flushed and fsynced first.
+        Holds the service lock (caller-acquired).  Counts what the
+        target accepted, and checkpoints when the cadence is due,
+        journal flushed and fsynced first.
         """
         if not self._held:
             return
-        engine = self.engine
+        target = self.target
         columns = self.source.validate(self._held)
         self._held, self._held_rows = [], 0
+
+        def journal(rows: int, flush: bool = False) -> None:
+            # ``flush`` hands the rows to the OS: readable, not durable
+            if self._journal is not None and rows:
+                self._journal.write(format_flow_columns(columns[:, :rows]))
+                if flush:
+                    self._journal.flush()
+
         # validated: every field fits int64, so the view is exact
         first, _, src, dst, proto, _, dport, _, _, flags = columns.view("i8")
-        processed = engine.process_chunks(
-            [
-                FlowChunk(
-                    engine.records_processed,
-                    first, src, dst, proto, dport, flags,
-                )
-            ],
-            admitted=True,
+        self.source.metrics.records_folded += target.fold(
+            FlowChunk(
+                target.position, first, src, dst, proto, dport, flags
+            ),
+            journal,
         )
-        self.source.metrics.records_folded += processed
-        if self._journal is not None and processed:
-            self._journal.write(format_flow_columns(columns[:, :processed]))
         if (
             self.config.checkpoint_every
-            and engine.metrics.records_since_checkpoint
-            >= self.config.checkpoint_every
+            and target.since_checkpoint >= self.config.checkpoint_every
         ):
             self._flush_journal()
-            engine.write_checkpoint()
+            target.checkpoint()
 
     def _drain(self) -> None:
         """Fold what is held, then journal before checkpoint, so resume
         truncation never loses a checkpointed record."""
         self._fold()
         self._flush_journal()
-        self.engine.drain()
+        self.target.finish(self._draining)
 
     # -- journal -------------------------------------------------------
 

@@ -15,17 +15,17 @@ pieces:
   protocol (batches, adoption, staged rule swaps, drain), worker-owned
   checkpoint cadence, per-slot fold counts in checkpoint lineage;
 * :mod:`repro.fleet.service` — the router: admission (decoded column
-  chunks from a file, pushed tuples from the live collector — both
-  reach workers as indexed chunks), supervision (capped-backoff restart, ack-progress hang
-  detection, quarantine + rebalance), the unified replay mechanism,
-  fan-out-aware drain ordering, and the merge;
+  chunks from a file, pushed chunks from the live collector — both
+  reach workers as indexed sub-chunks), supervision (capped-backoff
+  restart, ack-progress hang detection, quarantine + rebalance), the
+  unified replay mechanism, fan-out-aware drain ordering, the merge;
 * :mod:`repro.fleet.metrics` — the ``"fleet"`` section of the metrics
   document (per-worker rec/s, queue depths, rebalance counters).
 
 Layering: the fleet sits on ``repro.pipeline``, ``repro.stream``,
 ``repro.resilience``, and ``repro.runtime``.  It never imports
 ``repro.engine`` or ``repro.collector`` internals — the collector's
-fleet adapter lives on the collector side.
+fleet adapter (``FleetTarget``) lives on the collector side.
 """
 
 from repro.fleet.merge import merge_event_logs, truncate_log

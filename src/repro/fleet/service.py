@@ -94,9 +94,6 @@ class FleetConfig:
 
     workers: int = 2
     ring_slots: int = DEFAULT_RING_SLOTS
-    #: pushed tuples and replayed records buffered per worker before
-    #: they are sent as one chunk
-    batch_size: int = 2048
     #: bounded command-queue depth per worker (backpressure)
     queue_depth: int = 8
     #: worker-owned checkpoint cadence (records); 0 = drain/adopt only
@@ -131,8 +128,6 @@ class FleetConfig:
             raise ValueError("workers must be >= 1")
         if self.ring_slots < self.workers:
             raise ValueError("ring_slots must be >= workers")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(
@@ -155,8 +150,6 @@ class _WorkerHandle:
         "sent",
         "acked",
         "last_progress",
-        "buffer",
-        "buffer_slots",
         "dead",
         "drain_sent",
         "drained",
@@ -172,8 +165,6 @@ class _WorkerHandle:
         self.sent = 0
         self.acked = 0
         self.last_progress = time.monotonic()
-        self.buffer: List[tuple] = []
-        self.buffer_slots: Dict[int, int] = {}
         self.dead = False
         self.drain_sent = False
         self.drained = False
@@ -182,13 +173,6 @@ class _WorkerHandle:
     @property
     def outstanding(self) -> int:
         return self.sent - self.acked
-
-
-def _columns(items: List[tuple]) -> Tuple[np.ndarray, ...]:
-    """``(index, first, src, dst, proto, dport, flags)`` rows as the
-    seven parallel int64 columns of an
-    :class:`~repro.netflow.parse.IndexedFlowChunk`."""
-    return tuple(np.array(items, dtype=np.int64).T.copy())
 
 
 def _lineage_counts(payload: Optional[dict]) -> Dict[int, int]:
@@ -237,7 +221,6 @@ class FleetService:
             ring_slots=self.config.ring_slots,
         )
         self.ring: Optional[HashRing] = None
-        self.exit_code: Optional[int] = None
         self._ctx = multiprocessing.get_context("fork")
         self._status = self._ctx.Queue()
         self._handles: Dict[int, _WorkerHandle] = {}
@@ -262,26 +245,16 @@ class FleetService:
         """Route the whole stream; drain; merge.  Returns exit code.
 
         ``resume=True`` continues a previous fleet over the same
-        directory: ring assignment reloads from ``ring.json``, per-slot
-        skip offsets rebuild from worker checkpoint lineage, and any
-        adoption a quarantine recorded but its successor never
-        checkpointed is re-sent before admission starts.
+        directory (see :meth:`start_push`).
         """
-        self._flow_path = pathlib.Path(flow_path)
-        self.ring = self._load_or_create_ring(resume)
-        self.metrics.ring_epoch = self.ring.epoch
-        skips = self._initial_skips() if resume else {}
-        self._spawn_all(resume)
         try:
-            stopped = self._admit(skips)
-            self._drain_all()
+            stopped = self.start_push(flow_path, resume=resume)
+            if not resume:  # a resume admitted the source already
+                stopped = self._admit({})
+            return self.finish_push(out_path, stopped)
         except RouterCrash:
-            self._kill_all()
+            self.abort()
             raise
-        self._merge(out_path)
-        self.ring.save(self.ring_path)
-        self.exit_code = EXIT_DRAINED if stopped else EXIT_COMPLETED
-        return self.exit_code
 
     # -- push mode (live collector) ------------------------------------
 
@@ -289,57 +262,60 @@ class FleetService:
         self,
         source_path: Union[str, pathlib.Path],
         resume: bool = False,
-    ) -> int:
-        """Begin push-mode admission; returns the starting position.
+    ) -> bool:
+        """Load (or create) the ring and spawn the workers, ready for
+        :meth:`admit_chunk`.
 
         ``source_path`` is the *replayable source* — for the live
         collector, the delivered-set journal, which the caller must
-        keep written **ahead of** every :meth:`admit_tuples` call (the
+        keep written **ahead of** every :meth:`admit_chunk` call (the
         unified replay mechanism re-reads it on worker death).  With
-        ``resume=True`` the persisted ring reloads and the whole
-        journal is replayed through normal admission with per-slot
-        checkpoint skips — the fleet collector therefore re-folds
-        journaled records a crash left uncheckpointed instead of
-        dropping them.
+        ``resume=True`` ring assignment reloads from ``ring.json``,
+        per-slot skip offsets rebuild from worker checkpoint lineage,
+        any adoption a quarantine recorded but its successor never
+        checkpointed is re-sent, and the whole source is replayed
+        through normal admission with those skips — the collector
+        therefore re-folds journaled records a crash left
+        uncheckpointed instead of dropping them.  Returns True if a
+        stop request cut that replay short.
         """
         self._flow_path = pathlib.Path(source_path)
         self.ring = self._load_or_create_ring(resume)
         self.metrics.ring_epoch = self.ring.epoch
+        skips = self._initial_skips() if resume else None
         self._spawn_all(resume)
-        if resume:
-            self._admit(self._initial_skips())
-        return self._position
+        return self._admit(skips) if resume else False
 
-    def admit_tuples(self, tuples) -> int:
-        """Push-mode admission of pre-parsed flow tuples.
+    def admit_chunk(
+        self, chunk, skips: Optional[Dict[int, int]] = None
+    ) -> None:
+        """Admit one column chunk at the router's position: decode
+        once, slice per worker.
 
-        Safe to buffer across calls: the caller journals records
-        before admitting them, so a death replay always finds every
-        admitted record in the source.
+        The router takes column chunks exactly as a single engine
+        would, computes each row's ring slot through the same memoised
+        keying (one digest per distinct source), and ships each worker
+        its rows as an indexed sub-chunk — explicit global indices, so
+        the worker's events carry single-stream ``record_index``
+        values.  ``skips`` (a resume's per-slot folded prefixes) is
+        consumed in place.
         """
         assert self.ring is not None
-        identity = self.keying.identity
-        assignment = self.ring.assignment
-        handles = self._handles
-        count = 0
-        for record in tuples:
-            slot = identity(record[1])[1]
-            handle = handles[assignment[slot]]
-            handle.buffer.append((self._position, *record))
-            handle.buffer_slots[slot] = (
-                handle.buffer_slots.get(slot, 0) + 1
-            )
-            self._position += 1
-            self.metrics.records_routed += 1
-            count += 1
-            if len(handle.buffer) >= self.config.batch_size:
-                self._flush(handle)
-        self._pump()
-        return count
-
-    def flush_partials(self) -> None:
-        """Send buffered sub-batches now (idle collector socket)."""
-        self._flush_all()
+        rows, row_slots, skipped = self._unfolded_rows(chunk, skips)
+        self.metrics.records_skipped += skipped
+        start = self._position
+        self._position += len(chunk)
+        assignment = np.asarray(
+            self.ring.assignment, dtype=np.int64
+        )
+        row_workers = assignment[row_slots[rows]]
+        for worker_id in np.unique(row_workers):
+            handle = self._handles[int(worker_id)]
+            if handle.dead:  # pragma: no cover - replay covers
+                continue
+            picked = rows[row_workers == worker_id]
+            self._send_rows(handle, chunk, start, picked, row_slots)
+            self.metrics.records_routed += len(picked)
         self._pump()
 
     def broadcast_checkpoint(self) -> None:
@@ -349,7 +325,6 @@ class FleetService:
         cadence: batches already queued fold first, so each worker's
         checkpoint lands on a batch boundary with exact slot counts.
         """
-        self._flush_all()
         for worker_id in sorted(self._handles):
             self._put(self._handles[worker_id], ("checkpoint",))
         self._pump()
@@ -359,13 +334,20 @@ class FleetService:
     ) -> int:
         """Drain the fleet, merge the logs, persist the ring."""
         assert self.ring is not None
-        self._flush_all()
-        self._pump()
         self._drain_all()
         self._merge(out_path)
         self.ring.save(self.ring_path)
-        self.exit_code = EXIT_DRAINED if stopped else EXIT_COMPLETED
-        return self.exit_code
+        return EXIT_DRAINED if stopped else EXIT_COMPLETED
+
+    def abort(self) -> None:
+        """SIGKILL every worker and release its queue — the caller is
+        dying (or simulating it); a whole-fleet resume recovers."""
+        for handle in self._handles.values():
+            if handle.process.is_alive():
+                handle.process.kill()
+            handle.process.join(timeout=5)
+            self._discard_queue(handle)
+        self._handles.clear()
 
     # -- ring / resume -------------------------------------------------
 
@@ -511,14 +493,6 @@ class FleetService:
             if resume:
                 self._prepare_resumed(worker_id)
 
-    def _kill_all(self) -> None:
-        for handle in self._handles.values():
-            if handle.process.is_alive():
-                handle.process.kill()
-            handle.process.join(timeout=5)
-            self._discard_queue(handle)
-        self._handles.clear()
-
     @staticmethod
     def _discard_queue(handle: _WorkerHandle) -> None:
         """Release a dead worker's command queue.
@@ -545,48 +519,6 @@ class FleetService:
                 return True
             except queue_module.Full:
                 self._pump()
-
-    def _send_batch(
-        self,
-        handle: _WorkerHandle,
-        columns: Tuple[np.ndarray, ...],
-        slot_counts: Dict[int, int],
-    ) -> bool:
-        """Send one indexed chunk (its seven columns) to a worker."""
-        if self.plan is not None and self.plan.router_crashes_at(
-            self._batches_sent
-        ):
-            raise RouterCrash(
-                f"injected router crash after "
-                f"{self._batches_sent} batches"
-            )
-        if not self._put(
-            handle, ("chunk", handle.seq, columns, slot_counts)
-        ):
-            return False
-        handle.seq += 1
-        handle.sent += 1
-        self._batches_sent += 1
-        stats = self.metrics.worker(handle.worker_id)
-        stats.batches_sent += 1
-        stats.records_sent += len(columns[0])
-        depth = handle.outstanding
-        if depth > stats.max_queue_depth:
-            stats.max_queue_depth = depth
-        return True
-
-    def _flush(self, handle: _WorkerHandle) -> None:
-        if not handle.buffer or handle.dead:
-            return
-        items = handle.buffer
-        slot_counts = handle.buffer_slots
-        handle.buffer = []
-        handle.buffer_slots = {}
-        self._send_batch(handle, _columns(items), slot_counts)
-
-    def _flush_all(self) -> None:
-        for worker_id in sorted(self._handles):
-            self._flush(self._handles[worker_id])
 
     # -- status / supervision ------------------------------------------
 
@@ -722,9 +654,9 @@ class FleetService:
         position; rows outside ``slots`` are other workers' and rows
         inside the per-slot ``skips`` prefix are already folded in the
         target's (or adopted) checkpoint.  Everything the dead worker
-        had in flight — queued, buffered, or folded-but-never-
-        checkpointed — lands in this window, which is why the router
-        never tracks in-flight batches.
+        had in flight — queued, or folded-but-never-checkpointed —
+        lands in this window, which is why the router never tracks
+        in-flight batches.
         """
         assert self._flow_path is not None
         decode = ColumnarDecodeStage(self.config.chunk_size)
@@ -772,58 +704,30 @@ class FleetService:
                 cut = inject_at - self._position
                 inject_at = None
                 if cut:
-                    self._route_chunk(chunk.head(cut), skips)
+                    self.admit_chunk(chunk.head(cut), skips)
                     chunk = chunk.tail(cut)
                 self._inject_sigterm()
                 self._pump()
                 if self._stop_requested():
                     return True
-            self._route_chunk(chunk, skips)
-            self._pump()
+            self.admit_chunk(chunk, skips)
             if self._stop_requested():
                 return True
         self._pump()
         return self._stop_requested()
 
-    def _route_chunk(self, chunk, skips: Dict[int, int]) -> None:
-        """Decode once, slice per worker.
-
-        The router decodes column chunks exactly as a single engine
-        would, computes each row's ring slot through the same memoised
-        keying (one digest per distinct source), and ships each worker
-        its rows as an indexed sub-chunk — explicit global indices, so
-        the worker's events carry single-stream ``record_index``
-        values.
-        """
-        assert self.ring is not None
-        rows, row_slots, skipped = self._unfolded_rows(chunk, skips)
-        self.metrics.records_skipped += skipped
-        start = self._position
-        self._position += len(chunk)
-        assignment = np.asarray(
-            self.ring.assignment, dtype=np.int64
-        )
-        row_workers = assignment[row_slots[rows]]
-        for worker_id in np.unique(row_workers):
-            handle = self._handles[int(worker_id)]
-            if handle.dead:  # pragma: no cover - replay covers
-                continue
-            picked = rows[row_workers == worker_id]
-            self._send_rows(handle, chunk, start, picked, row_slots)
-            self.metrics.records_routed += len(picked)
-
     def _unfolded_rows(
         self,
         chunk,
-        skips: Dict[int, int],
+        skips: Optional[Dict[int, int]],
         slots: Optional[set] = None,
     ):
         """Rows of ``chunk`` no checkpoint has folded yet.
 
         Returns ``(rows, row_slots, skipped)``: the row numbers to
         send — every row (or only those of ``slots``) past its slot's
-        ``skips`` prefix, which is consumed in place — each row's ring
-        slot, and how many rows the prefixes swallowed.
+        ``skips`` prefix (if any), which is consumed in place — each
+        row's ring slot, and how many rows the prefixes swallowed.
         """
         identity = self.keying.identity
         uniques, inverse = np.unique(
@@ -840,7 +744,7 @@ class FleetService:
         else:
             keep = np.isin(row_slots, list(slots))
         skipped = 0
-        for slot in list(skips):
+        for slot in list(skips or ()):
             rows = np.nonzero(keep & (row_slots == slot))[0]
             take = min(skips[slot], len(rows))
             keep[rows[:take]] = False
@@ -855,25 +759,41 @@ class FleetService:
         self, handle: _WorkerHandle, chunk, start: int, rows, row_slots
     ) -> bool:
         """Send ``rows`` of ``chunk`` (whose row 0 is stream index
-        ``start``) to one worker as an indexed sub-chunk."""
+        ``start``) to one worker as an indexed sub-chunk, seven
+        columns and its per-slot row counts; False if it died."""
+        if self.plan is not None and self.plan.router_crashes_at(
+            self._batches_sent
+        ):
+            raise RouterCrash(
+                f"injected router crash after "
+                f"{self._batches_sent} batches"
+            )
+        columns = (rows + start,) + tuple(
+            column[rows]
+            for column in (
+                chunk.first, chunk.src, chunk.dst,
+                chunk.proto, chunk.dport, chunk.flags,
+            )
+        )
         slot_values, slot_counts = np.unique(
             row_slots[rows], return_counts=True
         )
-        return self._send_batch(
-            handle,
-            (rows + start,)
-            + tuple(
-                column[rows]
-                for column in (
-                    chunk.first, chunk.src, chunk.dst,
-                    chunk.proto, chunk.dport, chunk.flags,
-                )
-            ),
-            {
-                int(slot): int(count)
-                for slot, count in zip(slot_values, slot_counts)
-            },
-        )
+        counts = {
+            int(slot): int(count)
+            for slot, count in zip(slot_values, slot_counts)
+        }
+        if not self._put(handle, ("chunk", handle.seq, columns, counts)):
+            return False
+        handle.seq += 1
+        handle.sent += 1
+        self._batches_sent += 1
+        stats = self.metrics.worker(handle.worker_id)
+        stats.batches_sent += 1
+        stats.records_sent += len(rows)
+        depth = handle.outstanding
+        if depth > stats.max_queue_depth:
+            stats.max_queue_depth = depth
+        return True
 
     # -- drain / merge -------------------------------------------------
 

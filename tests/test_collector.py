@@ -373,6 +373,36 @@ class TestTruncateJournal:
         assert truncate_journal(path, 3500) == 3500
         assert path.read_text().splitlines() == kept
 
+    def test_torn_tail_of_a_multi_block_journal(self, tmp_path):
+        """No record bound (the fleet's resume rule): every complete
+        line of a journal many read blocks long stays, the newline-less
+        last one goes, and a second call writes nothing."""
+        path = tmp_path / "journal.csv"
+        lines = [format_flow(_flow(i)) for i in range(6000)]
+        whole = JOURNAL_HEADER + "\n".join(lines) + "\n"
+        assert len(whole) > 256 * 1024
+        path.write_text(whole + lines[0][:17], encoding="ascii")
+        assert truncate_journal(path) == 6000
+        assert path.read_text(encoding="ascii") == whole
+        stamp = path.stat().st_mtime_ns
+        assert truncate_journal(path) == 6000
+        assert path.stat().st_mtime_ns == stamp
+
+    @pytest.mark.parametrize("torn", ["1583020800,10.0.", "# rota"])
+    def test_torn_tail_exactly_at_records(self, tmp_path, torn):
+        """The checkpoint covers every complete line and the kill left
+        half of the next one: the cut lands on the torn line."""
+        path = tmp_path / "journal.csv"
+        lines = [format_flow(_flow(i)) for i in range(10)]
+        whole = JOURNAL_HEADER + "\n".join(lines) + "\n"
+        path.write_text(whole + torn, encoding="ascii")
+        assert truncate_journal(path, 10) == 10
+        assert path.read_text(encoding="ascii") == whole
+        # ... and a torn line inside the surplus changes nothing
+        path.write_text(whole + torn, encoding="ascii")
+        assert truncate_journal(path, 4) == 4
+        assert path.read_text(encoding="ascii").splitlines()[1:] == lines[:4]
+
 
 def _engine(rules, hitlist, **config_kwargs):
     from repro.stream import (
@@ -442,6 +472,64 @@ class TestServiceGuards:
         """A file-replay engine's document is unchanged by this PR."""
         engine = _engine(rules, hitlist)
         assert "collector" not in engine.metrics_dict()
+
+
+class TestFleetCollectFlags:
+    """``repro collect --fleet-workers`` and the global flags."""
+
+    @pytest.fixture()
+    def argv(self, rules, hitlist, tmp_path):
+        from repro.core.serialization import hitlist_to_json, rules_to_json
+
+        (tmp_path / "hitlist.json").write_text(hitlist_to_json(hitlist))
+        (tmp_path / "rules.json").write_text(rules_to_json(rules))
+        return [
+            "collect", "--artifacts", str(tmp_path),
+            "--fleet-workers", "2", "--no-control",
+            "--journal", str(tmp_path / "journal.csv"),
+            "--checkpoint-dir", str(tmp_path / "fleet"),
+            "--events-out", str(tmp_path / "events.jsonl"),
+        ]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--memory-budget", "1G"), ("--deadline", "30")]
+    )
+    def test_flags_the_fleet_cannot_honour_exit_2(
+        self, argv, flag, value, capsys
+    ):
+        from repro.cli import main
+
+        assert main([flag, value] + argv) == 2
+        assert (
+            f"error: {flag} is not supported with --fleet-workers"
+            in capsys.readouterr().err
+        )
+
+    def test_missing_journal_exits_2(self, argv, capsys):
+        from repro.cli import main
+
+        cut = argv.index("--journal")
+        assert main(argv[:cut] + argv[cut + 2 :]) == 2
+        assert "--fleet-workers needs --journal" in capsys.readouterr().err
+
+    def test_quarantine_dir_samples_datagrams(
+        self, argv, rules, hitlist, tmp_path
+    ):
+        from repro.cli import _build_parser, _collect_fleet_target
+        from repro.runtime import StopToken
+
+        samples = tmp_path / "quarantine"
+        args = _build_parser().parse_args(
+            ["--quarantine-dir", str(samples)] + argv
+        )
+        target = _collect_fleet_target(args, rules, hitlist, StopToken())
+        service = CollectorService(
+            target, config=CollectorConfig(journal=args.journal)
+        )
+        service.feed(b"\x00\x09 not a v9 packet")
+        assert service.source.metrics.datagrams_quarantined == 1
+        (entry,) = (samples / "quarantine.jsonl").read_text().splitlines()
+        assert json.loads(entry)["reason"].startswith("datagram_")
 
 
 class TestControlPlane:

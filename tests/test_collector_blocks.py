@@ -23,9 +23,11 @@ from repro.collector import (
     CollectorConfig,
     CollectorService,
     CollectorSource,
+    FleetTarget,
     truncate_journal,
 )
 from repro.collector import service as service_module
+from repro.fleet import FleetConfig, FleetService
 from repro.netflow.datagram import (
     FlowBlock,
     RecordLayout,
@@ -503,6 +505,56 @@ class TestHold:
         assert [path.name for path in (tmp_path / "ckpt").iterdir()] == [
             "ckpt-0000000030.json"
         ]
+
+    def test_stop_folds_the_held_rows_into_a_fleet(
+        self, rules, hitlist, gt_flows, tmp_path
+    ):
+        """The same hold in front of a fleet target: a stop drains the
+        held rows into the journal and the workers, none dropped."""
+        token = StopToken()
+        fleet = FleetService(
+            rules,
+            hitlist,
+            tmp_path / "fleet",
+            FleetConfig(workers=2, hang_timeout=10.0, drain_timeout=30.0),
+            stop_token=token,
+        )
+        service = CollectorService(
+            FleetTarget(fleet, tmp_path / "merged.jsonl"),
+            config=CollectorConfig(
+                journal=tmp_path / "journal.csv", control_port=None
+            ),
+        )
+        flows = gt_flows[:3000]
+        try:
+            service._start()
+            codec = NetflowV9Codec()
+            for number in range(0, len(flows), 30):
+                service.feed(
+                    codec.encode(flows[number : number + 30], number // 30),
+                    now=0.0,
+                )
+            assert service._held_rows == 3000
+            assert fleet.metrics.records_routed == 0
+            token.stop("test")
+            service._drain()
+        except BaseException:
+            fleet.abort()
+            raise
+        finally:
+            service._journal.close()
+        assert fleet.metrics.records_routed == 3000
+        assert service.source.metrics.records_folded == 3000
+        assert _data_lines(tmp_path / "journal.csv") == [
+            format_flow(flow) for flow in flows
+        ]
+        replay = StreamDetectionEngine(
+            rules, hitlist, StreamConfig(checkpoint_every=0), MemoryEventSink()
+        )
+        replay.process_flowfile(tmp_path / "journal.csv")
+        merged = (tmp_path / "merged.jsonl").read_text().splitlines()
+        assert merged == [event.to_line() for event in replay.sink.events]
+        assert merged, "the held rows must detect something"
 
     def test_sigterm_loses_nothing_the_socket_delivered(
         self, rules, hitlist, gt_flows, tmp_path

@@ -14,13 +14,16 @@ the matrix runs the same differential —
 3. replay that journal through a *fresh* engine via the ordinary
    file-replay path,
 4. compare the two event logs line for line, and the journal bytes
-   with the record-at-a-time rendering of the same delivered set.
+   with the record-at-a-time rendering of the same delivered set,
+5. feed the same stream through the same service handed a two-worker
+   :class:`FleetTarget`: its journal must equal the engine target's
+   byte for byte and its merged log the engine's log.
 
 Undecodable datagrams must be quarantined under typed
 ``datagram_<reason>`` slugs and must never kill the loop.  The soak
 half (``pytest -m soak``) does the same through the real binary: UDP
 socket, HTTP health plane, a real SIGTERM mid-ingest, ``--resume``,
-and the journal-replay oracle across the kill.
+and the journal-replay oracle across the kill — once per target.
 """
 
 import json
@@ -39,6 +42,7 @@ from repro.collector import (
     CollectorConfig,
     CollectorService,
     CollectorSource,
+    FleetTarget,
     JOURNAL_HEADER,
 )
 from repro.faults import (
@@ -47,9 +51,11 @@ from repro.faults import (
     UdpReplayShim,
     encode_export_stream,
 )
+from repro.fleet import FleetConfig, FleetService, worker_checkpoint_dir
 from repro.netflow.flowfile import format_flow
 from repro.netflow.v9 import NetflowV9Codec
-from repro.runtime import EXIT_DRAINED
+from repro.runtime import EXIT_DRAINED, StopToken
+from repro.stream.checkpoint import load_latest
 from repro.stream import (
     MemoryEventSink,
     StreamConfig,
@@ -113,6 +119,41 @@ def _fold_live(rules, hitlist, delivered, journal):
     return lines, _data_lines(journal), service.source.metrics
 
 
+def _fleet_service(rules, hitlist, directory, workers=2, **config):
+    """The same service, handed a fleet target over ``directory``; a
+    hung worker or a stuck drain fails the cell instead of the job."""
+    fleet = FleetService(
+        rules,
+        hitlist,
+        directory / "fleet",
+        FleetConfig(workers=workers, hang_timeout=10.0, drain_timeout=30.0),
+        stop_token=StopToken(),
+    )
+    return CollectorService(
+        FleetTarget(fleet, directory / "merged.jsonl"),
+        config=CollectorConfig(
+            journal=directory / "journal.csv", control_port=None, **config
+        ),
+    )
+
+
+def _fold_fleet(service, delivered, resume=False):
+    """Start (or resume) the fleet service, feed, drain; returns the
+    merged event lines."""
+    try:
+        service._start(resume)
+        for number, payload in enumerate(delivered):
+            service.feed(payload, now=number * 0.001)
+        service._drain()
+    except BaseException:
+        service.target.abort()
+        raise
+    finally:
+        if service._journal is not None:
+            service._journal.close()
+    return service.target.events_out.read_text().splitlines()
+
+
 def _data_lines(journal):
     return [
         line
@@ -158,6 +199,11 @@ class TestDatagramFaultMatrix:
         # the contract: live == file replay of the delivered set
         assert live == _replay_oracle(rules, hitlist, path)
         assert len(journal) == metrics.records_folded
+        # ... whichever target folds it
+        sharded = _fleet_service(rules, hitlist, tmp_path / "sharded")
+        assert _fold_fleet(sharded, delivered) == live
+        assert sharded.config.journal.read_bytes() == path.read_bytes()
+        assert sharded.source.metrics.to_dict() == metrics.to_dict()
         # the block-rendered journal is, byte for byte, what the
         # record-at-a-time adapter and format_flow give
         source = CollectorSource()
@@ -177,6 +223,75 @@ class TestDatagramFaultMatrix:
             metrics.datagrams_decoded + metrics.datagrams_quarantined
             == len(delivered)
         )
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_clean_stream_any_fleet_width(
+        self, workers, rules, hitlist, clean_datagrams, tmp_path
+    ):
+        path = tmp_path / "engine.csv"
+        live, _journal, _metrics = _fold_live(
+            rules, hitlist, clean_datagrams, path
+        )
+        assert live, "the stream must detect something"
+        # cadence 200 on 5-row datagrams: checkpoints broadcast mid-run
+        sharded = _fleet_service(
+            rules, hitlist, tmp_path, workers, checkpoint_every=200
+        )
+        assert _fold_fleet(sharded, clean_datagrams) == live
+        assert sharded.config.journal.read_bytes() == path.read_bytes()
+        fleet = sharded.target.fleet.metrics
+        assert fleet.records_routed == _BATCH * len(clean_datagrams)
+        assert fleet.restarts == fleet.rebalances == 0
+
+    def test_fleet_kill_then_resume_refolds_the_journal_tail(
+        self, rules, hitlist, batches, clean_datagrams, tmp_path
+    ):
+        """SIGKILL with 100 journaled rows past the last checkpoint and
+        a half-written line behind them: the resume cuts the torn line,
+        replays the journal through the per-slot skips — re-folding the
+        tail the engine target would have dropped — and the finished
+        run is byte-identical to one that was never killed."""
+        path = tmp_path / "engine.csv"
+        live, _journal, _metrics = _fold_live(
+            rules, hitlist, clean_datagrams, path
+        )
+        first = _fleet_service(
+            rules, hitlist, tmp_path, checkpoint_every=200
+        )
+        try:
+            first._start()
+            for number, payload in enumerate(clean_datagrams[:60]):
+                first.feed(payload, now=number * 0.001)
+            # 200 rows folded and checkpointed, 100 held: a snapshot
+            # folds (journals, admits) them without a checkpoint
+            assert first.health_snapshot()["records_processed"] == 300
+            deadline = time.monotonic() + 30
+            while not all(
+                load_latest(worker_checkpoint_dir(tmp_path / "fleet", worker))
+                for worker in range(2)
+            ):
+                assert time.monotonic() < deadline, "no checkpoint"
+                time.sleep(0.02)
+        finally:
+            first.target.abort()  # no drain, no final checkpoint
+            first._journal.close()
+        journal = first.config.journal
+        assert len(_data_lines(journal)) == 300
+        with open(journal, "ab") as fh:
+            fh.write(b"1583020800,10.0.")
+
+        second = _fleet_service(
+            rules, hitlist, tmp_path, checkpoint_every=200
+        )
+        factory = lambda: NetflowV9Codec(source_id=3)  # noqa: E731
+        rest = encode_export_stream(batches[60:], factory)
+        assert _fold_fleet(second, rest, resume=True) == live
+        assert second.journal_kept == 300
+        assert journal.read_bytes() == path.read_bytes()
+        fleet = second.target.fleet.metrics
+        # the checkpointed 200 were skipped, the tail of 100 re-folded
+        assert fleet.records_skipped == 200
+        assert fleet.records_routed == 300
 
     def test_drop_surfaces_sequence_gaps(
         self, rules, hitlist, clean_datagrams, tmp_path
@@ -315,7 +430,8 @@ class TestCollectorCliSoak:
     """The real thing: ``python -m repro collect`` on a loopback UDP
     socket, health plane polled throughout, killed with a real SIGTERM
     mid-ingest, resumed, and differentially checked against a file
-    replay of its own journal."""
+    replay of its own journal — folding into one engine, and into a
+    two-worker fleet."""
 
     def _spawn(self, args, cwd):
         env = dict(os.environ)
@@ -353,6 +469,16 @@ class TestCollectorCliSoak:
     def test_soak_sigterm_resume_and_replay_oracle(
         self, rules, hitlist, gt_flows, tmp_path
     ):
+        self._soak(rules, hitlist, gt_flows, tmp_path, [])
+
+    def test_fleet_soak_sigterm_resume_and_replay_oracle(
+        self, rules, hitlist, gt_flows, tmp_path
+    ):
+        self._soak(
+            rules, hitlist, gt_flows, tmp_path, ["--fleet-workers", "2"]
+        )
+
+    def _soak(self, rules, hitlist, gt_flows, tmp_path, target_args):
         from repro.core.serialization import (
             hitlist_to_json,
             rules_to_json,
@@ -376,7 +502,9 @@ class TestCollectorCliSoak:
         events = tmp_path / "events.jsonl"
 
         base = [
+            "--quarantine-dir", str(tmp_path / "quarantine"),
             "collect",
+            *target_args,
             "--artifacts", str(artifacts),
             "--bind", "127.0.0.1:0",
             "--events-out", str(events),
@@ -397,7 +525,8 @@ class TestCollectorCliSoak:
                 "127.0.0.1", info["udp_port"], pause=0.003
             )
             sender = threading.Thread(
-                target=shim.send, args=(datagrams[:120],)
+                target=shim.send,
+                args=([b"not an export packet"] + datagrams[:120],),
             )
             sender.start()
             time.sleep(0.2)
@@ -415,8 +544,15 @@ class TestCollectorCliSoak:
                 proc.kill()
         assert proc.returncode == EXIT_DRAINED, err
         assert "draining to checkpoint" in err
-        checkpoints = list((tmp_path / "ckpt").glob("ckpt-*.json"))
+        checkpoints = list((tmp_path / "ckpt").rglob("ckpt-*.json"))
         assert checkpoints, "drain must persist a final checkpoint"
+        # the undecodable datagram was sampled, whichever target ran
+        (sample,) = (
+            (tmp_path / "quarantine" / "quarantine.jsonl")
+            .read_text()
+            .splitlines()
+        )
+        assert json.loads(sample)["reason"].startswith("datagram_")
 
         first_records = sum(
             1

@@ -3,7 +3,7 @@
 The tentpole invariant — an N-worker fleet's merged event log is
 byte-identical to a single engine's — is proven here for N ∈
 {1, 2, 4, 8} on both admission modes (column chunks routed from a
-file; tuples pushed as a live collector would, buffered into chunks),
+file; chunks pushed one fold at a time as the live collector does),
 plus drain/resume.  Fault-schedule equivalence (kills, hangs, rebalances,
 router crashes) lives in ``test_fleet_faults.py``.
 """
@@ -32,7 +32,7 @@ from repro.fleet import (
     worker_log_path,
 )
 from repro.netflow.flowfile import write_flow_file
-from repro.netflow.replay import iter_flow_tuples
+from repro.netflow.parse import ColumnarDecodeStage
 from repro.pipeline.events import JsonlEventSink
 from repro.pipeline.flow import AddressKeying, SubscriberKeying
 from repro.runtime import StopToken
@@ -247,7 +247,7 @@ class TestEquivalence:
     """The headline proof: N workers == 1 engine, byte for byte."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
-    @pytest.mark.parametrize("admission", ["tuples", "columnar"])
+    @pytest.mark.parametrize("admission", ["pushed", "columnar"])
     def test_merged_log_matches_single_engine(
         self,
         rules,
@@ -260,13 +260,12 @@ class TestEquivalence:
         admission,
     ):
         """``columnar``: the router decodes the file into chunks and
-        routes row slices.  ``tuples``: records are pushed through
-        ``admit_tuples`` (the live collector's entry) and reach the
-        workers as chunks built from the per-worker buffers."""
+        routes row slices.  ``pushed``: chunks the size of a collector
+        fold go through ``start_push`` + ``admit_chunk`` (the live
+        collector's entry) and reach the workers as sub-chunks."""
         out = tmp_path / "merged.jsonl"
         config = FleetConfig(
             workers=workers,
-            batch_size=2048,
             chunk_size=8192,
             checkpoint_every=20_000,
         )
@@ -279,8 +278,9 @@ class TestEquivalence:
             service = FleetService(
                 rules, hitlist, tmp_path / "fleet", config
             )
-            assert service.start_push(gt_flowfile) == 0
-            service.admit_tuples(iter_flow_tuples(gt_flowfile))
+            assert service.start_push(gt_flowfile) is False
+            for chunk in ColumnarDecodeStage(4096).iter_chunks(gt_flowfile):
+                service.admit_chunk(chunk)
             code = service.finish_push(out, stopped=False)
         expected, events = reference
         assert code == 0
