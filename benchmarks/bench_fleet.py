@@ -63,6 +63,7 @@ def _corpus(directory, repeats):
 
 def _run(repeats, merge):
     from repro.fleet import FleetConfig, run_fleet
+    from repro.stream import StreamConfig
 
     base = pathlib.Path(tempfile.mkdtemp(prefix="bench-fleet-"))
     context, flow_path, records = _corpus(base, repeats)
@@ -84,8 +85,9 @@ def _run(repeats, merge):
             out,
             FleetConfig(
                 workers=workers,
-                chunk_size=1 << 16,
-                checkpoint_every=0,
+                engine=StreamConfig(
+                    chunk_size=1 << 16, checkpoint_every=0
+                ),
             ),
         )
         wall = time.perf_counter() - started

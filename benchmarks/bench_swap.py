@@ -101,9 +101,9 @@ def _tuples(records):
 
 
 def _assembly(rules, hitlist):
-    from repro.pipeline import PipelineConfig, streaming_assembly
+    from repro.pipeline import streaming_assembly
 
-    return streaming_assembly(rules, hitlist, PipelineConfig())
+    return streaming_assembly(rules, hitlist)
 
 
 def _events(sink):

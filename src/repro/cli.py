@@ -189,6 +189,86 @@ def _build_parser() -> argparse.ArgumentParser:
             "process force-exits with code 70 (default: unlimited)"
         ),
     )
+    # Flags more than one subcommand takes are declared once, here,
+    # and inherited through ``parents=``.
+    rule_flags = argparse.ArgumentParser(add_help=False)
+    rule_flags.add_argument(
+        "--artifacts", type=pathlib.Path, default=None,
+        help=(
+            "directory with hitlist.json/rules.json (default: derive "
+            "them from the simulated world)"
+        ),
+    )
+    rule_flags.add_argument(
+        "--threshold", type=float, default=0.4,
+        help="detection threshold D (default 0.4)",
+    )
+
+    def chunk_flags(default: int) -> argparse.ArgumentParser:
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument(
+            "--chunk-size", type=int, default=default,
+            help="rows per decoded column chunk (default %(default)s)",
+        )
+        return flags
+
+    engine_flags = argparse.ArgumentParser(add_help=False)
+    engine_flags.add_argument(
+        "--require-established", action="store_true",
+        help="drop TCP flows without an established handshake (spoof "
+        "filter)",
+    )
+    engine_flags.add_argument(
+        "--max-subscribers", type=int, default=1 << 16,
+        help="state-table bound: tracked subscriber lines "
+        "(default 65536)",
+    )
+    engine_flags.add_argument(
+        "--ttl-seconds", type=int, default=None,
+        help="evict subscribers idle longer than this (event time; "
+        "default: no TTL)",
+    )
+    engine_flags.add_argument(
+        "--checkpoint-dir", type=pathlib.Path, default=None,
+        help="directory for crash-safe checkpoints (with "
+        "--fleet-workers: the fleet directory)",
+    )
+    engine_flags.add_argument(
+        "--checkpoint-every", type=int, default=0,
+        help="checkpoint every N folded records; needs "
+        "--checkpoint-dir (0 = only at end of stream, or when a "
+        "collector drains)",
+    )
+    engine_flags.add_argument(
+        "--resume", action="store_true",
+        help="resume from the newest usable checkpoint in "
+        "--checkpoint-dir (collect: the --journal is truncated to "
+        "match; with --fleet-workers it is replayed instead)",
+    )
+    engine_flags.add_argument(
+        "--events-out", type=pathlib.Path, default=None,
+        help="append detection events to this JSONL log (default: "
+        "print to stdout; collect prints them on exit)",
+    )
+    engine_flags.add_argument(
+        "--stream-metrics-out", type=pathlib.Path, default=None,
+        help="write the repro.engine.metrics/1 stream document here "
+        "(collect: on exit, with the 'collector' section)",
+    )
+    engine_flags.add_argument(
+        "--fleet-workers", type=int, default=0,
+        help="fleet mode: fold on N supervised worker processes and "
+        "merge their event logs byte-identically to a single-engine "
+        "run (0 = off); needs --checkpoint-dir (the fleet directory), "
+        "--events-out (the merged log) and, for collect, --journal "
+        "(the fleet's replay source)",
+    )
+    engine_flags.add_argument(
+        "--fleet-ring-slots", type=int, default=64,
+        help="consistent-hash ring slots with --fleet-workers "
+        "(default 64)",
+    )
+
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("list", help="list available experiments")
@@ -237,6 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     detect = commands.add_parser(
         "detect",
+        parents=[rule_flags, chunk_flags(65536)],
         help=(
             "run detection over a flow file (see "
             "repro.netflow.flowfile) using JSON artifacts"
@@ -244,21 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument(
         "flows", type=pathlib.Path, help="flow file (haystack-flows CSV)"
-    )
-    detect.add_argument(
-        "--artifacts", type=pathlib.Path, default=None,
-        help=(
-            "directory with hitlist.json/rules.json (default: derive "
-            "them from the simulated world)"
-        ),
-    )
-    detect.add_argument(
-        "--threshold", type=float, default=0.4,
-        help="detection threshold D (default 0.4)",
-    )
-    detect.add_argument(
-        "--chunk-size", type=int, default=65536,
-        help="rows per decoded column chunk (default 65536)",
     )
 
     stream = commands.add_parser(
@@ -273,6 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream_run = stream_commands.add_parser(
         "run",
+        parents=[rule_flags, engine_flags, chunk_flags(65536)],
         help=(
             "stream a flow file through the online detector, "
             "emitting detection events as chains complete"
@@ -280,55 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream_run.add_argument(
         "flows", type=pathlib.Path, help="flow file (haystack-flows CSV)"
-    )
-    stream_run.add_argument(
-        "--artifacts", type=pathlib.Path, default=None,
-        help=(
-            "directory with hitlist.json/rules.json (default: derive "
-            "them from the simulated world)"
-        ),
-    )
-    stream_run.add_argument(
-        "--threshold", type=float, default=0.4,
-        help="detection threshold D (default 0.4)",
-    )
-    stream_run.add_argument(
-        "--require-established", action="store_true",
-        help="drop TCP flows without an established handshake (spoof "
-        "filter)",
-    )
-    stream_run.add_argument(
-        "--max-subscribers", type=int, default=1 << 16,
-        help="state-table bound: tracked subscriber lines "
-        "(default 65536)",
-    )
-    stream_run.add_argument(
-        "--ttl-seconds", type=int, default=None,
-        help="evict subscribers idle longer than this (event time; "
-        "default: no TTL)",
-    )
-    stream_run.add_argument(
-        "--checkpoint-dir", type=pathlib.Path, default=None,
-        help="directory for crash-safe checkpoints",
-    )
-    stream_run.add_argument(
-        "--checkpoint-every", type=int, default=0,
-        help="checkpoint every N records (0 = only at end of stream, "
-        "and only when --checkpoint-dir is set)",
-    )
-    stream_run.add_argument(
-        "--resume", action="store_true",
-        help="resume from the newest usable checkpoint in "
-        "--checkpoint-dir",
-    )
-    stream_run.add_argument(
-        "--events-out", type=pathlib.Path, default=None,
-        help="append detection events to this JSONL log (default: "
-        "print to stdout)",
-    )
-    stream_run.add_argument(
-        "--stream-metrics-out", type=pathlib.Path, default=None,
-        help="write the repro.engine.metrics/1 stream document here",
     )
     stream_run.add_argument(
         "--max-records", type=int, default=None,
@@ -340,10 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted and ignored: a flow file always folds as "
         "column chunks (kept only for benchmarks/perf, which still "
         "passes it)",
-    )
-    stream_run.add_argument(
-        "--chunk-size", type=int, default=65536,
-        help="rows per decoded column chunk (default 65536)",
     )
     stream_run.add_argument(
         "--hitlist-dir", type=pathlib.Path, default=None,
@@ -371,18 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "testing of the drain path)",
     )
     stream_run.add_argument(
-        "--fleet-workers", type=int, default=0,
-        help="fleet mode: route the stream onto N supervised worker "
-        "processes and merge their event logs byte-identically to a "
-        "single-engine run (0 = off; requires --checkpoint-dir as the "
-        "fleet directory and --events-out as the merged log)",
-    )
-    stream_run.add_argument(
-        "--fleet-ring-slots", type=int, default=64,
-        help="consistent-hash ring slots with --fleet-workers "
-        "(default 64)",
-    )
-    stream_run.add_argument(
         "--rebalance", action="store_true",
         help="with --fleet-workers: on worker death, skip in-place "
         "restarts and immediately quarantine + rebalance its ring "
@@ -391,6 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     collect = commands.add_parser(
         "collect",
+        parents=[rule_flags, engine_flags],
         help=(
             "live UDP NetFlow v9 / IPFIX collector service feeding "
             "the online detector; see repro.collector"
@@ -440,77 +443,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit 0 after receiving N datagrams (test/bench bound)",
     )
     collect.add_argument(
-        "--artifacts", type=pathlib.Path, default=None,
-        help=(
-            "directory with hitlist.json/rules.json (default: derive "
-            "them from the simulated world)"
-        ),
-    )
-    collect.add_argument(
-        "--threshold", type=float, default=0.4,
-        help="detection threshold D (default 0.4)",
-    )
-    collect.add_argument(
-        "--require-established", action="store_true",
-        help="drop TCP flows without an established handshake (spoof "
-        "filter)",
-    )
-    collect.add_argument(
-        "--max-subscribers", type=int, default=1 << 16,
-        help="state-table bound: tracked subscriber lines "
-        "(default 65536)",
-    )
-    collect.add_argument(
-        "--ttl-seconds", type=int, default=None,
-        help="evict subscribers idle longer than this (event time; "
-        "default: no TTL)",
-    )
-    collect.add_argument(
-        "--checkpoint-dir", type=pathlib.Path, default=None,
-        help="directory for crash-safe checkpoints",
-    )
-    collect.add_argument(
-        "--checkpoint-every", type=int, default=0,
-        help="checkpoint every N folded records (service-owned "
-        "cadence; 0 = only on drain)",
-    )
-    collect.add_argument(
-        "--resume", action="store_true",
-        help="resume from the newest usable checkpoint in "
-        "--checkpoint-dir (the --journal is truncated to match; with "
-        "--fleet-workers it is replayed instead)",
-    )
-    collect.add_argument(
-        "--events-out", type=pathlib.Path, default=None,
-        help="append detection events to this JSONL log (default: "
-        "print to stdout on exit)",
-    )
-    collect.add_argument(
         "--journal", type=pathlib.Path, default=None,
         help="append every delivered-and-decodable record to this "
         "flow file (the delivered-set oracle a live run is verified "
         "against)",
     )
     collect.add_argument(
-        "--stream-metrics-out", type=pathlib.Path, default=None,
-        help="write the repro.engine.metrics/1 document (with the "
-        "'collector' section) here on exit",
-    )
-    collect.add_argument(
         "--ready-file", type=pathlib.Path, default=None,
         help="write {'udp_port', 'control_port', 'pid'} JSON here "
         "once both sockets are bound",
-    )
-    collect.add_argument(
-        "--fleet-workers", type=int, default=0,
-        help="fold into a sharded worker fleet instead of one "
-        "in-process engine (0 = off, -1 = CPU count); needs "
-        "--journal (the fleet's replay source), --checkpoint-dir "
-        "(the fleet directory), and --events-out (the merged log)",
-    )
-    collect.add_argument(
-        "--fleet-ring-slots", type=int, default=64,
-        help="consistent-hash ring slots in fleet mode (default 64)",
     )
 
     sweep = commands.add_parser(
@@ -525,6 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_run = sweep_commands.add_parser(
         "run",
+        parents=[rule_flags, chunk_flags(4096)],
         help=(
             "expand a grid into cells, run detection per cell, "
             "write metrics JSONs + a scorecard"
@@ -546,27 +488,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "identical for any value)",
     )
     sweep_run.add_argument(
-        "--artifacts", type=pathlib.Path, default=None,
-        help=(
-            "directory with hitlist.json/rules.json (default: derive "
-            "them from the simulated world)"
-        ),
-    )
-    sweep_run.add_argument(
-        "--threshold", type=float, default=0.4,
-        help="detection threshold D (default 0.4)",
-    )
-    sweep_run.add_argument(
         "--lines", type=int, default=240,
         help="subscriber lines per cell (default 240)",
     )
     sweep_run.add_argument(
         "--sweep-days", type=int, default=2,
         help="traffic days per cell (default 2)",
-    )
-    sweep_run.add_argument(
-        "--chunk-size", type=int, default=4096,
-        help="rows per decoded column chunk (default 4096)",
     )
     return parser
 
@@ -586,17 +513,136 @@ def _run_experiment(
     return render(run(context))
 
 
-def _load_artifacts(directory: pathlib.Path):
-    from repro.core.serialization import (
-        hitlist_from_json,
-        rules_from_json,
+def _write_json(path: pathlib.Path, document) -> None:
+    import json
+
+    path.write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote {path}", file=sys.stderr)
+
+
+def _world(args) -> ExperimentContext:
+    """The simulated world at the scale the global flags name."""
+    return get_context(
+        seed=args.seed,
+        wild_subscribers=args.subscribers,
+        wild_days=args.days,
     )
 
-    hitlist = hitlist_from_json(
-        (directory / "hitlist.json").read_text()
+
+def _load_rules(args):
+    """``(rules, hitlist, store, rules_version)`` for a detection
+    command: the newest generation of ``--hitlist-dir`` (``stream
+    run``), else the ``--artifacts`` JSON, else the simulated world's.
+    ``None`` after printing why the store has nothing to load."""
+    hitlist_dir = getattr(args, "hitlist_dir", None)
+    if hitlist_dir is not None:
+        from repro.rules import VersionedRuleStore
+
+        store = VersionedRuleStore(hitlist_dir)
+        loaded = store.load_latest()
+        if loaded is None:
+            print(
+                f"error: no usable rule artifact under "
+                f"{hitlist_dir} (publish one with "
+                f"`repro artifacts --versioned {hitlist_dir}`)",
+                file=sys.stderr,
+            )
+            return None
+        artifact = loaded.artifact
+        if loaded.fallbacks:
+            print(
+                f"# rules artifact fallback: skipped "
+                f"{loaded.fallbacks} damaged generation(s), using "
+                f"last-good v{artifact.version}",
+                file=sys.stderr,
+            )
+        return artifact.rules, artifact.hitlist, store, artifact.version
+    if args.artifacts is not None:
+        from repro.core.serialization import (
+            hitlist_from_json,
+            rules_from_json,
+        )
+
+        hitlist = hitlist_from_json(
+            (args.artifacts / "hitlist.json").read_text()
+        )
+        rules = rules_from_json(
+            (args.artifacts / "rules.json").read_text()
+        )
+        return rules, hitlist, None, 0
+    context = _world(args)
+    return context.rules, context.hitlist, None, 0
+
+
+def _stream_config(args, **overrides):
+    """The run's one :class:`~repro.pipeline.config.StreamConfig`,
+    from whichever engine flags the subcommand declares (the rest keep
+    their defaults).  A checkpoint cadence without ``--checkpoint-dir``
+    is dropped — ``stream run`` warns, ``collect`` refuses, before
+    calling this."""
+    from repro.stream import StreamConfig
+
+    flags = {
+        name: getattr(args, name)
+        for name in (
+            "threshold",
+            "require_established",
+            "max_subscribers",
+            "ttl_seconds",
+            "checkpoint_dir",
+            "checkpoint_every",
+            "quarantine_dir",
+            "chunk_size",
+        )
+        if hasattr(args, name)
+    }
+    if flags.get("checkpoint_dir") is None:
+        flags.pop("checkpoint_every", None)
+    flags["workers"] = max(1, args.workers)
+    flags.update(overrides)
+    return StreamConfig(**flags)
+
+
+def _guard_kwargs(args, token=None) -> dict:
+    """``stop_token``/``governor``/``deadline`` from ``--memory-budget``
+    and ``--deadline`` — the keywords of both the stream engine and
+    :class:`~repro.pipeline.core.GuardSet`."""
+    from repro.pipeline import GuardSet
+    from repro.runtime import parse_memory_size
+
+    built = GuardSet.build(
+        memory_budget=(
+            parse_memory_size(args.memory_budget)
+            if args.memory_budget is not None
+            else None
+        ),
+        deadline=args.deadline,
     )
-    rules = rules_from_json((directory / "rules.json").read_text())
-    return hitlist, rules
+    return dict(
+        stop_token=token, governor=built.governor, deadline=built.deadline
+    )
+
+
+def _event_sink(args):
+    """``--events-out`` as an appendable JSONL log, else memory."""
+    from repro.stream import JsonlEventSink, MemoryEventSink
+
+    if args.events_out is not None:
+        return JsonlEventSink(args.events_out, resume=args.resume)
+    return MemoryEventSink()
+
+
+def _flush_events(sink) -> None:
+    """Print a memory sink's events; make a file sink durable."""
+    from repro.stream import MemoryEventSink
+
+    if isinstance(sink, MemoryEventSink):
+        for event in sink.events:
+            print(event.to_line())
+    else:
+        sink.flush(sync=True)
 
 
 def _run_stream(args) -> int:
@@ -611,65 +657,27 @@ def _run_stream(args) -> int:
     ended the run early but resumably, 70 when a drain overran
     ``--drain-grace`` (see README "Graceful shutdown & overload").
     """
-    import json
-
     from repro.runtime import (
         EXIT_DRAINED,
-        DeadlineBudget,
-        MemoryGovernor,
         ShutdownCoordinator,
         StopToken,
-        parse_memory_size,
     )
     from repro.stream import (
         CheckpointError,
-        JsonlEventSink,
-        MemoryEventSink,
         RuleVersionMismatch,
-        StreamConfig,
         StreamDetectionEngine,
     )
 
-    store = None
-    rules_version = 0
     if args.hitlist_refresh_every and args.hitlist_dir is None:
         print(
             "error: --hitlist-refresh-every needs --hitlist-dir",
             file=sys.stderr,
         )
         return 2
-    if args.hitlist_dir is not None:
-        from repro.rules import VersionedRuleStore
-
-        store = VersionedRuleStore(args.hitlist_dir)
-        loaded = store.load_latest()
-        if loaded is None:
-            print(
-                f"error: no usable rule artifact under "
-                f"{args.hitlist_dir} (publish one with "
-                f"`repro artifacts --versioned {args.hitlist_dir}`)",
-                file=sys.stderr,
-            )
-            return 2
-        hitlist = loaded.artifact.hitlist
-        rules = loaded.artifact.rules
-        rules_version = loaded.artifact.version
-        if loaded.fallbacks:
-            print(
-                f"# rules artifact fallback: skipped "
-                f"{loaded.fallbacks} damaged generation(s), using "
-                f"last-good v{rules_version}",
-                file=sys.stderr,
-            )
-    elif args.artifacts is not None:
-        hitlist, rules = _load_artifacts(args.artifacts)
-    else:
-        context = get_context(
-            seed=args.seed,
-            wild_subscribers=args.subscribers,
-            wild_days=args.days,
-        )
-        hitlist, rules = context.hitlist, context.rules
+    loaded = _load_rules(args)
+    if loaded is None:
+        return 2
+    rules, hitlist, store, rules_version = loaded
     if args.fleet_workers:
         return _run_stream_fleet(args, rules, hitlist, rules_version)
     if args.checkpoint_every and args.checkpoint_dir is None:
@@ -678,35 +686,10 @@ def _run_stream(args) -> int:
             "--checkpoint-dir; running without crash safety",
             file=sys.stderr,
         )
-    config = StreamConfig(
-        threshold=args.threshold,
-        require_established=args.require_established,
-        max_subscribers=args.max_subscribers,
-        ttl_seconds=args.ttl_seconds,
-        workers=max(1, args.workers),
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=(
-            args.checkpoint_every if args.checkpoint_dir else 0
-        ),
-        quarantine_dir=args.quarantine_dir,
-        chunk_size=args.chunk_size,
-    )
-    sink = (
-        JsonlEventSink(args.events_out, resume=args.resume)
-        if args.events_out is not None
-        else MemoryEventSink()
-    )
+    config = _stream_config(args)
+    sink = _event_sink(args)
     token = StopToken()
-    governor = (
-        MemoryGovernor(parse_memory_size(args.memory_budget))
-        if args.memory_budget is not None
-        else None
-    )
-    deadline = (
-        DeadlineBudget(args.deadline)
-        if args.deadline is not None
-        else None
-    )
+    guards = _guard_kwargs(args, token)
     try:
         with ShutdownCoordinator(token, grace=args.drain_grace):
             if args.resume:
@@ -719,19 +702,16 @@ def _run_stream(args) -> int:
                 try:
                     engine = StreamDetectionEngine.resume(
                         rules, hitlist, config, sink,
-                        stop_token=token,
-                        governor=governor,
-                        deadline=deadline,
                         rules_version=rules_version,
                         migrate_rules=args.migrate_rules,
+                        **guards,
                     )
                 except RuleVersionMismatch as exc:
                     # The store may still hold the generation this
                     # checkpoint was taken under — resuming with it is
                     # always exact, no migration needed.
                     engine = _resume_with_checkpoint_rules(
-                        store, exc, config, sink, token,
-                        governor, deadline,
+                        store, exc, config, sink, guards
                     )
                     if engine is None:
                         print(
@@ -748,10 +728,8 @@ def _run_stream(args) -> int:
             else:
                 engine = StreamDetectionEngine(
                     rules, hitlist, config, sink,
-                    stop_token=token,
-                    governor=governor,
-                    deadline=deadline,
                     rules_version=rules_version,
+                    **guards,
                 )
             if store is not None and args.hitlist_refresh_every:
                 processed = _stream_ingest_with_refresh(
@@ -783,18 +761,11 @@ def _run_stream(args) -> int:
                     f"resumable={engine.config.checkpoint_dir is not None}",
                     file=sys.stderr,
                 )
-            if isinstance(sink, MemoryEventSink):
-                for event in sink.events:
-                    print(event.to_line())
-            else:
-                sink.flush(sync=True)
+            _flush_events(sink)
     finally:
         sink.close()
     if args.stream_metrics_out is not None:
-        args.stream_metrics_out.write_text(
-            json.dumps(metrics, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.stream_metrics_out}", file=sys.stderr)
+        _write_json(args.stream_metrics_out, metrics)
     return EXIT_DRAINED if engine.stopped else 0
 
 
@@ -825,14 +796,13 @@ def _run_stream_fleet(args, rules, hitlist, rules_version) -> int:
     worker processes under ``--checkpoint-dir`` (the fleet directory:
     ``ring.json``, per-worker checkpoints and event logs) and writes
     the deterministically merged event log to ``--events-out`` —
-    byte-identical to what a single engine would emit, including
-    across worker kills, rebalances, and SIGTERM drain/resume.
+    byte-identical to what a single engine would emit for the same
+    flags, including across worker kills, rebalances, and SIGTERM
+    drain/resume.
 
     Exit codes match the single-engine path: 0 on a complete run,
     :data:`~repro.runtime.EXIT_DRAINED` (3) on a resumable early stop.
     """
-    import json
-
     from repro.fleet import FleetConfig, run_fleet
     from repro.runtime import (
         ShutdownCoordinator,
@@ -855,12 +825,7 @@ def _run_stream_fleet(args, rules, hitlist, rules_version) -> int:
     config = FleetConfig(
         workers=resolve_workers(args.fleet_workers),
         ring_slots=args.fleet_ring_slots,
-        checkpoint_every=args.checkpoint_every,
-        chunk_size=args.chunk_size,
-        threshold=args.threshold,
-        require_established=args.require_established,
-        max_subscribers=args.max_subscribers,
-        ttl_seconds=args.ttl_seconds,
+        engine=_stream_config(args),
         rules_version=rules_version,
         max_restarts=0 if args.rebalance else 1,
         inject_sigterm_at=args.inject_sigterm_at,
@@ -894,15 +859,9 @@ def _run_stream_fleet(args, rules, hitlist, rules_version) -> int:
             file=sys.stderr,
         )
     if args.stream_metrics_out is not None:
-        args.stream_metrics_out.write_text(
-            json.dumps(
-                service.stream_metrics().to_dict(),
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
+        _write_json(
+            args.stream_metrics_out, service.stream_metrics().to_dict()
         )
-        print(f"wrote {args.stream_metrics_out}", file=sys.stderr)
     return code
 
 
@@ -929,10 +888,12 @@ def _collect_fleet_target(args, rules, hitlist, token):
         FleetConfig(
             workers=resolve_workers(args.fleet_workers),
             ring_slots=args.fleet_ring_slots,
-            threshold=args.threshold,
-            require_established=args.require_established,
-            max_subscribers=args.max_subscribers,
-            ttl_seconds=args.ttl_seconds,
+            # the service owns the cadence; it also validates rows
+            # before journaling them, so a line the fleet cannot read
+            # back is journal damage to raise on, not input to drop
+            engine=_stream_config(
+                args, checkpoint_every=0, quarantine_dir=None
+            ),
         ),
         stop_token=token,
     )
@@ -944,16 +905,7 @@ def _collect_fleet_target(args, rules, hitlist, token):
 def _collect_engine(args, rules, hitlist, sink, token):
     """``repro collect``'s in-process engine, fresh or resumed from
     ``--checkpoint-dir``; ``None`` after printing a flag error."""
-    from repro.runtime import (
-        DeadlineBudget,
-        MemoryGovernor,
-        parse_memory_size,
-    )
-    from repro.stream import (
-        CheckpointError,
-        StreamConfig,
-        StreamDetectionEngine,
-    )
+    from repro.stream import CheckpointError, StreamDetectionEngine
 
     if args.checkpoint_dir is None and (
         args.checkpoint_every or args.resume
@@ -963,29 +915,9 @@ def _collect_engine(args, rules, hitlist, sink, token):
             f"error: {flag} needs --checkpoint-dir", file=sys.stderr
         )
         return None
-    config = StreamConfig(
-        threshold=args.threshold,
-        require_established=args.require_established,
-        max_subscribers=args.max_subscribers,
-        ttl_seconds=args.ttl_seconds,
-        workers=max(1, args.workers),
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=0,  # the service owns the cadence
-        quarantine_dir=args.quarantine_dir,
-    )
-    guards = dict(
-        stop_token=token,
-        governor=(
-            MemoryGovernor(parse_memory_size(args.memory_budget))
-            if args.memory_budget is not None
-            else None
-        ),
-        deadline=(
-            DeadlineBudget(args.deadline)
-            if args.deadline is not None
-            else None
-        ),
-    )
+    # the service owns the cadence
+    config = _stream_config(args, checkpoint_every=0)
+    guards = _guard_kwargs(args, token)
     if not args.resume:
         return StreamDetectionEngine(
             rules, hitlist, config, sink, **guards
@@ -1010,15 +942,12 @@ def _run_collect(args) -> int:
     (3) when a signal/deadline drained it to a final checkpoint
     ``--resume`` continues from.
     """
-    import json
-
     from repro.collector import CollectorConfig, CollectorService
     from repro.runtime import (
         EXIT_DRAINED,
         ShutdownCoordinator,
         StopToken,
     )
-    from repro.stream import JsonlEventSink, MemoryEventSink
 
     host, _, port_text = args.bind.rpartition(":")
     if not host or not port_text.isdigit():
@@ -1027,15 +956,7 @@ def _run_collect(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.artifacts is not None:
-        hitlist, rules = _load_artifacts(args.artifacts)
-    else:
-        context = get_context(
-            seed=args.seed,
-            wild_subscribers=args.subscribers,
-            wild_days=args.days,
-        )
-        hitlist, rules = context.hitlist, context.rules
+    rules, hitlist = _load_rules(args)[:2]
     config = CollectorConfig(
         bind_host=host,
         bind_port=int(port_text),
@@ -1060,11 +981,7 @@ def _run_collect(args) -> int:
                     args, rules, hitlist, token
                 )
             else:
-                sink = (
-                    JsonlEventSink(args.events_out, resume=args.resume)
-                    if args.events_out is not None
-                    else MemoryEventSink()
-                )
+                sink = _event_sink(args)
                 target = _collect_engine(
                     args, rules, hitlist, sink, token
                 )
@@ -1103,19 +1020,13 @@ def _run_collect(args) -> int:
                     f"resumable={args.checkpoint_dir is not None}",
                     file=sys.stderr,
                 )
-            if isinstance(sink, MemoryEventSink):
-                for event in sink.events:
-                    print(event.to_line())
-            elif sink is not None:
-                sink.flush(sync=True)
+            if sink is not None:
+                _flush_events(sink)
     finally:
         if sink is not None:
             sink.close()
     if args.stream_metrics_out is not None:
-        args.stream_metrics_out.write_text(
-            json.dumps(metrics, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.stream_metrics_out}", file=sys.stderr)
+        _write_json(args.stream_metrics_out, metrics)
     return exit_code
 
 
@@ -1205,9 +1116,7 @@ def _maybe_stage_refresh(engine, store) -> None:
     )
 
 
-def _resume_with_checkpoint_rules(
-    store, mismatch, config, sink, token, governor, deadline
-):
+def _resume_with_checkpoint_rules(store, mismatch, config, sink, guards):
     """Resume under the exact generation the checkpoint was taken with.
 
     Only possible when the store still holds that version; returns
@@ -1231,10 +1140,8 @@ def _resume_with_checkpoint_rules(
     )
     return StreamDetectionEngine.resume(
         artifact.rules, artifact.hitlist, config, sink,
-        stop_token=token,
-        governor=governor,
-        deadline=deadline,
         rules_version=artifact.version,
+        **guards,
     )
 
 
@@ -1282,25 +1189,19 @@ def _run_sweep(args) -> int:
     from repro.sweep import TrafficModel, load_grid, run_sweep
 
     grid = load_grid(args.grid)
+    rules, hitlist = _load_rules(args)[:2]
     address_space = None
-    if args.artifacts is not None:
-        hitlist, rules = _load_artifacts(args.artifacts)
-    else:
-        context = get_context(
-            seed=args.seed,
-            wild_subscribers=args.subscribers,
-            wild_days=args.days,
+    if args.artifacts is None:
+        address_space = (
+            _world(args).scenario.isp_topology().subscriber_space
         )
-        hitlist, rules = context.hitlist, context.rules
-        address_space = context.scenario.isp_topology().subscriber_space
     result = run_sweep(
         rules,
         hitlist,
         grid,
         model=TrafficModel(lines=args.lines, days=args.sweep_days),
         seed=args.seed,
-        threshold=args.threshold,
-        chunk_size=args.chunk_size,
+        config=_stream_config(args),
         workers=args.sweep_workers,
         address_space=address_space,
         out_dir=args.out,
@@ -1362,8 +1263,6 @@ def _run_batch(args, parse_memory_size) -> int:
         wild_deadline=args.deadline,
     )
     if args.metrics_out is not None:
-        import json
-
         metrics = context.wild.metrics
         if metrics is None:
             print(
@@ -1372,10 +1271,7 @@ def _run_batch(args, parse_memory_size) -> int:
                 file=sys.stderr,
             )
             return 2
-        args.metrics_out.write_text(
-            json.dumps(metrics, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.metrics_out}", file=sys.stderr)
+        _write_json(args.metrics_out, metrics)
 
     if args.command == "pipeline":
         print(pipeline_counts.render(pipeline_counts.run(context)))
@@ -1428,21 +1324,9 @@ def _run_batch(args, parse_memory_size) -> int:
         return 0
 
     if args.command == "detect":
-        from repro.core.serialization import (
-            hitlist_from_json,
-            rules_from_json,
-        )
-        from repro.pipeline import PipelineConfig, run_flow_detection
+        from repro.pipeline import GuardSet, run_flow_detection
 
-        if args.artifacts is not None:
-            hitlist = hitlist_from_json(
-                (args.artifacts / "hitlist.json").read_text()
-            )
-            rules = rules_from_json(
-                (args.artifacts / "rules.json").read_text()
-            )
-        else:
-            hitlist, rules = context.hitlist, context.rules
+        rules, hitlist = _load_rules(args)[:2]
         # The offline assembly of the shared staged pipeline — same
         # stage graph (and therefore same detections) as the stream
         # path; see repro.pipeline.
@@ -1450,17 +1334,8 @@ def _run_batch(args, parse_memory_size) -> int:
             rules,
             hitlist,
             args.flows,
-            PipelineConfig.from_args(
-                threshold=args.threshold,
-                chunk_size=args.chunk_size,
-                quarantine_dir=args.quarantine_dir,
-                memory_budget=(
-                    parse_memory_size(args.memory_budget)
-                    if args.memory_budget is not None
-                    else None
-                ),
-                deadline_seconds=args.deadline,
-            ),
+            _stream_config(args),
+            guards=GuardSet(**_guard_kwargs(args)),
         )
         print(
             f"# flows={result.flows_seen} "

@@ -27,7 +27,9 @@ successor, its *checkpointed* evidence is adopted into the successor's
 table, its event log is truncated to the checkpointed byte position,
 and the post-checkpoint remainder is replayed.  Hangs are detected by
 ack progress (a hung fold keeps heartbeating, so heartbeats prove the
-wrong thing) and resolved by SIGKILL into the same death path.
+wrong thing; the clock runs from a worker's last ack or, if it was
+idle, from the batch that ended the idleness) and resolved by SIGKILL
+into the same death path.
 
 **Drain ordering** is fan-out aware: the router stops admitting, then
 every worker drains (final checkpoint + sink flush) behind its queued
@@ -42,7 +44,7 @@ import multiprocessing
 import pathlib
 import queue as queue_module
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -57,9 +59,11 @@ from repro.fleet.worker import (
     worker_log_path,
     worker_main,
 )
-from repro.netflow.parse import ColumnarDecodeStage, DEFAULT_CHUNK_SIZE
+from repro.netflow.parse import ColumnarDecodeStage
+from repro.pipeline.config import StreamConfig
 from repro.pipeline.flow import SubscriberKeying
 from repro.pipeline.metrics import StreamMetrics
+from repro.resilience.quarantine import QuarantineSink
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervisor import RestartTracker
 from repro.runtime.shutdown import (
@@ -90,24 +94,22 @@ class RouterCrash(RuntimeError):
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Router + worker knobs for one fleet run."""
+    """Router knobs for one fleet run, plus the engine config every
+    worker is handed."""
 
     workers: int = 2
     ring_slots: int = DEFAULT_RING_SLOTS
     #: bounded command-queue depth per worker (backpressure)
     queue_depth: int = 8
-    #: worker-owned checkpoint cadence (records); 0 = drain/adopt only
-    checkpoint_every: int = 0
-    #: rows per column chunk the router decodes from a flow file
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-    # -- engine knobs (mirrored into every WorkerSpec) ----------------
-    threshold: float = 0.4
-    require_established: bool = False
-    #: the *full* single-engine bound, per worker — adoption must be
-    #: lossless, so no worker may evict what another accumulated
-    max_subscribers: int = 1 << 16
-    ttl_seconds: Optional[int] = None
-    salt: str = "haystack"
+    #: the single-engine config this fleet reproduces.  The router
+    #: reads ``salt`` (ring assignment), ``chunk_size`` and
+    #: ``quarantine_dir`` (its decode of the flow file); each worker
+    #: runs the rest (see :class:`~repro.fleet.worker.WorkerSpec`) —
+    #: ``checkpoint_every`` as its own cadence (0 = drain/adopt only),
+    #: ``max_subscribers`` as the *full* bound per worker, because
+    #: adoption must be lossless: no worker may evict what another
+    #: accumulated.
+    engine: StreamConfig = field(default_factory=StreamConfig)
     rules_version: int = 0
     # -- supervision --------------------------------------------------
     #: restarts before quarantine (0 = quarantine on first death)
@@ -213,8 +215,16 @@ class FleetService:
         # per repeated source).  Stateless beyond that recomputable
         # memo: a crashed router rebuilds assignment from the salt
         # alone, which is what makes whole-fleet resume possible.
+        engine = self.config.engine
         self.keying = SubscriberKeying(
-            salt=self.config.salt, shards=self.config.ring_slots
+            salt=engine.salt, shards=self.config.ring_slots
+        )
+        #: what the router's decode of the flow file drops instead of
+        #: raising; ``None`` (no ``quarantine_dir``) keeps the raise
+        self.quarantine = (
+            QuarantineSink(engine.quarantine_dir)
+            if engine.quarantine_dir is not None
+            else None
         )
         self.metrics = FleetMetrics(
             workers=self.config.workers,
@@ -252,7 +262,9 @@ class FleetService:
             if not resume:  # a resume admitted the source already
                 stopped = self._admit({})
             return self.finish_push(out_path, stopped)
-        except RouterCrash:
+        except BaseException:
+            # the workers ignore SIGTERM: left running, interpreter
+            # exit would join them forever
             self.abort()
             raise
 
@@ -453,12 +465,7 @@ class FleetService:
             incarnation=incarnation,
             fleet_dir=str(self.fleet_dir),
             ring_epoch=self.ring.epoch,
-            threshold=self.config.threshold,
-            require_established=self.config.require_established,
-            max_subscribers=self.config.max_subscribers,
-            ttl_seconds=self.config.ttl_seconds,
-            salt=self.config.salt,
-            checkpoint_every=self.config.checkpoint_every,
+            engine=self.config.engine,
             rules_version=self.config.rules_version,
             resume=resume,
             plan=self.plan,
@@ -659,7 +666,14 @@ class FleetService:
         in-flight batches.
         """
         assert self._flow_path is not None
-        decode = ColumnarDecodeStage(self.config.chunk_size)
+        # drops the lines admission dropped, so indices stay aligned,
+        # without sampling or counting them a second time
+        decode = ColumnarDecodeStage(
+            self.config.engine.chunk_size,
+            quarantine=(
+                QuarantineSink() if self.quarantine is not None else None
+            ),
+        )
         start = 0
         for chunk in decode.iter_chunks(self._flow_path):
             if start >= self._position:
@@ -694,7 +708,9 @@ class FleetService:
         position is the same for any ``chunk_size``.
         """
         assert self._flow_path is not None
-        decode = ColumnarDecodeStage(self.config.chunk_size)
+        decode = ColumnarDecodeStage(
+            self.config.engine.chunk_size, quarantine=self.quarantine
+        )
         inject_at = self.config.inject_sigterm_at
         for chunk in decode.iter_chunks(self._flow_path):
             if (
@@ -784,6 +800,10 @@ class FleetService:
         }
         if not self._put(handle, ("chunk", handle.seq, columns, counts)):
             return False
+        if not handle.outstanding:
+            # idle until now: its hang clock starts with this batch,
+            # not at whatever it last acked
+            handle.last_progress = time.monotonic()
         handle.seq += 1
         handle.sent += 1
         self._batches_sent += 1
@@ -844,8 +864,12 @@ class FleetService:
         fleet run renders through the same reporting path as a single
         engine, with the fleet table alongside.
         """
-        doc = StreamMetrics()
+        # every worker runs one state shard
+        doc = replace(self.config.engine, workers=1).metrics()
         doc.fleet = self.metrics
+        if self.quarantine is not None:
+            doc.records_quarantined = self.quarantine.total
+            doc.quarantine_reasons = dict(self.quarantine.counts)
         doc.records_processed = (
             self.metrics.records_routed + self.metrics.records_skipped
         )

@@ -42,7 +42,7 @@ import queue as queue_module
 import signal
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.netflow.parse import IndexedFlowChunk
@@ -88,16 +88,13 @@ class WorkerSpec:
     incarnation: int
     fleet_dir: str
     ring_epoch: int
-    threshold: float = 0.4
-    require_established: bool = False
-    #: per-worker table bound — the fleet passes the *full* single-
-    #: engine bound so adoption after a rebalance is lossless
-    max_subscribers: int = 1 << 16
-    ttl_seconds: Optional[int] = None
-    salt: str = "haystack"
-    #: worker-owned checkpoint cadence in folded records; 0 = only on
-    #: drain/adoption
-    checkpoint_every: int = 0
+    #: the fleet's engine config, as handed to the router.  The worker
+    #: runs it with its own checkpoint directory, one state shard
+    #: (``max_subscribers`` is therefore the *full* single-engine
+    #: bound per worker, so adoption after a rebalance is lossless)
+    #: and ``checkpoint_every`` as its worker-owned cadence in folded
+    #: records (0 = only on drain/adoption).
+    engine: StreamConfig = field(default_factory=StreamConfig)
     rules_version: int = 0
     resume: bool = False
     #: duck-typed fault plan (see repro.faults.fleet.FleetPlan)
@@ -142,15 +139,11 @@ def _build_engine(
     ckpt_dir = worker_checkpoint_dir(spec.fleet_dir, spec.worker_id)
     log_path = worker_log_path(spec.fleet_dir, spec.worker_id)
     log_path.parent.mkdir(parents=True, exist_ok=True)
-    config = StreamConfig(
-        threshold=spec.threshold,
-        require_established=spec.require_established,
-        max_subscribers=spec.max_subscribers,
-        ttl_seconds=spec.ttl_seconds,
-        workers=1,
-        salt=spec.salt,
+    config = replace(
+        spec.engine,
         checkpoint_dir=ckpt_dir,
         checkpoint_every=0,  # the worker owns the cadence
+        workers=1,
     )
     loaded = load_latest(ckpt_dir) if spec.resume else None
     if loaded is None:
@@ -287,9 +280,9 @@ def _serve(
                 for slot, count in message[3].items():
                     slot_counts[slot] = slot_counts.get(slot, 0) + count
                 if (
-                    spec.checkpoint_every
+                    spec.engine.checkpoint_every
                     and engine.metrics.records_since_checkpoint
-                    >= spec.checkpoint_every
+                    >= spec.engine.checkpoint_every
                 ):
                     checkpoint()
                 ack(seq)

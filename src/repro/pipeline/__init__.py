@@ -6,8 +6,8 @@ implemented once, assembled three ways:
 * the **batch wild-ISP engine** (:mod:`repro.engine`) runs plan →
   simulate → aggregate stages through :class:`StagedRun` with guarded
   shard admission;
-* the **stream engine** (:mod:`repro.stream`) wraps a
-  :class:`StreamingDetectStage` pipeline with checkpoint/resume;
+* the **stream engine** (:mod:`repro.stream`) wraps
+  :func:`streaming_assembly` with checkpoint/resume;
 * the **IXP path** (:mod:`repro.ixp`) keys by address and keeps the
   TCP-established anti-spoofing filter on in the Validate stage.
 
@@ -18,6 +18,9 @@ folds as numpy column chunks (``FlowChunk``) through
 lookup; the record-by-record loop (:meth:`FlowPipeline.run_tuples`) is
 the reference the chunk loop is pinned record-for-record equal to — the
 cross-loop cases in ``tests/test_columnar.py``.
+
+One :class:`StreamConfig` tunes every assembly that folds flows; guard
+budgets arrive separately, as a :class:`GuardSet`.
 
 The layering contract is directional: those three packages import
 :mod:`repro.pipeline`, never each other, and this package imports none
@@ -31,16 +34,7 @@ from repro.pipeline.assemble import (
     streaming_assembly,
 )
 from repro.pipeline.columnar import EndpointDayIndex
-from repro.pipeline.config import (
-    CheckpointConfig,
-    ColumnarConfig,
-    DetectionConfig,
-    GuardConfig,
-    PipelineConfig,
-    QuarantineConfig,
-    RulesConfig,
-    StateConfig,
-)
+from repro.pipeline.config import StreamConfig
 from repro.pipeline.core import GUARD_STRIDE, GuardSet, StagedRun
 from repro.pipeline.events import (
     DetectionEvent,
@@ -78,14 +72,7 @@ __all__ = [
     "GuardSet",
     "StagedRun",
     # configuration
-    "PipelineConfig",
-    "DetectionConfig",
-    "StateConfig",
-    "CheckpointConfig",
-    "QuarantineConfig",
-    "GuardConfig",
-    "ColumnarConfig",
-    "RulesConfig",
+    "StreamConfig",
     # live rule swap
     "RuleGeneration",
     "PendingSwap",

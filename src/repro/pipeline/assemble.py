@@ -8,7 +8,7 @@ checkpoint/resume around a streaming assembly, the IXP path
 the two generic ones library code and the CLI use directly:
 
 * :func:`streaming_assembly` — online detection into an event sink,
-  bounded state, no checkpointing;
+  bounded state, checkpointing only through the caller's callback;
 * :func:`batch_assembly` / :func:`run_flow_detection` — offline
   detection over a flow file or record iterable, reproducing the
   batch :class:`~repro.core.detector.FlowDetector` result through the
@@ -26,7 +26,7 @@ from repro.core.hitlist import Hitlist
 from repro.core.rules import RuleSet
 from repro.netflow.parse import ColumnarDecodeStage, chunks_from_records
 from repro.netflow.records import FlowRecord
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import StreamConfig
 from repro.pipeline.core import GuardSet
 from repro.pipeline.flow import (
     BatchDetectStage,
@@ -46,41 +46,40 @@ __all__ = [
 ]
 
 
-def _metrics_for(config: PipelineConfig) -> StreamMetrics:
-    return StreamMetrics(
-        workers=config.state.shards,
-        max_subscribers=config.state.max_keys,
-        ttl_seconds=config.state.ttl_seconds,
-        checkpoint_every=config.checkpoint.every,
-        threshold=config.detection.threshold,
-    )
+def _wire_pressure(
+    guards: Optional[GuardSet], keying
+) -> Optional[GuardSet]:
+    """A guard set that names no ``on_pressure`` sheds the keying's
+    recomputable identity cache under memory pressure."""
+    if guards is not None and guards.on_pressure is None:
+        guards.on_pressure = lambda _: keying.forget()
+    return guards
 
 
 def streaming_assembly(
     rules: RuleSet,
     hitlist: Hitlist,
-    config: Optional[PipelineConfig] = None,
+    config: Optional[StreamConfig] = None,
     sink=None,
     guards: Optional[GuardSet] = None,
     keying=None,
+    on_checkpoint=None,
 ) -> FlowPipeline:
     """An online pipeline: bounded state, events into ``sink``.
 
     The Detect stage holds one
     :class:`~repro.pipeline.state.EvidenceStateTable` per keying shard;
-    ``keying`` defaults to salted subscriber digests.  Checkpointing is
-    the stream engine's concern (it wraps this shape with persistence);
-    here ``checkpoint.every`` only sizes the metrics document.
+    ``keying`` defaults to salted subscriber digests.  Persistence is
+    the stream engine's concern: it passes its ``write_checkpoint`` as
+    ``on_checkpoint`` and the loop calls it every
+    ``config.checkpoint_every`` records; without one the cadence only
+    sizes the metrics document.
     """
-    config = config or PipelineConfig()
+    config = config or StreamConfig()
     if keying is None:
-        keying = SubscriberKeying(
-            salt=config.detection.salt, shards=config.state.shards
-        )
+        keying = SubscriberKeying(salt=config.salt, shards=config.workers)
     tables = [
-        EvidenceStateTable(
-            config.state.per_shard, config.state.ttl_seconds
-        )
+        EvidenceStateTable(config.per_shard, config.ttl_seconds)
         for _ in range(keying.shards)
     ]
     stage = StreamingDetectStage(
@@ -88,19 +87,23 @@ def streaming_assembly(
         hitlist,
         keying,
         tables,
-        threshold=config.detection.threshold,
-        require_established=config.detection.require_established,
-        metrics=_metrics_for(config),
+        threshold=config.threshold,
+        require_established=config.require_established,
+        metrics=config.metrics(),
     )
-    if guards is None:
-        guards = config.build_guards(on_pressure=lambda _: keying.forget())
-    return FlowPipeline(stage, sink=sink, guards=guards)
+    return FlowPipeline(
+        stage,
+        sink=sink,
+        guards=_wire_pressure(guards, keying),
+        checkpoint_every=config.checkpoint_every if on_checkpoint else 0,
+        on_checkpoint=on_checkpoint,
+    )
 
 
 def batch_assembly(
     rules: RuleSet,
     hitlist: Hitlist,
-    config: Optional[PipelineConfig] = None,
+    config: Optional[StreamConfig] = None,
     guards: Optional[GuardSet] = None,
     keying=None,
 ) -> FlowPipeline:
@@ -110,22 +113,18 @@ def batch_assembly(
     BatchDetectStage.detections` replays — batch semantics identical to
     :class:`~repro.core.detector.FlowDetector` for the same flows.
     """
-    config = config or PipelineConfig()
+    config = config or StreamConfig()
     if keying is None:
-        keying = SubscriberKeying(
-            salt=config.detection.salt, shards=config.state.shards
-        )
+        keying = SubscriberKeying(salt=config.salt, shards=config.workers)
     stage = BatchDetectStage(
         rules,
         hitlist,
         keying,
-        threshold=config.detection.threshold,
-        require_established=config.detection.require_established,
-        metrics=_metrics_for(config),
+        threshold=config.threshold,
+        require_established=config.require_established,
+        metrics=config.metrics(),
     )
-    if guards is None:
-        guards = config.build_guards(on_pressure=lambda _: keying.forget())
-    return FlowPipeline(stage, guards=guards)
+    return FlowPipeline(stage, guards=_wire_pressure(guards, keying))
 
 
 @dataclass
@@ -152,14 +151,14 @@ def run_flow_detection(
     rules: RuleSet,
     hitlist: Hitlist,
     source: Union[str, pathlib.Path, IO[str], Iterable[FlowRecord]],
-    config: Optional[PipelineConfig] = None,
+    config: Optional[StreamConfig] = None,
     guards: Optional[GuardSet] = None,
     keying=None,
 ) -> FlowDetectionResult:
     """Offline detection over a flow file or record iterable.
 
     Both source shapes fold as column chunks of
-    ``config.columnar.chunk_size`` rows: a path (or text stream) is
+    ``config.chunk_size`` rows: a path (or text stream) is
     decoded by :class:`~repro.netflow.parse.ColumnarDecodeStage`
     (malformed lines go to the quarantine when one is configured), any
     other iterable is batched by
@@ -167,16 +166,16 @@ def run_flow_detection(
     Subscriber identity is the source address, matching the CLI
     ``detect`` command and the batch detector convention.
     """
-    config = config or PipelineConfig()
+    config = config or StreamConfig()
     pipeline = batch_assembly(
         rules, hitlist, config, guards=guards, keying=keying
     )
     quarantine = (
-        QuarantineSink(config.quarantine.directory)
-        if config.quarantine.directory is not None
+        QuarantineSink(config.quarantine_dir)
+        if config.quarantine_dir is not None
         else None
     )
-    chunk_size = config.columnar.chunk_size
+    chunk_size = config.chunk_size
     if isinstance(source, (str, pathlib.Path)) or hasattr(source, "read"):
         chunks = ColumnarDecodeStage(
             chunk_size, quarantine=quarantine

@@ -12,8 +12,9 @@ This package is the *online assembly* of the shared staged pipeline
 
 * the bounded per-key state
   (:class:`~repro.pipeline.state.EvidenceStateTable`), the event type
-  and sinks (:mod:`repro.pipeline.events`), and the guarded ingest
-  loop all come from the pipeline layer (re-exported here for
+  and sinks (:mod:`repro.pipeline.events`), the config
+  (:class:`~repro.pipeline.config.StreamConfig`) and the guarded
+  ingest loop all come from the pipeline layer (re-exported here for
   compatibility);
 * :mod:`~repro.stream.checkpoint` — crash-safe checkpoints (atomic
   replace, version header, payload digest) so a killed process resumes
@@ -38,6 +39,7 @@ from repro.stream.checkpoint import (
     tmp_leftover_count,
     write_checkpoint,
 )
+from repro.pipeline.config import StreamConfig
 from repro.pipeline.events import (
     DetectionEvent,
     JsonlEventSink,
@@ -45,7 +47,7 @@ from repro.pipeline.events import (
     read_event_log,
 )
 from repro.pipeline.state import EvidenceStateTable
-from repro.stream.processor import StreamConfig, StreamDetectionEngine
+from repro.stream.processor import StreamDetectionEngine
 
 __all__ = [
     "CheckpointError",

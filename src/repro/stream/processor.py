@@ -1,12 +1,15 @@
 """The streaming detection engine.
 
-:class:`StreamDetectionEngine` is the *online assembly* of the shared
-staged pipeline (:mod:`repro.pipeline`): a
-:class:`~repro.pipeline.flow.StreamingDetectStage` keyed by salted
-subscriber digests (:class:`~repro.pipeline.flow.SubscriberKeying`),
-driven by a :class:`~repro.pipeline.flow.FlowPipeline` ingest loop,
-guarded by a :class:`~repro.pipeline.core.GuardSet` — plus the one
-concern this module owns outright: crash-safe checkpoint/resume.
+:class:`StreamDetectionEngine` wraps the *online assembly* of the
+shared staged pipeline (:func:`repro.pipeline.assemble.
+streaming_assembly`): a :class:`~repro.pipeline.flow.
+StreamingDetectStage` keyed by salted subscriber digests
+(:class:`~repro.pipeline.flow.SubscriberKeying`), driven by a
+:class:`~repro.pipeline.flow.FlowPipeline` ingest loop, guarded by a
+:class:`~repro.pipeline.core.GuardSet` and tuned by the one
+:class:`~repro.pipeline.config.StreamConfig` (re-exported here) — plus
+the concerns this module owns outright: crash-safe checkpoint/resume
+and the memory-pressure shed ladder.
 
 The engine consumes an ordered flow-record stream (column chunks
 decoded from a flow file, a collector's datagram-sized tuple batches,
@@ -44,21 +47,17 @@ from __future__ import annotations
 
 import pathlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Set, Union
 
 from repro.core.hitlist import Hitlist
 from repro.core.rules import RuleSet
-from repro.netflow.parse import DEFAULT_CHUNK_SIZE, ColumnarDecodeStage
+from repro.netflow.parse import ColumnarDecodeStage
 from repro.netflow.replay import FlowReplaySource, FlowTuple
-from repro.pipeline.core import GUARD_STRIDE, GuardSet
+from repro.pipeline.assemble import streaming_assembly
+from repro.pipeline.config import StreamConfig
+from repro.pipeline.core import GuardSet
 from repro.pipeline.events import MemoryEventSink
-from repro.pipeline.flow import (
-    FlowPipeline,
-    StreamingDetectStage,
-    SubscriberKeying,
-)
-from repro.pipeline.metrics import StreamMetrics
 from repro.pipeline.state import EvidenceStateTable
 from repro.resilience.quarantine import QuarantineSink
 from repro.runtime.deadline import DeadlineBudget
@@ -96,34 +95,6 @@ _IDENTITY_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class StreamConfig:
-    """Tuning of one streaming run."""
-
-    threshold: float = 0.4
-    require_established: bool = False
-    #: total tracked subscriber lines (split across workers)
-    max_subscribers: int = 1 << 16
-    #: evict lines idle longer than this (event-time seconds); None = off
-    ttl_seconds: Optional[int] = None
-    #: state shards; subscribers are partitioned by digest
-    workers: int = 1
-    salt: str = "haystack"
-    checkpoint_dir: Optional[pathlib.Path] = None
-    #: write a checkpoint every N processed records; 0 disables
-    checkpoint_every: int = 0
-    checkpoint_keep: int = 3
-    #: sample malformed/impossible records here instead of raising;
-    #: ``None`` keeps the historical raise-on-bad-record behaviour
-    quarantine_dir: Optional[pathlib.Path] = None
-    #: accepted and ignored — flow files always fold as column chunks.
-    #: Kept only because ``benchmarks/perf`` spells it; the next
-    #: benchmark change should drop it there and here.
-    columnar: bool = False
-    #: rows per column chunk decoded from a flow file
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-
-
 class StreamDetectionEngine:
     """Incremental, bounded-memory online detector."""
 
@@ -140,10 +111,6 @@ class StreamDetectionEngine:
         rules_version: int = 0,
     ) -> None:
         config = config or StreamConfig()
-        if config.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if config.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
         if config.checkpoint_every and config.checkpoint_dir is None:
             raise ValueError(
                 "checkpoint_every needs a checkpoint_dir"
@@ -153,14 +120,6 @@ class StreamDetectionEngine:
         if quarantine is None and config.quarantine_dir is not None:
             quarantine = QuarantineSink(config.quarantine_dir)
         self.quarantine = quarantine
-        self.metrics = StreamMetrics(
-            workers=config.workers,
-            max_subscribers=config.max_subscribers,
-            ttl_seconds=config.ttl_seconds,
-            checkpoint_every=config.checkpoint_every,
-            threshold=config.threshold,
-            rules_active_version=rules_version,
-        )
         #: ``(pending_version, activate_at)`` a resumed checkpoint had
         #: staged — the driver re-stages the matching generation so the
         #: continued run swaps at the same event-time boundary
@@ -172,43 +131,30 @@ class StreamDetectionEngine:
         #: single-engine run leaves it ``None`` and its checkpoint
         #: payloads are unchanged.
         self.lineage: Optional[Dict[str, object]] = None
-        # -- pipeline assembly (see repro.pipeline) -------------------
-        per_worker = max(1, config.max_subscribers // config.workers)
-        keying = SubscriberKeying(
-            salt=config.salt, shards=config.workers
-        )
-        tables = [
-            EvidenceStateTable(per_worker, config.ttl_seconds)
-            for _ in range(config.workers)
-        ]
         self.governor = governor
         self.deadline = deadline
         self._guards = GuardSet(
             stop_token=stop_token,
             governor=governor,
             deadline=deadline,
-            overload=self.metrics.overload,
             on_pressure=self._shed_memory,
         )
-        # A governor brings its own OverloadMetrics; adopt whichever
-        # document the guard set settled on so there is exactly one.
-        self.metrics.overload = self._guards.overload
-        self._stage = StreamingDetectStage(
+        # The online assembly (see repro.pipeline), checkpointing
+        # through this engine.
+        self._pipeline = streaming_assembly(
             rules,
             hitlist,
-            keying,
-            tables,
-            threshold=config.threshold,
-            require_established=config.require_established,
-            metrics=self.metrics,
-        )
-        self._pipeline = FlowPipeline(
-            self._stage,
+            config,
             sink=self.sink,
             guards=self._guards,
-            checkpoint_every=config.checkpoint_every,
             on_checkpoint=self.write_checkpoint,
         )
+        self._stage = self._pipeline.stage
+        self.metrics = self._stage.metrics
+        self.metrics.rules_active_version = rules_version
+        # One overload document: the guard set's (a governor brings
+        # its own).
+        self.metrics.overload = self._guards.overload
         #: digests whose evidence a pressure shrink discarded — the
         #: accounting tests use this to scope the match-on-unshedded
         #: guarantee

@@ -22,7 +22,7 @@ from repro.cloud.addressing import Prefix, str_to_ip
 from repro.core.rules import RuleSet
 from repro.isp.cgnat import AddressPlan, build_address_plan
 from repro.pipeline.assemble import run_flow_detection
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import StreamConfig
 from repro.pipeline.flow import AddressKeying
 from repro.runtime.workers import resolve_workers
 from repro.sweep.axes import (
@@ -106,8 +106,7 @@ def run_cell(
     cell: SweepCell,
     model: Optional[TrafficModel] = None,
     seed: int = 7,
-    threshold: float = 0.4,
-    chunk_size: int = 4096,
+    config: Optional[StreamConfig] = None,
     address_space: Optional[Prefix] = None,
     plan: Optional[AddressPlan] = None,
     out_dir: Optional[pathlib.Path] = None,
@@ -130,9 +129,7 @@ def run_cell(
         rules,
         hitlist,
         io.StringIO(text),
-        PipelineConfig.from_args(
-            threshold=threshold, chunk_size=chunk_size
-        ),
+        config,
         keying=AddressKeying(),
     )
     score = _score(rules, truth, plan, result.detections)
@@ -190,8 +187,7 @@ def run_sweep(
     grid: SweepGrid,
     model: Optional[TrafficModel] = None,
     seed: int = 7,
-    threshold: float = 0.4,
-    chunk_size: int = 4096,
+    config: Optional[StreamConfig] = None,
     workers: int = 1,
     address_space: Optional[Prefix] = None,
     out_dir: Optional[pathlib.Path] = None,
@@ -217,8 +213,7 @@ def run_sweep(
                     cell,
                     model=model,
                     seed=seed,
-                    threshold=threshold,
-                    chunk_size=chunk_size,
+                    config=config,
                     address_space=address_space,
                     out_dir=out,
                 )
@@ -233,8 +228,7 @@ def run_sweep(
                 cell,
                 model=model,
                 seed=seed,
-                threshold=threshold,
-                chunk_size=chunk_size,
+                config=config,
                 address_space=address_space,
                 out_dir=out,
             )

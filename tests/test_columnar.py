@@ -34,7 +34,6 @@ from repro.pipeline import (
     BatchDetectStage,
     FlowPipeline,
     MemoryEventSink,
-    PipelineConfig,
     batch_assembly,
     run_flow_detection,
     streaming_assembly,
@@ -105,7 +104,7 @@ def _fold(rules, hitlist, path, chunk_size=None):
     per-record loop, or the chunk loop when ``chunk_size`` is given."""
     sink = MemoryEventSink()
     pipeline = streaming_assembly(
-        rules, hitlist, PipelineConfig(), sink=sink
+        rules, hitlist, StreamConfig(), sink=sink
     )
     if chunk_size is None:
         pipeline.run_tuples(iter_flow_tuples(path))
@@ -197,7 +196,7 @@ class TestBatchEquivalence:
             rules,
             hitlist,
             gt_flows,
-            PipelineConfig.from_args(chunk_size=777),
+            StreamConfig(chunk_size=777),
         )
         assert chunked.detections == per_record.stage.detections()
         assert _metric_fields(chunked.metrics) == _metric_fields(
@@ -212,13 +211,13 @@ class TestBatchEquivalence:
             rules,
             hitlist,
             gt_flowfile,
-            PipelineConfig.from_args(chunk_size=3),
+            StreamConfig(chunk_size=3),
         )
         huge = run_flow_detection(
             rules,
             hitlist,
             gt_flowfile,
-            PipelineConfig.from_args(chunk_size=1 << 20),
+            StreamConfig(chunk_size=1 << 20),
         )
         assert tiny.detections == huge.detections
         assert _metric_fields(tiny.metrics) == _metric_fields(
@@ -235,7 +234,7 @@ class TestStreamingEquivalence:
     ):
         """The online path emits the *same events in the same order at
         the same record indices* on either loop."""
-        config = PipelineConfig.from_args(shards=4)
+        config = StreamConfig(workers=4)
         scalar_sink = MemoryEventSink()
         scalar = streaming_assembly(
             rules, hitlist, config, sink=scalar_sink
@@ -325,7 +324,7 @@ class TestDecodeParity:
             rules,
             hitlist,
             corrupted,
-            PipelineConfig.from_args(
+            StreamConfig(
                 chunk_size=997, quarantine_dir=tmp_path / "q2"
             ),
         )

@@ -2,11 +2,12 @@
 
 import csv
 import io
+import pathlib
 
 import pytest
 
 from repro.analysis import export
-from repro.cli import EXPERIMENTS, main
+from repro.cli import EXPERIMENTS, _build_parser, main
 from repro.experiments import fig10_crosscheck
 
 
@@ -110,6 +111,120 @@ class TestCli:
             "dns-visibility", "scorecard", "defenses",
         }
         assert set(EXPERIMENTS) == expected
+
+
+class TestParserSnapshot:
+    """The parsed namespace of each subcommand's minimal argv, pinned:
+    no flag, dest or default may move when the parser is refactored."""
+
+    _GLOBAL = {
+        "days": 14,
+        "deadline": None,
+        "drain_grace": None,
+        "max_retries": 2,
+        "memory_budget": None,
+        "metrics_out": None,
+        "quarantine_dir": None,
+        "seed": 7,
+        "shard_size": 8192,
+        "shard_timeout": None,
+        "subscribers": 100000,
+        "workers": 1,
+    }
+    _ENGINE = {
+        "artifacts": None,
+        "checkpoint_dir": None,
+        "checkpoint_every": 0,
+        "events_out": None,
+        "fleet_ring_slots": 64,
+        "fleet_workers": 0,
+        "max_subscribers": 65536,
+        "require_established": False,
+        "resume": False,
+        "stream_metrics_out": None,
+        "threshold": 0.4,
+        "ttl_seconds": None,
+    }
+    _CASES = {
+        "detect": (
+            ["detect", "f.csv"],
+            {
+                "command": "detect",
+                "flows": pathlib.Path("f.csv"),
+                "artifacts": None,
+                "threshold": 0.4,
+                "chunk_size": 65536,
+            },
+        ),
+        "stream run": (
+            ["stream", "run", "f.csv"],
+            {
+                **_ENGINE,
+                "command": "stream",
+                "stream_command": "run",
+                "flows": pathlib.Path("f.csv"),
+                "chunk_size": 65536,
+                "columnar": False,
+                "hitlist_dir": None,
+                "hitlist_refresh_every": 0,
+                "inject_sigterm_at": None,
+                "max_records": None,
+                "migrate_rules": False,
+                "rebalance": False,
+            },
+        ),
+        "collect": (
+            ["collect"],
+            {
+                **_ENGINE,
+                "command": "collect",
+                "bind": "127.0.0.1:0",
+                "control_port": 0,
+                "exporter_timeout": 300.0,
+                "idle_exit": None,
+                "journal": None,
+                "max_datagrams": None,
+                "no_control": False,
+                "pending_sets": 64,
+                "pending_ttl": 60.0,
+                "ready_file": None,
+                "recv_buffer": None,
+            },
+        ),
+        "sweep run": (
+            ["sweep", "run"],
+            {
+                "command": "sweep",
+                "sweep_command": "run",
+                "artifacts": None,
+                "threshold": 0.4,
+                "chunk_size": 4096,
+                "grid": "quick",
+                "lines": 240,
+                "out": pathlib.Path("sweep-out"),
+                "sweep_days": 2,
+                "sweep_workers": 1,
+            },
+        ),
+        "artifacts": (
+            ["artifacts", "d"],
+            {
+                "command": "artifacts",
+                "directory": pathlib.Path("d"),
+                "versioned": False,
+            },
+        ),
+        "experiment": (
+            ["experiment", "table1"],
+            {"command": "experiment", "id": "table1", "output": None},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_CASES))
+    def test_minimal_argv_namespace(self, name):
+        argv, expected = self._CASES[name]
+        parsed = vars(_build_parser().parse_args(argv))
+        assert parsed == {**self._GLOBAL, **expected}
 
 
 class TestCliOperationalLoop:

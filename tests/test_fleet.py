@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.faults.fleet import FleetPlan
 from repro.fleet import (
     DEFAULT_RING_SLOTS,
     FleetConfig,
@@ -266,8 +267,9 @@ class TestEquivalence:
         out = tmp_path / "merged.jsonl"
         config = FleetConfig(
             workers=workers,
-            chunk_size=8192,
-            checkpoint_every=20_000,
+            engine=StreamConfig(
+                chunk_size=8192, checkpoint_every=20_000
+            ),
         )
         if admission == "columnar":
             code, service = run_fleet(
@@ -306,7 +308,10 @@ class TestEquivalence:
             tmp_path / "fleet",
             out,
             FleetConfig(
-                workers=4, chunk_size=4096, checkpoint_every=10_000
+                workers=4,
+                engine=StreamConfig(
+                    chunk_size=4096, checkpoint_every=10_000
+                ),
             ),
             stop_token=TripAfter(polls=8),
         )
@@ -323,7 +328,10 @@ class TestEquivalence:
             tmp_path / "fleet",
             out,
             FleetConfig(
-                workers=4, chunk_size=4096, checkpoint_every=10_000
+                workers=4,
+                engine=StreamConfig(
+                    chunk_size=4096, checkpoint_every=10_000
+                ),
             ),
             resume=True,
         )
@@ -331,6 +339,181 @@ class TestEquivalence:
         assert code == 0
         assert service.metrics.records_skipped > 0
         assert out.read_bytes() == expected
+
+
+# -- bad rows: the router's decode is the single engine's ---------------
+
+_MALFORMED = "1,2,3"
+_IMPOSSIBLE = (
+    "100,160,10.0.0.1,93.184.216.34,999,40000,443,3,300,0x10",
+    "100,160,10.0.0.2,93.184.216.34,6,40000,70000,3,300,0x10",
+    "100,160,10.0.0.3,93.184.216.34,6,40000,443,3,300,0x1ff",
+)
+_BOUNDED = dict(hang_timeout=10.0, drain_timeout=30.0)
+
+
+def _reaped_within(seconds: float) -> bool:
+    import multiprocessing
+
+    deadline = time.monotonic() + seconds
+    while multiprocessing.active_children():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def _write_artifacts(rules, hitlist, directory):
+    from repro.core.serialization import hitlist_to_json, rules_to_json
+
+    directory.mkdir()
+    (directory / "hitlist.json").write_text(hitlist_to_json(hitlist))
+    (directory / "rules.json").write_text(rules_to_json(rules))
+    return directory
+
+
+@pytest.fixture(scope="module")
+def bad_flowfile(gt_flowfile, tmp_path_factory):
+    """The first 12k corpus lines with one malformed line and three
+    impossible-valued rows planted early, so every later event's
+    ``record_index`` depends on them being dropped, not folded."""
+    lines = gt_flowfile.read_text().splitlines()[:12_000]
+    lines[1500:1500] = [_IMPOSSIBLE[0], _MALFORMED, _IMPOSSIBLE[1]]
+    lines.insert(4000, _IMPOSSIBLE[2])
+    path = tmp_path_factory.mktemp("fleet-bad") / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestBadRows:
+    def test_router_exception_reaps_workers_and_surfaces(
+        self, rules, hitlist, bad_flowfile, tmp_path
+    ):
+        """No quarantine: the malformed line raises in the router, as
+        it does in a single engine — and the workers (which ignore
+        SIGTERM) are reaped, or interpreter exit would join them
+        forever."""
+        engine = StreamDetectionEngine(rules, hitlist, StreamConfig())
+        with pytest.raises(ValueError, match="flow line has 3 fields"):
+            engine.process_flowfile(bad_flowfile)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="flow line has 3 fields"):
+            run_fleet(
+                rules,
+                hitlist,
+                bad_flowfile,
+                tmp_path / "fleet",
+                tmp_path / "merged.jsonl",
+                FleetConfig(
+                    workers=2,
+                    engine=StreamConfig(chunk_size=512),
+                    **_BOUNDED,
+                ),
+            )
+        assert _reaped_within(10.0)
+        assert time.monotonic() - started < 60.0
+
+    @pytest.mark.parametrize(
+        "workers, plan",
+        [
+            (1, None),
+            (2, None),
+            (2, FleetPlan(kind="worker_crash", worker=1, at_batch=3)),
+        ],
+        ids=["n1", "n2", "n2-worker-crash"],
+    )
+    def test_quarantine_dir_matches_single_engine(
+        self, rules, hitlist, bad_flowfile, tmp_path, workers, plan
+    ):
+        single_log = tmp_path / "single.jsonl"
+        engine = StreamDetectionEngine(
+            rules,
+            hitlist,
+            StreamConfig(quarantine_dir=tmp_path / "q-single"),
+            sink=JsonlEventSink(single_log),
+        )
+        engine.process_flowfile(bad_flowfile)
+        engine.drain()
+        engine.sink.close()
+        single = engine.metrics_dict()
+        assert single["quarantine"]["total"] == 4
+        assert engine.metrics.events_emitted > 0
+
+        out = tmp_path / "merged.jsonl"
+        code, service = run_fleet(
+            rules,
+            hitlist,
+            bad_flowfile,
+            tmp_path / "fleet",
+            out,
+            FleetConfig(
+                workers=workers,
+                engine=StreamConfig(
+                    quarantine_dir=tmp_path / "q-fleet",
+                    chunk_size=512,
+                    checkpoint_every=2000,
+                ),
+                **_BOUNDED,
+            ),
+            plan=plan,
+        )
+        assert code == 0
+        if plan is not None:
+            assert service.metrics.restarts == 1
+        assert out.read_bytes() == single_log.read_bytes()
+        document = service.stream_metrics().to_dict()
+        assert document["quarantine"] == single["quarantine"]
+        assert (
+            document["throughput"]["records"]
+            == single["throughput"]["records"]
+        )
+        # one sample file, holding what the single engine's holds: the
+        # restart's replay neither sampled nor counted a line twice
+        samples = sorted(tmp_path.rglob("quarantine.jsonl"))
+        assert samples == [
+            tmp_path / "q-fleet" / "quarantine.jsonl",
+            tmp_path / "q-single" / "quarantine.jsonl",
+        ]
+        assert samples[0].read_bytes() == samples[1].read_bytes()
+
+    def test_config_echo_equals_single_engine(
+        self, rules, hitlist, bad_flowfile, tmp_path
+    ):
+        """The fleet document echoes the flags it ran with, exactly as
+        the single-engine document does."""
+        from repro.cli import main as cli_main
+
+        artifacts = _write_artifacts(rules, hitlist, tmp_path / "art")
+
+        def config_section(tag, *extra):
+            metrics = tmp_path / f"metrics-{tag}.json"
+            code = cli_main(
+                [
+                    "--quarantine-dir", str(tmp_path / f"q-{tag}"),
+                    "stream", "run", str(bad_flowfile),
+                    "--artifacts", str(artifacts),
+                    "--threshold", "0.7",
+                    "--max-subscribers", "1234",
+                    "--ttl-seconds", "99",
+                    "--checkpoint-dir", str(tmp_path / f"ck-{tag}"),
+                    "--checkpoint-every", "500",
+                    "--events-out", str(tmp_path / f"ev-{tag}.jsonl"),
+                    "--stream-metrics-out", str(metrics),
+                    *extra,
+                ]
+            )
+            assert code == 0
+            return json.loads(metrics.read_text())["config"]
+
+        single = config_section("single")
+        assert single == {
+            "threshold": 0.7,
+            "max_subscribers": 1234,
+            "checkpoint_every": 500,
+            "ttl_seconds": 99,
+            "workers": 1,
+        }
+        assert config_section("fleet", "--fleet-workers", "2") == single
 
 
 # -- CLI soak: real processes, real signals ---------------------------
@@ -361,20 +544,6 @@ class TestFleetCliSoak:
         env["PYTHONPATH"] = os.path.join(root, "src")
         return env
 
-    def _artifacts(self, rules, hitlist, tmp_path):
-        from repro.core.serialization import (
-            hitlist_to_json,
-            rules_to_json,
-        )
-
-        artifacts = tmp_path / "artifacts"
-        artifacts.mkdir()
-        (artifacts / "hitlist.json").write_text(
-            hitlist_to_json(hitlist)
-        )
-        (artifacts / "rules.json").write_text(rules_to_json(rules))
-        return artifacts
-
     def _fleet_args(
         self, flowfile, artifacts, tmp_path, tag, workers, extra=()
     ):
@@ -398,7 +567,9 @@ class TestFleetCliSoak:
         from repro.netflow.flowfile import write_flow_file
 
         tmp_path = tmp_path_factory.mktemp("fleet-soak")
-        artifacts = self._artifacts(rules, hitlist, tmp_path)
+        artifacts = _write_artifacts(
+            rules, hitlist, tmp_path / "artifacts"
+        )
         # repeat the corpus so the run is long enough to kill into
         flowfile = tmp_path / "flows.csv"
         write_flow_file(flowfile, gt_flows * 4)
@@ -449,7 +620,9 @@ class TestFleetCliSoak:
         """A real kernel-delivered SIGTERM (--inject-sigterm-at) mid-
         fleet drains every worker to a checkpoint (exit 3); --resume
         completes byte-identically to an uninterrupted fleet."""
-        artifacts = self._artifacts(rules, hitlist, tmp_path)
+        artifacts = _write_artifacts(
+            rules, hitlist, tmp_path / "artifacts"
+        )
 
         def run(args):
             return subprocess.run(
@@ -498,3 +671,25 @@ class TestFleetCliSoak:
         assert (tmp_path / "events-killed.jsonl").read_bytes() == (
             tmp_path / "events-clean.jsonl"
         ).read_bytes()
+
+    def test_cli_router_exception_exits_nonzero_without_hanging(
+        self, rules, hitlist, bad_flowfile, tmp_path
+    ):
+        """A malformed line with no --quarantine-dir kills the router;
+        the process must die with it, not sit in multiprocessing's
+        exit handler joining workers that ignore SIGTERM."""
+        artifacts = _write_artifacts(
+            rules, hitlist, tmp_path / "artifacts"
+        )
+        crashed = subprocess.run(
+            [sys.executable, "-m", "repro"]
+            + self._fleet_args(
+                bad_flowfile, artifacts, tmp_path, "bad", workers=2
+            ),
+            env=self._env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert crashed.returncode not in (0, 3), crashed.stderr
+        assert "flow line has 3 fields" in crashed.stderr

@@ -76,8 +76,9 @@ class TestWorkerCrash:
             out,
             FleetConfig(
                 workers=4,
-                chunk_size=2048,
-                checkpoint_every=4000,
+                engine=StreamConfig(
+                    chunk_size=2048, checkpoint_every=4000
+                ),
                 max_restarts=1,
             ),
             plan=FleetPlan(kind="worker_crash", worker=1, at_batch=6),
@@ -100,8 +101,9 @@ class TestWorkerCrash:
             out,
             FleetConfig(
                 workers=4,
-                chunk_size=2048,
-                checkpoint_every=4000,
+                engine=StreamConfig(
+                    chunk_size=2048, checkpoint_every=4000
+                ),
                 max_restarts=0,
             ),
             plan=FleetPlan(kind="worker_crash", worker=2, at_batch=6),
@@ -130,8 +132,9 @@ class TestWorkerHang:
             out,
             FleetConfig(
                 workers=2,
-                chunk_size=2048,
-                checkpoint_every=4000,
+                engine=StreamConfig(
+                    chunk_size=2048, checkpoint_every=4000
+                ),
                 max_restarts=1,
                 hang_timeout=1.0,
             ),
@@ -154,7 +157,8 @@ class TestRouterCrash:
     ):
         out = tmp_path / "merged.jsonl"
         config = FleetConfig(
-            workers=4, chunk_size=2048, checkpoint_every=3000
+            workers=4,
+            engine=StreamConfig(chunk_size=2048, checkpoint_every=3000),
         )
         with pytest.raises(RouterCrash):
             run_fleet(
@@ -214,8 +218,9 @@ class TestRebalanceDuringSwap:
             out,
             FleetConfig(
                 workers=4,
-                chunk_size=2048,
-                checkpoint_every=4000,
+                engine=StreamConfig(
+                    chunk_size=2048, checkpoint_every=4000
+                ),
                 max_restarts=0,
             ),
             staged=(generation, activate_at),

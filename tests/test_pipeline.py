@@ -26,11 +26,9 @@ from repro.netflow.parse import FlowLineParser
 from repro.netflow.replay import iter_flow_tuples
 from repro.pipeline import (
     GUARD_STRIDE,
-    DetectionConfig,
     FlowPipeline,
     GuardSet,
     MemoryEventSink,
-    PipelineConfig,
     StagedRun,
     run_flow_detection,
     streaming_assembly,
@@ -113,7 +111,7 @@ class TestCrossPathEquivalence:
         self, rules, hitlist, gt_flowfile, oracle_triples, shards
     ):
         sink = MemoryEventSink()
-        config = PipelineConfig.from_args(shards=shards)
+        config = StreamConfig(workers=shards)
         pipeline = streaming_assembly(rules, hitlist, config, sink=sink)
         pipeline.run_tuples(iter_flow_tuples(gt_flowfile))
         assert _triples(sink.events) == oracle_triples
@@ -138,9 +136,7 @@ class TestCrossPathEquivalence:
         lines = gt_flowfile.read_text().splitlines()
         lines.insert(3, "1,2,3")  # malformed: wrong column count
         corrupted.write_text("\n".join(lines) + "\n")
-        config = PipelineConfig.from_args(
-            quarantine_dir=tmp_path / "quarantine"
-        )
+        config = StreamConfig(quarantine_dir=tmp_path / "quarantine")
         result = run_flow_detection(rules, hitlist, corrupted, config)
         assert result.metrics.records_quarantined == 1
         assert result.metrics.quarantine_reasons == {
@@ -176,9 +172,8 @@ class TestGuards:
         token = StopToken()
         token.stop("sigterm")
         guards = GuardSet(stop_token=token)
-        config = PipelineConfig()
         pipeline = streaming_assembly(
-            rules, hitlist, config, guards=guards
+            rules, hitlist, StreamConfig(), guards=guards
         )
         spoofed = make_spoofed_flows(hitlist, count=10)
         pipeline.run_records(enumerate(spoofed))
@@ -237,44 +232,80 @@ class TestGuards:
         assert set(run.seconds) == {"plan"}
 
 
-# -- the typed config hierarchy ---------------------------------------
+# -- the one engine config --------------------------------------------
 
 
-class TestPipelineConfig:
-    def test_from_args_round_trip(self, tmp_path):
-        config = PipelineConfig.from_args(
-            threshold=0.6,
-            require_established=True,
-            salt="pepper",
-            max_keys=1024,
-            shards=4,
-            checkpoint_dir=tmp_path,
-            checkpoint_every=500,
-            deadline_seconds=30.0,
-        )
-        assert config.detection.threshold == 0.6
-        assert config.detection.require_established is True
-        assert config.detection.salt == "pepper"
-        assert config.state.max_keys == 1024
-        assert config.state.per_shard == 256
-        assert config.checkpoint.every == 500
-        assert config.guards.deadline_seconds == 30.0
+class TestStreamConfig:
+    def test_one_class_two_import_paths(self):
+        import repro.pipeline
+        import repro.pipeline.config
+
+        assert repro.pipeline.StreamConfig is StreamConfig
+        assert repro.pipeline.config.StreamConfig is StreamConfig
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="threshold"):
-            DetectionConfig(threshold=0.0)
+            StreamConfig(threshold=0.0)
         with pytest.raises(ValueError, match="threshold"):
-            DetectionConfig(threshold=1.5)
+            StreamConfig(threshold=1.5)
+        assert StreamConfig(threshold=1.0).threshold == 1.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_subscribers", 0),
+            ("workers", 0),
+            ("chunk_size", 0),
+            ("checkpoint_keep", 0),
+            ("ttl_seconds", 0),
+            ("ttl_seconds", -5),
+            ("checkpoint_every", -1),
+        ],
+    )
+    def test_ranges_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StreamConfig(**{field: value})
+
+    def test_engine_constructor_still_raises(self, rules, hitlist):
+        """A cadence without a directory is the one check left where a
+        directory is known; a fleet's config may carry a bare cadence
+        (each worker supplies the directory)."""
+        bare = StreamConfig(checkpoint_every=500)
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            StreamDetectionEngine(rules, hitlist, bare)
 
     def test_per_shard_never_zero(self):
-        config = PipelineConfig.from_args(max_keys=2, shards=8)
-        assert config.state.per_shard == 1
+        config = StreamConfig(max_subscribers=2, workers=8)
+        assert config.per_shard == 1
+        assert StreamConfig(max_subscribers=1024, workers=4).per_shard == 256
 
-    def test_build_guards_wires_deadline(self):
-        config = PipelineConfig.from_args(deadline_seconds=60.0)
-        guards = config.build_guards()
+    def test_metrics_echo(self, tmp_path):
+        config = StreamConfig(
+            threshold=0.6,
+            max_subscribers=1024,
+            ttl_seconds=99,
+            workers=4,
+            checkpoint_dir=tmp_path,
+            checkpoint_every=500,
+        )
+        assert config.metrics().to_dict()["config"] == {
+            "threshold": 0.6,
+            "max_subscribers": 1024,
+            "ttl_seconds": 99,
+            "workers": 4,
+            "checkpoint_every": 500,
+        }
+
+    def test_guard_budgets_arrive_as_a_guard_set(self, rules, hitlist):
+        guards = GuardSet.build(deadline=60.0)
         assert guards.deadline is not None
         assert guards.overload.deadline_seconds == 60.0
+        # an assembly handed a guard set with no pressure hook wires
+        # its keying's identity-cache shed
+        assert guards.on_pressure is None
+        pipeline = streaming_assembly(rules, hitlist, guards=guards)
+        assert pipeline.guards is guards
+        assert guards.on_pressure is not None
 
 
 # -- the shared flow-line parser --------------------------------------

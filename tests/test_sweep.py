@@ -18,6 +18,7 @@ from repro.cloud.addressing import Prefix
 from repro.isp.adversary import assign_hidden, assign_mimics
 from repro.isp.cgnat import AddressPlan, CgnatPool, build_address_plan
 from repro.isp.subscribers import SubscriberPopulation
+from repro.pipeline import StreamConfig
 from repro.sweep import (
     GRID_PRESETS,
     SweepCell,
@@ -303,7 +304,8 @@ class TestCellMatrix:
             address_space=space,
         )
         skewed = run_cell(
-            rules, hitlist, cell, model=MODEL, seed=7, threshold=0.9,
+            rules, hitlist, cell, model=MODEL, seed=7,
+            config=StreamConfig(threshold=0.9),
             address_space=space,
         )
         assert skewed["detections"] < document["detections"]
