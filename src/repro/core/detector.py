@@ -121,13 +121,12 @@ class SubscriberProgress:
         self.first_seen[fqdn] = when
         seen = self.first_seen.keys()
         changed = False
-        for rule in rules:
-            if rule.class_name in self.satisfied_at:
-                continue
-            if fqdn not in rule.domains:
+        satisfied_at = self.satisfied_at
+        for rule in rules.monitoring(fqdn):
+            if rule.class_name in satisfied_at:
                 continue
             if rule.satisfied(seen, threshold):
-                self.satisfied_at[rule.class_name] = when
+                satisfied_at[rule.class_name] = when
                 changed = True
         if not changed:
             return []
@@ -160,7 +159,7 @@ class SubscriberProgress:
         return {
             "first_seen": dict(self.first_seen),
             "satisfied_at": dict(self.satisfied_at),
-            "emitted": sorted(self.emitted),
+            "emitted": sorted(self.emitted) if self.emitted else [],
         }
 
     @classmethod

@@ -15,7 +15,7 @@ monitored domains, with two refinements from the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.hitlist import Hitlist
@@ -33,13 +33,27 @@ class DetectionRule:
     domains: Tuple[str, ...]
     critical: Tuple[str, ...] = ()
     parent: Optional[str] = None
+    #: ``domains`` as a set — what evaluation intersects evidence with
+    domain_set: FrozenSet[str] = field(
+        init=False, repr=False, compare=False
+    )
+    #: threshold -> ``required_domains(threshold)``, filled on first use
+    _required: Dict[float, int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.domains:
             raise ValueError(
                 f"rule for {self.class_name!r} has no domains"
             )
-        missing = set(self.critical) - set(self.domains)
+        object.__setattr__(self, "domain_set", frozenset(self.domains))
+        object.__setattr__(self, "_required", {})
+        if len(self.domain_set) != len(self.domains):
+            raise ValueError(
+                f"rule for {self.class_name!r} lists a domain twice"
+            )
+        missing = set(self.critical) - self.domain_set
         if missing:
             raise ValueError(
                 f"critical domains {sorted(missing)} of "
@@ -59,10 +73,16 @@ class DetectionRule:
     def satisfied(self, seen: Set[str], threshold: float) -> bool:
         """Whether the evidence set satisfies this rule (ignoring
         hierarchy — see :meth:`RuleSet.detected_classes`)."""
-        if any(fqdn not in seen for fqdn in self.critical):
+        required = self._required.get(threshold)
+        if required is None:
+            required = self.required_domains(threshold)
+            self._required[threshold] = required
+        if len(seen) < required:
             return False
-        matched = sum(1 for fqdn in self.domains if fqdn in seen)
-        return matched >= self.required_domains(threshold)
+        for fqdn in self.critical:
+            if fqdn not in seen:
+                return False
+        return len(self.domain_set.intersection(seen)) >= required
 
     def matched_domains(self, seen: Set[str]) -> Tuple[str, ...]:
         return tuple(fqdn for fqdn in self.domains if fqdn in seen)
@@ -83,6 +103,16 @@ class RuleSet:
                     f"rule {rule.class_name!r} references missing parent "
                     f"{rule.parent!r}"
                 )
+        # Listed in rule-set order: SubscriberProgress.observe records
+        # satisfaction in the order it walks these, and that order is
+        # the order of same-record events in the log.
+        by_domain: Dict[str, List[DetectionRule]] = {}
+        for rule in self._rules.values():
+            for fqdn in rule.domain_set:
+                by_domain.setdefault(fqdn, []).append(rule)
+        self._by_domain: Dict[str, Tuple[DetectionRule, ...]] = {
+            fqdn: tuple(found) for fqdn, found in by_domain.items()
+        }
 
     def __iter__(self):
         return iter(self._rules.values())
@@ -108,10 +138,12 @@ class RuleSet:
             parent = self._rules[parent].parent
         return chain
 
+    def monitoring(self, fqdn: str) -> Tuple[DetectionRule, ...]:
+        """The rules whose domains include ``fqdn``, in rule-set order."""
+        return self._by_domain.get(fqdn, ())
+
     def monitored_domains(self) -> FrozenSet[str]:
-        return frozenset(
-            fqdn for rule in self._rules.values() for fqdn in rule.domains
-        )
+        return frozenset(self._by_domain)
 
     def detected_classes(
         self, seen: Set[str], threshold: float

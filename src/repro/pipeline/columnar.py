@@ -91,7 +91,8 @@ class EndpointDayIndex:
 
 def observe_chunk(stage, chunk: FlowChunk, emit) -> None:
     """Fold one chunk through ``stage``, handing completed detections
-    to ``emit`` as they complete.
+    to ``emit`` in row order (one call per run of rows folded under
+    one rule generation).
 
     Equivalent to calling ``stage.observe`` on every row in order,
     including across a staged rule swap: ``observe`` applies the swap
@@ -198,9 +199,12 @@ def _fold_rows(stage, chunk: FlowChunk, emit) -> None:
         hit_indices = (chunk.start_index + hit_rows).tolist()
     else:
         hit_indices = explicit[hit_rows].tolist()
+    completed: list = []
     for row_index, when, src, fqdn in zip(
         hit_indices, whens, srcs, hit_fqdns
     ):
         events = fold(row_index, when, src, fqdn)
         if events:
-            emit(events)
+            completed.extend(events)
+    if completed:
+        emit(completed)  # one sink write for the rows folded here

@@ -12,11 +12,13 @@ through the same sinks, so downstream consumers read one format.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import pathlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, List, Tuple, Union
 
 __all__ = [
     "DetectionEvent",
@@ -24,6 +26,17 @@ __all__ = [
     "JsonlEventSink",
     "read_event_log",
 ]
+
+
+@functools.lru_cache(maxsize=4096)
+def _quoted(text: str) -> str:
+    """``json.dumps(text)`` for a class name or fqdn.
+
+    Those come from the rule set (tens of classes, hundreds of domains),
+    so the cache stays far below its bound; subscribers and whole
+    ``matched_domains`` tuples are unbounded and never pass through it.
+    """
+    return encode_basestring_ascii(text)
 
 
 @dataclass(frozen=True)
@@ -37,17 +50,19 @@ class DetectionEvent:
     matched_domains: Tuple[str, ...] = ()
 
     def to_line(self) -> str:
-        """Canonical one-line serialisation (stable across runs)."""
-        return json.dumps(
-            {
-                "subscriber": self.subscriber,
-                "class": self.class_name,
-                "detected_at": self.detected_at,
-                "record_index": self.record_index,
-                "matched_domains": list(self.matched_domains),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        """Canonical one-line serialisation (stable across runs).
+
+        Compact JSON with sorted keys — byte for byte what
+        ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+        renders — assembled from the quoted parts.
+        """
+        return (
+            f'{{"class":{_quoted(self.class_name)}'
+            f',"detected_at":{self.detected_at}'
+            f',"matched_domains":'
+            f'[{",".join(map(_quoted, self.matched_domains))}]'
+            f',"record_index":{self.record_index}'
+            f',"subscriber":{encode_basestring_ascii(self.subscriber)}}}'
         )
 
     @classmethod
@@ -70,6 +85,9 @@ class MemoryEventSink:
 
     def append(self, event: DetectionEvent) -> None:
         self.events.append(event)
+
+    def extend(self, events: Iterable[DetectionEvent]) -> None:
+        self.events.extend(events)
 
     def position(self) -> int:
         """Opaque resume position — here the event count."""
@@ -112,7 +130,15 @@ class JsonlEventSink:
             self._fh.seek(0, os.SEEK_END)
 
     def append(self, event: DetectionEvent) -> None:
-        self._fh.write(event.to_line().encode("utf-8") + b"\n")
+        self.extend((event,))
+
+    def extend(self, events: Iterable[DetectionEvent]) -> None:
+        """Append ``events`` with one encode and one write."""
+        self._fh.write(
+            "".join(
+                [event.to_line() + "\n" for event in events]
+            ).encode("utf-8")
+        )
 
     def position(self) -> int:
         """Byte offset after everything appended so far (flushed)."""

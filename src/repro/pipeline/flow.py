@@ -711,9 +711,7 @@ class FlowPipeline:
         self.stage.metrics.records_since_checkpoint = 0
 
     def _emit(self, events: List[DetectionEvent]) -> None:
-        append = self.sink.append
-        for event in events:
-            append(event)
+        self.sink.extend(events)
         self.stage.metrics.events_emitted += len(events)
 
     def _fold_source_drops(self, source, drops_before) -> None:

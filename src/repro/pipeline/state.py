@@ -16,12 +16,15 @@ resumed run behaves bit-identically to an uninterrupted one.
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.detector import SubscriberProgress
 
-__all__ = ["EvidenceStateTable"]
+__all__ = ["EvidenceStateTable", "pack_entries", "unpack_entries"]
 
 
 class EvidenceStateTable:
@@ -68,16 +71,19 @@ class EvidenceStateTable:
         """
         if now > self._clock:
             self._clock = now
-        entry = self._entries.get(digest)
+        entries = self._entries
+        entry = entries.get(digest)
         if entry is None:
             entry = [now, SubscriberProgress()]
-            self._entries[digest] = entry
+            entries[digest] = entry
         else:
-            entry[0] = max(int(entry[0]), now)  # type: ignore[call-overload]
-            self._entries.move_to_end(digest)
-        self.expire(self._clock)
-        while len(self._entries) > self.max_subscribers:
-            evicted, _ = self._entries.popitem(last=False)
+            if now > entry[0]:  # type: ignore[operator]
+                entry[0] = now
+            entries.move_to_end(digest)
+        if self.ttl_seconds is not None:
+            self.expire(self._clock)
+        while len(entries) > self.max_subscribers:
+            evicted, _ = entries.popitem(last=False)
             if self.pressure_reduced:
                 self.evicted_pressure += 1
                 self.pressure_evicted.append(evicted)
@@ -95,7 +101,7 @@ class EvidenceStateTable:
         # first survivor.
         while self._entries:
             digest, entry = next(iter(self._entries.items()))
-            if int(entry[0]) >= horizon:  # type: ignore[call-overload]
+            if entry[0] >= horizon:  # type: ignore[operator]
                 break
             del self._entries[digest]
             evicted += 1
@@ -158,14 +164,10 @@ class EvidenceStateTable:
         absorbed = 0
         resident = self._entries
         merged: "OrderedDict[str, List[object]]" = OrderedDict()
-        for digest, last_active, progress in state["entries"]:  # type: ignore[union-attr]
-            digest = str(digest)
+        for digest, entry in _decoded(state["entries"]):  # type: ignore[arg-type]
             if digest in resident:
                 continue
-            merged[digest] = [
-                int(last_active),
-                SubscriberProgress.from_state(progress),
-            ]
+            merged[digest] = entry
             absorbed += 1
         merged.update(resident)
         self._entries = merged
@@ -174,8 +176,8 @@ class EvidenceStateTable:
 
     # -- checkpoint support -------------------------------------------
 
-    def to_state(self) -> Dict[str, object]:
-        """JSON-serialisable snapshot preserving LRU order."""
+    def scalar_state(self) -> Dict[str, object]:
+        """Everything of :meth:`to_state` but the entries."""
         return {
             "max_subscribers": self.max_subscribers,
             "ttl_seconds": self.ttl_seconds,
@@ -184,11 +186,26 @@ class EvidenceStateTable:
             "evicted_ttl": self.evicted_ttl,
             "evicted_pressure": self.evicted_pressure,
             "pressure_reduced": self.pressure_reduced,
-            "entries": [
-                [digest, int(entry[0]), entry[1].to_state()]  # type: ignore[union-attr]
-                for digest, entry in self._entries.items()
-            ],
         }
+
+    def entry_states(self) -> Iterator[list]:
+        """``[digest, last_active, progress state]`` per entry, in LRU
+        order, each built as it is consumed.
+
+        A checkpoint packs these one at a time (see
+        :func:`pack_entries`): a materialised list is five containers
+        per subscriber that all stay alive until the file is written,
+        which the cycle collector answers with full-heap passes that
+        cost more than building them.
+        """
+        for digest, entry in self._entries.items():
+            yield [digest, int(entry[0]), entry[1].to_state()]  # type: ignore[union-attr, call-overload]
+
+    def to_state(self) -> Dict[str, object]:
+        """JSON-serialisable snapshot preserving LRU order."""
+        state = self.scalar_state()
+        state["entries"] = list(self.entry_states())
+        return state
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "EvidenceStateTable":
@@ -205,9 +222,198 @@ class EvidenceStateTable:
         table.evicted_ttl = int(state["evicted_ttl"])  # type: ignore[arg-type]
         table.evicted_pressure = int(state.get("evicted_pressure", 0))  # type: ignore[arg-type]
         table.pressure_reduced = bool(state.get("pressure_reduced", False))
-        for digest, last_active, progress in state["entries"]:  # type: ignore[union-attr]
-            table._entries[str(digest)] = [
-                int(last_active),
-                SubscriberProgress.from_state(progress),
-            ]
+        table._entries.update(_decoded(state["entries"]))  # type: ignore[arg-type]
         return table
+
+
+def _decoded(
+    entries: Iterable[list],
+) -> Iterator[Tuple[str, List[object]]]:
+    """``(digest, [last_active, progress])`` per checkpointed entry."""
+    for digest, last_active, progress in entries:
+        yield str(digest), [
+            int(last_active),
+            SubscriberProgress.from_state(progress),
+        ]
+
+
+# -- packed columns (the checkpoint file's body) ---------------------------
+
+#: ``(column, dtype, which row count sizes it)`` in file order.  Row
+#: counts: 0 = entries, 1 = first-seen pairs, 2 = satisfied-at pairs.
+_COLUMNS = (
+    ("last_active", "<i8", 0),
+    ("first_when", "<i8", 1),
+    ("satisfied_when", "<i8", 2),
+    ("first_count", "<u2", 0),
+    ("satisfied_count", "<u2", 0),
+    ("first_id", "<u2", 1),
+    ("satisfied_id", "<u2", 2),
+    ("emitted", "u1", 2),
+)
+_KEY_HEX = 16  # hex digits of a key digest; half as many raw bytes
+_LOWER_HEX = re.compile(r"[0-9a-f]*")
+
+
+def _interned(names: List[str]) -> Tuple[List[str], List[int]]:
+    """``(distinct names in first-use order, each name's id)``."""
+    table = list(dict.fromkeys(names))
+    if len(table) > 0xFFFF:
+        raise ValueError(f"{len(table)} distinct names exceed a u2 id")
+    ids = {name: index for index, name in enumerate(table)}
+    return table, [ids[name] for name in names]
+
+
+def pack_entries(
+    tables: Iterable[Dict[str, object]],
+) -> Tuple[Dict[str, object], bytes]:
+    """The ``entries`` of :meth:`EvidenceStateTable.to_state` documents
+    as packed little-endian columns.
+
+    A document's ``entries`` may be any iterable of entry states (a
+    list, or :meth:`EvidenceStateTable.entry_states`); it is consumed
+    once.  Returns ``(meta, blob)``: ``meta`` is small and JSON-serialisable
+    (entries per table, the three row counts, the domain and class
+    intern tables — once for all tables), ``blob`` holds the key
+    digests as 8 raw bytes each followed by the :data:`_COLUMNS`.
+    Dict order is kept: an entry's ``first_seen`` / ``satisfied_at``
+    pairs are stored in iteration order, and :func:`unpack_entries`
+    rebuilds them in it — ``satisfied_at`` order decides the order of
+    same-record events (see ``SubscriberProgress._completed_chains``).
+    A key that is not a 16-hex-digit digest, or an ``emitted`` class
+    with no ``satisfied_at`` time, cannot be represented and raises
+    ``ValueError``.
+    """
+    per_table: List[int] = []
+    keys: List[str] = []
+    last_active: List[int] = []
+    first_count: List[int] = []
+    first_name: List[str] = []
+    first_when: List[int] = []
+    satisfied_count: List[int] = []
+    satisfied_name: List[str] = []
+    satisfied_when: List[int] = []
+    emitted: List[bool] = []
+    for table in tables:
+        before = len(keys)
+        for digest, when, progress in table["entries"]:  # type: ignore[union-attr]
+            if len(digest) != _KEY_HEX:
+                raise ValueError(f"key {digest!r} is not a 16-hex digest")
+            keys.append(digest)
+            last_active.append(when)
+            first_seen = progress["first_seen"]
+            first_count.append(len(first_seen))
+            first_name.extend(first_seen)
+            first_when.extend(first_seen.values())
+            satisfied_at = progress["satisfied_at"]
+            satisfied_count.append(len(satisfied_at))
+            reported = progress["emitted"]
+            if satisfied_at:
+                satisfied_name.extend(satisfied_at)
+                satisfied_when.extend(satisfied_at.values())
+                bits = [name in reported for name in satisfied_at]
+                emitted.extend(bits)
+                if sum(bits) != len(reported):
+                    raise ValueError(f"{digest}: emitted {reported!r}")
+            elif reported:
+                raise ValueError(f"{digest}: emitted {reported!r}")
+        per_table.append(len(keys) - before)
+    joined = "".join(keys)
+    if not _LOWER_HEX.fullmatch(joined):
+        raise ValueError("a key is not a lower-case 16-hex digest")
+    domains, first_id = _interned(first_name)
+    classes, satisfied_id = _interned(satisfied_name)
+    columns = {
+        "last_active": last_active,
+        "first_when": first_when,
+        "satisfied_when": satisfied_when,
+        "first_count": first_count,
+        "satisfied_count": satisfied_count,
+        "first_id": first_id,
+        "satisfied_id": satisfied_id,
+        "emitted": emitted,
+    }
+    meta: Dict[str, object] = {
+        "entries": per_table,
+        "rows": [len(keys), len(first_name), len(satisfied_name)],
+        "domains": domains,
+        "classes": classes,
+    }
+    blob = bytes.fromhex(joined) + b"".join(
+        np.asarray(columns[name], dtype=dtype).tobytes()
+        for name, dtype, _rows in _COLUMNS
+    )
+    return meta, blob
+
+
+def unpack_entries(
+    meta: Dict[str, object], buffer: bytes, offset: int = 0
+) -> List[List[list]]:
+    """Inverse of :func:`pack_entries`: each table's ``entries`` list,
+    exactly as :meth:`EvidenceStateTable.to_state` wrote it.
+
+    ``buffer[offset:]`` must be exactly the packed blob; a size that
+    disagrees with ``meta`` raises ``ValueError``.
+    """
+    rows: List[int] = meta["rows"]  # type: ignore[assignment]
+    keys_end = offset + rows[0] * (_KEY_HEX // 2)
+    keys = buffer[offset:keys_end].hex()
+    column: Dict[str, list] = {}
+    at = keys_end
+    for name, dtype, which in _COLUMNS:
+        values = np.frombuffer(buffer, dtype, rows[which], at)
+        at += values.nbytes
+        column[name] = values.tolist()
+    if at != len(buffer):
+        raise ValueError(
+            f"columns end at byte {at} of {len(buffer)}"
+        )
+    domains: List[str] = meta["domains"]  # type: ignore[assignment]
+    classes: List[str] = meta["classes"]  # type: ignore[assignment]
+    first_name = [domains[i] for i in column["first_id"]]
+    satisfied_name = [classes[i] for i in column["satisfied_id"]]
+    first_when = column["first_when"]
+    satisfied_when = column["satisfied_when"]
+    emitted = column["emitted"]
+    entries: List[list] = []
+    first = satisfied = 0
+    for index, (when, first_n, satisfied_n) in enumerate(
+        zip(
+            column["last_active"],
+            column["first_count"],
+            column["satisfied_count"],
+        )
+    ):
+        first_end = first + first_n
+        progress: Dict[str, object] = {
+            "first_seen": dict(
+                zip(first_name[first:first_end], first_when[first:first_end])
+            ),
+            "satisfied_at": {},
+            "emitted": [],
+        }
+        first = first_end
+        if satisfied_n:
+            end = satisfied + satisfied_n
+            names = satisfied_name[satisfied:end]
+            progress["satisfied_at"] = dict(
+                zip(names, satisfied_when[satisfied:end])
+            )
+            progress["emitted"] = sorted(
+                name
+                for name, bit in zip(names, emitted[satisfied:end])
+                if bit
+            )
+            satisfied = end
+        key = keys[_KEY_HEX * index : _KEY_HEX * (index + 1)]
+        entries.append([key, when, progress])
+    if (first, satisfied) != (rows[1], rows[2]):
+        raise ValueError("per-entry counts disagree with the row counts")
+    tables: List[List[list]] = []
+    start = 0
+    for count in meta["entries"]:  # type: ignore[union-attr]
+        tables.append(entries[start : start + count])
+        start += count
+    if start != len(entries):
+        raise ValueError("per-table counts disagree with the entry count")
+    return tables

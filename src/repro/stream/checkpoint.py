@@ -2,10 +2,21 @@
 
 A checkpoint is one file::
 
-    repro-stream-ckpt v1 sha256=<hex> length=<bytes>\\n
-    <compact JSON payload>
+    repro-stream-ckpt v2 sha256=<hex> length=<bytes>\\n
+    <compact JSON head>\\n
+    <packed columns>
 
-written atomically: the bytes go to a ``.tmp`` sibling first, are
+``sha256`` and ``length`` cover everything after the header line.  The
+head is the payload's small fields (config, counters, rules, watermark,
+sink position, lineage, each table's scalars) as one JSON object; the
+``entries`` of every state table — all the bulk — follow as packed
+little-endian columns (:func:`repro.pipeline.state.pack_entries`), and
+:func:`read_checkpoint` puts them back, so what it returns is exactly
+the payload :func:`write_checkpoint` was given.  A file of another
+format version is refused (:class:`CheckpointVersionError`), never
+migrated.
+
+The file is written atomically: the bytes go to a ``.tmp`` sibling first, are
 fsynced, and only then renamed over the final name (``os.replace`` is
 atomic on POSIX), after which the *directory* is fsynced too — the
 rename itself lives in directory metadata, and without that second
@@ -29,10 +40,13 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.pipeline.state import pack_entries, unpack_entries
+
 __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
     "CheckpointError",
+    "CheckpointVersionError",
     "RuleVersionMismatch",
     "LoadedCheckpoint",
     "checkpoint_path",
@@ -47,7 +61,7 @@ __all__ = [
 logger = logging.getLogger("repro.stream.checkpoint")
 
 CHECKPOINT_MAGIC = "repro-stream-ckpt"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _FILE_RE = re.compile(r"^ckpt-(\d{10})\.json$")
 _HEADER_RE = re.compile(
@@ -58,6 +72,23 @@ _HEADER_RE = re.compile(
 
 class CheckpointError(ValueError):
     """A checkpoint file failed validation (corrupt, truncated, …)."""
+
+
+class CheckpointVersionError(CheckpointError):
+    """A checkpoint was written in a format this release does not read.
+
+    Formats are not migrated: the run that wrote the file is finished,
+    or restarted, with the release that wrote it.
+    """
+
+    def __init__(self, found: int) -> None:
+        self.found = found
+        super().__init__(
+            f"checkpoint format version {found} is not the version "
+            f"{CHECKPOINT_VERSION} this release reads and writes; "
+            f"finish or restart that run with the release that wrote "
+            f"it (formats are not migrated)"
+        )
 
 
 class RuleVersionMismatch(CheckpointError):
@@ -116,22 +147,36 @@ def write_checkpoint(
 
     Keeps the newest ``keep`` checkpoints and prunes older ones (the
     retained history is what corrupt-latest fallback recovers from).
+    The ``entries`` of each document under ``payload["tables"]`` may be
+    any iterable of entry states and is consumed once; everything else
+    must be JSON-serialisable.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    digest = hashlib.sha256(body).hexdigest()
+    tables = payload.get("tables", ())
+    columns, blob = pack_entries(tables)  # type: ignore[arg-type]
+    small = dict(payload)
+    if tables:
+        small["tables"] = [
+            {**table, "entries": None} for table in tables  # type: ignore[union-attr]
+        ]
+    head = json.dumps(
+        {"payload": small, "columns": columns},
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8") + b"\n"
+    digest = hashlib.sha256(head)
+    digest.update(blob)
     header = (
         f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} "
-        f"sha256={digest} length={len(body)}\n"
+        f"sha256={digest.hexdigest()} length={len(head) + len(blob)}\n"
     ).encode("ascii")
     final = checkpoint_path(directory, seq)
     temp = final.with_suffix(final.suffix + ".tmp")
     with open(temp, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        fh.write(head)
+        fh.write(blob)
         fh.flush()
         if fsync:
             os.fsync(fh.fileno())
@@ -189,25 +234,33 @@ def read_checkpoint(
         raise CheckpointError(f"wrong magic {match.group('magic')!r}")
     version = int(match.group("version"))
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported version {version} "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
-    body = raw[newline + 1 :]
+        raise CheckpointVersionError(version)
+    start = newline + 1
     length = int(match.group("length"))
-    if len(body) != length:
+    if len(raw) - start != length:
         raise CheckpointError(
-            f"payload is {len(body)} bytes, header says {length} "
+            f"payload is {len(raw) - start} bytes, header says {length} "
             "(truncated or padded)"
         )
+    body = memoryview(raw)[start:]
     if hashlib.sha256(body).hexdigest() != match.group("digest"):
         raise CheckpointError("payload digest mismatch")
+    head_end = raw.find(b"\n", start)
+    if head_end < 0:
+        raise CheckpointError("missing head line")
     try:
-        payload = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"payload is not JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CheckpointError("payload is not an object")
+        head = json.loads(raw[start:head_end])
+        payload = head["payload"]
+        entries = unpack_entries(head["columns"], raw, head_end + 1)
+        tables = payload.get("tables", ())
+        if len(tables) != len(entries):
+            raise ValueError(
+                f"{len(tables)} tables, columns for {len(entries)}"
+            )
+        for table, restored in zip(tables, entries):
+            table["entries"] = restored
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"malformed payload: {exc!r}") from exc
     return payload
 
 
@@ -250,15 +303,19 @@ def load_latest(
 ) -> Optional[LoadedCheckpoint]:
     """The newest *valid* checkpoint with fallback accounting.
 
-    Invalid files (truncated, corrupt, wrong version) and leftover
-    ``.tmp`` files from an interrupted write are reported with a
-    warning and skipped — the reader falls back to the previous
+    Invalid files (truncated, corrupt, another format version) and
+    leftover ``.tmp`` files from an interrupted write are reported with
+    a warning and skipped — the reader falls back to the previous
     checkpoint rather than crashing, and records how many generations
     it skipped in :attr:`LoadedCheckpoint.fallbacks` (and how many
     torn-write leftovers it saw in
     :attr:`LoadedCheckpoint.tmp_leftovers`).  A directory with only
     ``.tmp`` leftovers returns ``None`` like an empty one; use
-    :func:`tmp_leftover_count` to tell the two apart.
+    :func:`tmp_leftover_count` to tell the two apart.  When *every*
+    candidate was refused for its format version — a directory another
+    release wrote — that :class:`CheckpointVersionError` is raised:
+    "no usable checkpoint" would send the operator looking for damage
+    that is not there.
     """
     directory = pathlib.Path(directory)
     leftovers = 0
@@ -271,6 +328,7 @@ def load_latest(
                 leftover.name,
             )
     fallbacks = 0
+    refusals: List[CheckpointVersionError] = []
     for seq, path in reversed(list_checkpoints(directory)):
         try:
             return LoadedCheckpoint(
@@ -278,12 +336,16 @@ def load_latest(
             )
         except CheckpointError as exc:
             fallbacks += 1
+            if isinstance(exc, CheckpointVersionError):
+                refusals.append(exc)
             logger.warning(
                 "checkpoint %s unusable (%s); falling back to the "
                 "previous one",
                 path.name,
                 exc,
             )
+    if refusals and len(refusals) == fallbacks:
+        raise refusals[0]
     return None
 
 

@@ -187,7 +187,11 @@ class StreamDetectionEngine:
         truncated to the checkpointed position so re-folded records
         re-emit into a log that ends up byte-identical.  The metrics
         record which checkpoint generation was resumed from and how
-        many damaged generations were skipped getting there.
+        many damaged generations were skipped getting there.  A
+        directory whose every checkpoint another release wrote (a
+        different file-format version) raises
+        :class:`~repro.stream.checkpoint.CheckpointVersionError`, which
+        says so, instead of "no usable checkpoint".
 
         Rule-generation identity: the checkpoint records the rules
         version its evidence accumulated under.  Resuming with a
@@ -472,7 +476,12 @@ class StreamDetectionEngine:
             },
             "watermark": metrics.watermark,
             "sink_position": self.sink.position(),
-            "tables": [table.to_state() for table in self._tables],
+            # ``to_state()`` with the entries left as a stream: the
+            # writer packs them one at a time
+            "tables": [
+                {**table.scalar_state(), "entries": table.entry_states()}
+                for table in self._tables
+            ],
         }
         if self.lineage is not None:
             payload["lineage"] = dict(self.lineage)

@@ -1,12 +1,17 @@
 """Tests for flow-level and windowed detection."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.detector import (
     FlowDetector,
+    SubscriberProgress,
     WindowedDetector,
     anonymize_subscriber,
 )
+from repro.core.rules import DetectionRule, RuleSet
 from repro.ixp.fabric import make_spoofed_flows
 from repro.netflow.records import (
     FlowKey,
@@ -346,3 +351,151 @@ class TestObserveFlowCounters:
             engine.metrics.flows_rejected_spoof
             == detector.flows_rejected_spoof
         )
+
+
+# -- the compiled evaluator against the loop it replaced ------------------
+
+_POOL = tuple(f"d{i}.example" for i in range(10))
+
+
+@st.composite
+def _rule_sets(draw):
+    """Up to six rules over a shared ten-domain pool: shared domains,
+    critical domains, hierarchy depth <= 3."""
+    rules, depth = [], {}
+    for index in range(draw(st.integers(1, 6))):
+        domains = draw(
+            st.lists(st.sampled_from(_POOL), min_size=1, max_size=6,
+                     unique=True)
+        )
+        critical = draw(
+            st.lists(st.sampled_from(domains), max_size=2, unique=True)
+        )
+        parents = [None] + [n for n, d in depth.items() if d < 3]
+        parent = draw(st.sampled_from(parents))
+        name = f"class-{index}"
+        depth[name] = 1 if parent is None else depth[parent] + 1
+        rules.append(
+            DetectionRule(name, "Product", tuple(domains),
+                          tuple(critical), parent)
+        )
+    return RuleSet(draw(st.permutations(rules)))
+
+
+def _reference_observe(progress, rules, threshold, fqdn, when):
+    """``SubscriberProgress.observe`` as it was before the rule set
+    compiled a domain index: walk every rule, count every domain."""
+    previous = progress.first_seen.get(fqdn)
+    if previous is not None:
+        progress.first_seen[fqdn] = min(previous, when)
+        return []
+    seen = progress.first_seen
+    seen[fqdn] = when
+    for rule in rules:
+        if rule.class_name in progress.satisfied_at:
+            continue
+        if fqdn not in rule.domains:
+            continue
+        needed = max(1, math.floor(threshold * len(rule.domains)))
+        if all(c in seen for c in rule.critical) and (
+            sum(1 for d in rule.domains if d in seen) >= needed
+        ):
+            progress.satisfied_at[rule.class_name] = when
+    return progress._completed_chains(rules)
+
+
+class TestCompiledEvaluator:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rules=_rule_sets(),
+        threshold=st.one_of(
+            st.sampled_from([0.1, 0.4, 0.5, 1.0]),
+            st.floats(0.01, 1.0),
+        ),
+        evidence=st.lists(
+            st.tuples(
+                st.sampled_from(_POOL + ("unmonitored.example",)),
+                st.integers(0, 50),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_observe_equals_the_rule_walk(self, rules, threshold, evidence):
+        progress, reference = SubscriberProgress(), SubscriberProgress()
+        reported = set()
+        for fqdn, when in evidence:
+            events = progress.observe(rules, threshold, fqdn, when)
+            assert events == _reference_observe(
+                reference, rules, threshold, fqdn, when
+            )
+            reported.update(name for name, _ in events)
+            assert reported == rules.detected_classes(
+                set(progress.first_seen), threshold
+            )
+        assert progress.first_seen == reference.first_seen
+        assert list(progress.satisfied_at.items()) == list(
+            reference.satisfied_at.items()
+        )
+
+    def test_index_lists_rules_in_rule_set_order(self):
+        names = ["zed", "alpha", "mid"]
+        rules = RuleSet(
+            DetectionRule(
+                name, "Product", ("shared.example", f"{name}.example")
+            )
+            for name in names
+        )
+        assert [
+            rule.class_name for rule in rules.monitoring("shared.example")
+        ] == names
+        assert rules.monitoring("nobody.example") == ()
+
+    def test_fold_never_walks_the_rule_set(
+        self, rules, hitlist, tmp_path, monkeypatch
+    ):
+        """Complexity guard on the perf ledger's dense chunks at
+        ``--quick`` size: a matched row asks only the rules monitoring
+        its domain, and nothing iterates the whole rule set per row."""
+        from benchmarks.perf import QUICK_SCALE, corpus
+        from repro.core.serialization import hitlist_to_json
+        from repro.netflow.parse import FlowChunk
+        from repro.stream import StreamConfig, StreamDetectionEngine
+
+        (tmp_path / "hitlist.json").write_text(hitlist_to_json(hitlist))
+        columns, manifest = corpus.make_columns(
+            "chunks", 12, QUICK_SCALE, corpus.load_endpoints(tmp_path)
+        )
+        chunk = FlowChunk(
+            0, *(columns[name] for name in corpus.CHUNK_COLUMNS)
+        )
+        calls = {"satisfied": 0, "walks": 0, "new_evidence": 0}
+        satisfied = DetectionRule.satisfied
+        observe = SubscriberProgress.observe
+
+        def counting_satisfied(rule, seen, threshold):
+            calls["satisfied"] += 1
+            return satisfied(rule, seen, threshold)
+
+        def counting_observe(progress, rule_set, threshold, fqdn, when):
+            calls["new_evidence"] += fqdn not in progress.first_seen
+            return observe(progress, rule_set, threshold, fqdn, when)
+
+        def counting_iter(rule_set):
+            calls["walks"] += 1
+            return iter(rule_set._rules.values())
+
+        monkeypatch.setattr(DetectionRule, "satisfied", counting_satisfied)
+        monkeypatch.setattr(SubscriberProgress, "observe", counting_observe)
+        monkeypatch.setattr(RuleSet, "__iter__", counting_iter)
+        engine = StreamDetectionEngine(
+            rules, hitlist, StreamConfig(max_subscribers=1 << 10)
+        )
+        engine.process_chunks([chunk])
+        per_domain = max(
+            len(rules.monitoring(fqdn)) for fqdn in rules.monitored_domains()
+        )
+        assert engine.metrics.flows_matched == manifest["planted"] > 0
+        assert engine.metrics.events_emitted > 0
+        assert 0 < calls["new_evidence"] <= manifest["planted"]
+        assert calls["satisfied"] <= calls["new_evidence"] * per_domain
+        assert calls["walks"] == 0

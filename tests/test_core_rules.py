@@ -77,6 +77,26 @@ class TestSatisfied:
         with pytest.raises(ValueError):
             _rule(critical=("zz",))
 
+    def test_repeated_domain_rejected(self):
+        # evaluation intersects sets: a domain listed twice would raise
+        # N (and the requirement) without ever being matchable twice
+        with pytest.raises(ValueError, match="twice"):
+            _rule(domains=("a", "b", "a"))
+
+    def test_threshold_checked_on_every_new_value(self):
+        rule = _rule()
+        assert rule.satisfied({"a", "b"}, 0.4)
+        for bad in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                rule.satisfied({"a", "b"}, bad)
+
+    def test_accepts_any_evidence_collection(self):
+        rule = _rule(critical=("a",))
+        evidence = {"a": 1, "b": 2, "zz": 3}
+        assert rule.satisfied(evidence, 0.4)
+        assert rule.satisfied(evidence.keys(), 0.4)
+        assert rule.satisfied(frozenset(evidence), 0.4)
+
     def test_matched_domains(self):
         rule = _rule()
         assert rule.matched_domains({"b", "e", "zz"}) == ("b", "e")

@@ -244,6 +244,35 @@ class TestTmpOnlyFallback:
         assert tmp_leftover_count(tmp_path / "absent") == 0
 
 
+class TestForeignFormatRefusal:
+    def test_resume_over_another_releases_checkpoints_says_so(
+        self, rules, hitlist, gt_flowfile, tmp_path
+    ):
+        """A fleet directory whose workers' checkpoints were written in
+        another format version: the resume reports that — the version
+        found, the version read, what to do — not "no checkpoint"
+        followed by a fleet that starts from record zero."""
+        from repro.stream.checkpoint import CheckpointVersionError
+        from tests.test_stream_faults import _write_v1
+
+        for worker in range(2):
+            _write_v1(
+                worker_checkpoint_dir(tmp_path / "fleet", worker),
+                5_000,
+                {"state_version": 1, "tables": []},
+            )
+        with pytest.raises(CheckpointVersionError, match="format version 1"):
+            run_fleet(
+                rules,
+                hitlist,
+                gt_flowfile,
+                tmp_path / "fleet",
+                tmp_path / "merged.jsonl",
+                FleetConfig(workers=2),
+                resume=True,
+            )
+
+
 class TestEquivalence:
     """The headline proof: N workers == 1 engine, byte for byte."""
 

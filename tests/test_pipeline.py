@@ -14,9 +14,11 @@ flow-line parser, and the fault harness's one import path.
 
 from __future__ import annotations
 
+import json
 import types
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.detector import FlowDetector
 from repro.core.rules import DetectionRule, RuleSet
@@ -33,6 +35,7 @@ from repro.pipeline import (
     run_flow_detection,
     streaming_assembly,
 )
+from repro.pipeline.events import DetectionEvent, JsonlEventSink
 from repro.pipeline.flow import (
     BatchDetectStage,
     StreamingDetectStage,
@@ -517,6 +520,69 @@ class TestHotLoopFixes:
         assert "10.0.0.8" in parser._ips
         # ...while the insertion-oldest half was dropped.
         assert "10.0.0.0" not in parser._ips
+
+
+# -- the event line and the sinks' batch write --------------------------
+
+
+def _json_line(event):
+    """The canonical line as ``to_line`` rendered it with one
+    ``json.dumps`` per event — the format's definition."""
+    return json.dumps(
+        {
+            "subscriber": event.subscriber,
+            "class": event.class_name,
+            "detected_at": event.detected_at,
+            "record_index": event.record_index,
+            "matched_domains": list(event.matched_domains),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+_NASTY = ['quo"te', "back\\slash", "per%cent %s", "tab\there", "ünï.example",
+          "\u2028", "", "nul\x00"]
+
+
+class TestEventLine:
+    @given(
+        subscriber=st.text(max_size=20),
+        class_name=st.one_of(st.sampled_from(_NASTY), st.text(max_size=20)),
+        detected_at=st.integers(-(2**40), 2**40),
+        record_index=st.integers(0, 2**62),
+        domains=st.lists(
+            st.one_of(st.sampled_from(_NASTY), st.text(max_size=20)),
+            max_size=5,
+        ),
+    )
+    def test_line_is_the_json_dumps_form_and_parses_back(
+        self, subscriber, class_name, detected_at, record_index, domains
+    ):
+        event = DetectionEvent(
+            subscriber, class_name, detected_at, record_index, tuple(domains)
+        )
+        assert event.to_line() == _json_line(event)
+        assert DetectionEvent.from_line(event.to_line()) == event
+
+    def test_extend_writes_what_appends_wrote(self, tmp_path):
+        events = [
+            DetectionEvent(f"{n:016x}", name, 100 + n, n, (name, "d.example"))
+            for n, name in enumerate(_NASTY)
+        ]
+        with JsonlEventSink(tmp_path / "one.jsonl") as one:
+            for event in events:
+                one.append(event)
+        with JsonlEventSink(tmp_path / "batch.jsonl") as batch:
+            batch.extend(events[:3])
+            batch.extend([])
+            batch.extend(iter(events[3:]))
+            assert batch.position() == one.path.stat().st_size
+        expected = "".join(_json_line(e) + "\n" for e in events).encode()
+        assert one.path.read_bytes() == batch.path.read_bytes() == expected
+        memory = MemoryEventSink()
+        memory.extend(iter(events))
+        assert memory.events == events and memory.position() == len(events)
 
 
 # -- the fault harness's canonical home ------------------------------

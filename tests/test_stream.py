@@ -15,7 +15,8 @@ import pathlib
 
 import pytest
 
-from repro.core.detector import FlowDetector
+from repro.core.detector import FlowDetector, SubscriberProgress
+from repro.core.rules import DetectionRule, RuleSet
 from repro.netflow.flowfile import read_flow_file, write_flow_file
 from repro.netflow.records import (
     FlowKey,
@@ -32,6 +33,7 @@ from repro.stream import (
 )
 from repro.faults import jitter_order
 from repro.pipeline.state import EvidenceStateTable
+from repro.stream.checkpoint import read_checkpoint, write_checkpoint
 from repro.timeutil import STUDY_START
 
 
@@ -240,6 +242,90 @@ class TestKillResume:
         events = read_event_log(log)
         keys = [(e.subscriber, e.class_name) for e in events]
         assert len(keys) == len(set(keys))
+
+
+def _family_rules():
+    """``Zed`` and ``Alpha`` under ``Root``; children named so that
+    rule-set order, satisfaction order and sorted order all differ."""
+    return RuleSet(
+        [
+            DetectionRule("Root", "Platform", ("r.example",)),
+            DetectionRule("Zed", "Product", ("z.example",), parent="Root"),
+            DetectionRule("Alpha", "Product", ("a.example",), parent="Root"),
+        ]
+    )
+
+
+class TestSameRecordEventOrder:
+    """Children satisfied before their parent are all reported by the
+    parent's record, in the order they were satisfied — also when a
+    checkpoint was written and resumed from in between."""
+
+    EVIDENCE = ("z.example", "a.example", "r.example")
+
+    def test_progress_order_survives_a_checkpoint(self, tmp_path):
+        rules = _family_rules()
+        progress = SubscriberProgress()
+        for when, fqdn in enumerate(self.EVIDENCE[:2]):
+            assert progress.observe(rules, 0.4, fqdn, when) == []
+        payload = {
+            "tables": [
+                {"entries": [["0123456789abcdef", 1, progress.to_state()]]}
+            ]
+        }
+        restored = read_checkpoint(write_checkpoint(tmp_path, 2, payload))
+        resumed = SubscriberProgress.from_state(
+            restored["tables"][0]["entries"][0][2]
+        )
+        assert list(resumed.satisfied_at) == ["Zed", "Alpha"]
+        assert resumed.observe(rules, 0.4, "r.example", 2) == progress.observe(
+            rules, 0.4, "r.example", 2
+        ) == [("Zed", 2), ("Alpha", 2), ("Root", 2)]
+
+    def test_kill_between_children_and_parent_cmp_equal(self, tmp_path):
+        from tests.test_rules_lifecycle import make_world
+
+        addresses = {
+            fqdn: 0xC0A80101 + n for n, fqdn in enumerate(self.EVIDENCE)
+        }
+        _, hitlist = make_world(
+            {"Root": ("r.example",), "Zed": ("z.example",),
+             "Alpha": ("a.example",)},
+            addresses,
+        )
+        rules = _family_rules()
+        flowfile = tmp_path / "family.csv"
+        write_flow_file(
+            flowfile,
+            [
+                _mkflow(0x0A000001, addresses[fqdn], STUDY_START + 60 * n)
+                for n, fqdn in enumerate(self.EVIDENCE)
+            ],
+        )
+
+        def run(tag, kill_after=None):
+            config = StreamConfig(
+                checkpoint_dir=tmp_path / f"ckpt-{tag}", checkpoint_every=2
+            )
+            log = tmp_path / f"events-{tag}.jsonl"
+            with JsonlEventSink(log) as sink:
+                StreamDetectionEngine(
+                    rules, hitlist, config, sink
+                ).process_flowfile(flowfile, max_records=kill_after)
+            if kill_after is not None:
+                with JsonlEventSink(log, resume=True) as sink:
+                    engine = StreamDetectionEngine.resume(
+                        rules, hitlist, config, sink
+                    )
+                    assert engine.records_processed == 2
+                    engine.process_flowfile(flowfile)
+            return log
+
+        full = run("full")
+        assert [e.class_name for e in read_event_log(full)] == [
+            "Zed", "Alpha", "Root",
+        ]
+        assert run("killed", kill_after=2).read_bytes() == full.read_bytes()
 
 
 # -- bounded state ----------------------------------------------------

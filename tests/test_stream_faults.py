@@ -9,18 +9,28 @@ bit rot, version skew, interrupted writes) and hold it to that.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 
 import pytest
 
+from repro.core.rules import DetectionRule, RuleSet
+from repro.netflow.flowfile import write_flow_file
+from repro.pipeline.swap import RuleGeneration
+from repro.stream import JsonlEventSink, StreamConfig, StreamDetectionEngine
 from repro.stream.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointError,
+    CheckpointVersionError,
     checkpoint_path,
     latest_checkpoint,
     list_checkpoints,
+    load_latest,
     read_checkpoint,
     write_checkpoint,
 )
+from repro.timeutil import STUDY_START
 from repro.faults import (
     corrupt_payload_byte,
     corrupt_version_header,
@@ -126,6 +136,269 @@ class TestLatestCheckpointFallback:
     def test_empty_or_missing_directory(self, tmp_path):
         assert latest_checkpoint(tmp_path) is None
         assert latest_checkpoint(tmp_path / "never-created") is None
+
+
+# -- the packed-column body ------------------------------------------------
+
+#: class names and fqdns a JSON string must escape, and a ``%``
+ODD_CLASSES = {
+    'cam "pro" 100%': ('we"ird%.example', "back\\slash.example"),
+    "hub\\": ("hub%d.example",),
+}
+ODD_ADDRESSES = {
+    fqdn: 0xC0A80201 + n
+    for n, fqdn in enumerate(
+        fqdn for domains in ODD_CLASSES.values() for fqdn in domains
+    )
+}
+
+
+def _odd_world():
+    from tests.test_rules_lifecycle import make_world
+
+    return make_world(ODD_CLASSES, ODD_ADDRESSES)
+
+
+def _odd_flowfile(tmp_path, subscribers=12):
+    """Every subscriber contacts every odd endpoint, minutes apart."""
+    from tests.test_stream import _mkflow
+
+    flows = [
+        _mkflow(0x0A000001 + sub, address, STUDY_START + 60 * n + sub)
+        for n, address in enumerate(ODD_ADDRESSES.values())
+        for sub in range(subscribers)
+    ]
+    flows.sort(key=lambda flow: flow.first_switched)
+    path = tmp_path / "odd.csv"
+    write_flow_file(path, flows)
+    return path
+
+
+def _engine_after_run(tmp_path, **config):
+    rules, hitlist = _odd_world()
+    engine = StreamDetectionEngine(
+        rules,
+        hitlist,
+        StreamConfig(checkpoint_dir=tmp_path / "ckpt", **config),
+    )
+    engine.process_flowfile(_odd_flowfile(tmp_path))
+    assert engine.metrics.events_emitted
+    return engine
+
+
+def _with_lineage(engine):
+    engine.lineage = {
+        "worker_id": 1, "ring_epoch": 3, "slot_counts": {0: 7, 5: 11},
+    }
+
+
+def _with_pending_swap(engine):
+    rules, hitlist = _odd_world()
+    engine.stage_rules(RuleGeneration.prepare(2, rules, hitlist))
+
+
+def _with_pressure(engine):
+    assert engine._tables[0].shrink(2)
+    assert engine._tables[0].pressure_reduced
+
+
+def _unchanged(engine):
+    pass
+
+
+class TestPackedCheckpoint:
+    """``read_checkpoint(write_checkpoint(p)) == p`` for the payloads
+    real engines write, and the damage cells again with real columns."""
+
+    @pytest.mark.parametrize(
+        "config, prepare",
+        [
+            ({}, _unchanged),
+            ({"workers": 4, "max_subscribers": 64}, _unchanged),
+            ({"workers": 32}, _unchanged),  # most tables stay empty
+            ({"ttl_seconds": 3600}, _unchanged),
+            ({"workers": 2}, _with_lineage),
+            ({}, _with_pending_swap),
+            ({}, _with_pressure),
+        ],
+        ids=["plain", "workers", "empty-tables", "ttl", "lineage",
+             "pending-swap", "pressure"],
+    )
+    def test_engine_payload_round_trips(self, tmp_path, config, prepare):
+        engine = _engine_after_run(tmp_path, **config)
+        prepare(engine)
+        expected = [table.to_state() for table in engine._tables]
+        restored = read_checkpoint(engine.write_checkpoint())
+        # the engine streams its entries into the writer; what comes
+        # back is the materialised ``to_state()`` of every table
+        assert restored["tables"] == expected
+        assert any(state["entries"] for state in expected)
+        # ... and a payload given as plain data comes back as itself,
+        # small fields through JSON (int dict keys become strings)
+        again = read_checkpoint(
+            write_checkpoint(tmp_path / "again", 1, restored)
+        )
+        assert again == restored == json.loads(json.dumps(restored))
+        assert restored.get("lineage") == json.loads(
+            json.dumps(engine.lineage)
+        )
+        for table, state in zip(engine._tables, restored["tables"]):
+            rebuilt = type(table).from_state(state)
+            assert rebuilt.to_state() == table.to_state()
+            assert [list(e[2]["satisfied_at"]) for e in state["entries"]] == [
+                list(progress.satisfied_at)
+                for _, progress in table.progress_items()
+            ]
+        resumed = StreamDetectionEngine.resume(
+            *_odd_world(), StreamConfig(checkpoint_dir=tmp_path / "ckpt")
+        )
+        assert resumed.records_processed == engine.records_processed
+        assert resumed.lineage == restored.get("lineage")
+
+    def test_intern_tables_hold_each_name_once(self, tmp_path):
+        engine = _engine_after_run(tmp_path)
+        raw = engine.write_checkpoint().read_bytes()
+        head = json.loads(raw.split(b"\n", 2)[1])
+        assert sorted(head["columns"]["domains"]) == sorted(ODD_ADDRESSES)
+        assert sorted(head["columns"]["classes"]) == sorted(ODD_CLASSES)
+        assert all(t["entries"] is None for t in head["payload"]["tables"])
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ["not-a-digest", 1, {"first_seen": {}, "satisfied_at": {},
+                                 "emitted": []}],
+            ["0123456789ABCDEF", 1, {"first_seen": {}, "satisfied_at": {},
+                                     "emitted": []}],
+            ["0123456789abcdef", 1, {"first_seen": {}, "satisfied_at": {},
+                                     "emitted": ["ghost"]}],
+            ["0123456789abcdef", 1, {"first_seen": {},
+                                     "satisfied_at": {"real": 1},
+                                     "emitted": ["ghost"]}],
+        ],
+        ids=["short-key", "upper-key", "emitted-only", "emitted-unknown"],
+    )
+    def test_unrepresentable_entry_is_refused_not_mangled(
+        self, tmp_path, state
+    ):
+        with pytest.raises(ValueError):
+            write_checkpoint(tmp_path, 1, {"tables": [{"entries": [state]}]})
+        assert list_checkpoints(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path: truncate_file(path, path.stat().st_size - 40),
+            lambda path: corrupt_payload_byte(path, offset_from_end=40),
+            lambda path: path.write_bytes(path.read_bytes() + b"\0" * 8),
+        ],
+        ids=["truncated-columns", "bit-rot-in-columns", "padded"],
+    )
+    def test_damaged_columns_fall_back_a_generation(
+        self, tmp_path, caplog, damage
+    ):
+        rules, hitlist = _odd_world()
+        config = StreamConfig(
+            checkpoint_dir=tmp_path / "ckpt", checkpoint_every=10
+        )
+        flowfile = _odd_flowfile(tmp_path)
+        full = tmp_path / "full.jsonl"
+        with JsonlEventSink(full) as sink:
+            StreamDetectionEngine(
+                rules, hitlist, StreamConfig(), sink
+            ).process_flowfile(flowfile)
+        log = tmp_path / "events.jsonl"
+        with JsonlEventSink(log) as sink:
+            StreamDetectionEngine(
+                rules, hitlist, config, sink
+            ).process_flowfile(flowfile, max_records=25)
+        damage(checkpoint_path(config.checkpoint_dir, 20))
+        with caplog.at_level(
+            logging.WARNING, logger="repro.stream.checkpoint"
+        ):
+            with JsonlEventSink(log, resume=True) as sink:
+                resumed = StreamDetectionEngine.resume(
+                    rules, hitlist, config, sink
+                )
+                assert resumed.records_processed == 10
+                assert resumed.metrics.checkpoint_fallbacks == 1
+                resumed.process_flowfile(flowfile)
+        assert "falling back" in caplog.text
+        assert log.read_bytes() == full.read_bytes()
+
+    def test_consistent_digest_inconsistent_columns_rejected(self, tmp_path):
+        """A file whose digest and length hold but whose column counts
+        disagree with its bytes is damage too, not a crash."""
+        engine = _engine_after_run(tmp_path)
+        path = engine.write_checkpoint()
+        header, head, blob = path.read_bytes().split(b"\n", 2)
+        document = json.loads(head)
+        document["columns"]["rows"][1] += 1
+        body = json.dumps(document).encode() + b"\n" + blob
+        path.write_bytes(
+            (
+                f"repro-stream-ckpt v{CHECKPOINT_VERSION} "
+                f"sha256={hashlib.sha256(body).hexdigest()} "
+                f"length={len(body)}\n"
+            ).encode()
+            + body
+        )
+        with pytest.raises(CheckpointError, match="malformed"):
+            read_checkpoint(path)
+
+
+def _write_v1(directory, seq, payload):
+    """A checkpoint as the previous release wrote it."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    directory.mkdir(parents=True, exist_ok=True)
+    path = checkpoint_path(directory, seq)
+    path.write_bytes(
+        (
+            f"repro-stream-ckpt v1 sha256={hashlib.sha256(body).hexdigest()} "
+            f"length={len(body)}\n"
+        ).encode()
+        + body
+    )
+    return path
+
+
+class TestFormatVersionRefusal:
+    def test_v1_file_is_refused_by_name(self, tmp_path):
+        path = _write_v1(tmp_path, 10, {"state_version": 1, "tables": []})
+        with pytest.raises(CheckpointVersionError) as refusal:
+            read_checkpoint(path)
+        message = str(refusal.value)
+        assert "format version 1" in message
+        assert f"version {CHECKPOINT_VERSION}" in message
+        assert "release that wrote it" in message
+        assert refusal.value.found == 1
+
+    def test_directory_of_only_v1_files_says_so(self, tmp_path, caplog):
+        for seq in (10, 20):
+            _write_v1(tmp_path / "ckpt", seq, {"state_version": 1})
+        with caplog.at_level(
+            logging.WARNING, logger="repro.stream.checkpoint"
+        ):
+            with pytest.raises(
+                CheckpointVersionError, match="format version 1"
+            ):
+                load_latest(tmp_path / "ckpt")
+        rules, hitlist = _odd_world()
+        with pytest.raises(CheckpointError, match="format version 1"):
+            StreamDetectionEngine.resume(
+                rules, hitlist, StreamConfig(checkpoint_dir=tmp_path / "ckpt")
+            )
+
+    def test_v1_beside_damage_is_still_just_unusable(self, tmp_path):
+        _write_v1(tmp_path, 10, {"state_version": 1})
+        write_checkpoint(tmp_path, 20, {"seq": 20})
+        corrupt_payload_byte(checkpoint_path(tmp_path, 20))
+        assert load_latest(tmp_path) is None
+
+    def test_v1_under_a_good_checkpoint_is_never_reached(self, tmp_path):
+        _write_v1(tmp_path, 10, {"state_version": 1})
+        write_checkpoint(tmp_path, 20, {"seq": 20})
+        assert load_latest(tmp_path).payload == {"seq": 20}
 
 
 class TestRetention:
