@@ -1,19 +1,23 @@
 """Live rule-swap cost: ingest overhead and the apply-pause bound.
 
 The hot-swap design claims the refresh machinery is free until the
-flip and near-free at it: staging a generation adds one pointer check
-to the per-record hot path, and the apply itself is reference flips
+flip and near-free at it: a staged generation adds one boundary scan
+per chunk to the fold loop, and the apply itself is reference flips
 plus one bounded evidence-migration pass.  This bench pins both claims
 with numbers:
 
-* *overhead* — the same pre-parsed tuple stream folded with and
-  without a staged swap; the swap-enabled run must stay within 5% of
-  the baseline throughput (asserted);
-* *pause* — the wall-time of the single ``observe`` call that crosses
-  the activation boundary (the flip + migration over every populated
+* *overhead* — the same column chunks folded with and without a swap
+  staged for a boundary the stream never reaches; the staged run must
+  stay within 5% of the baseline throughput (asserted).  The flip is
+  not in this ratio: the chunk loop folds this corpus in tens of
+  milliseconds, of which one migration pass would be 5-10%, and the
+  pause bound is where that pass is held to account;
+* *pause* — the wall-time of folding the one-row chunk that crosses
+  the activation boundary (the flip + migration over the populated
   state table), asserted bounded;
-* *identity* — the identity-swap run emits byte-for-byte the same
-  events as the no-swap baseline (the correctness half, mirrored from
+* *identity* — the run the pause is taken from, swap applied
+  mid-stream, emits byte-for-byte the same events as the no-swap
+  baseline (the correctness half, mirrored from
   ``tests/test_rules_lifecycle.py``).
 
 Results merge into ``BENCH_scaling.json`` under ``"rules"``.
@@ -26,6 +30,7 @@ import argparse
 import json
 import pathlib
 import random
+import statistics
 import sys
 import time
 import types
@@ -35,8 +40,9 @@ BENCH_PATH = (
 )
 
 _SUBSCRIBERS = 5_000
-#: generous bound on the boundary-crossing observe call — the flip is
-#: reference swaps plus one migration pass over the state tables.
+_CHUNK_ROWS = 4_096
+#: generous bound on the boundary-crossing fold — the flip is
+#: reference swaps plus one migration pass over the state table.
 _PAUSE_BOUND_SECONDS = 0.25
 _OVERHEAD_BOUND = 1.05
 
@@ -72,7 +78,7 @@ def _world():
 
 
 def _tuples(records):
-    """A sorted two-day tuple stream, ~10% hitlist matches."""
+    """Sorted two-day flow rows, ~10% hitlist matches."""
     from repro.timeutil import SECONDS_PER_DAY, STUDY_START
 
     rng = random.Random(7)
@@ -106,6 +112,19 @@ def _assembly(rules, hitlist):
     return streaming_assembly(rules, hitlist)
 
 
+def _chunks(rows, start_index=0):
+    """``rows`` as ``_CHUNK_ROWS``-row column chunks."""
+    import numpy as np
+
+    from repro.netflow.parse import FlowChunk
+
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    return [
+        FlowChunk(start_index + at, *columns[:, at:at + _CHUNK_ROWS])
+        for at in range(0, len(rows), _CHUNK_ROWS)
+    ]
+
+
 def _events(sink):
     return [
         (e.subscriber, e.class_name, e.detected_at, e.record_index)
@@ -113,38 +132,42 @@ def _events(sink):
     ]
 
 
-def _run_stream(rules, hitlist, rows, generation=None, boundary=None):
+def _run_stream(rules, hitlist, chunks, generation=None, boundary=None):
     pipeline = _assembly(rules, hitlist)
     if generation is not None:
         pipeline.stage.stage_swap(generation, boundary)
-    pipeline.run_tuples(iter(rows))
+    pipeline.run_chunks(chunks)
     return pipeline.stage.metrics.process_seconds, pipeline
 
 
-def _measure(runner, repeats):
-    """Min-of-repeats wall time (noise floor, not the average)."""
-    best_seconds, best_pipeline = None, None
-    for _ in range(repeats):
-        seconds, pipeline = runner()
-        if best_seconds is None or seconds < best_seconds:
-            best_seconds, best_pipeline = seconds, pipeline
-    return best_seconds, best_pipeline
+def _measure(base, staged, repeats):
+    """``repeats`` back-to-back (base, staged) pairs of seconds: the
+    best of each (noise floor, not the average) and the median
+    staged/base ratio over the pairs — adjacent runs share the
+    machine's state, so a ~20 ms fold on a shared box is compared with
+    its neighbour, not with a run a second later."""
+    pairs = [(base()[0], staged()[0]) for _ in range(repeats)]
+    return (
+        min(b for b, _ in pairs),
+        min(s for _, s in pairs),
+        statistics.median(s / b for b, s in pairs),
+    )
 
 
 def _swap_pause(rules, hitlist, rows, generation, boundary):
-    """Wall time of the single observe() that applies the swap."""
-    pre = [row for row in rows if row[0] < boundary]
-    post = [row for row in rows if row[0] >= boundary]
+    """Wall time of folding the one row that applies the swap, and the
+    pipeline after the whole stream."""
+    split = next(n for n, row in enumerate(rows) if row[0] >= boundary)
     pipeline = _assembly(rules, hitlist)
-    pipeline.run_tuples(iter(pre))
     pipeline.stage.stage_swap(generation, boundary)
-    when, src, dst, proto, dport, flags = post[0]
+    pipeline.run_chunks(_chunks(rows[:split]))
+    crossing = _chunks(rows[split:split + 1], start_index=split)
     started = time.perf_counter()
-    pipeline.stage.observe(len(pre), when, src, dst, proto, dport, flags)
+    pipeline.run_chunks(crossing)
     pause = time.perf_counter() - started
     assert pipeline.stage._pending_swap is None  # the flip happened
-    migrated = pipeline.stage.metrics.rules_evidence_migrated
-    return pause, migrated
+    pipeline.run_chunks(_chunks(rows[split + 1:], start_index=split + 1))
+    return pause, pipeline
 
 
 def _run(records, repeats, merge):
@@ -152,17 +175,21 @@ def _run(records, repeats, merge):
 
     (rules, hitlist), (rules_next, hitlist_next) = _world()
     rows, boundary = _tuples(records)
+    chunks = _chunks(rows)
     generation = RuleGeneration.prepare(2, rules_next, hitlist_next)
 
-    _run_stream(rules, hitlist, rows)  # warmup (caches, allocator)
-    base_seconds, base_pipeline = _measure(
-        lambda: _run_stream(rules, hitlist, rows), repeats
-    )
-    swap_seconds, swap_pipeline = _measure(
+    # warmup (caches, allocator), and the no-swap event log
+    _, base_pipeline = _run_stream(rules, hitlist, chunks)
+    base_seconds, swap_seconds, overhead = _measure(
+        lambda: _run_stream(rules, hitlist, chunks),
         lambda: _run_stream(
-            rules, hitlist, rows, generation=generation, boundary=boundary
+            rules, hitlist, chunks, generation=generation,
+            boundary=rows[-1][0] + 1,  # staged, never reached
         ),
         repeats,
+    )
+    pause, swap_pipeline = _swap_pause(
+        rules, hitlist, rows, generation, boundary
     )
     if _events(swap_pipeline.sink) != _events(base_pipeline.sink):
         print("FAIL: identity swap changed the emitted events")
@@ -170,13 +197,10 @@ def _run(records, repeats, merge):
     if swap_pipeline.stage.metrics.rules_swaps != 1:
         print("FAIL: the staged swap never applied")
         return 1, None
-    pause, migrated = _swap_pause(
-        rules, hitlist, rows, generation, boundary
-    )
+    migrated = swap_pipeline.stage.metrics.rules_evidence_migrated
 
     base_rps = records / base_seconds
     swap_rps = records / swap_seconds
-    overhead = swap_seconds / base_seconds
     document = {
         "records": records,
         "matched": swap_pipeline.stage.metrics.flows_matched,
@@ -190,7 +214,7 @@ def _run(records, repeats, merge):
     }
     print(
         f"swap bench: {records:,} records, "
-        f"baseline {base_rps:,.0f} rec/s vs swap-enabled "
+        f"baseline {base_rps:,.0f} rec/s vs swap-staged "
         f"{swap_rps:,.0f} rec/s (overhead {overhead:.3f}x), "
         f"apply pause {pause * 1000:.2f} ms "
         f"({migrated} windows migrated)"
@@ -203,7 +227,7 @@ def _run(records, repeats, merge):
         return 1, None
     if overhead > _OVERHEAD_BOUND:
         print(
-            f"FAIL: swap-enabled overhead {overhead:.3f}x exceeds "
+            f"FAIL: swap-staged overhead {overhead:.3f}x exceeds "
             f"{_OVERHEAD_BOUND}x bound"
         )
         return 1, None
@@ -222,7 +246,7 @@ def _run(records, repeats, merge):
 
 def bench_swap_lifecycle():
     """Pytest entry: full-size run, merged into BENCH_scaling.json."""
-    status, document = _run(records=200_000, repeats=5, merge=True)
+    status, document = _run(records=200_000, repeats=15, merge=True)
     assert status == 0
     assert document["overhead_ratio"] <= _OVERHEAD_BOUND
     assert document["swap_pause_seconds"] <= _PAUSE_BOUND_SECONDS
@@ -237,9 +261,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.quick:
-        status, _ = _run(records=60_000, repeats=5, merge=False)
+        status, _ = _run(records=60_000, repeats=15, merge=False)
         return status
-    status, _ = _run(records=200_000, repeats=5, merge=True)
+    status, _ = _run(records=200_000, repeats=15, merge=True)
     return status
 
 

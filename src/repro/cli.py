@@ -600,7 +600,6 @@ def _stream_config(args, **overrides):
     }
     if flags.get("checkpoint_dir") is None:
         flags.pop("checkpoint_every", None)
-    flags["workers"] = max(1, args.workers)
     flags.update(overrides)
     return StreamConfig(**flags)
 

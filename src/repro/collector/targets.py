@@ -104,15 +104,14 @@ class EngineTarget:
         return self.engine.metrics_dict()
 
     def subscriber(self, digest: str) -> dict:
-        for table in self.engine._tables:
-            progress = table.progress_of(digest)
-            if progress is not None:
-                return {
-                    "digest": digest,
-                    "found": True,
-                    "progress": progress.to_state(),
-                }
-        return {"digest": digest, "found": False, "progress": None}
+        progress = self.engine.table.progress_of(digest)
+        return {
+            "digest": digest,
+            "found": progress is not None,
+            "progress": (
+                None if progress is None else progress.to_state()
+            ),
+        }
 
 
 class FleetTarget:

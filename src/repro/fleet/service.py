@@ -44,7 +44,7 @@ import multiprocessing
 import pathlib
 import queue as queue_module
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -864,8 +864,7 @@ class FleetService:
         fleet run renders through the same reporting path as a single
         engine, with the fleet table alongside.
         """
-        # every worker runs one state shard
-        doc = replace(self.config.engine, workers=1).metrics()
+        doc = self.config.engine.metrics()
         doc.fleet = self.metrics
         if self.quarantine is not None:
             doc.records_quarantined = self.quarantine.total

@@ -89,9 +89,9 @@ class WorkerSpec:
     fleet_dir: str
     ring_epoch: int
     #: the fleet's engine config, as handed to the router.  The worker
-    #: runs it with its own checkpoint directory, one state shard
-    #: (``max_subscribers`` is therefore the *full* single-engine
-    #: bound per worker, so adoption after a rebalance is lossless)
+    #: runs it with its own checkpoint directory (``max_subscribers``
+    #: is the *full* single-engine bound per worker, so adoption after
+    #: a rebalance is lossless)
     #: and ``checkpoint_every`` as its worker-owned cadence in folded
     #: records (0 = only on drain/adoption).
     engine: StreamConfig = field(default_factory=StreamConfig)
@@ -143,7 +143,6 @@ def _build_engine(
         spec.engine,
         checkpoint_dir=ckpt_dir,
         checkpoint_every=0,  # the worker owns the cadence
-        workers=1,
     )
     loaded = load_latest(ckpt_dir) if spec.resume else None
     if loaded is None:
@@ -289,9 +288,8 @@ def _serve(
             elif kind == "adopt":
                 table_states, adopted_counts, epoch = message[1:]
                 absorbed = 0
-                table = engine._tables[0]
                 for state in table_states:
-                    absorbed += table.absorb(state)
+                    absorbed += engine.table.absorb(state)
                 for slot, count in adopted_counts.items():
                     slot_counts[slot] = (
                         slot_counts.get(slot, 0) + int(count)

@@ -1,6 +1,6 @@
 """Flow-measurement substrate: packet and flow records, packet sampling,
-a flow cache (collector), binary NetFlow v9 / IPFIX codecs, and the
-memoised CSV line parser shared by the record and tuple read paths."""
+a flow cache (collector), binary NetFlow v9 / IPFIX codecs, the
+memoised CSV line parser and the columnar flow-file decoder."""
 
 from repro.netflow.parse import (
     FLOW_FILE_COLUMNS,
@@ -37,7 +37,6 @@ from repro.netflow.flowfile import (
     write_flow_file,
 )
 from repro.netflow.ipfix import IpfixCodec
-from repro.netflow.replay import FlowReplaySource, iter_flow_tuples
 
 __all__ = [
     "FLOW_FILE_COLUMNS",
@@ -68,6 +67,4 @@ __all__ = [
     "read_flow_file",
     "write_flow_file",
     "IpfixCodec",
-    "FlowReplaySource",
-    "iter_flow_tuples",
 ]

@@ -1,13 +1,11 @@
-"""Memoised flow-line parsing, shared by the record and tuple paths.
+"""Flow-line parsing: the memoised per-line parser and the columnar
+file decoder.
 
-Historically the repo parsed haystack-flows CSV lines twice: once in
-:func:`repro.netflow.flowfile.parse_flow_line` (full
-:class:`~repro.netflow.records.FlowRecord` construction for the batch
-path) and once inside ``iter_flow_tuples`` (column-subset tuples for
-the stream fast path), each with its own dotted-quad conversion and
-memoisation.  :class:`FlowLineParser` is the single implementation both
-now call: one split contract, one error message, one pair of bounded
-memo caches.
+:class:`FlowLineParser` is the one per-line implementation: full
+:class:`~repro.netflow.records.FlowRecord` construction
+(:func:`repro.netflow.flowfile.parse_flow_line`) and the column-subset
+tuple detection consumes (:meth:`FlowLineParser.tuple`) share one split
+contract, one error message and one pair of bounded memo caches.
 
 Dotted quads and flag bytes repeat heavily — subscriber lines and
 hitlist endpoints are small sets next to the record count — so memoised
@@ -24,10 +22,10 @@ numpy column arrays for the vectorized detect path
 one numpy kernel parses each block's raw bytes straight into int64
 columns, so the memo caches above serve the per-line parser only.  A
 block the kernel declines — comments or blank lines mid-block,
-malformed or oddly spelled fields — takes the exact per-line semantics
-of :func:`repro.netflow.replay.iter_flow_tuples` instead: same error
-messages, same quarantine reasons.  numpy is imported lazily so the
-substrate stays importable without it.
+malformed or oddly spelled fields — takes the per-line path
+(:meth:`ColumnarDecodeStage._decode_lines`, the one home of the
+per-line error messages and quarantine reasons) instead.  numpy is
+imported lazily so the substrate stays importable without it.
 """
 
 from __future__ import annotations
@@ -211,7 +209,7 @@ class FlowLineParser:
 
 
 #: Process-wide default parser: both `read_flow_file` and
-#: `iter_flow_tuples` go through this instance unless handed their own.
+#: `ColumnarDecodeStage` go through this instance unless handed their own.
 SHARED_PARSER = FlowLineParser()
 
 
@@ -221,8 +219,8 @@ class FlowChunk:
     The columnar counterpart of a run of :data:`FlowTuple` rows: six
     equal-length numpy arrays (``first``, ``src``, ``dst``, ``proto``,
     ``dport``, ``flags``) plus ``start_index``, the stream index of
-    row 0 in the same valid-row coordinate system the per-record paths
-    assign (quarantined/skipped lines never consume an index).
+    row 0 in the valid-row coordinate system checkpoints are expressed
+    in (quarantined/skipped lines never consume an index).
     """
 
     __slots__ = (
@@ -333,9 +331,9 @@ class ColumnarDecodeStage:
     ``proto``/``dport`` are in range.  Anything else — comments or
     blank lines mid-block, ``\\r``, signs, spaces, ``_``, longer values,
     non-ASCII bytes, a wrong field count — drops the whole block to
-    :meth:`_decode_lines`, which reproduces
-    :func:`repro.netflow.replay.iter_flow_tuples` exactly: same error
-    messages without a quarantine, same reason strings with one.
+    :meth:`_decode_lines`, the per-line contract: a ``ValueError``
+    naming the line without a quarantine, a reason string per skipped
+    line with one.
 
     Chunks hold exactly ``chunk_size`` valid rows (the last one fewer).
     """
@@ -361,10 +359,9 @@ class ColumnarDecodeStage:
     ) -> Iterator[FlowChunk]:
         """Yield decoded chunks; ``skip`` fast-forwards valid rows.
 
-        Indices continue the per-record coordinate system: the first
-        yielded row carries index ``skip`` (quarantine accounting still
-        covers the skipped prefix, matching the per-record resume
-        path).
+        The first yielded row carries index ``skip`` — how a resumed
+        engine continues from its checkpointed record count
+        (quarantine accounting still covers the skipped prefix).
         """
         np = _numpy()
         index = 0
@@ -442,7 +439,8 @@ class ColumnarDecodeStage:
         return columns
 
     def _decode_lines(self, lines: Iterable[str], np):
-        """Per-line fallback with exact ``iter_flow_tuples`` semantics."""
+        """Per-line fallback: the contract for comments, malformed
+        lines, unparseable fields and impossible tuples."""
         parser = self.parser
         quarantine = self.quarantine
         expected = len(FLOW_FILE_COLUMNS)
@@ -604,11 +602,9 @@ def chunks_from_records(
 ) -> Iterator[FlowChunk]:
     """Column chunks from an in-memory record iterable.
 
-    The columnar twin of ``FlowPipeline.run_records`` over
-    ``enumerate(records)``: no validation, indices assigned from
-    ``start_index`` — chunk sources that never touch text (the IXP
-    fabric tap, binary collector decoders) enter the vectorized path
-    here.
+    No validation, indices assigned from ``start_index`` — chunk
+    sources that never touch text (the IXP fabric tap, sweep cells)
+    enter the vectorized path here.
     """
     np = _numpy()
     iterator = iter(records)

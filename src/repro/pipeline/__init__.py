@@ -11,13 +11,12 @@ implemented once, assembled three ways:
 * the **IXP path** (:mod:`repro.ixp`) keys by address and keeps the
   TCP-established anti-spoofing filter on in the Validate stage.
 
-Every production input (flow files, record iterables, fleet admission,
-the IXP fabric, sweep cells, the live collector's held datagram blocks)
-folds as numpy column chunks (``FlowChunk``) through
-:meth:`FlowPipeline.run_chunks` with vectorized filtering and endpoint
-lookup; the record-by-record loop (:meth:`FlowPipeline.run_tuples`) is
-the reference the chunk loop is pinned record-for-record equal to — the
-cross-loop cases in ``tests/test_columnar.py``.
+Every input (flow files, record iterables, fleet admission, the IXP
+fabric, sweep cells, the live collector's held datagram blocks) folds
+as numpy column chunks (``FlowChunk``) through
+:meth:`FlowPipeline.run_chunks` — the one loop — with vectorized
+filtering and endpoint lookup; ``tests/reference_fold.py`` is the
+row-at-a-time oracle ``tests/test_columnar.py`` pins it to.
 
 One :class:`StreamConfig` tunes every assembly that folds flows; guard
 budgets arrive separately, as a :class:`GuardSet`.
@@ -62,7 +61,7 @@ from repro.pipeline.swap import (
     PendingSwap,
     RuleGeneration,
     migrate_progress,
-    migrate_tables,
+    migrate_table,
     next_activation,
 )
 
@@ -78,7 +77,7 @@ __all__ = [
     "PendingSwap",
     "MigrationReport",
     "migrate_progress",
-    "migrate_tables",
+    "migrate_table",
     "next_activation",
     # stages and driver
     "FlowPipeline",

@@ -68,8 +68,9 @@ def streaming_assembly(
     """An online pipeline: bounded state, events into ``sink``.
 
     The Detect stage holds one
-    :class:`~repro.pipeline.state.EvidenceStateTable` per keying shard;
-    ``keying`` defaults to salted subscriber digests.  Persistence is
+    :class:`~repro.pipeline.state.EvidenceStateTable` of
+    ``config.max_subscribers`` keys; ``keying`` defaults to salted
+    subscriber digests.  Persistence is
     the stream engine's concern: it passes its ``write_checkpoint`` as
     ``on_checkpoint`` and the loop calls it every
     ``config.checkpoint_every`` records; without one the cadence only
@@ -77,16 +78,12 @@ def streaming_assembly(
     """
     config = config or StreamConfig()
     if keying is None:
-        keying = SubscriberKeying(salt=config.salt, shards=config.workers)
-    tables = [
-        EvidenceStateTable(config.per_shard, config.ttl_seconds)
-        for _ in range(keying.shards)
-    ]
+        keying = SubscriberKeying(salt=config.salt)
     stage = StreamingDetectStage(
         rules,
         hitlist,
         keying,
-        tables,
+        EvidenceStateTable(config.max_subscribers, config.ttl_seconds),
         threshold=config.threshold,
         require_established=config.require_established,
         metrics=config.metrics(),
@@ -115,7 +112,7 @@ def batch_assembly(
     """
     config = config or StreamConfig()
     if keying is None:
-        keying = SubscriberKeying(salt=config.salt, shards=config.workers)
+        keying = SubscriberKeying(salt=config.salt)
     stage = BatchDetectStage(
         rules,
         hitlist,

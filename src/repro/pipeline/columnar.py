@@ -1,10 +1,9 @@
 """The fused ``Validate → Detect`` stages over column chunks.
 
-The per-record :meth:`~repro.pipeline.flow.FlowDetectStage.observe`
-pays one Python call per flow; on bulk input that call dominates wall
-time even though the vast majority of records match nothing.
-:func:`observe_chunk` runs the same fused stages over a
-:class:`~repro.netflow.parse.FlowChunk` column batch instead:
+A Python call per flow would dominate wall time even though the vast
+majority of records match nothing, so :func:`observe_chunk` runs the
+fused stages over a whole :class:`~repro.netflow.parse.FlowChunk`
+column batch:
 
 * the TCP-established anti-spoofing filter is one boolean mask over the
   ``proto``/``flags`` columns;
@@ -14,10 +13,9 @@ time even though the vast majority of records match nothing.
 * only the (rare) matching rows drop into the per-subscriber ``_fold``
   of the :class:`~repro.pipeline.flow.FlowDetectStage` subclass, in
   ascending row order — so events, indices, metrics, and
-  checkpoint-visible state are *identical* to ``observe`` called on
-  every row.  ``observe`` stays for the live collector's datagram-sized
-  batches and as the cross-check for this kernel
-  (``tests/test_columnar.py``).
+  checkpoint-visible state are *identical* to folding the rows one at
+  a time (the oracle in ``tests/reference_fold.py``, which
+  ``tests/test_columnar.py`` holds this kernel to).
 
 The stage is duck-typed here (this module imports nothing from
 :mod:`repro.pipeline.flow`, which imports it); the driver that feeds
@@ -41,8 +39,8 @@ __all__ = ["EndpointDayIndex", "observe_chunk"]
 class EndpointDayIndex:
     """Per-day sorted ``(dst_ip << 16) | dport`` endpoint index.
 
-    Built lazily from the same ``hitlist.daily_endpoints`` mapping the
-    scalar stage reads, one day at a time: a sorted int64 key array for
+    Built lazily from the ``hitlist.daily_endpoints`` mapping, one day
+    at a time: a sorted int64 key array for
     :func:`numpy.searchsorted` plus the fqdn list in key order.  The
     packing is exact — dst_ip occupies bits 16..47 and dport bits
     0..15, both within int64 — so two distinct ``(dst, port)`` pairs
@@ -94,16 +92,14 @@ def observe_chunk(stage, chunk: FlowChunk, emit) -> None:
     to ``emit`` in row order (one call per run of rows folded under
     one rule generation).
 
-    Equivalent to calling ``stage.observe`` on every row in order,
-    including across a staged rule swap: ``observe`` applies the swap
-    at the first record whose timestamp reaches ``activate_at`` — in
-    arrival order — and folds that record and everything after it
-    under the new generation.  Here rows before the first boundary row
-    fold under the old generation, then the stage swap is applied
-    (which also exchanges the stage's endpoint index), and the
-    boundary row onward folds under the new generation — so the two
-    loops stay record-for-record identical across swaps that land
-    mid-chunk.
+    Equivalent to folding the rows one at a time in order, including
+    across a staged rule swap, which applies at the first record whose
+    timestamp reaches ``activate_at`` — in arrival order.  Rows before
+    the first boundary row fold under the old generation, then the
+    stage swap is applied (which also exchanges the stage's endpoint
+    index), and the boundary row onward folds under the new generation
+    — so a swap that lands mid-chunk activates on the same record as
+    one that lands on a chunk boundary.
     """
     pending = stage._pending_swap
     while pending is not None and len(chunk):

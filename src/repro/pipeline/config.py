@@ -37,12 +37,10 @@ class StreamConfig:
     #: TCP flows must show established-connection evidence (the IXP
     #: anti-spoofing filter); non-TCP flows always pass
     require_established: bool = False
-    #: total tracked subscriber lines (split across workers)
+    #: tracked subscriber lines (the evidence table's LRU bound)
     max_subscribers: int = 1 << 16
     #: evict lines idle longer than this (event-time seconds); None = off
     ttl_seconds: Optional[int] = None
-    #: state shards; subscribers are partitioned by digest
-    workers: int = 1
     #: salt of the subscriber anonymisation digest
     salt: str = "haystack"
     checkpoint_dir: Optional[pathlib.Path] = None
@@ -66,9 +64,7 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if not 0 < self.threshold <= 1:
             raise ValueError("threshold must be in (0, 1]")
-        for name in (
-            "max_subscribers", "workers", "chunk_size", "checkpoint_keep"
-        ):
+        for name in ("max_subscribers", "chunk_size", "checkpoint_keep"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.ttl_seconds is not None and self.ttl_seconds <= 0:
@@ -76,15 +72,9 @@ class StreamConfig:
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
 
-    @property
-    def per_shard(self) -> int:
-        """State-table bound per shard (at least one key each)."""
-        return max(1, self.max_subscribers // self.workers)
-
     def metrics(self) -> StreamMetrics:
         """A fresh metrics document echoing this config."""
         return StreamMetrics(
-            workers=self.workers,
             max_subscribers=self.max_subscribers,
             ttl_seconds=self.ttl_seconds,
             checkpoint_every=self.checkpoint_every,

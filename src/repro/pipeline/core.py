@@ -10,12 +10,9 @@ document carries (``stop_reason``, ``partial``, per-stage seconds) is
 produced by one implementation.
 
 The polling contract is shared with the flow driver
-(:mod:`repro.pipeline.flow`): its per-record loop checks the guards
-every :data:`GUARD_STRIDE` records, cheap enough to leave the
-per-record cost at one integer decrement while a SIGTERM still drains
-within a fraction of a millisecond of stream time; its chunk loop
-polls the same guards once per folded chunk instead — coarser by
-``chunk_size`` records, same attribution.
+(:mod:`repro.pipeline.flow`), whose chunk loop polls the same guards
+once per folded chunk — a SIGTERM drains within ``chunk_size`` records
+of stream time, with the same attribution.
 """
 
 from __future__ import annotations
@@ -31,8 +28,9 @@ from repro.runtime.shutdown import StopToken, current_token
 
 __all__ = ["GUARD_STRIDE", "GuardSet", "StagedRun"]
 
-#: Records between runtime-guard polls (stop token, deadline, memory
-#: governor) on every pipeline hot loop.
+#: Records a runtime-guard poll (stop token, deadline, memory governor)
+#: accounts for when the caller does not say — the memory governor's
+#: sampling stride counts in these.
 GUARD_STRIDE = 64
 
 _Task = TypeVar("_Task")

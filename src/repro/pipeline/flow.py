@@ -4,18 +4,19 @@ Conceptually a record moves through five stages::
 
     Source → Decode → Validate → Detect → Sink
 
-In practice a per-record method call per stage would dominate the
-per-record budget (the stream path folds ~350k records/second), so the
-middle three stages are *fused* into one :meth:`FlowDetectStage.observe`
-call: watermark accounting, the TCP-established anti-spoofing filter
-(Validate), the day-cached hitlist endpoint lookup (Decode against the
-hitlist), and the per-key evidence fold (Detect).  Only records that
-match a hitlist endpoint — a small fraction — pay the polymorphic
-``_fold`` dispatch, so an assembly chooses its semantics without taxing
-the non-matching majority:
+A per-record method call per stage would dominate the per-record
+budget, so input arrives as :class:`~repro.netflow.parse.FlowChunk`
+column batches and the middle three stages are *fused* into one
+vectorized pass per chunk (:func:`~repro.pipeline.columnar.
+observe_chunk`): watermark accounting, the TCP-established
+anti-spoofing filter (Validate), the per-day hitlist endpoint lookup
+(Decode against the hitlist), and the per-key evidence fold (Detect).
+Only rows that match a hitlist endpoint — a small fraction — pay the
+polymorphic ``_fold`` dispatch, so an assembly chooses its semantics
+without taxing the non-matching majority:
 
-* :class:`StreamingDetectStage` folds into bounded
-  :class:`~repro.pipeline.state.EvidenceStateTable` shards and emits
+* :class:`StreamingDetectStage` folds into one bounded
+  :class:`~repro.pipeline.state.EvidenceStateTable` and emits
   :class:`~repro.pipeline.events.DetectionEvent` instances the moment a
   rule chain completes (the online path);
 * :class:`BatchDetectStage` accumulates unbounded first-seen evidence
@@ -24,29 +25,21 @@ the non-matching majority:
   offline path).
 
 Keying is the other assembly axis: :class:`SubscriberKeying` anonymises
-raw subscriber line identifiers into salted digests and shards by
-digest (ISP paths), :class:`AddressKeying` keys by source address
-(the IXP path, where no subscriber notion exists).
+raw subscriber line identifiers into salted digests (ISP paths),
+:class:`AddressKeying` keys by source address (the IXP path, where no
+subscriber notion exists).
 
-:class:`FlowPipeline` is the driver, and the shape of its input picks
-the loop: bulk input (flow files, record iterables, fleet admission,
-the IXP fabric, sweep cells, the live collector's held datagram
-blocks) arrives as :class:`~repro.netflow.parse.FlowChunk` column
-batches and folds through :meth:`FlowPipeline.run_chunks` — the same
-fused stages vectorized (:mod:`repro.pipeline.columnar`); the
-per-record loop (:meth:`FlowPipeline.run_tuples` /
-:meth:`FlowPipeline.run_records`) is what the backpressure-aware replay
-source needs and what the tests hold the chunk loop to.  Both loops
-share one sink
-emission, one checkpoint cadence (``checkpoint_every`` names the same
-record positions on either) and one guard set.  The batch engine, the
-stream engine, and the IXP fabric path are thin assemblies of these
-parts.
+:class:`FlowPipeline` is the driver and :meth:`FlowPipeline.run_chunks`
+its one loop: flow files, record iterables, fleet admission, the IXP
+fabric, sweep cells and the live collector's held datagram blocks all
+fold through it, with one sink emission, one checkpoint cadence and one
+guard set.  The batch engine, the stream engine, and the IXP fabric
+path are thin assemblies of these parts; the tests hold the loop to an
+independent row-at-a-time oracle (``tests/reference_fold.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -59,19 +52,17 @@ from repro.core.detector import (
 from repro.core.hitlist import Hitlist
 from repro.core.rules import RuleSet
 from repro.netflow.parse import FlowChunk
-from repro.netflow.records import PROTO_TCP, TCP_ACK, TCP_SYN
 from repro.pipeline.columnar import EndpointDayIndex, observe_chunk
-from repro.pipeline.core import GUARD_STRIDE, GuardSet
+from repro.pipeline.core import GuardSet
 from repro.pipeline.events import DetectionEvent, MemoryEventSink
 from repro.pipeline.metrics import StreamMetrics
 from repro.pipeline.state import EvidenceStateTable
 from repro.pipeline.swap import (
     PendingSwap,
     RuleGeneration,
-    migrate_tables,
+    migrate_table,
     next_activation,
 )
-from repro.timeutil import SECONDS_PER_DAY, STUDY_START
 
 __all__ = [
     "SubscriberKeying",
@@ -84,12 +75,13 @@ __all__ = [
 
 
 class SubscriberKeying:
-    """Raw subscriber line id → ``(salted digest, state shard)``.
+    """Raw subscriber line id → ``(salted digest, ring slot)``.
 
     The digest is the anonymisation boundary (raw identifiers never
-    persist past this point); the shard index partitions per-key state
-    across ``shards`` tables by digest, so the shard count never
-    changes *which* events are emitted, only how state is split.  The
+    persist past this point).  The slot — ``digest % shards`` — is the
+    fleet ring's partition function: a router built with
+    ``shards=ring_slots`` reads a record's slot off the same memoised
+    lookup; a Detect stage ignores it (one engine, one table).  The
     raw-id → identity cache is recomputable, which is why
     :meth:`forget` may drop it under memory pressure without affecting
     detection output.
@@ -105,7 +97,7 @@ class SubscriberKeying:
         self._identities: Dict[int, Tuple[str, int]] = {}
 
     def identity(self, raw: int) -> Tuple[str, int]:
-        """The cached ``(digest, shard)`` identity for a raw id."""
+        """The cached ``(digest, slot)`` identity for a raw id."""
         identity = self._identities.get(raw)
         if identity is None:
             digest = self._digests(raw)
@@ -116,9 +108,9 @@ class SubscriberKeying:
     def ring_hash(self, raw: int) -> int:
         """The stable integer the fleet ring partitions by.
 
-        The full digest value, before any ``% shards`` reduction — so a
-        ring of any slot count and a keying of any shard count agree on
-        which key a record belongs to.  ``identity(raw)[1]`` equals
+        The full digest value, before any ``% shards`` reduction — so
+        rings of any slot count agree on which key a record belongs
+        to.  ``identity(raw)[1]`` equals
         ``ring_hash(raw) % shards`` by construction; the golden-vector
         test pins both so an accidental hash change (which would
         silently corrupt fleet ring assignment and checkpoint lineage)
@@ -135,7 +127,7 @@ class SubscriberKeying:
 
 
 class AddressKeying:
-    """Source address → ``(dotted quad, state shard)`` (IXP paths).
+    """Source address → ``(dotted quad, ring slot)`` (IXP paths).
 
     At an IXP there is no subscriber notion — detection is per source
     address per the paper's Section 6 — so the key is the address
@@ -152,7 +144,7 @@ class AddressKeying:
         self._names: Dict[int, Tuple[str, int]] = {}
 
     def identity(self, raw: int) -> Tuple[str, int]:
-        """The cached ``(dotted quad, shard)`` identity for an address."""
+        """The cached ``(dotted quad, slot)`` identity for an address."""
         identity = self._names.get(raw)
         if identity is None:
             identity = (ip_to_str(raw), raw % self.shards)
@@ -175,17 +167,13 @@ class AddressKeying:
 
 
 class FlowDetectStage:
-    """Fused Decode/Validate/Detect over raw record fields.
+    """The Detect stage's state: rules, hitlist index, keying, metrics.
 
-    :meth:`observe` is the per-record hot call.  It takes scalar
-    fields rather than a record object so the tuple path never
-    constructs records, and it fuses the cheap universal work —
-    counters, watermark, the established filter, the day-cached
-    endpoint lookup — dispatching to the subclass :meth:`_fold` only
-    for the records that matched a hitlist endpoint.
-    :func:`~repro.pipeline.columnar.observe_chunk` is the same fused
-    work over a whole column chunk, reading :attr:`index` where
-    ``observe`` reads the day dicts.
+    :func:`~repro.pipeline.columnar.observe_chunk` does the cheap
+    universal work over a whole column chunk — counters, watermark, the
+    established filter, the per-day endpoint lookup against
+    :attr:`index` — and dispatches to the subclass :meth:`_fold` only
+    for the rows that matched a hitlist endpoint.
     """
 
     __slots__ = (
@@ -195,11 +183,6 @@ class FlowDetectStage:
         "require_established",
         "keying",
         "metrics",
-        "_daily",
-        "_day_front",
-        "_endpoints_front",
-        "_day_back",
-        "_endpoints_back",
         "_index",
         "_pending_swap",
     )
@@ -221,14 +204,6 @@ class FlowDetectStage:
         self.metrics = metrics if metrics is not None else StreamMetrics(
             threshold=threshold
         )
-        self._daily = hitlist.daily_endpoints
-        # Two-entry day cache: out-of-order records that jitter across
-        # a UTC day boundary alternate between two days, and a single
-        # cached day would re-fetch from ``_daily`` on every flip.
-        self._day_front: Optional[int] = None
-        self._endpoints_front: Dict[Tuple[int, int], str] = {}
-        self._day_back: Optional[int] = None
-        self._endpoints_back: Dict[Tuple[int, int], str] = {}
         self._index: Optional[EndpointDayIndex] = None
         #: staged rule generation awaiting its event-time boundary
         self._pending_swap: Optional[PendingSwap] = None
@@ -239,55 +214,8 @@ class FlowDetectStage:
         lookups search (compiled on first use, swapped with the
         rules)."""
         if self._index is None:
-            self._index = EndpointDayIndex(self._daily)
+            self._index = EndpointDayIndex(self.hitlist.daily_endpoints)
         return self._index
-
-    def observe(
-        self,
-        index: int,
-        when: int,
-        src: int,
-        dst: int,
-        proto: int,
-        dport: int,
-        flags: int,
-    ) -> Optional[List[DetectionEvent]]:
-        """Fold one record; completed detections (usually ``None``)."""
-        metrics = self.metrics
-        metrics.records_processed += 1
-        metrics.records_since_checkpoint += 1
-        if when > metrics.watermark:
-            metrics.watermark = when
-        if (
-            self._pending_swap is not None
-            and when >= self._pending_swap.activate_at
-        ):
-            self._apply_swap()
-        if (
-            self.require_established
-            and proto == PROTO_TCP
-            and not (flags & TCP_ACK and not flags & TCP_SYN)
-        ):
-            metrics.flows_rejected_spoof += 1
-            return None
-        day = (when - STUDY_START) // SECONDS_PER_DAY
-        if day != self._day_front:
-            if day == self._day_back:
-                self._day_front, self._day_back = day, self._day_front
-                self._endpoints_front, self._endpoints_back = (
-                    self._endpoints_back,
-                    self._endpoints_front,
-                )
-            else:
-                self._day_back = self._day_front
-                self._endpoints_back = self._endpoints_front
-                self._day_front = day
-                self._endpoints_front = self._daily.get(day, {})
-        fqdn = self._endpoints_front.get((dst, dport))
-        if fqdn is None:
-            return None
-        metrics.flows_matched += 1
-        return self._fold(index, when, src, fqdn)
 
     def _fold(
         self, index: int, when: int, src: int, fqdn: str
@@ -321,11 +249,9 @@ class FlowDetectStage:
         """Take the staged generation live (called on the hot path).
 
         Reference flips plus one bounded evidence-migration pass: the
-        rule set, daily-endpoint mapping and chunk index (the
-        generation's prebuilt one, else compiled on next use) are
-        exchanged, the two-day endpoint cache is invalidated, and
-        subclasses migrate their per-key evidence in
-        :meth:`_migrate_evidence`.
+        rule set, hitlist and chunk index (the generation's prebuilt
+        one, else compiled on next use) are exchanged, and subclasses
+        migrate their per-key evidence in :meth:`_migrate_evidence`.
         """
         pending = self._pending_swap
         assert pending is not None
@@ -333,12 +259,7 @@ class FlowDetectStage:
         generation = pending.generation
         self.rules = generation.rules
         self.hitlist = generation.hitlist
-        self._daily = generation.hitlist.daily_endpoints
         self._index = generation.index
-        self._day_front = None
-        self._endpoints_front = {}
-        self._day_back = None
-        self._endpoints_back = {}
         metrics = self.metrics
         metrics.rules_active_version = generation.version
         metrics.rules_pending_version = None
@@ -357,21 +278,20 @@ class FlowDetectStage:
 class StreamingDetectStage(FlowDetectStage):
     """Online Detect: bounded per-key state, events on completion.
 
-    Per-key evidence lives in LRU/TTL-bounded
-    :class:`~repro.pipeline.state.EvidenceStateTable` shards (one per
-    keying shard).  The tables are *assignable* — a resuming engine
-    restores checkpointed tables in place — and shrinkable under
-    memory pressure.
+    Per-key evidence lives in one LRU/TTL-bounded
+    :class:`~repro.pipeline.state.EvidenceStateTable`.  The table is
+    *assignable* — a resuming engine restores the checkpointed one in
+    place — and shrinkable under memory pressure.
     """
 
-    __slots__ = ("tables",)
+    __slots__ = ("table",)
 
     def __init__(
         self,
         rules: RuleSet,
         hitlist: Hitlist,
         keying,
-        tables: List[EvidenceStateTable],
+        table: EvidenceStateTable,
         threshold: float = 0.4,
         require_established: bool = False,
         metrics: Optional[StreamMetrics] = None,
@@ -384,17 +304,13 @@ class StreamingDetectStage(FlowDetectStage):
             require_established=require_established,
             metrics=metrics,
         )
-        if len(tables) != keying.shards:
-            raise ValueError(
-                f"{len(tables)} state tables for {keying.shards} shards"
-            )
-        self.tables = tables
+        self.table = table
 
     def _fold(
         self, index: int, when: int, src: int, fqdn: str
     ) -> Optional[List[DetectionEvent]]:
-        key, shard = self.keying.identity(src)
-        progress = self.tables[shard].touch(key, when)
+        key, _ = self.keying.identity(src)
+        progress = self.table.touch(key, when)
         completed = progress.observe(
             self.rules, self.threshold, fqdn, when
         )
@@ -414,14 +330,14 @@ class StreamingDetectStage(FlowDetectStage):
         ]
 
     def _migrate_evidence(self, rules: RuleSet) -> None:
-        """Migrate every state shard's evidence to the new rules.
+        """Migrate the table's evidence to the new rules.
 
         Surviving domains keep their first-seen windows, dropped
         domains/classes are expired — each tallied into the ``rules``
         metrics section (see :func:`~repro.pipeline.swap.
-        migrate_tables` for the exact semantics).
+        migrate_table` for the exact semantics).
         """
-        report = migrate_tables(self.tables, rules)
+        report = migrate_table(self.table, rules)
         metrics = self.metrics
         metrics.rules_evidence_migrated += report.domains_kept
         metrics.rules_evidence_expired += report.domains_expired
@@ -515,20 +431,15 @@ class FlowPipeline:
     Owns the loop-level concerns the Detect stage must not: sink
     emission, checkpoint cadence (``checkpoint_every`` records, via the
     ``on_checkpoint`` callback the owning assembly provides), guard
-    polling, ``max_records`` bounding, wall-time accounting, and — for
-    backpressure-aware sources — high-watermark and shed-drop folding
-    into the overload metrics.
+    polling, ``max_records`` bounding and wall-time accounting.
 
-    Two loops, one policy.  :meth:`run_chunks` folds column chunks and
-    is what every bulk input uses; it splits a chunk at the
+    :meth:`run_chunks` is the one loop.  It splits a chunk at the
     ``max_records`` budget and at the ``checkpoint_every`` boundary, so
     both name exact record positions, and polls the guards once per
-    (sub-)chunk.  :meth:`run_tuples`/:meth:`run_records` fold record by
-    record, polling the guards every
-    :data:`~repro.pipeline.core.GUARD_STRIDE` records.  The cadence
-    counter (``metrics.records_since_checkpoint``) runs across calls
-    and loops: only a checkpoint resets it, so ingest segmented into
-    calls shorter than ``checkpoint_every`` still checkpoints on time.
+    (sub-)chunk.  The cadence counter
+    (``metrics.records_since_checkpoint``) runs across calls: only a
+    checkpoint resets it, so ingest segmented into calls shorter than
+    ``checkpoint_every`` still checkpoints on time.
 
     A guard stop ends the ingest call early and records the reason in
     the shared overload metrics; the assembly stays resumable and
@@ -563,10 +474,9 @@ class FlowPipeline:
     ) -> int:
         """Fold decoded column chunks; records folded.
 
-        Equivalent to feeding the rows of every chunk through
-        :meth:`run_tuples` — same events in the same order, same
-        metrics, checkpoints at the same record positions — at vector
-        speed for the non-matching majority.
+        Equivalent to folding the rows one at a time in order — same
+        events in the same order, same metrics — at vector speed for
+        the non-matching majority.
 
         ``admitted`` says the caller took these rows in before it
         honoured a stop (the live collector's held datagrams): the
@@ -616,96 +526,6 @@ class FlowPipeline:
             metrics.process_seconds += time.perf_counter() - started
         return processed
 
-    def run_records(self, source, max_records: Optional[int] = None) -> int:
-        """Fold ``(index, FlowRecord)`` pairs; records folded.
-
-        ``source`` is typically a
-        :class:`~repro.netflow.replay.FlowReplaySource`; its
-        backpressure high watermark and shed-policy drops are folded
-        into the metrics when the call ends, however it ends.
-        """
-        drops_before = dict(getattr(source, "drops", None) or {})
-        metrics = self.stage.metrics
-        try:
-            return self._run(
-                (
-                    (
-                        index,
-                        (
-                            flow.first_switched,
-                            flow.src_ip,
-                            flow.dst_ip,
-                            flow.protocol,
-                            flow.dst_port,
-                            flow.tcp_flags,
-                        ),
-                    )
-                    for index, flow in source
-                ),
-                max_records,
-            )
-        finally:
-            watermark = getattr(source, "high_watermark", None)
-            if watermark is not None:
-                metrics.source_high_watermark = max(
-                    metrics.source_high_watermark, watermark
-                )
-            self._fold_source_drops(source, drops_before)
-
-    def run_tuples(
-        self,
-        tuples: Iterable[Tuple[int, int, int, int, int, int]],
-        start_index: int = 0,
-        max_records: Optional[int] = None,
-    ) -> int:
-        """Per-record ingest of pre-parsed flow tuples.
-
-        ``tuples`` yields ``(first, src, dst, proto, dport, flags)``
-        (see :func:`repro.netflow.replay.iter_flow_tuples`); indices
-        are assigned from ``start_index``.  No service folds here any
-        more — the live collector holds its datagrams' column blocks
-        and folds them through :meth:`run_chunks`, and the fleet's push
-        mode turns admitted tuples into chunks before they reach a
-        worker: this is the reference loop the tests pin
-        :meth:`run_chunks` against.
-        """
-        return self._run(
-            zip(itertools.count(start_index), tuples), max_records
-        )
-
-    def _run(self, pairs, max_records: Optional[int]) -> int:
-        observe = self.stage.observe
-        emit = self._emit
-        guards = self.guards
-        checkpoint_every = self.checkpoint_every
-        metrics = self.stage.metrics
-        processed = 0
-        guard_left = GUARD_STRIDE
-        if guards.check(0) is not None:  # stop already requested
-            return 0
-        started = time.perf_counter()
-        try:
-            for index, (when, src, dst, proto, dport, flags) in pairs:
-                events = observe(index, when, src, dst, proto, dport, flags)
-                if events:
-                    emit(events)
-                processed += 1
-                if (
-                    checkpoint_every
-                    and metrics.records_since_checkpoint >= checkpoint_every
-                ):
-                    self._checkpoint()
-                guard_left -= 1
-                if guard_left <= 0:
-                    guard_left = GUARD_STRIDE
-                    if guards.check(GUARD_STRIDE) is not None:
-                        break
-                if max_records is not None and processed >= max_records:
-                    break
-        finally:
-            metrics.process_seconds += time.perf_counter() - started
-        return processed
-
     def _checkpoint(self) -> None:
         self.on_checkpoint()
         self.stage.metrics.records_since_checkpoint = 0
@@ -713,16 +533,3 @@ class FlowPipeline:
     def _emit(self, events: List[DetectionEvent]) -> None:
         self.sink.extend(events)
         self.stage.metrics.events_emitted += len(events)
-
-    def _fold_source_drops(self, source, drops_before) -> None:
-        """Account a source's shed-policy drops since this call began."""
-        drops = getattr(source, "drops", None)
-        if not drops:
-            return
-        delta = {
-            reason: count - drops_before.get(reason, 0)
-            for reason, count in drops.items()
-        }
-        self.stage.metrics.overload.record_drops(
-            {r: c for r, c in delta.items() if c > 0}
-        )

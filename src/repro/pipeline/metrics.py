@@ -208,12 +208,13 @@ class StreamMetrics:
     with a ``"mode": "stream"`` discriminator, so the same tooling
     tracks batch-engine and stream trajectories.  Beyond the shared
     stage/throughput sections it reports the stream-specific health
-    signals: ingest lag (records since the last checkpoint, replay
-    buffer high watermark), state-table evictions, and checkpoint
-    timings.
+    signals: ingest lag (records since the last checkpoint),
+    state-table evictions, and checkpoint timings.  ``config.workers``
+    and ``lag.source_high_watermark`` are constants — one engine is one
+    table, and a chunk source holds no buffer — kept so the document
+    keeps its shape.
     """
 
-    workers: int = 1
     max_subscribers: int = 0
     ttl_seconds: Optional[int] = None
     checkpoint_every: int = 0
@@ -231,7 +232,6 @@ class StreamMetrics:
     checkpoint_seconds: float = 0.0
     process_seconds: float = 0.0
     records_since_checkpoint: int = 0
-    source_high_watermark: int = 0
     #: event-time high watermark (largest record timestamp seen)
     watermark: int = 0
     #: checkpoint generation resume() loaded, if any
@@ -295,7 +295,7 @@ class StreamMetrics:
             "schema": METRICS_SCHEMA,
             "mode": "stream",
             "config": {
-                "workers": self.workers,
+                "workers": 1,
                 "max_subscribers": self.max_subscribers,
                 "ttl_seconds": self.ttl_seconds,
                 "checkpoint_every": self.checkpoint_every,
@@ -316,7 +316,7 @@ class StreamMetrics:
             },
             "lag": {
                 "records_since_checkpoint": self.records_since_checkpoint,
-                "source_high_watermark": self.source_high_watermark,
+                "source_high_watermark": 0,
                 "event_time_watermark": self.watermark,
             },
             "checkpoints": {

@@ -138,7 +138,7 @@ class EvidenceStateTable:
         """Iterate ``(digest, progress)`` without touching LRU order.
 
         The rule-swap migration pass (:func:`repro.pipeline.swap.
-        migrate_tables`) walks every entry through this; mutating the
+        migrate_table`) walks every entry through this; mutating the
         yielded progress objects is allowed, inserting or evicting
         while iterating is not.
         """

@@ -15,10 +15,9 @@ live without stopping ingest or corrupting evidence:
   arrival order, so activation is a pure function of the record stream
   and the staged ``activate_at``, never of guard strides, chunk sizes,
   resume points, or wall-clock.  A kill/resume across a staged swap
-  therefore replays bit-identically, and the per-record and chunk
-  loops activate on exactly the same record.
+  therefore replays bit-identically.
 * **Migration** — evidence accumulated under version ``k`` is folded
-  into ``k+1`` by :func:`migrate_tables`: first-seen domain windows
+  into ``k+1`` by :func:`migrate_table`: first-seen domain windows
   for domains still monitored survive untouched, windows for dropped
   domains are expired, and per-class satisfaction/emission state for
   classes dropped from the rule set is expired — each with its own
@@ -51,7 +50,7 @@ __all__ = [
     "MigrationReport",
     "next_activation",
     "migrate_progress",
-    "migrate_tables",
+    "migrate_table",
 ]
 
 SECONDS_PER_HOUR = 3600
@@ -61,8 +60,8 @@ def next_activation(watermark: int) -> int:
     """The next hour boundary strictly after ``watermark``.
 
     Swaps activate at hour boundaries of *event time* so the boundary
-    is stable across kills, resumes, and which loop folds the stream
-    — everything that varies between runs over the same stream.
+    is stable across kills, resumes, and chunk sizes — everything
+    that varies between runs over the same stream.
     """
     return (watermark // SECONDS_PER_HOUR + 1) * SECONDS_PER_HOUR
 
@@ -157,10 +156,10 @@ def migrate_progress(
     report.classes_expired += len(dropped_classes)
 
 
-def migrate_tables(
-    tables: Iterable["EvidenceStateTable"], rules: RuleSet
+def migrate_table(
+    table: "EvidenceStateTable", rules: RuleSet
 ) -> MigrationReport:
-    """Migrate every table's evidence to ``rules``; the tally.
+    """Migrate the table's evidence to ``rules``; the tally.
 
     LRU order, TTL clocks, and eviction counters are untouched —
     migration changes *what* each subscriber's evidence says, never
@@ -168,7 +167,6 @@ def migrate_tables(
     """
     monitored = rules.monitored_domains()
     report = MigrationReport()
-    for table in tables:
-        for _digest, progress in table.progress_items():
-            migrate_progress(progress, monitored, rules, report)
+    for _digest, progress in table.progress_items():
+        migrate_progress(progress, monitored, rules, report)
     return report

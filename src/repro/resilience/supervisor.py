@@ -418,16 +418,23 @@ class ShardSupervisor:
                         task, attempt, results, hb_dir, faults, fn,
                         policy, delayed,
                     )
+                broken = False
                 while pending and len(running) < effective_pool:
                     task, attempt = pending.popleft()
                     envelope = ShardEnvelope(
                         task, attempt, hb_dir, faults, fn
                     )
-                    running[executor.submit(execute_shard, envelope)] = (
-                        task,
-                        attempt,
-                    )
-                if not running:
+                    try:
+                        future = executor.submit(execute_shard, envelope)
+                    except BrokenProcessPool:
+                        # The pool broke since the last wait.  This
+                        # task never started: back on the queue, an
+                        # innocent, and on to the recovery below.
+                        pending.appendleft((task, attempt))
+                        broken = True
+                        break
+                    running[future] = (task, attempt)
+                if not running and not broken:
                     if delayed:
                         time.sleep(
                             max(
@@ -442,7 +449,6 @@ class ShardSupervisor:
                     timeout=config.poll_interval,
                     return_when=FIRST_COMPLETED,
                 )
-                broken = False
                 for future in done:
                     task, attempt = running.pop(future)
                     try:

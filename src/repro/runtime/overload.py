@@ -2,7 +2,7 @@
 
 Degradation must be measurable, never silent.  Every guard in
 :mod:`repro.runtime` — the memory governor's shed ladder, the deadline
-budget, the ingest shed policy, the shutdown drain — records what it
+budget, the shutdown drain — records what it
 did into one :class:`OverloadMetrics` instance, which both the stream
 and batch metrics documents embed as their ``"overload"`` section
 (next to ``"faults"`` and ``"quarantine"``).
@@ -17,16 +17,18 @@ Schema::
       "pressure_events": <int>,
       "shed_actions": {"<action>": <count>, ...},
       "shed_units": {"<action>": <units>, ...},
-      "ingest_dropped": {"<reason>": <count>, ...},
+      "ingest_dropped": {},
       "stop_reason": <"signal:SIGTERM"|"deadline"|...|null>,
       "degraded": <bool>
     }
 
 ``shed_actions`` counts how often each action fired;
 ``shed_units`` counts what it shed (table entries evicted, concurrent
-shards surrendered).  ``degraded`` is true exactly when output may
-differ from an unconstrained run: evidence was shed, ingest records
-were dropped, or a deadline ended the run early.  A pure signal drain
+shards surrendered).  ``ingest_dropped`` is always empty — no source
+sheds records any more; the key stays so the document keeps its shape.
+``degraded`` is true exactly when output may differ from an
+unconstrained run: evidence was shed, or a deadline ended the run
+early.  A pure signal drain
 (stop, checkpoint, exit) is *not* degraded — the resumed run continues
 bit-identically.
 """
@@ -59,7 +61,6 @@ class OverloadMetrics:
     pressure_events: int = 0
     shed_actions: Dict[str, int] = field(default_factory=dict)
     shed_units: Dict[str, int] = field(default_factory=dict)
-    ingest_dropped: Dict[str, int] = field(default_factory=dict)
     stop_reason: Optional[str] = None
     #: set when an early stop left non-resumable work undone (batch
     #: runs have no checkpoint to continue from, so a drain there is
@@ -79,22 +80,10 @@ class OverloadMetrics:
                 self.shed_units.get(name, 0) + units
             )
 
-    def record_drops(self, drops: Dict[str, int]) -> None:
-        """Fold per-reason ingest drop increments in."""
-        for reason, count in drops.items():
-            if count:
-                self.ingest_dropped[reason] = (
-                    self.ingest_dropped.get(reason, 0) + count
-                )
-
     @property
     def entries_shed(self) -> int:
         """State-table entries evicted under memory pressure."""
         return self.shed_units.get("table_shrink", 0)
-
-    @property
-    def records_dropped(self) -> int:
-        return sum(self.ingest_dropped.values())
 
     @property
     def degraded(self) -> bool:
@@ -103,7 +92,6 @@ class OverloadMetrics:
             self.partial
             or self.stop_reason == "deadline"
             or self.entries_shed > 0
-            or self.records_dropped > 0
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -115,9 +103,7 @@ class OverloadMetrics:
             "pressure_events": self.pressure_events,
             "shed_actions": dict(sorted(self.shed_actions.items())),
             "shed_units": dict(sorted(self.shed_units.items())),
-            "ingest_dropped": dict(
-                sorted(self.ingest_dropped.items())
-            ),
+            "ingest_dropped": {},
             "stop_reason": self.stop_reason,
             "degraded": self.degraded,
         }

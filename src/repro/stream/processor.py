@@ -11,13 +11,12 @@ StreamingDetectStage` keyed by salted subscriber digests
 the concerns this module owns outright: crash-safe checkpoint/resume
 and the memory-pressure shed ladder.
 
-The engine consumes an ordered flow-record stream (column chunks
-decoded from a flow file, a collector's datagram-sized tuple batches,
-or a :class:`~repro.netflow.replay.FlowReplaySource`), folds each
-record into bounded per-subscriber state, and emits a
-:class:`~repro.pipeline.events.DetectionEvent` the moment a rule's
-domain-evidence threshold ``D`` — and every ancestor's — is crossed.
-Rule evaluation is
+The engine consumes an ordered flow-record stream as column chunks
+(decoded from a flow file, held by the live collector, or routed by a
+fleet), folds each record into one bounded per-subscriber state table,
+and emits a :class:`~repro.pipeline.events.DetectionEvent` the moment a
+rule's domain-evidence threshold ``D`` — and every ancestor's — is
+crossed.  Rule evaluation is
 :class:`repro.core.detector.SubscriberProgress`, the exact core the
 batch :class:`~repro.core.detector.FlowDetector` replays through, so on
 an in-order replay the stream's events equal the batch detections (the
@@ -32,9 +31,6 @@ event log byte for byte.
 
 Determinism boundaries worth knowing:
 
-* sharding (``workers``) partitions subscribers by digest, so worker
-  count never changes *which* events are emitted, only how state is
-  split across tables (relevant once tables are small enough to evict);
 * out-of-order records are folded with min-merge first-seen semantics
   (see :class:`~repro.core.detector.SubscriberProgress`); already
   emitted events are never retracted;
@@ -48,12 +44,11 @@ from __future__ import annotations
 import pathlib
 import time
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Set, Union
+from typing import Dict, Optional, Set
 
 from repro.core.hitlist import Hitlist
 from repro.core.rules import RuleSet
 from repro.netflow.parse import ColumnarDecodeStage
-from repro.netflow.replay import FlowReplaySource, FlowTuple
 from repro.pipeline.assemble import streaming_assembly
 from repro.pipeline.config import StreamConfig
 from repro.pipeline.core import GuardSet
@@ -66,7 +61,7 @@ from repro.runtime.shutdown import StopToken
 from repro.pipeline.swap import (
     PendingSwap,
     RuleGeneration,
-    migrate_tables,
+    migrate_table,
 )
 from repro.stream.checkpoint import (
     CheckpointError,
@@ -90,7 +85,6 @@ _IDENTITY_FIELDS = (
     "require_established",
     "max_subscribers",
     "ttl_seconds",
-    "workers",
     "salt",
 )
 
@@ -179,10 +173,9 @@ class StreamDetectionEngine:
     ) -> "StreamDetectionEngine":
         """Rebuild an engine from the newest usable checkpoint.
 
-        Detection-identity fields (threshold, workers, table bounds,
-        salt) are taken from the checkpoint — they must not drift
-        across a resume or the continued run would diverge from the
-        uninterrupted one.  Operational fields (checkpoint cadence,
+        Detection-identity fields (threshold, table bounds, salt) are
+        taken from the checkpoint — they must not drift across a resume
+        or the continued run would diverge from the uninterrupted one.  Operational fields (checkpoint cadence,
         retention, directory) come from ``config``.  The sink is
         truncated to the checkpointed position so re-folded records
         re-emit into a log that ends up byte-identical.  The metrics
@@ -191,7 +184,10 @@ class StreamDetectionEngine:
         directory whose every checkpoint another release wrote (a
         different file-format version) raises
         :class:`~repro.stream.checkpoint.CheckpointVersionError`, which
-        says so, instead of "no usable checkpoint".
+        says so, instead of "no usable checkpoint".  A checkpoint of a
+        run that split its state with the removed ``workers`` option is
+        refused by name (:class:`~repro.stream.checkpoint.
+        CheckpointError`), never merged.
 
         Rule-generation identity: the checkpoint records the rules
         version its evidence accumulated under.  Resuming with a
@@ -221,6 +217,14 @@ class StreamDetectionEngine:
         if ckpt_rules_version != rules_version and not migrate_rules:
             raise RuleVersionMismatch(ckpt_rules_version, rules_version)
         saved = payload["config"]
+        shards = max(int(saved.get("workers", 1)), len(payload["tables"]))
+        if shards != 1:
+            raise CheckpointError(
+                f"checkpoint was written with the removed option "
+                f"workers={shards} ({shards} state tables in one engine); "
+                f"this release keeps one table per engine — finish that "
+                f"run with the release that wrote it"
+            )
         config = replace(
             config,
             **{name: saved[name] for name in _IDENTITY_FIELDS},
@@ -238,10 +242,9 @@ class StreamDetectionEngine:
         )
         engine.metrics.resumed_from_generation = loaded.seq
         engine.metrics.checkpoint_fallbacks = loaded.fallbacks
-        engine._tables = [
-            EvidenceStateTable.from_state(state)
-            for state in payload["tables"]
-        ]
+        engine._stage.table = EvidenceStateTable.from_state(
+            payload["tables"][0]
+        )
         counters = payload["counters"]
         engine.metrics.records_processed = int(counters["records"])
         engine.metrics.flows_matched = int(counters["matched"])
@@ -267,7 +270,7 @@ class StreamDetectionEngine:
             counters.get("rules_classes_expired", 0)
         )
         if ckpt_rules_version != rules_version:
-            report = migrate_tables(engine._tables, rules)
+            report = migrate_table(engine.table, rules)
             engine.metrics.rules_evidence_migrated += report.domains_kept
             engine.metrics.rules_evidence_expired += (
                 report.domains_expired
@@ -332,62 +335,11 @@ class StreamDetectionEngine:
         return self.metrics.records_processed
 
     @property
-    def _tables(self) -> List[EvidenceStateTable]:
-        """The Detect stage's state shards (checkpoint payload)."""
-        return self._stage.tables
-
-    @_tables.setter
-    def _tables(self, tables: List[EvidenceStateTable]) -> None:
-        self._stage.tables = tables
+    def table(self) -> EvidenceStateTable:
+        """The Detect stage's evidence table (the checkpoint's bulk)."""
+        return self._stage.table
 
     # -- ingest -------------------------------------------------------
-
-    def process(
-        self,
-        source: Union[FlowReplaySource, Iterable],
-        max_records: Optional[int] = None,
-    ) -> int:
-        """Fold ``(index, FlowRecord)`` pairs; returns records folded.
-
-        ``max_records`` bounds this call (used by tests to simulate a
-        kill mid-stream); the engine remains resumable afterwards.
-
-        Runtime guards (stop token, ``deadline``, memory ``governor``)
-        are polled every :data:`~repro.pipeline.core.GUARD_STRIDE`
-        records by the pipeline loop: a requested stop or an expired
-        deadline ends the call early (the engine remains resumable;
-        call :meth:`drain` to persist), memory pressure runs the shed
-        ladder in place.
-        """
-        try:
-            return self._pipeline.run_records(
-                source, max_records=max_records
-            )
-        finally:
-            self._sync_state_metrics()
-
-    def process_tuples(
-        self,
-        tuples: Iterable[FlowTuple],
-        start_index: int = 0,
-        max_records: Optional[int] = None,
-    ) -> int:
-        """Per-record ingest of pre-parsed flow tuples.
-
-        ``tuples`` yields ``(first, src, dst, proto, dport, flags)``
-        (see :func:`repro.netflow.replay.iter_flow_tuples`); indices
-        are assigned from ``start_index``.  The tests' reference loop;
-        every production input — flow files, the live collector's held
-        datagram blocks — belongs in :meth:`process_chunks`.
-        """
-        try:
-            return self._pipeline.run_tuples(
-                tuples,
-                start_index=start_index,
-                max_records=max_records,
-            )
-        finally:
-            self._sync_state_metrics()
 
     def process_chunks(
         self,
@@ -395,11 +347,15 @@ class StreamDetectionEngine:
         max_records: Optional[int] = None,
         admitted: bool = False,
     ) -> int:
-        """Vectorized ingest of :class:`~repro.netflow.parse.FlowChunk`
-        batches — same stage, sink, guards, and checkpoint positions
-        as :meth:`process_tuples` (guards polled per chunk instead of
-        every :data:`~repro.pipeline.core.GUARD_STRIDE` records).
-        Fleet workers pass
+        """Fold :class:`~repro.netflow.parse.FlowChunk` batches;
+        returns records folded.
+
+        ``max_records`` bounds this call (a kill mid-stream, for the
+        tests); the engine remains resumable afterwards.  Runtime
+        guards (stop token, ``deadline``, memory ``governor``) are
+        polled once per chunk: a requested stop or an expired deadline
+        ends the call early (call :meth:`drain` to persist), memory
+        pressure runs the shed ladder in place.  Fleet workers pass
         :class:`~repro.netflow.parse.IndexedFlowChunk` rows, which
         fold under the global stream indices they carry.  ``admitted``
         rows were received before the caller honoured a stop and fold
@@ -450,7 +406,6 @@ class StreamDetectionEngine:
                 "require_established": self.config.require_established,
                 "max_subscribers": self.config.max_subscribers,
                 "ttl_seconds": self.config.ttl_seconds,
-                "workers": self.config.workers,
                 "salt": self.config.salt,
             },
             "counters": {
@@ -479,8 +434,10 @@ class StreamDetectionEngine:
             # ``to_state()`` with the entries left as a stream: the
             # writer packs them one at a time
             "tables": [
-                {**table.scalar_state(), "entries": table.entry_states()}
-                for table in self._tables
+                {
+                    **self.table.scalar_state(),
+                    "entries": self.table.entry_states(),
+                }
             ],
         }
         if self.lineage is not None:
@@ -515,7 +472,7 @@ class StreamDetectionEngine:
         persist an early checkpoint (so shrinking afterwards cannot
         widen the replay window), and collect garbage — detection
         output is unaffected.  If pressure persists into later shed
-        events, evidence is shed for real: every state table is shrunk
+        events, evidence is shed for real: the state table is shrunk
         to half its occupancy (never below ``_MIN_TABLE_BOUND``), with
         the evicted digests recorded in :attr:`shed_subscribers`.
         Subscribers never shed keep exactly the detections an
@@ -536,14 +493,11 @@ class StreamDetectionEngine:
         governor.collect_garbage()
         if self._pressure_sheds == 1:
             return
-        shed = 0
-        for table in self._tables:
-            target = max(_MIN_TABLE_BOUND, len(table) // 2)
-            evicted = table.shrink(target)
-            self.shed_subscribers.update(evicted)
-            shed += len(evicted)
-        if shed:
-            governor.record_action("table_shrink", units=shed)
+        table = self.table
+        evicted = table.shrink(max(_MIN_TABLE_BOUND, len(table) // 2))
+        self.shed_subscribers.update(evicted)
+        if evicted:
+            governor.record_action("table_shrink", units=len(evicted))
 
     def drain(self) -> Optional[pathlib.Path]:
         """Persist everything a resume needs; returns the checkpoint.
@@ -568,22 +522,14 @@ class StreamDetectionEngine:
     # -- reporting ----------------------------------------------------
 
     def _sync_state_metrics(self) -> None:
-        self.metrics.subscribers_tracked = sum(
-            len(table) for table in self._tables
-        )
-        self.metrics.evicted_lru = sum(
-            table.evicted_lru for table in self._tables
-        )
-        self.metrics.evicted_ttl = sum(
-            table.evicted_ttl for table in self._tables
-        )
-        self.metrics.evicted_pressure = sum(
-            table.evicted_pressure for table in self._tables
-        )
-        for table in self._tables:
-            if table.pressure_evicted:
-                self.shed_subscribers.update(table.pressure_evicted)
-                table.pressure_evicted.clear()
+        table = self.table
+        self.metrics.subscribers_tracked = len(table)
+        self.metrics.evicted_lru = table.evicted_lru
+        self.metrics.evicted_ttl = table.evicted_ttl
+        self.metrics.evicted_pressure = table.evicted_pressure
+        if table.pressure_evicted:
+            self.shed_subscribers.update(table.pressure_evicted)
+            table.pressure_evicted.clear()
         if self.quarantine is not None:
             self.metrics.records_quarantined = self.quarantine.total
             self.metrics.quarantine_reasons = dict(self.quarantine.counts)

@@ -9,7 +9,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.detector import FlowDetector
+from repro.core.serialization import hitlist_to_json, rules_to_json
 from repro.experiments.context import ExperimentContext
+from repro.netflow.flowfile import write_flow_file
+
+
+def triples(items):
+    """``(subscriber, class, detected_at)`` of events or detections."""
+    return {(i.subscriber, i.class_name, i.detected_at) for i in items}
+
+
+def write_artifacts(directory, rules, hitlist):
+    """``rules.json`` + ``hitlist.json`` as ``--artifacts`` reads them."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "hitlist.json").write_text(hitlist_to_json(hitlist))
+    (directory / "rules.json").write_text(rules_to_json(rules))
+    return directory
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +77,37 @@ def ixp_result(context):
 @pytest.fixture(scope="session")
 def schedule(context):
     return context.schedule
+
+
+@pytest.fixture(scope="session")
+def gt_flows(capture):
+    """Ground-truth ISP flows, one subscriber line per device, in
+    arrival order (the shape a collector hands the stream engine)."""
+    flows = [
+        event.to_flow_record(
+            0x0A000000 + event.device_id, capture.sampling_interval
+        )
+        for event in capture.isp_events
+    ]
+    flows.sort(key=lambda flow: flow.first_switched)
+    return flows
+
+
+@pytest.fixture(scope="session")
+def gt_flowfile(gt_flows, tmp_path_factory):
+    """``gt_flows`` as a flow file (read-only: tests write elsewhere)."""
+    path = tmp_path_factory.mktemp("ground-truth") / "flows.csv"
+    write_flow_file(path, gt_flows)
+    return path
+
+
+@pytest.fixture(scope="session")
+def batch_oracle(rules, hitlist, gt_flows):
+    """(subscriber, class, detected_at) triples from the batch path."""
+    detector = FlowDetector(rules, hitlist, threshold=0.4)
+    for flow in gt_flows:
+        detector.observe_flow(flow.src_ip, flow)
+    return {
+        (d.subscriber, d.class_name, d.detected_at)
+        for d in detector.detections()
+    }

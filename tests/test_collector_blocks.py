@@ -339,17 +339,6 @@ class TestJournalRender:
 # -- the hold ---------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def gt_flows(capture):
-    """Ground-truth ISP flows in arrival order (as in test_stream)."""
-    flows = []
-    for event in capture.isp_events:
-        src = 0x0A000000 + event.device_id
-        flows.append(event.to_flow_record(src, capture.sampling_interval))
-    flows.sort(key=lambda flow: flow.first_switched)
-    return flows
-
-
 def _service(rules, hitlist, directory, token=None, **config):
     engine = StreamDetectionEngine(
         rules,

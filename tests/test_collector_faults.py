@@ -66,17 +66,6 @@ _BATCH = 5
 
 
 @pytest.fixture(scope="module")
-def gt_flows(capture):
-    """Ground-truth ISP flows in arrival order (as in test_stream)."""
-    flows = []
-    for event in capture.isp_events:
-        src = 0x0A000000 + event.device_id
-        flows.append(event.to_flow_record(src, capture.sampling_interval))
-    flows.sort(key=lambda flow: flow.first_switched)
-    return flows
-
-
-@pytest.fixture(scope="module")
 def batches(gt_flows):
     """100 export batches: one datagram each, 5 records per batch."""
     flows = gt_flows[: 100 * _BATCH]
@@ -479,17 +468,9 @@ class TestCollectorCliSoak:
         )
 
     def _soak(self, rules, hitlist, gt_flows, tmp_path, target_args):
-        from repro.core.serialization import (
-            hitlist_to_json,
-            rules_to_json,
-        )
+        from tests.conftest import write_artifacts
 
-        artifacts = tmp_path / "artifacts"
-        artifacts.mkdir()
-        (artifacts / "hitlist.json").write_text(
-            hitlist_to_json(hitlist)
-        )
-        (artifacts / "rules.json").write_text(rules_to_json(rules))
+        artifacts = write_artifacts(tmp_path / "artifacts", rules, hitlist)
 
         flows = gt_flows[:6000]
         batches = [

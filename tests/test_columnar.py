@@ -1,15 +1,16 @@
-"""Cross-loop equivalence: ``run_chunks`` == ``run_tuples``.
+"""The chunk loop against the row-at-a-time oracle.
 
-The one pipeline driver has two fold loops.  The chunk loop
+The pipeline driver has one fold loop
 (:func:`repro.pipeline.columnar.observe_chunk` fed by
-:class:`~repro.netflow.parse.ColumnarDecodeStage`) folds every bulk
-input; the per-record loop stays for the live collector.  Over one
-corpus they must be *indistinguishable*: same detections, same event
-log (including record indices), same metrics, same quarantine
-accounting, same checkpoint positions — over in-order, out-of-order,
-day-straddling, spoofed, and malformed input.  The per-record loop is
-the reference throughout; nothing here relaxes an equality to a set
-comparison unless the per-record loop itself is order-free.
+:class:`~repro.netflow.parse.ColumnarDecodeStage`);
+``tests/reference_fold.py`` is the same semantics one line and one row
+at a time.  Over one corpus they must be *indistinguishable*: same
+detections, same event log (including record indices), same metrics,
+same quarantine accounting — over in-order, out-of-order,
+day-straddling, spoofed, and malformed input; checkpoint positions are
+asserted as absolute record indices.  The oracle is the reference
+throughout; nothing here relaxes an equality to a set comparison
+unless the oracle itself is order-free.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ import pytest
 
 from repro.core.rules import DetectionRule, RuleSet
 from repro.cli import main as cli_main
-from repro.core.serialization import hitlist_to_json, rules_to_json
 from repro.ixp import IxpConfig, detect_fabric_flows, make_spoofed_flows
-from repro.netflow.flowfile import write_flow_file
 from repro.netflow.parse import ColumnarDecodeStage, chunks_from_records
-from repro.netflow.replay import iter_flow_tuples
 from repro.pipeline import (
     AddressKeying,
     BatchDetectStage,
@@ -43,7 +41,10 @@ from repro.resilience.quarantine import QuarantineSink
 from repro.runtime.shutdown import StopToken
 from repro.pipeline.core import GuardSet
 from repro.stream import JsonlEventSink, StreamConfig, StreamDetectionEngine
+from repro.stream.checkpoint import list_checkpoints
 from repro.timeutil import SECONDS_PER_DAY, STUDY_START
+from tests.conftest import write_artifacts
+from tests.reference_fold import fold, read_tuples, record_tuples
 
 
 #: sha256 of the event log ``repro stream run`` wrote for the
@@ -56,24 +57,6 @@ PARENT_PER_RECORD_LOG_SHA256 = (
 
 
 # -- shared replay material -------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def gt_flows(capture):
-    """Ground-truth ISP flows in arrival order, one line per device."""
-    flows = []
-    for event in capture.isp_events:
-        src = 0x0A000000 + event.device_id
-        flows.append(event.to_flow_record(src, capture.sampling_interval))
-    flows.sort(key=lambda flow: flow.first_switched)
-    return flows
-
-
-@pytest.fixture(scope="module")
-def gt_flowfile(gt_flows, tmp_path_factory):
-    path = tmp_path_factory.mktemp("columnar") / "flows.csv"
-    write_flow_file(path, gt_flows)
-    return path
 
 
 def _events(sink):
@@ -101,13 +84,13 @@ def _metric_fields(metrics):
 
 def _fold(rules, hitlist, path, chunk_size=None):
     """Events + metrics of one streaming fold of ``path``: through the
-    per-record loop, or the chunk loop when ``chunk_size`` is given."""
+    oracle, or the chunk loop when ``chunk_size`` is given."""
     sink = MemoryEventSink()
     pipeline = streaming_assembly(
         rules, hitlist, StreamConfig(), sink=sink
     )
     if chunk_size is None:
-        pipeline.run_tuples(iter_flow_tuples(path))
+        fold(pipeline, read_tuples(path))
     else:
         pipeline.run_chunks(
             ColumnarDecodeStage(chunk_size).iter_chunks(path)
@@ -174,9 +157,9 @@ class TestBatchEquivalence:
         self, rules, hitlist, gt_flowfile
     ):
         """Same file, same detections *list* (not just set) and same
-        metrics from the batch assembly on either loop."""
+        metrics from the batch assembly as from the oracle."""
         per_record = batch_assembly(rules, hitlist)
-        per_record.run_tuples(iter_flow_tuples(gt_flowfile))
+        fold(per_record, read_tuples(gt_flowfile))
         detections = per_record.stage.detections()
         chunked = run_flow_detection(rules, hitlist, gt_flowfile)
         assert detections  # the scenario detects at all
@@ -189,9 +172,9 @@ class TestBatchEquivalence:
         self, rules, hitlist, gt_flows
     ):
         """An in-memory record iterable chunks via
-        ``chunks_from_records`` and still reproduces the record loop."""
+        ``chunks_from_records`` and still reproduces the oracle."""
         per_record = batch_assembly(rules, hitlist)
-        per_record.run_records(enumerate(gt_flows))
+        fold(per_record, record_tuples(gt_flows))
         chunked = run_flow_detection(
             rules,
             hitlist,
@@ -233,13 +216,13 @@ class TestStreamingEquivalence:
         self, rules, hitlist, gt_flowfile
     ):
         """The online path emits the *same events in the same order at
-        the same record indices* on either loop."""
-        config = StreamConfig(workers=4)
+        the same record indices* as the oracle."""
+        config = StreamConfig()
         scalar_sink = MemoryEventSink()
         scalar = streaming_assembly(
             rules, hitlist, config, sink=scalar_sink
         )
-        scalar.run_tuples(iter_flow_tuples(gt_flowfile))
+        fold(scalar, read_tuples(gt_flowfile))
 
         chunk_sink = MemoryEventSink()
         vector = streaming_assembly(
@@ -317,9 +300,7 @@ class TestDecodeParity:
 
         quarantine = QuarantineSink(tmp_path / "q1")
         per_record = batch_assembly(rules, hitlist)
-        per_record.run_tuples(
-            iter_flow_tuples(corrupted, quarantine=quarantine)
-        )
+        fold(per_record, read_tuples(corrupted, quarantine=quarantine))
         chunked = run_flow_detection(
             rules,
             hitlist,
@@ -342,20 +323,20 @@ class TestDecodeParity:
         }
 
     def test_malformed_line_raises_identical_message(self, tmp_path):
-        """Without a quarantine both decoders raise the same error."""
+        """Without a quarantine the decoder raises the oracle's error."""
         path = tmp_path / "flows.csv"
         path.write_text(
             "100,160,10.0.0.1,8.8.8.8,6,1,53,1,1,0x10\n1,2,3\n"
         )
         with pytest.raises(ValueError) as per_record:
-            list(iter_flow_tuples(path))
+            list(read_tuples(path))
         with pytest.raises(ValueError) as columnar:
             list(ColumnarDecodeStage().iter_chunks(path))
         assert str(columnar.value) == str(per_record.value)
 
     def test_decoded_columns_equal_tuples(self, gt_flowfile):
         """Raw decode parity: chunk columns equal the tuple stream."""
-        tuples = list(iter_flow_tuples(gt_flowfile))
+        tuples = list(read_tuples(gt_flowfile))
         decoded = []
         index = 0
         for chunk in ColumnarDecodeStage(chunk_size=4096).iter_chunks(
@@ -380,7 +361,7 @@ class TestDecodeParity:
     def test_chunk_size_is_honoured(self, gt_flowfile, chunk_size):
         """Every chunk but the last holds exactly ``chunk_size`` rows
         (guards are polled once per chunk)."""
-        total = sum(1 for _ in iter_flow_tuples(gt_flowfile))
+        total = sum(1 for _ in read_tuples(gt_flowfile))
         sizes = [
             len(chunk)
             for chunk in ColumnarDecodeStage(chunk_size).iter_chunks(
@@ -439,14 +420,14 @@ class TestDecodeParity:
 
 
 def _fabric_per_record(rules, hitlist, flows, require_established):
-    """The fabric assembly's stage folded record by record."""
+    """The fabric assembly's stage folded row by row."""
     stage = BatchDetectStage(
         rules,
         hitlist,
         AddressKeying(),
         require_established=require_established,
     )
-    FlowPipeline(stage).run_records(enumerate(flows))
+    fold(FlowPipeline(stage), record_tuples(flows))
     return stage
 
 
@@ -484,19 +465,53 @@ class TestIxpColumnar:
 # -- the stream engine: kill/resume on the chunk loop ------------------
 
 
+def _assert_drained_resume_identical(
+    rules, hitlist, flowfile, tmp_path, chunk_size, kill_after
+):
+    """Stop at ``kill_after`` records, drain (a final checkpoint at that
+    exact offset), resume: the log equals an uninterrupted run's."""
+
+    def run(name, kill_after=None):
+        log = tmp_path / f"{name}.jsonl"
+        config = StreamConfig(
+            chunk_size=chunk_size,
+            checkpoint_dir=tmp_path / f"{name}-ckpt",
+            checkpoint_every=5_000,
+        )
+        with JsonlEventSink(log) as sink:
+            engine = StreamDetectionEngine(rules, hitlist, config, sink)
+            engine.process_flowfile(flowfile, max_records=kill_after)
+            if kill_after is not None:
+                engine.drain()
+                assert engine.records_processed == kill_after
+        if kill_after is not None:
+            with JsonlEventSink(log, resume=True) as sink:
+                engine = StreamDetectionEngine.resume(
+                    rules, hitlist, config, sink
+                )
+                assert engine.records_processed == kill_after
+                engine.process_flowfile(flowfile)
+        return log
+
+    assert (
+        run("full").read_bytes()
+        == run("killed", kill_after).read_bytes()
+    )
+
+
 class TestStreamEngineColumnar:
     def test_engine_columnar_equals_per_record(
         self, rules, hitlist, gt_flowfile
     ):
-        scalar = StreamDetectionEngine(rules, hitlist, StreamConfig())
-        scalar.process_tuples(iter_flow_tuples(gt_flowfile))
+        scalar = streaming_assembly(rules, hitlist)
+        fold(scalar, read_tuples(gt_flowfile))
         vector = StreamDetectionEngine(
             rules, hitlist, StreamConfig(chunk_size=8192)
         )
         vector.process_flowfile(gt_flowfile)
         assert _events(vector.sink) == _events(scalar.sink)
         assert _metric_fields(vector.metrics) == _metric_fields(
-            scalar.metrics
+            scalar.stage.metrics
         )
 
     def test_kill_resume_from_non_multiple_offset_byte_identical(
@@ -505,37 +520,10 @@ class TestStreamEngineColumnar:
         """Kill the run at a record count that is *not* a
         checkpoint-cadence multiple, drain, resume: the event log ends
         byte-identical to an uninterrupted run's."""
-
-        def run(name, kill_after=None):
-            log = tmp_path / f"{name}.jsonl"
-            config = StreamConfig(
-                chunk_size=1024,
-                checkpoint_dir=tmp_path / f"{name}-ckpt",
-                checkpoint_every=5_000,
-            )
-            with JsonlEventSink(log) as sink:
-                engine = StreamDetectionEngine(
-                    rules, hitlist, config, sink
-                )
-                engine.process_flowfile(
-                    gt_flowfile, max_records=kill_after
-                )
-                if kill_after is not None:
-                    # final checkpoint at the exact (odd) offset
-                    engine.drain()
-                    assert engine.records_processed == kill_after
-            if kill_after is not None:
-                with JsonlEventSink(log, resume=True) as sink:
-                    engine = StreamDetectionEngine.resume(
-                        rules, hitlist, config, sink
-                    )
-                    assert engine.records_processed == kill_after
-                    engine.process_flowfile(gt_flowfile)
-            return log
-
-        full = run("full")
-        resumed = run("killed", kill_after=12_345)
-        assert full.read_bytes() == resumed.read_bytes()
+        _assert_drained_resume_identical(
+            rules, hitlist, gt_flowfile, tmp_path,
+            chunk_size=1024, kill_after=12_345,
+        )
 
     def test_cli_log_equals_parent_per_record_log(
         self, rules, hitlist, gt_flowfile, tmp_path
@@ -544,10 +532,7 @@ class TestStreamEngineColumnar:
         spelling write the log the parent commit's per-record replay of
         this corpus wrote (digest recorded before that loop stopped
         folding flow files)."""
-        artifacts = tmp_path / "artifacts"
-        artifacts.mkdir()
-        (artifacts / "hitlist.json").write_text(hitlist_to_json(hitlist))
-        (artifacts / "rules.json").write_text(rules_to_json(rules))
+        artifacts = write_artifacts(tmp_path / "artifacts", rules, hitlist)
         for tag, extra in (("plain", []), ("flag", ["--columnar"])):
             log = tmp_path / f"events-{tag}.jsonl"
             code = cli_main(
@@ -662,7 +647,7 @@ class TestEndpointDayIndex:
             assert fqdns[position] == expected
 
     def test_boundary_probes_match_per_record_path(self, tmp_path):
-        """The searchsorted lookup and the scalar dict lookup agree on
+        """The searchsorted lookup and the oracle's dict lookup agree on
         every boundary probe — including the off-array near misses."""
         rules_b, hitlist_b = _boundary_world()
         path = tmp_path / "boundary.csv"
@@ -678,18 +663,17 @@ class TestEndpointDayIndex:
             assert metrics == scalar_metrics
 
 
-# -- two-day endpoint cache, and checkpoint cadence with chunk_size
-#    not dividing the cadence
+# -- day-alternating rows, and checkpoint cadence with chunk_size not
+#    dividing the cadence
 
 
 class TestColumnarCacheAndCadence:
     def test_alternating_day_rows_thrash_the_two_day_cache(
         self, tmp_path
     ):
-        """Adjacent rows alternating between day 0 and day 1 force a
-        front/back cache swap on every record of the per-record path
-        and per-day regrouping on the chunk loop; both must agree
-        even when every chunk straddles midnight."""
+        """Adjacent rows alternating between day 0 and day 1 force
+        per-day regrouping on every chunk; the loop must agree with
+        the oracle even when every chunk straddles midnight."""
         rules_t, hitlist_t = _tiny_world()
         endpoints = [
             (0xC0A80001, 443),
@@ -724,25 +708,20 @@ class TestColumnarCacheAndCadence:
     ):
         """chunk_size 768 does not divide checkpoint_every 5000, and no
         chunk boundary lands on a cadence multiple: the chunk loop
-        splits chunks there, so it checkpoints at the record positions
-        the per-record loop does."""
+        splits chunks there, so it checkpoints on the multiples."""
         rules_t, hitlist_t = _tiny_world()
         path = tmp_path / "jitter.csv"
         path.write_text("\n".join(_jittered_lines(17_000)) + "\n")
 
-        def fired(fold):
-            positions = []
-            stage = streaming_assembly(rules_t, hitlist_t).stage
-            pipeline = FlowPipeline(
-                stage,
-                checkpoint_every=5_000,
-                on_checkpoint=lambda: positions.append(
-                    stage.metrics.records_processed
-                ),
-            )
-            assert fold(pipeline) == 17_000
-            return positions
-
+        positions = []
+        stage = streaming_assembly(rules_t, hitlist_t).stage
+        pipeline = FlowPipeline(
+            stage,
+            checkpoint_every=5_000,
+            on_checkpoint=lambda: positions.append(
+                stage.metrics.records_processed
+            ),
+        )
         boundaries = list(
             itertools.accumulate(
                 len(chunk)
@@ -751,15 +730,10 @@ class TestColumnarCacheAndCadence:
         )
         assert len(boundaries) > 10
         assert all(b % 5_000 for b in boundaries)
-        per_record = fired(
-            lambda pipeline: pipeline.run_tuples(iter_flow_tuples(path))
-        )
-        chunked = fired(
-            lambda pipeline: pipeline.run_chunks(
-                ColumnarDecodeStage(768).iter_chunks(path)
-            )
-        )
-        assert chunked == per_record == [5_000, 10_000, 15_000]
+        assert pipeline.run_chunks(
+            ColumnarDecodeStage(768).iter_chunks(path)
+        ) == 17_000
+        assert positions == [5_000, 10_000, 15_000]
 
     def test_segmented_ingest_keeps_the_cadence(
         self, rules, hitlist, gt_flowfile, tmp_path
@@ -767,36 +741,23 @@ class TestColumnarCacheAndCadence:
         """Ingest cut into ``max_records`` segments shorter than the
         cadence (``--hitlist-refresh-every`` below
         ``--checkpoint-every``) still checkpoints every
-        ``checkpoint_every`` records, on either loop."""
-
-        def written(name, segment):
-            engine = StreamDetectionEngine(
-                rules,
-                hitlist,
-                StreamConfig(
-                    checkpoint_dir=tmp_path / name,
-                    checkpoint_every=5_000,
-                ),
-            )
-            while engine.records_processed < 20_000:
-                assert segment(engine) == 1_000
-            return engine.metrics.checkpoints_written
-
-        assert written(
-            "chunks",
-            lambda engine: engine.process_flowfile(
+        ``checkpoint_every`` records."""
+        engine = StreamDetectionEngine(
+            rules,
+            hitlist,
+            StreamConfig(
+                checkpoint_dir=tmp_path / "chunks",
+                checkpoint_every=5_000,
+            ),
+        )
+        while engine.records_processed < 20_000:
+            assert engine.process_flowfile(
                 gt_flowfile, max_records=1_000
-            ),
-        ) == 4
-        tuples = iter_flow_tuples(gt_flowfile)
-        assert written(
-            "tuples",
-            lambda engine: engine.process_tuples(
-                tuples,
-                start_index=engine.records_processed,
-                max_records=1_000,
-            ),
-        ) == 4
+            ) == 1_000
+        assert engine.metrics.checkpoints_written == 4
+        assert [seq for seq, _ in list_checkpoints(tmp_path / "chunks")] == [
+            10_000, 15_000, 20_000,  # checkpoint_keep=3 pruned 5_000
+        ]
 
     def test_kill_resume_chunk_not_dividing_cadence_byte_identical(
         self, rules, hitlist, gt_flowfile, tmp_path
@@ -805,33 +766,7 @@ class TestColumnarCacheAndCadence:
         chunk size nor the checkpoint cadence; the drained checkpoint
         anchors the cadence so the resumed run finishes with an event
         log byte-identical to an uninterrupted run's."""
-
-        def run(name, kill_after=None):
-            log = tmp_path / f"{name}.jsonl"
-            config = StreamConfig(
-                chunk_size=768,
-                checkpoint_dir=tmp_path / f"{name}-ckpt",
-                checkpoint_every=5_000,
-            )
-            with JsonlEventSink(log) as sink:
-                engine = StreamDetectionEngine(
-                    rules, hitlist, config, sink
-                )
-                engine.process_flowfile(
-                    gt_flowfile, max_records=kill_after
-                )
-                if kill_after is not None:
-                    engine.drain()
-                    assert engine.records_processed == kill_after
-            if kill_after is not None:
-                with JsonlEventSink(log, resume=True) as sink:
-                    engine = StreamDetectionEngine.resume(
-                        rules, hitlist, config, sink
-                    )
-                    assert engine.records_processed == kill_after
-                    engine.process_flowfile(gt_flowfile)
-            return log
-
-        full = run("full")
-        resumed = run("killed", kill_after=7_777)
-        assert full.read_bytes() == resumed.read_bytes()
+        _assert_drained_resume_identical(
+            rules, hitlist, gt_flowfile, tmp_path,
+            chunk_size=768, kill_after=7_777,
+        )

@@ -332,7 +332,7 @@ class TestObserveFlowCounters:
     ):
         """The streaming engine's spoof/match accounting must agree
         with FlowDetector's on the same crafted sequence."""
-        from repro.netflow.replay import FlowReplaySource
+        from repro.netflow.parse import chunks_from_records
         from repro.stream import StreamConfig, StreamDetectionEngine
 
         sequence = self._crafted_sequence(rules, hitlist)
@@ -342,8 +342,8 @@ class TestObserveFlowCounters:
         engine = StreamDetectionEngine(
             rules, hitlist, StreamConfig(require_established=True)
         )
-        engine.process(
-            FlowReplaySource.from_flows(f for f, _, _ in sequence)
+        engine.process_chunks(
+            chunks_from_records(f for f, _, _ in sequence)
         )
         assert engine.metrics.records_processed == detector.flows_seen
         assert engine.metrics.flows_matched == detector.flows_matched

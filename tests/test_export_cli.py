@@ -227,6 +227,67 @@ class TestParserSnapshot:
         assert parsed == {**self._GLOBAL, **expected}
 
 
+class TestWildWorkersFlag:
+    """``--workers`` sizes the wild-run process pool and nothing else:
+    it used to split a stream engine's evidence table N ways."""
+
+    def test_stream_run_and_collect_ignore_it(self, tmp_path):
+        from repro.cli import _stream_config
+        from repro.netflow.flowfile import write_flow_file
+        from repro.stream import read_event_log
+        from repro.timeutil import STUDY_START
+        from tests.conftest import write_artifacts
+        from tests.test_rules_lifecycle import CAM_IP, world_v1
+        from tests.test_stream import _mkflow
+
+        artifacts = write_artifacts(tmp_path / "artifacts", *world_v1())
+        # 100 lines seen once, then 60 lines seen five times each: more
+        # lines than --max-subscribers 64, and a working set that fits
+        # one 64-line table but not its share of four 16-line ones
+        lines = list(range(100)) + [100 + n % 60 for n in range(300)]
+        flows = tmp_path / "flows.csv"
+        write_flow_file(
+            flows,
+            [
+                _mkflow(0x0A000000 + line, CAM_IP, STUDY_START + at)
+                for at, line in enumerate(lines)
+            ],
+        )
+
+        def run(workers):
+            out = tmp_path / f"w{workers}"
+            out.mkdir()
+            assert main(
+                [
+                    "--workers", str(workers),
+                    "stream", "run", str(flows),
+                    "--artifacts", str(artifacts),
+                    "--max-subscribers", "64",
+                    "--checkpoint-dir", str(out / "ckpt"),
+                    "--checkpoint-every", "150",
+                    "--events-out", str(out / "events.jsonl"),
+                ]
+            ) == 0
+            return (out / "events.jsonl").read_bytes(), [
+                (path.name, path.read_bytes())
+                for path in sorted((out / "ckpt").iterdir())
+            ]
+
+        log, checkpoints = run(1)
+        assert len(checkpoints) == 3  # 150, 300, and the end: 400
+        assert run(4) == (log, checkpoints)
+        # every line detected once: the working set was never evicted
+        assert len(read_event_log(tmp_path / "w4" / "events.jsonl")) == 160
+
+        def collect_config(workers):
+            args = _build_parser().parse_args(
+                ["--workers", str(workers), "collect"]
+            )
+            return _stream_config(args, checkpoint_every=0)
+
+        assert collect_config(4) == collect_config(1)
+
+
 class TestCliOperationalLoop:
     _SCALE = ["--subscribers", "20000", "--days", "3"]
 

@@ -32,13 +32,13 @@ from repro.fleet import (
     worker_dir,
     worker_log_path,
 )
-from repro.netflow.flowfile import write_flow_file
 from repro.netflow.parse import ColumnarDecodeStage
 from repro.pipeline.events import JsonlEventSink
 from repro.pipeline.flow import AddressKeying, SubscriberKeying
 from repro.runtime import StopToken
 from repro.stream import StreamConfig, StreamDetectionEngine
 from repro.stream.checkpoint import tmp_leftover_count
+from tests.conftest import write_artifacts
 
 
 class TripAfter(StopToken):
@@ -59,25 +59,6 @@ class TripAfter(StopToken):
             if self._polls <= 0:
                 self.stop("trip-after")
         return super().stop_requested()
-
-
-@pytest.fixture(scope="module")
-def gt_flows(capture):
-    flows = []
-    for event in capture.isp_events:
-        src = 0x0A000000 + event.device_id
-        flows.append(
-            event.to_flow_record(src, capture.sampling_interval)
-        )
-    flows.sort(key=lambda flow: flow.first_switched)
-    return flows
-
-
-@pytest.fixture(scope="module")
-def gt_flowfile(gt_flows, tmp_path_factory):
-    path = tmp_path_factory.mktemp("fleet") / "flows.csv"
-    write_flow_file(path, gt_flows)
-    return path
 
 
 @pytest.fixture(scope="module")
@@ -392,15 +373,6 @@ def _reaped_within(seconds: float) -> bool:
     return True
 
 
-def _write_artifacts(rules, hitlist, directory):
-    from repro.core.serialization import hitlist_to_json, rules_to_json
-
-    directory.mkdir()
-    (directory / "hitlist.json").write_text(hitlist_to_json(hitlist))
-    (directory / "rules.json").write_text(rules_to_json(rules))
-    return directory
-
-
 @pytest.fixture(scope="module")
 def bad_flowfile(gt_flowfile, tmp_path_factory):
     """The first 12k corpus lines with one malformed line and three
@@ -512,7 +484,7 @@ class TestBadRows:
         the single-engine document does."""
         from repro.cli import main as cli_main
 
-        artifacts = _write_artifacts(rules, hitlist, tmp_path / "art")
+        artifacts = write_artifacts(tmp_path / "art", rules, hitlist)
 
         def config_section(tag, *extra):
             metrics = tmp_path / f"metrics-{tag}.json"
@@ -596,9 +568,7 @@ class TestFleetCliSoak:
         from repro.netflow.flowfile import write_flow_file
 
         tmp_path = tmp_path_factory.mktemp("fleet-soak")
-        artifacts = _write_artifacts(
-            rules, hitlist, tmp_path / "artifacts"
-        )
+        artifacts = write_artifacts(tmp_path / "artifacts", rules, hitlist)
         # repeat the corpus so the run is long enough to kill into
         flowfile = tmp_path / "flows.csv"
         write_flow_file(flowfile, gt_flows * 4)
@@ -649,9 +619,7 @@ class TestFleetCliSoak:
         """A real kernel-delivered SIGTERM (--inject-sigterm-at) mid-
         fleet drains every worker to a checkpoint (exit 3); --resume
         completes byte-identically to an uninterrupted fleet."""
-        artifacts = _write_artifacts(
-            rules, hitlist, tmp_path / "artifacts"
-        )
+        artifacts = write_artifacts(tmp_path / "artifacts", rules, hitlist)
 
         def run(args):
             return subprocess.run(
@@ -707,9 +675,7 @@ class TestFleetCliSoak:
         """A malformed line with no --quarantine-dir kills the router;
         the process must die with it, not sit in multiprocessing's
         exit handler joining workers that ignore SIGTERM."""
-        artifacts = _write_artifacts(
-            rules, hitlist, tmp_path / "artifacts"
-        )
+        artifacts = write_artifacts(tmp_path / "artifacts", rules, hitlist)
         crashed = subprocess.run(
             [sys.executable, "-m", "repro"]
             + self._fleet_args(

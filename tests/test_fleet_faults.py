@@ -15,31 +15,11 @@ import pytest
 
 from repro.faults import FLEET_FAULT_KINDS, FleetPlan
 from repro.fleet import FleetConfig, RouterCrash, run_fleet
-from repro.netflow.flowfile import write_flow_file
 from repro.pipeline.events import JsonlEventSink
 from repro.pipeline.swap import RuleGeneration
 from repro.stream import StreamConfig, StreamDetectionEngine
 
 pytestmark = pytest.mark.faults
-
-
-@pytest.fixture(scope="module")
-def gt_flows(capture):
-    flows = []
-    for event in capture.isp_events:
-        src = 0x0A000000 + event.device_id
-        flows.append(
-            event.to_flow_record(src, capture.sampling_interval)
-        )
-    flows.sort(key=lambda flow: flow.first_switched)
-    return flows
-
-
-@pytest.fixture(scope="module")
-def gt_flowfile(gt_flows, tmp_path_factory):
-    path = tmp_path_factory.mktemp("fleet-faults") / "flows.csv"
-    write_flow_file(path, gt_flows)
-    return path
 
 
 @pytest.fixture(scope="module")

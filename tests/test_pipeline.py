@@ -17,17 +17,20 @@ from __future__ import annotations
 import json
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.detector import FlowDetector
 from repro.core.rules import DetectionRule, RuleSet
 from repro.ixp import IxpConfig, detect_fabric_flows, make_spoofed_flows
-from repro.netflow.flowfile import parse_flow_line, write_flow_file
-from repro.netflow.parse import FlowLineParser
-from repro.netflow.replay import iter_flow_tuples
+from repro.netflow.flowfile import parse_flow_line
+from repro.netflow.parse import (
+    ColumnarDecodeStage,
+    FlowChunk,
+    FlowLineParser,
+    chunks_from_records,
+)
 from repro.pipeline import (
-    GUARD_STRIDE,
     FlowPipeline,
     GuardSet,
     MemoryEventSink,
@@ -45,43 +48,7 @@ from repro.pipeline.state import EvidenceStateTable
 from repro.runtime.shutdown import StopToken
 from repro.stream import StreamConfig, StreamDetectionEngine
 from repro.timeutil import SECONDS_PER_DAY, STUDY_START
-
-
-# -- shared replay material -------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def gt_flows(capture):
-    """Ground-truth ISP flows in arrival order, one line per device."""
-    flows = []
-    for event in capture.isp_events:
-        src = 0x0A000000 + event.device_id
-        flows.append(event.to_flow_record(src, capture.sampling_interval))
-    flows.sort(key=lambda flow: flow.first_switched)
-    return flows
-
-
-@pytest.fixture(scope="module")
-def gt_flowfile(gt_flows, tmp_path_factory):
-    path = tmp_path_factory.mktemp("pipeline") / "flows.csv"
-    write_flow_file(path, gt_flows)
-    return path
-
-
-@pytest.fixture(scope="module")
-def oracle_triples(rules, hitlist, gt_flows):
-    """(subscriber, class, detected_at) from the batch FlowDetector."""
-    detector = FlowDetector(rules, hitlist, threshold=0.4)
-    for flow in gt_flows:
-        detector.observe_flow(flow.src_ip, flow)
-    return {
-        (d.subscriber, d.class_name, d.detected_at)
-        for d in detector.detections()
-    }
-
-
-def _triples(items):
-    return {(i.subscriber, i.class_name, i.detected_at) for i in items}
+from tests.conftest import triples
 
 
 # -- cross-path equivalence -------------------------------------------
@@ -91,11 +58,11 @@ class TestCrossPathEquivalence:
     """One stage graph, three assemblies, identical detections."""
 
     def test_batch_assembly_equals_flow_detector(
-        self, rules, hitlist, gt_flowfile, oracle_triples
+        self, rules, hitlist, gt_flowfile, batch_oracle
     ):
         result = run_flow_detection(rules, hitlist, gt_flowfile)
-        assert oracle_triples  # the scenario detects devices at all
-        assert _triples(result.detections) == oracle_triples
+        assert batch_oracle  # the scenario detects devices at all
+        assert triples(result.detections) == batch_oracle
 
     def test_record_and_tuple_paths_agree(
         self, rules, hitlist, gt_flows, gt_flowfile
@@ -103,7 +70,7 @@ class TestCrossPathEquivalence:
         """A record iterable and its flow file detect identically."""
         from_file = run_flow_detection(rules, hitlist, gt_flowfile)
         from_records = run_flow_detection(rules, hitlist, gt_flows)
-        assert _triples(from_records.detections) == _triples(
+        assert triples(from_records.detections) == triples(
             from_file.detections
         )
         assert from_records.flows_seen == from_file.flows_seen
@@ -111,13 +78,15 @@ class TestCrossPathEquivalence:
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_streaming_assembly_equals_batch(
-        self, rules, hitlist, gt_flowfile, oracle_triples, shards
+        self, rules, hitlist, gt_flowfile, batch_oracle, shards
     ):
-        sink = MemoryEventSink()
-        config = StreamConfig(workers=shards)
-        pipeline = streaming_assembly(rules, hitlist, config, sink=sink)
-        pipeline.run_tuples(iter_flow_tuples(gt_flowfile))
-        assert _triples(sink.events) == oracle_triples
+        """``shards`` is the keying's ring-slot count — the fleet's
+        partition function, which one engine's table ignores."""
+        pipeline = streaming_assembly(
+            rules, hitlist, keying=SubscriberKeying(shards=shards)
+        )
+        pipeline.run_chunks(ColumnarDecodeStage().iter_chunks(gt_flowfile))
+        assert triples(pipeline.sink.events) == batch_oracle
 
     def test_stream_engine_equals_pipeline_batch(
         self, rules, hitlist, gt_flowfile
@@ -127,7 +96,7 @@ class TestCrossPathEquivalence:
         engine = StreamDetectionEngine(rules, hitlist, StreamConfig())
         engine.process_flowfile(gt_flowfile)
         batch = run_flow_detection(rules, hitlist, gt_flowfile)
-        assert _triples(engine.sink.events) == _triples(batch.detections)
+        assert triples(engine.sink.events) == triples(batch.detections)
         assert (
             engine.metrics.records_processed == batch.flows_seen
         )
@@ -179,30 +148,33 @@ class TestGuards:
             rules, hitlist, StreamConfig(), guards=guards
         )
         spoofed = make_spoofed_flows(hitlist, count=10)
-        pipeline.run_records(enumerate(spoofed))
+        assert pipeline.run_chunks(chunks_from_records(spoofed)) == 0
         assert pipeline.stage.metrics.records_processed == 0
         assert guards.overload.stop_reason == "sigterm"
 
     def test_stop_mid_stream_honoured_within_stride(
         self, rules, hitlist
     ):
+        """The guards are polled once per chunk: a stop requested
+        while a chunk is being produced ends ingest after that chunk."""
         token = StopToken()
         guards = GuardSet(stop_token=token)
         pipeline = streaming_assembly(
             rules, hitlist, guards=guards
         )
-        flows = make_spoofed_flows(hitlist, count=10 * GUARD_STRIDE)
-        stop_at = 3 * GUARD_STRIDE + 7
+        stride = 64
+        flows = make_spoofed_flows(hitlist, count=10 * stride)
 
         def source():
             for index, flow in enumerate(flows):
-                if index == stop_at:
+                if index == 3 * stride + 7:
                     token.stop("sigterm")
                 yield flow
 
-        processed = pipeline.run_records(enumerate(source()))
-        assert processed < len(flows)
-        assert processed - stop_at <= GUARD_STRIDE
+        processed = pipeline.run_chunks(
+            chunks_from_records(source(), stride)
+        )
+        assert processed == 4 * stride
         assert guards.stopped
         assert guards.overload.stop_reason == "sigterm"
 
@@ -257,7 +229,6 @@ class TestStreamConfig:
         "field, value",
         [
             ("max_subscribers", 0),
-            ("workers", 0),
             ("chunk_size", 0),
             ("checkpoint_keep", 0),
             ("ttl_seconds", 0),
@@ -277,17 +248,11 @@ class TestStreamConfig:
         with pytest.raises(ValueError, match="checkpoint_dir"):
             StreamDetectionEngine(rules, hitlist, bare)
 
-    def test_per_shard_never_zero(self):
-        config = StreamConfig(max_subscribers=2, workers=8)
-        assert config.per_shard == 1
-        assert StreamConfig(max_subscribers=1024, workers=4).per_shard == 256
-
     def test_metrics_echo(self, tmp_path):
         config = StreamConfig(
             threshold=0.6,
             max_subscribers=1024,
             ttl_seconds=99,
-            workers=4,
             checkpoint_dir=tmp_path,
             checkpoint_every=500,
         )
@@ -295,7 +260,7 @@ class TestStreamConfig:
             "threshold": 0.6,
             "max_subscribers": 1024,
             "ttl_seconds": 99,
-            "workers": 4,
+            "workers": 1,  # a constant: one engine, one table
             "checkpoint_every": 500,
         }
 
@@ -316,14 +281,15 @@ class TestStreamConfig:
 
 class TestSharedParser:
     def test_error_message_identical_across_paths(self, tmp_path):
-        """Both paths reject a malformed line with one message."""
+        """The record parser and the columnar decoder reject a
+        malformed line with one message."""
         bad = "1,2,3"
         with pytest.raises(ValueError) as record_error:
             parse_flow_line(bad)
         path = tmp_path / "flows.csv"
         path.write_text(f"# comment\n{bad}\n")
         with pytest.raises(ValueError) as tuple_error:
-            list(iter_flow_tuples(path))
+            list(ColumnarDecodeStage().iter_chunks(path))
         assert str(record_error.value) == str(tuple_error.value)
         assert "expected 10" in str(record_error.value)
 
@@ -391,20 +357,13 @@ def _miss_tuple(when, src=0x0A000001):
     return (when, src, 0x08080808, 6, 53, 0x10)
 
 
-class _CountingDaily(dict):
-    """daily_endpoints stand-in counting ``get`` calls (cache probes)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.gets = 0
-
-    def get(self, *args):
-        self.gets += 1
-        return super().get(*args)
+def _chunk(tuples, start_index=0):
+    """``tuples`` as one column chunk."""
+    return FlowChunk(start_index, *np.array(tuples, dtype=np.int64).T)
 
 
 class TestHotLoopFixes:
-    """Regression tests for the four latent hot-loop bugs."""
+    """Regression tests for latent hot-loop bugs."""
 
     def test_colliding_timestamps_order_deterministically(self):
         """Equal-time detections across subscribers come out in one
@@ -420,7 +379,7 @@ class TestHotLoopFixes:
             stage = BatchDetectStage(
                 rules, hitlist, SubscriberKeying(), threshold=0.4
             )
-            FlowPipeline(stage).run_tuples(iter(ordering))
+            FlowPipeline(stage).run_chunks([_chunk(ordering)])
             return stage.detections()
 
         forward = run(folds)
@@ -458,7 +417,7 @@ class TestHotLoopFixes:
             rules,
             hitlist,
             SubscriberKeying(),
-            [EvidenceStateTable(64, None)],
+            EvidenceStateTable(64, None),
         )
         # Simulate a resume: 7 records restored, cadence of 5.
         stage.metrics.records_processed = 7
@@ -470,42 +429,12 @@ class TestHotLoopFixes:
                 stage.metrics.records_processed
             ),
         )
-        pipeline.run_tuples(
-            iter([_miss_tuple(_DAY0 + i) for i in range(10)])
+        pipeline.run_chunks(
+            [_chunk([_miss_tuple(_DAY0 + i) for i in range(10)], 7)]
         )
         # 5 records after the resume point, then 5 more — not at the
         # absolute multiples 10 and 15 the old modulo cadence produced.
         assert checkpoints == [12, 17]
-
-    def test_day_boundary_jitter_does_not_thrash_lookup(self):
-        """Out-of-order records alternating across a UTC day boundary
-        hit the two-day cache instead of re-fetching per record."""
-        rules, hitlist = _tiny_world()
-        counting = _CountingDaily(hitlist.daily_endpoints)
-        stage = StreamingDetectStage(
-            rules,
-            hitlist,
-            SubscriberKeying(),
-            [EvidenceStateTable(1024, None)],
-        )
-        stage._daily = counting
-        pipeline = FlowPipeline(stage)
-        tuples = []
-        matched = 0
-        for i in range(200):
-            # jitter: alternate just before / just after midnight
-            when = _DAY1 - 1 if i % 2 == 0 else _DAY1 + 1
-            if i % 10 == 0:
-                tuples.append(_match_tuple(when, src=0x0A000000 + i))
-                matched += 1
-            else:
-                tuples.append(_miss_tuple(when, src=0x0A000000 + i))
-        pipeline.run_tuples(iter(tuples))
-        # Output equivalence with an independent count of the same
-        # tuples, and a lookup bound: one fetch per distinct day.
-        assert stage.metrics.flows_matched == matched
-        assert stage.metrics.events_emitted == matched
-        assert counting.gets <= 4
 
     def test_parser_eviction_keeps_warm_entries(self):
         """Hitting the memo cap evicts incrementally — recent entries

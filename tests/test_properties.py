@@ -368,8 +368,8 @@ def _fuzz_corpus(seed: int, size: int = 800):
     return text
 
 
-#: Both source shapes ``iter_chunks`` takes, each compared with
-#: ``iter_flow_tuples`` over the same shape (a file is read with
+#: Both source shapes ``iter_chunks`` takes, each compared with the
+#: oracle's ``read_tuples`` over the same shape (a file is read with
 #: universal newlines, a text stream is not).
 SOURCE_SHAPES = ("path", "stream")
 
@@ -426,14 +426,14 @@ class TestDecodeFuzzParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_tuples_and_quarantine_reasons_identical(self, seed, tmp_path):
         from repro.netflow.parse import FlowLineParser
-        from repro.netflow.replay import iter_flow_tuples
+        from tests.reference_fold import read_tuples
         from repro.resilience.quarantine import QuarantineSink
 
         text = _fuzz_corpus(seed)
         for shape in SOURCE_SHAPES:
             scalar_sink = QuarantineSink()
             scalar = list(
-                iter_flow_tuples(
+                read_tuples(
                     _source(shape, text, tmp_path),
                     quarantine=scalar_sink,
                     parser=FlowLineParser(),
@@ -457,13 +457,13 @@ class TestDecodeFuzzParity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_first_error_message_identical(self, seed, tmp_path):
         from repro.netflow.parse import FlowLineParser
-        from repro.netflow.replay import iter_flow_tuples
+        from tests.reference_fold import read_tuples
 
         text = _fuzz_corpus(seed, size=120)
         for shape in SOURCE_SHAPES:
             try:
                 list(
-                    iter_flow_tuples(
+                    read_tuples(
                         _source(shape, text, tmp_path),
                         parser=FlowLineParser(),
                     )
@@ -511,7 +511,7 @@ class TestDecodeFuzzParity:
         import io
 
         from repro.netflow.parse import FlowLineParser
-        from repro.netflow.replay import iter_flow_tuples
+        from tests.reference_fold import read_tuples
         from repro.resilience.quarantine import QuarantineSink
 
         good = "5,35,10.0.0.1,8.8.8.8,6,1,443,3,300,0x12\n"
@@ -524,7 +524,7 @@ class TestDecodeFuzzParity:
         )
         scalar_sink = QuarantineSink()
         scalar = list(
-            iter_flow_tuples(
+            read_tuples(
                 io.StringIO(text),
                 quarantine=scalar_sink,
                 parser=FlowLineParser(),
@@ -542,7 +542,7 @@ class TestDecodeFuzzParity:
         path = tmp_path / "latin.csv"
         path.write_bytes(good.encode() + text.encode("utf-8"))
         with pytest.raises(UnicodeDecodeError):
-            list(iter_flow_tuples(path, quarantine=QuarantineSink()))
+            list(read_tuples(path, quarantine=QuarantineSink()))
         with pytest.raises(UnicodeDecodeError):
             _chunk_tuples(path, 100, quarantine=QuarantineSink())
 
@@ -552,7 +552,7 @@ class TestDecodeFuzzParity:
         import io
 
         from repro.netflow.parse import FlowLineParser
-        from repro.netflow.replay import iter_flow_tuples
+        from tests.reference_fold import read_tuples
         from repro.resilience.quarantine import QuarantineSink
 
         lines = [
@@ -564,7 +564,7 @@ class TestDecodeFuzzParity:
         text = "\n".join(lines) + "\n"
         sink = QuarantineSink()
         scalar = list(
-            iter_flow_tuples(
+            read_tuples(
                 io.StringIO(text),
                 quarantine=sink,
                 parser=FlowLineParser(),

@@ -9,7 +9,6 @@ full-engine fault matrix lives in test_faults_matrix.py.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import pytest
@@ -18,7 +17,6 @@ from repro.core.levels import coarser_level
 from repro.engine.runner import resolve_workers
 from repro.faults import FlakyProxy, ShardFault, ShardFaultPlan
 from repro.netflow.records import FlowKey, FlowRecord
-from repro.netflow.replay import FlowReplaySource, ReplayTruncated, iter_flow_tuples
 from repro.resilience import (
     BreakerOpen,
     CircuitBreaker,
@@ -38,6 +36,7 @@ from repro.stream.checkpoint import (
     load_latest,
     write_checkpoint,
 )
+from tests.reference_fold import read_tuples
 
 
 # ---------------------------------------------------------------------------
@@ -333,35 +332,10 @@ class TestQuarantine:
 
 
 class TestReplayHardening:
-    def _truncated_batches(self):
-        yield [_flow(first=100)]
-        raise struct.error("unpack requires more bytes")
-
-    def test_truncated_source_raises_typed_error(self):
-        source = FlowReplaySource(self._truncated_batches())
-        index, flow = next(source)
-        assert index == 0 and flow.first_switched == 100
-        with pytest.raises(ReplayTruncated):
-            next(source)
-
-    def test_truncated_source_feeds_quarantine_when_attached(self):
-        sink = QuarantineSink()
-        source = FlowReplaySource(
-            self._truncated_batches(), quarantine=sink
-        )
-        records = list(source)
-        assert len(records) == 1  # stream ends cleanly after the cut
-        assert sink.counts == {"truncated_source": 1}
-
-    def test_impossible_records_are_skipped_with_quarantine(self):
-        flows = [_flow(first=100), _flow(first=50, last=20), _flow(first=200)]
-        sink = QuarantineSink()
-        source = FlowReplaySource.from_flows(flows, quarantine=sink)
-        kept = [flow.first_switched for _idx, flow in source]
-        assert kept == [100, 200]
-        assert sink.counts == {"time_travel": 1}
-
     def test_iter_flow_tuples_quarantines_bad_lines(self, tmp_path):
+        """The per-line contract, pinned on the tests' oracle reader
+        (``iter_flow_tuples``' successor; ``tests/test_columnar.py`` and
+        ``tests/test_properties.py`` hold the decode stage to it)."""
         path = tmp_path / "flows.csv"
         path.write_text(
             "# haystack-flows v1 sampling=1\n"
@@ -372,7 +346,7 @@ class TestReplayHardening:
             "300,400,1.2.3.4,5.6.7.8,6,1024,443,3,300,0x10\n"
         )
         sink = QuarantineSink()
-        tuples = list(iter_flow_tuples(path, quarantine=sink))
+        tuples = list(read_tuples(path, quarantine=sink))
         assert [entry[0] for entry in tuples] == [100, 300]
         assert sink.counts == {
             "malformed_line": 1,
@@ -382,7 +356,7 @@ class TestReplayHardening:
         # Without a sink the historical contract holds: first bad line
         # raises.
         with pytest.raises(ValueError):
-            list(iter_flow_tuples(path))
+            list(read_tuples(path))
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +487,39 @@ class TestShardSupervisor:
         )
         assert results == [(i, 8) for i in range(6)]
         assert report.pool_restarts >= 1
+
+    def test_submit_on_a_broken_pool_requeues_the_task(self, monkeypatch):
+        """A pool can break between a ``wait`` and the next ``submit``;
+        the ``BrokenProcessPool`` that ``submit`` raises then is a pool
+        restart with the task back on the queue, not an escape."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        class InlinePool:
+            """Runs each submission inline — or, when ``broken``,
+            refuses it the way a pool with a dead worker does."""
+
+            def __init__(self, broken):
+                self.broken = broken
+
+            def submit(self, fn, *args):
+                if self.broken:
+                    raise BrokenProcessPool("a worker died")
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, **kwargs):
+                pass
+
+        supervisor = self._supervisor()
+        pools = [InlinePool(broken=False), InlinePool(broken=True)]
+        monkeypatch.setattr(supervisor, "_spawn", pools.pop)
+        results, report = supervisor.run(_toy_tasks(), fn=_toy_shard)
+        assert results == [(i, 8) for i in range(6)]
+        assert report.pool_restarts == 1
+        assert report.retries == 0  # the refused task is an innocent
+        assert not report.dead_letters
 
     def test_poison_shard_is_dead_lettered_with_accounting(
         self, tmp_path

@@ -28,8 +28,7 @@ from repro.core.rules import DetectionRule, RuleSet
 from repro.core.serialization import hitlist_to_json, rules_to_json
 from repro.faults import corrupt_payload_byte, truncate_file
 from repro.netflow.flowfile import write_flow_file
-from repro.netflow.replay import iter_flow_tuples
-from repro.pipeline import RuleGeneration
+from repro.pipeline import RuleGeneration, streaming_assembly
 from repro.resilience.retry import (
     LookupUnavailable,
     RetryPolicy,
@@ -57,6 +56,7 @@ from repro.stream import (
 )
 from repro.pipeline.events import JsonlEventSink
 from repro.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR, STUDY_START
+from tests.reference_fold import fold, read_tuples
 
 from tests.test_stream import _mkflow
 
@@ -578,48 +578,38 @@ class TestIdentitySwap:
         self, swap_flowfile, tmp_path
     ):
         """Cross-loop: a real v1→v2 swap replays byte-identically
-        through ``process_tuples`` and through the chunk loop — with
-        two-row chunks, and with the whole file as one chunk so the
-        boundary lands mid-chunk."""
+        through the row-at-a-time oracle and through the chunk loop —
+        with two-row chunks, and with the whole file as one chunk so
+        the boundary lands mid-chunk."""
         rules_v1, hitlist_v1 = world_v1()
         rules_v2, hitlist_v2 = world_v2()
+        generation = RuleGeneration.prepare(2, rules_v2, hitlist_v2)
 
-        def run(tag, ingest, **config):
-            log = tmp_path / f"events-{tag}.jsonl"
-            with JsonlEventSink(log) as sink:
+        record_log = tmp_path / "events-record.jsonl"
+        with JsonlEventSink(record_log) as sink:
+            oracle = streaming_assembly(rules_v1, hitlist_v1, sink=sink)
+            oracle.stage.metrics.rules_active_version = 1
+            oracle.stage.stage_swap(generation, activate_at=BOUNDARY)
+            fold(oracle, read_tuples(swap_flowfile))
+        whens = [row[0] for row in read_tuples(swap_flowfile)]
+        assert whens[0] < BOUNDARY <= whens[-1]
+        for chunk_size in (2, len(whens)):
+            chunk_log = tmp_path / f"events-chunk-{chunk_size}.jsonl"
+            with JsonlEventSink(chunk_log) as sink:
                 engine = StreamDetectionEngine(
                     rules_v1,
                     hitlist_v1,
-                    StreamConfig(**config),
+                    StreamConfig(chunk_size=chunk_size),
                     sink,
                     rules_version=1,
                 )
-                engine.stage_rules(
-                    RuleGeneration.prepare(2, rules_v2, hitlist_v2),
-                    activate_at=BOUNDARY,
-                )
-                ingest(engine)
-            return log, engine
-
-        record_log, record_engine = run(
-            "record",
-            lambda engine: engine.process_tuples(
-                iter_flow_tuples(swap_flowfile)
-            ),
-        )
-        whens = [row[0] for row in iter_flow_tuples(swap_flowfile)]
-        assert whens[0] < BOUNDARY <= whens[-1]
-        for chunk_size in (2, len(whens)):
-            chunk_log, chunk_engine = run(
-                f"chunk-{chunk_size}",
-                lambda engine: engine.process_flowfile(swap_flowfile),
-                chunk_size=chunk_size,
-            )
+                engine.stage_rules(generation, activate_at=BOUNDARY)
+                engine.process_flowfile(swap_flowfile)
             assert record_log.read_bytes() == chunk_log.read_bytes()
-            assert _counters(record_engine) == _counters(chunk_engine)
+            assert _counters(oracle.stage) == _counters(engine)
             assert (
-                record_engine.metrics_dict()["rules"]
-                == chunk_engine.metrics_dict()["rules"]
+                oracle.stage.metrics.to_dict()["rules"]
+                == engine.metrics_dict()["rules"]
             )
 
 

@@ -26,15 +26,15 @@ import time
 
 import pytest
 
-from repro.faults import MemoryPressurePlan, SignalPlan
+from repro.faults import MemoryPressurePlan
 from repro.netflow.flowfile import write_flow_file
+from repro.netflow.parse import chunks_from_records
 from repro.netflow.records import (
     FlowKey,
     FlowRecord,
     PROTO_TCP,
     TCP_ACK,
 )
-from repro.netflow.replay import FlowReplaySource, iter_flow_tuples
 from repro.resilience.supervisor import (
     ShardSupervisor,
     SupervisorConfig,
@@ -54,27 +54,10 @@ from repro.runtime import (
 )
 from repro.stream import JsonlEventSink, StreamConfig, StreamDetectionEngine
 from repro.timeutil import SECONDS_PER_DAY, STUDY_START
+from tests.conftest import triples, write_artifacts
 
 
 # -- shared replay material -------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def gt_flows(capture):
-    """Ground-truth ISP flows in arrival order (as in test_stream)."""
-    flows = []
-    for event in capture.isp_events:
-        src = 0x0A000000 + event.device_id
-        flows.append(event.to_flow_record(src, capture.sampling_interval))
-    flows.sort(key=lambda flow: flow.first_switched)
-    return flows
-
-
-@pytest.fixture(scope="module")
-def gt_flowfile(gt_flows, tmp_path_factory):
-    path = tmp_path_factory.mktemp("guards") / "flows.csv"
-    write_flow_file(path, gt_flows)
-    return path
 
 
 @pytest.fixture(scope="module")
@@ -120,12 +103,6 @@ def pressure_flowfile(gt_flows, hitlist, tmp_path_factory):
     path = tmp_path_factory.mktemp("pressure") / "flows.csv"
     write_flow_file(path, flows)
     return path
-
-
-def _event_triples(events):
-    return {
-        (e.subscriber, e.class_name, e.detected_at) for e in events
-    }
 
 
 # -- primitives -------------------------------------------------------
@@ -215,9 +192,6 @@ class TestPrimitives:
         shed = OverloadMetrics()
         shed.record_action("table_shrink", units=7)
         assert shed.entries_shed == 7 and shed.degraded
-        dropped = OverloadMetrics()
-        dropped.record_drops({"batch_overflow": 3})
-        assert dropped.records_dropped == 3 and dropped.degraded
         assert OverloadMetrics(partial=True).degraded
 
 
@@ -270,66 +244,36 @@ class TestShutdownCoordinator:
         assert coordinator._grace_timer is None
 
 
-# -- ingest shed policy (FlowReplaySource) ----------------------------
+# -- an unspent deadline at ingest -------------------------------------
 
 
 class TestIngestShed:
-    def test_overflow_raise_is_default(self, gt_flows):
-        source = FlowReplaySource([gt_flows[:64]], max_pending=8)
-        with pytest.raises(ValueError, match="max_pending"):
-            next(source)
-
-    @pytest.mark.parametrize("policy", ["drop_newest", "drop_oldest"])
-    def test_overflow_shed_bounds_and_counts(self, gt_flows, policy):
-        flows = gt_flows[:64]
-        source = FlowReplaySource(
-            [flows], max_pending=10, overflow_policy=policy
+    def test_unexpired_deadline_is_transparent(
+        self, rules, hitlist, gt_flows
+    ):
+        engine = StreamDetectionEngine(
+            rules, hitlist, deadline=DeadlineBudget(3600.0)
         )
-        kept = [flow for _index, flow in source]
-        assert len(kept) == 10
-        assert source.drops == {"batch_overflow": 54}
-        if policy == "drop_newest":
-            assert kept == flows[:10]
-        else:
-            assert kept == flows[-10:]
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="overflow_policy"):
-            FlowReplaySource([], overflow_policy="drop_random")
-
-    def test_deadline_sheds_pending_and_ends_stream(self, gt_flows):
-        flows = gt_flows[:16]
-        now = [0.0]
-        source = FlowReplaySource(
-            [flows], deadline=DeadlineBudget(1.0, clock=lambda: now[0])
-        )
-        index, first = next(source)  # buffers all 16, yields one
-        assert index == 0 and first is flows[0]
-        now[0] = 10.0  # budget spent mid-batch
-        assert list(source) == []
-        assert source.drops == {"deadline_exceeded": 15}
-
-    def test_unexpired_deadline_is_transparent(self, gt_flows):
-        source = FlowReplaySource(
-            [gt_flows[:8]], deadline=DeadlineBudget(3600.0)
-        )
-        assert sum(1 for _ in source) == 8
-        assert source.drops == {}
-
-    def test_engine_folds_source_drops(self, rules, hitlist, gt_flows):
-        source = FlowReplaySource(
-            [gt_flows[:64]],
-            max_pending=16,
-            overflow_policy="drop_newest",
-        )
-        engine = StreamDetectionEngine(rules, hitlist)
-        engine.process(source)
+        assert engine.process_chunks(
+            chunks_from_records(gt_flows[:512], 64)
+        ) == 512
+        assert not engine.stopped
         overload = engine.metrics_dict()["overload"]
-        assert overload["ingest_dropped"] == {"batch_overflow": 48}
-        assert overload["degraded"] is True
+        assert overload["ingest_dropped"] == {}
+        assert overload["degraded"] is False
 
 
 # -- signal soak: real kills at arbitrary record indices --------------
+
+
+def _fold_with_sigterm(engine, flowfile, kill=None):
+    """Fold ``flowfile``; with ``kill``, deliver a real SIGTERM — the
+    kernel's, through whatever handler is installed — once exactly
+    ``kill`` records have folded (what ``--inject-sigterm-at`` does)."""
+    if kill is not None:
+        assert engine.process_flowfile(flowfile, max_records=kill) == kill
+        os.kill(os.getpid(), signal.SIGTERM)
+    engine.process_flowfile(flowfile)
 
 
 @pytest.mark.soak
@@ -354,23 +298,20 @@ class TestSignalSoak:
                     engine = StreamDetectionEngine(
                         rules, hitlist, config, sink, stop_token=token
                     )
-                    tuples = iter_flow_tuples(gt_flowfile)
-                    if kill is not None:
-                        tuples = SignalPlan(at_index=kill).wrap(tuples)
-                    engine.process_tuples(tuples)
+                    _fold_with_sigterm(engine, gt_flowfile, kill)
                     if engine.stopped:
                         assert engine.drain() is not None
             if kill is not None:
                 assert token.reason == "signal:SIGTERM"
                 assert engine.stopped
-                # Stopped at the next guard boundary after the signal,
-                # nowhere near the next checkpoint_every multiple.
-                assert kill <= engine.records_processed < kill + 256
+                # Stopped on the signalled record exactly, nowhere near
+                # the next checkpoint_every multiple.
+                assert engine.records_processed == kill
                 with JsonlEventSink(log, resume=True) as sink:
                     engine = StreamDetectionEngine.resume(
                         rules, hitlist, config, sink
                     )
-                    assert engine.records_processed >= kill
+                    assert engine.records_processed == kill
                     engine.process_flowfile(gt_flowfile)
             return log
 
@@ -391,11 +332,9 @@ class TestSignalSoak:
             engine = StreamDetectionEngine(
                 rules, hitlist, config, stop_token=token
             )
-            tuples = SignalPlan(at_index=5_000).wrap(
-                iter_flow_tuples(gt_flowfile)
-            )
-            engine.process_tuples(tuples)
+            _fold_with_sigterm(engine, gt_flowfile, 5_000)
             engine.drain()
+        assert engine.records_processed == 5_000
         overload = engine.metrics_dict()["overload"]
         assert overload["stop_reason"] == "signal:SIGTERM"
         assert overload["degraded"] is False
@@ -422,12 +361,7 @@ class TestCliSignalSoak:
         """End-to-end through ``python -m repro``: SIGTERM mid-run
         exits with the drained code (3), ``--resume`` completes with 0,
         and the final event log matches an uninterrupted run's bytes."""
-        from repro.core.serialization import hitlist_to_json, rules_to_json
-
-        artifacts = tmp_path / "artifacts"
-        artifacts.mkdir()
-        (artifacts / "hitlist.json").write_text(hitlist_to_json(hitlist))
-        (artifacts / "rules.json").write_text(rules_to_json(rules))
+        artifacts = write_artifacts(tmp_path / "artifacts", rules, hitlist)
 
         def stream_args(tag, extra=()):
             return [
@@ -484,7 +418,7 @@ class TestMemoryBudget:
         unshedded subscribers match the unconstrained run exactly."""
         baseline = StreamDetectionEngine(rules, hitlist)
         baseline.process_flowfile(pressure_flowfile)
-        baseline_events = _event_triples(baseline.sink.events)
+        baseline_events = triples(baseline.sink.events)
         assert baseline_events  # the stream detects at all
 
         # The interpreter already sits far above 32 MiB, so the real
@@ -523,7 +457,7 @@ class TestMemoryBudget:
         assert shed
         # ...but subscribers never shed keep exactly the detections an
         # unconstrained run gives them.
-        constrained = _event_triples(engine.sink.events)
+        constrained = triples(engine.sink.events)
         expected_unshedded = {
             triple
             for triple in baseline_events
@@ -593,8 +527,9 @@ class TestDeadlines:
         assert overload["deadline_seconds"] == 1.0
         assert overload["degraded"] is True
         # Stopped at a guard boundary, long before end of input.
-        total = sum(1 for _ in iter_flow_tuples(gt_flowfile))
-        assert 0 < processed < total
+        # the clock ticks 0.25 s per reading: one poll before the first
+        # chunk, so the 1 s budget is spent at the poll after the third
+        assert processed == 3 * 4096
 
     def test_batch_deadline_yields_partial_degraded_run(self, context):
         from repro.engine.runner import run_wild_isp_sharded

@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from repro.core.detector import FlowDetector, SubscriberProgress
+from repro.core.detector import SubscriberProgress
 from repro.core.rules import DetectionRule, RuleSet
 from repro.netflow.flowfile import read_flow_file, write_flow_file
 from repro.netflow.records import (
@@ -24,7 +24,8 @@ from repro.netflow.records import (
     PROTO_TCP,
     TCP_ACK,
 )
-from repro.netflow.replay import FlowReplaySource, iter_flow_tuples
+from repro.netflow.parse import ColumnarDecodeStage, chunks_from_records
+from repro.pipeline import streaming_assembly
 from repro.stream import (
     JsonlEventSink,
     StreamConfig,
@@ -35,46 +36,11 @@ from repro.faults import jitter_order
 from repro.pipeline.state import EvidenceStateTable
 from repro.stream.checkpoint import read_checkpoint, write_checkpoint
 from repro.timeutil import STUDY_START
+from tests.conftest import triples
+from tests.reference_fold import fold, read_tuples
 
 
 # -- shared replay material -------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def gt_flows(capture):
-    """Ground-truth ISP flows, one subscriber line per device, in
-    arrival order (the shape a collector hands the stream engine)."""
-    flows = []
-    for event in capture.isp_events:
-        src = 0x0A000000 + event.device_id
-        flows.append(event.to_flow_record(src, capture.sampling_interval))
-    flows.sort(key=lambda flow: flow.first_switched)
-    return flows
-
-
-@pytest.fixture(scope="module")
-def gt_flowfile(gt_flows, tmp_path_factory):
-    path = tmp_path_factory.mktemp("stream") / "flows.csv"
-    write_flow_file(path, gt_flows)
-    return path
-
-
-@pytest.fixture(scope="module")
-def batch_oracle(rules, hitlist, gt_flows):
-    """(subscriber, class, detected_at) triples from the batch path."""
-    detector = FlowDetector(rules, hitlist, threshold=0.4)
-    for flow in gt_flows:
-        detector.observe_flow(flow.src_ip, flow)
-    return {
-        (d.subscriber, d.class_name, d.detected_at)
-        for d in detector.detections()
-    }
-
-
-def _event_triples(events):
-    return {
-        (e.subscriber, e.class_name, e.detected_at) for e in events
-    }
 
 
 def _mkflow(src, dst, when, port=443, proto=PROTO_TCP, flags=TCP_ACK):
@@ -98,34 +64,35 @@ def _mkflow(src, dst, when, port=443, proto=PROTO_TCP, flags=TCP_ACK):
 
 
 class TestGoldenOracle:
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("segments", [1, 4])
     def test_stream_equals_batch(
-        self, rules, hitlist, gt_flowfile, batch_oracle, workers
+        self, rules, hitlist, gt_flowfile, batch_oracle, segments
     ):
-        engine = StreamDetectionEngine(
-            rules, hitlist, StreamConfig(workers=workers)
-        )
+        """Folded in one call, or cut into ``max_records`` segments."""
+        engine = StreamDetectionEngine(rules, hitlist)
+        for _ in range(segments - 1):
+            assert engine.process_flowfile(
+                gt_flowfile, max_records=20_000
+            ) == 20_000
         engine.process_flowfile(gt_flowfile)
         assert batch_oracle  # the scenario detects devices at all
-        assert _event_triples(engine.sink.events) == batch_oracle
+        assert triples(engine.sink.events) == batch_oracle
 
     def test_fast_and_record_paths_agree(
         self, rules, hitlist, gt_flowfile
     ):
+        """The engine's chunk loop against the row-at-a-time oracle."""
         fast = StreamDetectionEngine(rules, hitlist)
         fast.process_flowfile(gt_flowfile)
-        slow = StreamDetectionEngine(rules, hitlist)
-        slow.process(FlowReplaySource.from_flowfile(gt_flowfile))
+        slow = streaming_assembly(rules, hitlist)
+        folded = fold(slow, read_tuples(gt_flowfile))
         assert [e.to_line() for e in fast.sink.events] == [
             e.to_line() for e in slow.sink.events
         ]
-        assert (
-            fast.records_processed
-            == slow.records_processed
-        )
+        assert fast.records_processed == folded
 
     def test_tuple_iterator_matches_flowfile_reader(self, gt_flowfile):
-        tuples = list(iter_flow_tuples(gt_flowfile))
+        tuples = list(read_tuples(gt_flowfile))
         flows = list(read_flow_file(gt_flowfile))
         assert len(tuples) == len(flows)
         for tup, flow in zip(tuples, flows):
@@ -146,7 +113,7 @@ class TestGoldenOracle:
         jittered = list(jitter_order(gt_flows, displacement=64, seed=11))
         assert jittered != gt_flows  # the jitter actually reordered
         engine = StreamDetectionEngine(rules, hitlist)
-        engine.process(FlowReplaySource.from_flows(jittered))
+        engine.process_chunks(chunks_from_records(jittered, 256))
         got = {
             (e.subscriber, e.class_name) for e in engine.sink.events
         }
@@ -158,41 +125,43 @@ class TestGoldenOracle:
 
 
 class TestKillResume:
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("kills", [1, 4])
     def test_kill_resume_bit_identical(
-        self, rules, hitlist, gt_flowfile, tmp_path, workers
+        self, rules, hitlist, gt_flowfile, tmp_path, kills
     ):
-        """Kill mid-stream between checkpoints, resume, and the event
-        log ends byte-identical to the uninterrupted run's."""
+        """Kill mid-stream between checkpoints — once, or again and
+        again after each resume — and the event log ends byte-identical
+        to the uninterrupted run's."""
 
-        def run(tag, kill_after=None):
+        def run(tag, kills=0):
             ckpt = tmp_path / f"ckpt-{tag}"
             log = tmp_path / f"events-{tag}.jsonl"
             config = StreamConfig(
-                workers=workers,
-                checkpoint_dir=ckpt,
-                checkpoint_every=10_000,
+                checkpoint_dir=ckpt, checkpoint_every=10_000
             )
             with JsonlEventSink(log) as sink:
                 engine = StreamDetectionEngine(
                     rules, hitlist, config, sink
                 )
                 engine.process_flowfile(
-                    gt_flowfile, max_records=kill_after
+                    gt_flowfile, max_records=14_567 if kills else None
                 )
-            if kill_after is not None:
+            for kill in range(1, kills + 1):
                 with JsonlEventSink(log, resume=True) as sink:
                     engine = StreamDetectionEngine.resume(
                         rules, hitlist, config, sink
                     )
-                    # resumed exactly at the last checkpoint boundary
-                    assert engine.records_processed % 10_000 == 0
-                    assert engine.records_processed <= kill_after
-                    engine.process_flowfile(gt_flowfile)
+                    # resumed exactly at the last checkpoint boundary;
+                    # each life folds 14,567 records and loses 4,567
+                    assert engine.records_processed == 10_000 * kill
+                    engine.process_flowfile(
+                        gt_flowfile,
+                        max_records=14_567 if kill < kills else None,
+                    )
             return log
 
         full = run("full")
-        resumed = run("killed", kill_after=34_567)
+        resumed = run("killed", kills=kills)
         assert full.read_bytes() == resumed.read_bytes()
 
     def test_resume_restores_counters_and_config(
@@ -378,27 +347,28 @@ class TestBoundedState:
         assert want <= got
 
 
-# -- backpressure -----------------------------------------------------
+# -- the replay source: a flow file decoded from a resume offset -------
 
 
 class TestReplaySource:
-    def test_oversized_batch_rejected(self):
-        flows = [_mkflow(1, 2, STUDY_START)] * 5
-        source = FlowReplaySource([flows], max_pending=3)
-        with pytest.raises(ValueError, match="max_pending"):
-            next(source)
-
-    def test_high_watermark_reported(self):
-        flows = [_mkflow(1, 2, STUDY_START + n) for n in range(7)]
-        source = FlowReplaySource([flows[:4], flows[4:]])
-        assert list(index for index, _ in source) == list(range(7))
-        assert source.high_watermark == 4
+    def test_high_watermark_reported(self, rules, hitlist, gt_flowfile):
+        """A chunk source holds no buffer to report the depth of; the
+        field stays in the metrics document, always 0."""
+        engine = StreamDetectionEngine(rules, hitlist)
+        engine.process_flowfile(gt_flowfile, max_records=5_000)
+        assert engine.metrics_dict()["lag"] == {
+            "records_since_checkpoint": 5_000,
+            "source_high_watermark": 0,
+            "event_time_watermark": engine.metrics.watermark,
+        }
 
     def test_skip_fast_forwards(self, gt_flowfile):
-        source = FlowReplaySource.from_flowfile(gt_flowfile)
-        assert source.skip(100) == 100
-        index, _flow = next(source)
-        assert index == 100
+        whens = [row[0] for row in read_tuples(gt_flowfile)]
+        chunks = ColumnarDecodeStage(64).iter_chunks(gt_flowfile, skip=100)
+        first = next(chunks)  # what is left of the chunk holding row 100
+        assert first.start_index == 100
+        assert first.first.tolist() == whens[100:128]
+        assert next(chunks).start_index == 128
 
 
 # -- smoke (tier-1 wiring) --------------------------------------------

@@ -37,6 +37,7 @@ from repro.faults import (
     truncate_file,
     write_partial_temp,
 )
+from tests.conftest import write_artifacts
 
 
 @pytest.fixture()
@@ -186,6 +187,36 @@ def _engine_after_run(tmp_path, **config):
     return engine
 
 
+class _KilledRun:
+    """An odd-world run killed at record 25 with checkpoints at 10 and
+    20 (``log``), beside the uninterrupted run's log (``full``)."""
+
+    def __init__(self, tmp_path):
+        self.world = _odd_world()
+        self.flowfile = _odd_flowfile(tmp_path)
+        self.config = StreamConfig(
+            checkpoint_dir=tmp_path / "ckpt", checkpoint_every=10
+        )
+        self.full = tmp_path / "full.jsonl"
+        self.log = tmp_path / "events.jsonl"
+        for log, config, stop in (
+            (self.full, StreamConfig(), None), (self.log, self.config, 25)
+        ):
+            with JsonlEventSink(log) as sink:
+                StreamDetectionEngine(
+                    *self.world, config, sink
+                ).process_flowfile(self.flowfile, max_records=stop)
+
+    def resume_and_finish(self, resumed_at):
+        with JsonlEventSink(self.log, resume=True) as sink:
+            engine = StreamDetectionEngine.resume(
+                *self.world, self.config, sink
+            )
+            assert engine.records_processed == resumed_at
+            engine.process_flowfile(self.flowfile)
+        return engine
+
+
 def _with_lineage(engine):
     engine.lineage = {
         "worker_id": 1, "ring_epoch": 3, "slot_counts": {0: 7, 5: 11},
@@ -198,8 +229,8 @@ def _with_pending_swap(engine):
 
 
 def _with_pressure(engine):
-    assert engine._tables[0].shrink(2)
-    assert engine._tables[0].pressure_reduced
+    assert engine.table.shrink(2)
+    assert engine.table.pressure_reduced
 
 
 def _unchanged(engine):
@@ -214,25 +245,24 @@ class TestPackedCheckpoint:
         "config, prepare",
         [
             ({}, _unchanged),
-            ({"workers": 4, "max_subscribers": 64}, _unchanged),
-            ({"workers": 32}, _unchanged),  # most tables stay empty
             ({"ttl_seconds": 3600}, _unchanged),
-            ({"workers": 2}, _with_lineage),
+            ({}, _with_lineage),
             ({}, _with_pending_swap),
             ({}, _with_pressure),
         ],
-        ids=["plain", "workers", "empty-tables", "ttl", "lineage",
-             "pending-swap", "pressure"],
+        ids=["plain", "ttl", "lineage", "pending-swap", "pressure"],
     )
     def test_engine_payload_round_trips(self, tmp_path, config, prepare):
         engine = _engine_after_run(tmp_path, **config)
         prepare(engine)
-        expected = [table.to_state() for table in engine._tables]
+        table = engine.table
+        expected = table.to_state()
         restored = read_checkpoint(engine.write_checkpoint())
         # the engine streams its entries into the writer; what comes
-        # back is the materialised ``to_state()`` of every table
-        assert restored["tables"] == expected
-        assert any(state["entries"] for state in expected)
+        # back is the materialised ``to_state()`` of its table
+        assert restored["tables"] == [expected]
+        assert "workers" not in restored["config"]
+        assert expected["entries"]
         # ... and a payload given as plain data comes back as itself,
         # small fields through JSON (int dict keys become strings)
         again = read_checkpoint(
@@ -242,13 +272,13 @@ class TestPackedCheckpoint:
         assert restored.get("lineage") == json.loads(
             json.dumps(engine.lineage)
         )
-        for table, state in zip(engine._tables, restored["tables"]):
-            rebuilt = type(table).from_state(state)
-            assert rebuilt.to_state() == table.to_state()
-            assert [list(e[2]["satisfied_at"]) for e in state["entries"]] == [
-                list(progress.satisfied_at)
-                for _, progress in table.progress_items()
-            ]
+        (state,) = restored["tables"]
+        rebuilt = type(table).from_state(state)
+        assert rebuilt.to_state() == table.to_state()
+        assert [list(e[2]["satisfied_at"]) for e in state["entries"]] == [
+            list(progress.satisfied_at)
+            for _, progress in table.progress_items()
+        ]
         resumed = StreamDetectionEngine.resume(
             *_odd_world(), StreamConfig(checkpoint_dir=tmp_path / "ckpt")
         )
@@ -297,34 +327,15 @@ class TestPackedCheckpoint:
     def test_damaged_columns_fall_back_a_generation(
         self, tmp_path, caplog, damage
     ):
-        rules, hitlist = _odd_world()
-        config = StreamConfig(
-            checkpoint_dir=tmp_path / "ckpt", checkpoint_every=10
-        )
-        flowfile = _odd_flowfile(tmp_path)
-        full = tmp_path / "full.jsonl"
-        with JsonlEventSink(full) as sink:
-            StreamDetectionEngine(
-                rules, hitlist, StreamConfig(), sink
-            ).process_flowfile(flowfile)
-        log = tmp_path / "events.jsonl"
-        with JsonlEventSink(log) as sink:
-            StreamDetectionEngine(
-                rules, hitlist, config, sink
-            ).process_flowfile(flowfile, max_records=25)
-        damage(checkpoint_path(config.checkpoint_dir, 20))
+        run = _KilledRun(tmp_path)
+        damage(checkpoint_path(run.config.checkpoint_dir, 20))
         with caplog.at_level(
             logging.WARNING, logger="repro.stream.checkpoint"
         ):
-            with JsonlEventSink(log, resume=True) as sink:
-                resumed = StreamDetectionEngine.resume(
-                    rules, hitlist, config, sink
-                )
-                assert resumed.records_processed == 10
-                assert resumed.metrics.checkpoint_fallbacks == 1
-                resumed.process_flowfile(flowfile)
+            resumed = run.resume_and_finish(resumed_at=10)
+        assert resumed.metrics.checkpoint_fallbacks == 1
         assert "falling back" in caplog.text
-        assert log.read_bytes() == full.read_bytes()
+        assert run.log.read_bytes() == run.full.read_bytes()
 
     def test_consistent_digest_inconsistent_columns_rejected(self, tmp_path):
         """A file whose digest and length hold but whose column counts
@@ -399,6 +410,78 @@ class TestFormatVersionRefusal:
         _write_v1(tmp_path, 10, {"state_version": 1})
         write_checkpoint(tmp_path, 20, {"seq": 20})
         assert load_latest(tmp_path).payload == {"seq": 20}
+
+
+def _rewritten(ckpt, seq, edit):
+    """Checkpoint ``seq`` of ``ckpt`` put back with ``edit`` applied to
+    its payload — a file some other release could have written."""
+    payload = read_checkpoint(checkpoint_path(ckpt, seq))
+    edit(payload)
+    return write_checkpoint(ckpt, seq, payload)
+
+
+class TestRemovedWorkersOption:
+    """``StreamConfig.workers`` (N tables in one engine) is gone; what
+    its checkpoints meet on resume."""
+
+    def test_previous_release_payload_resumes_cmp_equal(self, tmp_path):
+        """The previous release wrote ``config.workers`` into every
+        checkpoint; with the default of 1 that file resumes as ever."""
+        run = _KilledRun(tmp_path)
+        _rewritten(
+            run.config.checkpoint_dir, 20,
+            lambda payload: payload["config"].update(workers=1),
+        )
+        run.resume_and_finish(resumed_at=20)
+        assert run.log.read_bytes() == run.full.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload["config"].update(workers=4),
+            lambda payload: payload.update(tables=payload["tables"] * 4),
+        ],
+        ids=["config-workers", "four-tables"],
+    )
+    def test_split_state_is_refused_by_name(self, tmp_path, capsys, edit):
+        from repro.cli import main
+        from repro.fleet.worker import (
+            WorkerSpec,
+            _build_engine,
+            worker_checkpoint_dir,
+        )
+
+        run = _KilledRun(tmp_path)
+        ckpt = run.config.checkpoint_dir
+        refused = _rewritten(ckpt, 20, edit).read_bytes()
+        # a refusal, not damage: nothing falls back to generation 10
+        loaded = load_latest(ckpt)
+        assert (loaded.seq, loaded.fallbacks) == (20, 0)
+        wanted = "removed option workers=4.*release that wrote it"
+        with pytest.raises(CheckpointError, match=wanted):
+            StreamDetectionEngine.resume(*run.world, run.config)
+
+        code = main(
+            [
+                "stream", "run", str(run.flowfile),
+                "--artifacts",
+                str(write_artifacts(tmp_path / "artifacts", *run.world)),
+                "--checkpoint-dir", str(ckpt),
+                "--events-out", str(run.log),
+                "--resume",
+            ]
+        )
+        assert code == 2
+        error = capsys.readouterr().err
+        assert "error: cannot resume: checkpoint was written with" in error
+        assert "workers=4" in error
+
+        worker_ckpt = worker_checkpoint_dir(tmp_path / "fleet", 0)
+        worker_ckpt.mkdir(parents=True)
+        checkpoint_path(worker_ckpt, 20).write_bytes(refused)
+        spec = WorkerSpec(0, 0, str(tmp_path / "fleet"), 0, resume=True)
+        with pytest.raises(CheckpointError, match=wanted):
+            _build_engine(spec, *run.world, None)
 
 
 class TestRetention:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.faults import SWAP_FAULT_KINDS, SwapPlan
 from repro.netflow.flowfile import write_flow_file
-from repro.netflow.replay import iter_flow_tuples
+from repro.netflow.parse import ColumnarDecodeStage
 from repro.pipeline import RuleGeneration
 from repro.resilience.retry import RetryPolicy
 from repro.rules import (
@@ -57,8 +57,9 @@ pytestmark = pytest.mark.faults
 
 # -- replay material: a stream long enough for real kills --------------
 
-#: enough records that a SIGTERM lands mid-stream (guard stride 64)
-#: with the hour boundary crossed around record 900.
+#: enough records that a SIGTERM lands mid-stream (64-row chunks, the
+#: guards polled after each) with the hour boundary crossed around
+#: record 900.
 _SOAK_RECORDS = 2_400
 _SOAK_STRIDE = 4  # seconds between records
 
@@ -261,18 +262,22 @@ class TestSigtermMidSwap:
                         rules_version=1,
                     )
                     engine.stage_rules(generation, activate_at=BOUNDARY)
-                    tuples = iter_flow_tuples(soak_flowfile)
+                    chunks = ColumnarDecodeStage(64).iter_chunks(
+                        soak_flowfile
+                    )
                     if kill is not None:
+                        # the signal lands while chunk ``kill // 64`` is
+                        # fetched; that chunk folds, then the guards stop
                         plan = SwapPlan(
-                            "sigterm_mid_swap", at_index=kill
+                            "sigterm_mid_swap", at_index=kill // 64
                         )
-                        tuples = plan.wrap_records(tuples)
-                    engine.process_tuples(tuples)
+                        chunks = plan.wrap_records(chunks)
+                    engine.process_chunks(chunks)
                     if engine.stopped:
                         assert engine.drain() is not None
             if kill is not None:
                 assert token.reason == "signal:SIGTERM"
-                assert kill <= engine.records_processed < kill + 256
+                assert engine.records_processed == (kill // 64 + 1) * 64
                 # Resume under the generation the checkpoint was taken
                 # under — the version-identity check enforces this.
                 if engine.rules_version == 2:
