@@ -644,6 +644,28 @@ def _flush_events(sink) -> None:
         sink.flush(sync=True)
 
 
+def _engine(args, rules, hitlist, config, sink, **kwargs):
+    """The command's engine, fresh or ``--resume``d from
+    ``--checkpoint-dir`` (where it reconciles its own rule generation,
+    given a ``rule_source``); ``None`` after printing why it cannot."""
+    from repro.stream import CheckpointError, StreamDetectionEngine
+
+    if not args.resume:
+        return StreamDetectionEngine(rules, hitlist, config, sink, **kwargs)
+    if config.checkpoint_dir is None:
+        print("error: --resume needs --checkpoint-dir", file=sys.stderr)
+        return None
+    try:
+        return StreamDetectionEngine.resume(
+            rules, hitlist, config, sink,
+            migrate_rules=getattr(args, "migrate_rules", False),
+            **kwargs,
+        )
+    except CheckpointError as exc:
+        print(f"error: cannot resume: {exc}", file=sys.stderr)
+        return None
+
+
 def _run_stream(args) -> int:
     """``repro stream run``: online detection over a flow file.
 
@@ -656,15 +678,11 @@ def _run_stream(args) -> int:
     ended the run early but resumably, 70 when a drain overran
     ``--drain-grace`` (see README "Graceful shutdown & overload").
     """
+    from repro.pipeline.swap import RuleSource
     from repro.runtime import (
         EXIT_DRAINED,
         ShutdownCoordinator,
         StopToken,
-    )
-    from repro.stream import (
-        CheckpointError,
-        RuleVersionMismatch,
-        StreamDetectionEngine,
     )
 
     if args.hitlist_refresh_every and args.hitlist_dir is None:
@@ -688,63 +706,41 @@ def _run_stream(args) -> int:
     config = _stream_config(args)
     sink = _event_sink(args)
     token = StopToken()
-    guards = _guard_kwargs(args, token)
+    source = None  # the engine reconciles with and polls the store
+    if store is not None:
+        source = RuleSource(
+            store.generation, store.head, args.hitlist_refresh_every
+        )
     try:
         with ShutdownCoordinator(token, grace=args.drain_grace):
-            if args.resume:
-                if config.checkpoint_dir is None:
-                    print(
-                        "error: --resume needs --checkpoint-dir",
-                        file=sys.stderr,
-                    )
-                    return 2
-                try:
-                    engine = StreamDetectionEngine.resume(
-                        rules, hitlist, config, sink,
-                        rules_version=rules_version,
-                        migrate_rules=args.migrate_rules,
-                        **guards,
-                    )
-                except RuleVersionMismatch as exc:
-                    # The store may still hold the generation this
-                    # checkpoint was taken under — resuming with it is
-                    # always exact, no migration needed.
-                    engine = _resume_with_checkpoint_rules(
-                        store, exc, config, sink, guards
-                    )
-                    if engine is None:
-                        print(
-                            f"error: cannot resume: {exc}",
-                            file=sys.stderr,
-                        )
-                        return 2
-                except CheckpointError as exc:
-                    print(
-                        f"error: cannot resume: {exc}", file=sys.stderr
-                    )
-                    return 2
-                _restage_pending_rules(engine, store)
-            else:
-                engine = StreamDetectionEngine(
-                    rules, hitlist, config, sink,
-                    rules_version=rules_version,
-                    **guards,
+            engine = _engine(
+                args, rules, hitlist, config, sink,
+                rules_version=rules_version,
+                rule_source=source,
+                **_guard_kwargs(args, token),
+            )
+            if engine is None:
+                return 2
+            if engine.rules_version != rules_version:
+                print(
+                    f"# resuming under checkpointed rules "
+                    f"v{engine.rules_version} (store head is "
+                    f"v{rules_version}; the refresh poll swaps "
+                    f"forward at the next boundary)",
+                    file=sys.stderr,
                 )
-            if store is not None and args.hitlist_refresh_every:
-                processed = _stream_ingest_with_refresh(
-                    engine, args, store
+            processed = _stream_ingest(engine, args)
+            if engine.pending_rules is not None:
+                print(
+                    f"# staged rules "
+                    f"v{engine.pending_rules.generation.version} "
+                    f"(activates at event-time "
+                    f"{engine.pending_rules.activate_at})",
+                    file=sys.stderr,
                 )
-            else:
-                processed = _stream_ingest(engine, args)
-            if engine.stopped:
-                # Early stop (signal/deadline): final checkpoint at
-                # the exact record reached + sink flush.
-                engine.drain()
-            elif (
-                engine.config.checkpoint_dir is not None
-                and engine.metrics.records_since_checkpoint
-            ):
-                engine.write_checkpoint()
+            # Early stop (signal/deadline) or end of input: a final
+            # checkpoint at the exact record reached + sink flush.
+            engine.drain()
             metrics = engine.metrics_dict()
             print(
                 f"# processed={processed} "
@@ -904,30 +900,17 @@ def _collect_fleet_target(args, rules, hitlist, token):
 def _collect_engine(args, rules, hitlist, sink, token):
     """``repro collect``'s in-process engine, fresh or resumed from
     ``--checkpoint-dir``; ``None`` after printing a flag error."""
-    from repro.stream import CheckpointError, StreamDetectionEngine
-
-    if args.checkpoint_dir is None and (
-        args.checkpoint_every or args.resume
-    ):
-        flag = "--resume" if args.resume else "--checkpoint-every"
+    if args.checkpoint_dir is None and args.checkpoint_every:
         print(
-            f"error: {flag} needs --checkpoint-dir", file=sys.stderr
+            "error: --checkpoint-every needs --checkpoint-dir",
+            file=sys.stderr,
         )
         return None
     # the service owns the cadence
     config = _stream_config(args, checkpoint_every=0)
-    guards = _guard_kwargs(args, token)
-    if not args.resume:
-        return StreamDetectionEngine(
-            rules, hitlist, config, sink, **guards
-        )
-    try:
-        return StreamDetectionEngine.resume(
-            rules, hitlist, config, sink, **guards
-        )
-    except CheckpointError as exc:
-        print(f"error: cannot resume: {exc}", file=sys.stderr)
-        return None
+    return _engine(
+        args, rules, hitlist, config, sink, **_guard_kwargs(args, token)
+    )
 
 
 def _run_collect(args) -> int:
@@ -1029,7 +1012,7 @@ def _run_collect(args) -> int:
     return exit_code
 
 
-def _stream_ingest(engine, args, max_records=None) -> int:
+def _stream_ingest(engine, args) -> int:
     """Run the stream engine's ingest, optionally under fault probes.
 
     The fault harness (``--inject-sigterm-at N``) bounds the fold at
@@ -1037,8 +1020,7 @@ def _stream_ingest(engine, args, max_records=None) -> int:
     engine's next guard poll sees the stop before record N folds, so
     the drain lands on exactly N records for any ``--chunk-size``.
     """
-    if max_records is None:
-        max_records = args.max_records
+    max_records = args.max_records
     if args.inject_sigterm_at is not None:
         import os
         import signal
@@ -1057,126 +1039,6 @@ def _stream_ingest(engine, args, max_records=None) -> int:
                 args.flows, max_records=max_records
             )
     return engine.process_flowfile(args.flows, max_records=max_records)
-
-
-def _stream_ingest_with_refresh(engine, args, store) -> int:
-    """Ingest in refresh-cadence segments, hot-swapping between them.
-
-    The store is polled every ``--hitlist-refresh-every`` records *at
-    absolute record-count multiples*: the first segment is sized to
-    land on the next multiple, so a resumed run polls (and therefore
-    stages swaps) at exactly the same stream positions as an
-    uninterrupted one — the precondition for byte-identical event
-    logs across kills.
-    """
-    every = args.hitlist_refresh_every
-    remaining = args.max_records
-    total = 0
-    while True:
-        step = every - (engine.records_processed % every)
-        if remaining is not None:
-            step = min(step, remaining)
-        if step <= 0:
-            break
-        processed = _stream_ingest(engine, args, max_records=step)
-        total += processed
-        if remaining is not None:
-            remaining -= processed
-        if processed < step or engine.stopped:
-            break
-        _maybe_stage_refresh(engine, store)
-    return total
-
-
-def _maybe_stage_refresh(engine, store) -> None:
-    """Stage the store's newest generation if it advanced."""
-    from repro.pipeline.swap import RuleGeneration
-
-    loaded = store.load_latest()
-    if loaded is None:
-        return
-    pending = engine.pending_rules
-    current = (
-        pending.generation.version if pending else engine.rules_version
-    )
-    if loaded.artifact.version <= current:
-        return
-    generation = RuleGeneration.prepare(
-        loaded.artifact.version,
-        loaded.artifact.rules,
-        loaded.artifact.hitlist,
-        build_index=True,
-    )
-    boundary = engine.stage_rules(generation)
-    print(
-        f"# staged rules v{generation.version} "
-        f"(activates at event-time {boundary})",
-        file=sys.stderr,
-    )
-
-
-def _resume_with_checkpoint_rules(store, mismatch, config, sink, guards):
-    """Resume under the exact generation the checkpoint was taken with.
-
-    Only possible when the store still holds that version; returns
-    ``None`` (caller reports the mismatch) when it was pruned or no
-    store is configured.
-    """
-    from repro.rules import ArtifactError
-    from repro.stream import StreamDetectionEngine
-
-    if store is None:
-        return None
-    try:
-        artifact = store.load_version(mismatch.checkpoint_version)
-    except ArtifactError:
-        return None
-    print(
-        f"# resuming under checkpointed rules "
-        f"v{mismatch.checkpoint_version} (store head is newer; the "
-        f"refresh loop will swap forward at the next boundary)",
-        file=sys.stderr,
-    )
-    return StreamDetectionEngine.resume(
-        artifact.rules, artifact.hitlist, config, sink,
-        rules_version=artifact.version,
-        **guards,
-    )
-
-
-def _restage_pending_rules(engine, store) -> None:
-    """Re-stage the swap a resumed checkpoint had in flight.
-
-    The checkpoint records ``(pending_version, activate_at)``; loading
-    that generation from the store and staging it at the *same*
-    event-time boundary makes the resumed run swap exactly where the
-    uninterrupted run would have.
-    """
-    from repro.pipeline.swap import RuleGeneration
-    from repro.rules import ArtifactError
-
-    if store is None or engine.checkpoint_pending_rules is None:
-        return
-    version, activate_at = engine.checkpoint_pending_rules
-    if version <= engine.rules_version:
-        return
-    try:
-        artifact = store.load_version(version)
-    except ArtifactError as exc:
-        print(
-            f"# warning: checkpoint had rules v{version} staged but "
-            f"the artifact is gone ({exc}); the refresh loop will "
-            f"pick up the store head instead",
-            file=sys.stderr,
-        )
-        return
-    generation = RuleGeneration.prepare(
-        artifact.version,
-        artifact.rules,
-        artifact.hitlist,
-        build_index=True,
-    )
-    engine.stage_rules(generation, activate_at=activate_at)
 
 
 def _run_sweep(args) -> int:

@@ -47,6 +47,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.netflow.parse import IndexedFlowChunk
 from repro.pipeline.events import JsonlEventSink
+from repro.pipeline.swap import RuleSource
 from repro.resilience.supervisor import HeartbeatWriter
 from repro.stream.checkpoint import load_latest, tmp_leftover_count
 from repro.stream.processor import StreamConfig, StreamDetectionEngine
@@ -144,62 +145,35 @@ def _build_engine(
         checkpoint_dir=ckpt_dir,
         checkpoint_every=0,  # the worker owns the cadence
     )
-    loaded = load_latest(ckpt_dir) if spec.resume else None
-    if loaded is None:
-        engine = StreamDetectionEngine(
-            rules,
-            hitlist,
-            config,
-            sink=JsonlEventSink(log_path, resume=False),
-            rules_version=spec.rules_version,
-        )
-        if spec.resume:
-            # A directory holding only torn-write .tmp leftovers means
-            # the worker died mid-first-checkpoint, not a fresh start —
-            # the lineage audit reads this counter to tell them apart.
-            engine.metrics.tmp_only_fallbacks = tmp_leftover_count(
-                ckpt_dir
-            )
-        if staged is not None:
-            generation, activate_at = staged
-            if generation.version > engine.rules_version:
-                engine.stage_rules(generation, activate_at)
-    else:
-        ckpt_rules = loaded.payload.get("rules") or {}
-        ckpt_version = int(ckpt_rules.get("active_version", 0))
-        if ckpt_version == spec.rules_version:
-            resume_rules, resume_hitlist = rules, hitlist
-        elif staged is not None and staged[0].version == ckpt_version:
-            # the worker died after applying a swap the base rules
-            # predate — resume under the generation it checkpointed
-            resume_rules = staged[0].rules
-            resume_hitlist = staged[0].hitlist
-        else:
-            raise RuntimeError(
-                f"worker {spec.worker_id} checkpointed rules version "
-                f"{ckpt_version}, fleet has {spec.rules_version} and "
-                f"no matching staged generation"
-            )
-        engine = StreamDetectionEngine.resume(
-            resume_rules,
-            resume_hitlist,
-            config,
-            sink=JsonlEventSink(log_path, resume=True),
-            rules_version=ckpt_version,
-        )
-        pending = engine.checkpoint_pending_rules
-        if (
-            pending is not None
-            and staged is not None
-            and staged[0].version == pending[0]
-        ):
-            # re-stage at the checkpointed boundary, not a new one
-            engine.stage_rules(staged[0], pending[1])
-        elif (
-            staged is not None
-            and staged[0].version > engine.rules_version
-        ):
-            engine.stage_rules(staged[0], staged[1])
+    resuming = spec.resume and load_latest(ckpt_dir) is not None
+    # A resume reconciles in the engine: it continues under the
+    # generation it checkpointed (the base rules, or the staged one when
+    # the worker died after applying the swap) and re-stages a pending
+    # swap at the checkpointed boundary, not a new one.
+    build = StreamDetectionEngine.resume if resuming else StreamDetectionEngine
+    engine = build(
+        rules,
+        hitlist,
+        config,
+        sink=JsonlEventSink(log_path, resume=resuming),
+        rules_version=spec.rules_version,
+        rule_source=RuleSource(
+            lambda version: staged[0]
+            if staged and staged[0].version == version
+            else None
+        ),
+    )
+    if spec.resume and not resuming:
+        # A directory holding only torn-write .tmp leftovers means the
+        # worker died mid-first-checkpoint, not a fresh start — the
+        # lineage audit reads this counter to tell them apart.
+        engine.metrics.tmp_only_fallbacks = tmp_leftover_count(ckpt_dir)
+    if (
+        staged is not None
+        and engine.pending_rules is None
+        and staged[0].version > engine.rules_version
+    ):
+        engine.stage_rules(*staged)
     lineage: Dict[str, object] = {
         "worker_id": spec.worker_id,
         "ring_epoch": spec.ring_epoch,
@@ -232,9 +206,6 @@ def _serve(
     heartbeat_dir.mkdir(parents=True, exist_ok=True)
     parent = os.getppid()
     plan = spec.plan
-
-    def checkpoint() -> None:
-        engine.write_checkpoint()
 
     def ack(seq: int) -> None:
         status_queue.put(
@@ -283,7 +254,7 @@ def _serve(
                     and engine.metrics.records_since_checkpoint
                     >= spec.engine.checkpoint_every
                 ):
-                    checkpoint()
+                    engine.write_checkpoint()
                 ack(seq)
             elif kind == "adopt":
                 table_states, adopted_counts, epoch = message[1:]
@@ -299,7 +270,7 @@ def _serve(
                 # counts must be atomic with each other in lineage, or
                 # a later resume would re-fold records whose evidence
                 # was already absorbed.
-                checkpoint()
+                engine.write_checkpoint()
                 status_queue.put(
                     (
                         "adopted",
@@ -308,17 +279,9 @@ def _serve(
                         absorbed,
                     )
                 )
-            elif kind == "stage":
-                generation, activate_at = message[1:]
-                if generation.version > engine.rules_version and (
-                    engine.pending_rules is None
-                    or engine.pending_rules.generation.version
-                    != generation.version
-                ):
-                    engine.stage_rules(generation, activate_at)
             elif kind == "checkpoint":
                 if engine.metrics.records_since_checkpoint:
-                    checkpoint()
+                    engine.write_checkpoint()
             elif kind == "drain":
                 engine.drain()
                 engine.sink.close()
@@ -328,21 +291,14 @@ def _serve(
                         spec.worker_id,
                         spec.incarnation,
                         {
-                            "records_processed": (
-                                engine.records_processed
-                            ),
-                            "events_emitted": (
-                                engine.metrics.events_emitted
-                            ),
-                            "process_seconds": (
-                                engine.metrics.process_seconds
-                            ),
-                            "tmp_only_fallbacks": (
-                                engine.metrics.tmp_only_fallbacks
-                            ),
-                            "subscribers_tracked": (
-                                engine.metrics.subscribers_tracked
-                            ),
+                            name: getattr(engine.metrics, name)
+                            for name in (
+                                "records_processed",
+                                "events_emitted",
+                                "process_seconds",
+                                "tmp_only_fallbacks",
+                                "subscribers_tracked",
+                            )
                         },
                     )
                 )

@@ -60,6 +60,7 @@ from repro.pipeline.swap import (
     MigrationReport,
     PendingSwap,
     RuleGeneration,
+    RuleSource,
     migrate_progress,
     migrate_table,
     next_activation,
@@ -74,6 +75,7 @@ __all__ = [
     "StreamConfig",
     # live rule swap
     "RuleGeneration",
+    "RuleSource",
     "PendingSwap",
     "MigrationReport",
     "migrate_progress",

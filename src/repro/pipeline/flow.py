@@ -270,10 +270,6 @@ class FlowDetectStage:
     def _migrate_evidence(self, rules: RuleSet) -> None:
         """Subclasses owning per-key evidence migrate it here."""
 
-    def shed_pressure(self) -> None:
-        """Default pressure response: drop recomputable caches."""
-        self.keying.forget()
-
 
 class StreamingDetectStage(FlowDetectStage):
     """Online Detect: bounded per-key state, events on completion.
@@ -433,10 +429,13 @@ class FlowPipeline:
     ``on_checkpoint`` callback the owning assembly provides), guard
     polling, ``max_records`` bounding and wall-time accounting.
 
-    :meth:`run_chunks` is the one loop.  It splits a chunk at the
-    ``max_records`` budget and at the ``checkpoint_every`` boundary, so
-    both name exact record positions, and polls the guards once per
-    (sub-)chunk.  The cadence counter
+    :meth:`run_chunks` is the one loop.  It splits a chunk at three cut
+    points — the ``max_records`` budget, the ``checkpoint_every``
+    boundary and every multiple of ``poll_every`` stream records (where
+    ``on_poll`` runs before the next record folds; the stream engine
+    looks for a newer rule generation there) — so all three name exact
+    record positions, and polls the guards once per (sub-)chunk.  The
+    cadence counter
     (``metrics.records_since_checkpoint``) runs across calls: only a
     checkpoint resets it, so ingest segmented into calls shorter than
     ``checkpoint_every`` still checkpoints on time.
@@ -463,6 +462,8 @@ class FlowPipeline:
         self.guards = guards if guards is not None else GuardSet()
         self.checkpoint_every = checkpoint_every
         self.on_checkpoint = on_checkpoint
+        self.poll_every = 0  # the owning assembly's cut point
+        self.on_poll = None
 
     # -- ingest -------------------------------------------------------
 
@@ -487,6 +488,7 @@ class FlowPipeline:
         metrics = stage.metrics
         guards = self.guards
         checkpoint_every = self.checkpoint_every
+        poll_every = self.poll_every
         emit = self._emit
         processed = 0
         if not admitted and guards.check(0) is not None:
@@ -509,6 +511,11 @@ class FlowPipeline:
                                 - metrics.records_since_checkpoint,
                             ),
                         )
+                    if poll_every:
+                        into = metrics.records_processed % poll_every
+                        if not into and metrics.records_processed:
+                            self.on_poll()
+                        take = min(take, poll_every - into)
                     chunk, rest = rest.head(take), rest.tail(take)
                     observe_chunk(stage, chunk, emit)
                     processed += take

@@ -39,7 +39,6 @@ through the detector — divided by the simulate-stage wall time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -194,10 +193,6 @@ class EngineMetrics:
             },
             "cohorts": self.cohort_sizes(),
         }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialise :meth:`to_dict` as JSON text."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 @dataclass
@@ -361,7 +356,3 @@ class StreamMetrics:
                 self.fleet
             )
         return doc
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Serialise :meth:`to_dict` as JSON text."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

@@ -33,7 +33,7 @@ thread's apply is reference flips plus one bounded migration pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.core.hitlist import Hitlist
 from repro.core.rules import RuleSet
@@ -47,6 +47,7 @@ __all__ = [
     "SECONDS_PER_HOUR",
     "RuleGeneration",
     "PendingSwap",
+    "RuleSource",
     "MigrationReport",
     "next_activation",
     "migrate_progress",
@@ -109,6 +110,31 @@ class PendingSwap:
     generation: RuleGeneration
     #: first record with ``when >= activate_at`` triggers the swap
     activate_at: int
+
+
+@dataclass(frozen=True)
+class RuleSource:
+    """Where a running engine finds rule generations.
+
+    ``generation(version)`` is that generation ready to stage, or
+    ``None`` when the source no longer holds it — what a resume
+    reconciles a checkpoint's active and pending versions with.
+    ``head()`` is the newest version on offer (0 = none): an engine
+    polls it before folding record ``k * refresh_every`` (``k >= 1``;
+    0 never polls) and stages a newer generation for the next hour
+    boundary.  A :class:`~repro.rules.lifecycle.VersionedRuleStore`
+    has both methods; a fleet worker wraps its one staged generation.
+    """
+
+    generation: Callable[[int], Optional[RuleGeneration]]
+    head: Optional[Callable[[], int]] = None
+    refresh_every: int = 0
+
+    def __post_init__(self) -> None:
+        if self.refresh_every < 0:
+            raise ValueError("refresh_every must be >= 0")
+        if self.refresh_every and self.head is None:
+            raise ValueError("refresh_every needs a head() to poll")
 
 
 @dataclass

@@ -27,7 +27,6 @@ from repro.rules.lifecycle import (
     VersionedRuleStore,
     artifact_path,
     list_artifacts,
-    load_latest_artifact,
     read_artifact,
     scenario_recompute,
     validate_candidate,
@@ -46,7 +45,6 @@ __all__ = [
     "VersionedRuleStore",
     "artifact_path",
     "list_artifacts",
-    "load_latest_artifact",
     "read_artifact",
     "scenario_recompute",
     "validate_candidate",

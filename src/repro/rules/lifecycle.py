@@ -8,11 +8,9 @@ artifact half of the live-refresh story:
 
 * :class:`RulesArtifact` / :func:`write_artifact` /
   :func:`read_artifact` — one rule generation (rules + hitlist +
-  version) as a crash-safe on-disk document.  Publishes go through
-  write-to-temp → fsync → atomic rename → directory fsync, and every
-  artifact carries a SHA-256 integrity header (the same discipline as
-  stream checkpoints), so a reader never observes a half-written or
-  silently truncated generation.
+  version) as a sealed file (:mod:`repro.resilience.sealed`, the file
+  stream checkpoints are too), so a reader never observes a
+  half-written or silently truncated generation.
 * :func:`validate_candidate` — the gate a recomputed candidate must
   pass before it may be published: non-empty, schema-complete,
   version strictly newer than the incumbent, endpoint coverage within
@@ -35,12 +33,11 @@ at the next hour boundary, evidence migration — lives in
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-import os
 import pathlib
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,11 +51,20 @@ from repro.core.serialization import (
     rules_from_json,
     rules_to_json,
 )
+from repro.pipeline.swap import RuleGeneration
 from repro.resilience.lookups import (
     ResilientPassiveDns,
     ResilientScanDataset,
 )
 from repro.resilience.retry import LookupUnavailable, RetryPolicy
+from repro.resilience.sealed import (
+    SealedFileError,
+    list_sealed,
+    newest_valid,
+    prune_sealed,
+    read_sealed,
+    write_sealed,
+)
 
 __all__ = [
     "ARTIFACT_MAGIC",
@@ -72,7 +78,6 @@ __all__ = [
     "VersionedRuleStore",
     "artifact_path",
     "list_artifacts",
-    "load_latest_artifact",
     "read_artifact",
     "scenario_recompute",
     "validate_candidate",
@@ -84,11 +89,10 @@ logger = logging.getLogger(__name__)
 #: First token of every artifact header line.
 ARTIFACT_MAGIC = "repro-rules-artifact"
 #: On-disk format revision.
-ARTIFACT_VERSION = "v1"
+ARTIFACT_VERSION = 1
 
 _PathLike = Union[str, pathlib.Path]
-_PREFIX = "rules-v"
-_SUFFIX = ".json"
+_FILE_RE = re.compile(r"^rules-v(\d+)\.json$")
 
 
 class ArtifactError(RuntimeError):
@@ -110,7 +114,7 @@ class RulesArtifact:
     def to_payload(self) -> bytes:
         """The canonical JSON body (without the integrity header)."""
         document = {
-            "format": f"haystack-rules-artifact/{ARTIFACT_VERSION[1:]}",
+            "format": f"haystack-rules-artifact/{ARTIFACT_VERSION}",
             "version": self.version,
             "rules": json.loads(rules_to_json(self.rules)),
             "hitlist": json.loads(hitlist_to_json(self.hitlist)),
@@ -125,7 +129,7 @@ class RulesArtifact:
             document = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ArtifactError(f"artifact body is not JSON: {exc}")
-        expected = f"haystack-rules-artifact/{ARTIFACT_VERSION[1:]}"
+        expected = f"haystack-rules-artifact/{ARTIFACT_VERSION}"
         if document.get("format") != expected:
             raise ArtifactError(
                 f"not a {expected} document: {document.get('format')!r}"
@@ -148,149 +152,45 @@ class LoadedArtifact:
     """A successfully read artifact plus how it was found."""
 
     artifact: RulesArtifact
-    path: pathlib.Path
     #: newer-but-corrupt generations skipped to reach this one
     fallbacks: int = 0
 
 
 def artifact_path(directory: _PathLike, version: int) -> pathlib.Path:
     """Where generation ``version`` lives inside ``directory``."""
-    return pathlib.Path(directory) / f"{_PREFIX}{version:010d}{_SUFFIX}"
+    return pathlib.Path(directory) / f"rules-v{version:010d}.json"
 
 
-def _version_of(path: pathlib.Path) -> Optional[int]:
-    name = path.name
-    if not (name.startswith(_PREFIX) and name.endswith(_SUFFIX)):
-        return None
-    digits = name[len(_PREFIX) : -len(_SUFFIX)]
-    return int(digits) if digits.isdigit() else None
-
-
-def list_artifacts(
-    directory: _PathLike,
-) -> List[Tuple[int, pathlib.Path]]:
+def list_artifacts(directory: _PathLike) -> List[Tuple[int, pathlib.Path]]:
     """All ``(version, path)`` pairs in ``directory``, oldest first."""
-    root = pathlib.Path(directory)
-    if not root.is_dir():
-        return []
-    found = []
-    for path in root.iterdir():
-        version = _version_of(path)
-        if version is not None:
-            found.append((version, path))
-    found.sort()
-    return found
+    return list_sealed(directory, _FILE_RE)
 
 
 def write_artifact(path: _PathLike, artifact: RulesArtifact) -> None:
-    """Atomically publish ``artifact`` at ``path``.
-
-    Same crash-safety contract as checkpoint writes: the document is
-    written to a temp file in the same directory, fsynced, renamed
-    over the target, and the directory entry fsynced — a crash at any
-    point leaves either the old file or the complete new one, never a
-    torn artifact.  (Reimplemented here rather than imported from
-    :mod:`repro.stream.checkpoint`: the layering contract forbids
-    ``repro.rules`` → ``repro.stream``.)
-    """
-    target = pathlib.Path(path)
-    payload = artifact.to_payload()
-    digest = hashlib.sha256(payload).hexdigest()
-    header = (
-        f"{ARTIFACT_MAGIC} {ARTIFACT_VERSION} "
-        f"sha256={digest} length={len(payload)}\n"
-    ).encode("ascii")
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(header)
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
-    directory_fd = os.open(str(target.parent), os.O_RDONLY)
-    try:
-        os.fsync(directory_fd)
-    finally:
-        os.close(directory_fd)
+    """Atomically publish ``artifact`` at ``path``: a crash leaves the
+    old file or the complete new one, never a torn artifact."""
+    write_sealed(
+        path, ARTIFACT_MAGIC, ARTIFACT_VERSION, (artifact.to_payload(),)
+    )
 
 
 def read_artifact(path: _PathLike) -> RulesArtifact:
-    """Read and integrity-check one artifact file.
-
-    Raises :class:`ArtifactError` on any damage: missing file, bad
-    magic, truncated body, hash mismatch, or malformed sections.
-    """
+    """Read and integrity-check one artifact file; :class:`ArtifactError`
+    on any damage: missing file, bad magic, truncated body, hash
+    mismatch, malformed sections, a version the file name disagrees with."""
     target = pathlib.Path(path)
     try:
-        raw = target.read_bytes()
-    except OSError as exc:
-        raise ArtifactError(f"cannot read artifact {target}: {exc}")
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise ArtifactError(f"artifact {target} has no header line")
-    try:
-        header = raw[:newline].decode("ascii")
-    except UnicodeDecodeError:
-        raise ArtifactError(f"artifact {target} header is not ASCII")
-    fields = header.split()
-    if (
-        len(fields) != 4
-        or fields[0] != ARTIFACT_MAGIC
-        or fields[1] != ARTIFACT_VERSION
-        or not fields[2].startswith("sha256=")
-        or not fields[3].startswith("length=")
-    ):
-        raise ArtifactError(f"artifact {target} header malformed: {header!r}")
-    expected_digest = fields[2][len("sha256=") :]
-    try:
-        expected_length = int(fields[3][len("length=") :])
-    except ValueError:
-        raise ArtifactError(f"artifact {target} length field malformed")
-    payload = raw[newline + 1 :]
-    if len(payload) != expected_length:
-        raise ArtifactError(
-            f"artifact {target} truncated: "
-            f"{len(payload)} of {expected_length} bytes"
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != expected_digest:
-        raise ArtifactError(f"artifact {target} hash mismatch")
+        payload = read_sealed(target, ARTIFACT_MAGIC, ARTIFACT_VERSION)
+    except SealedFileError as exc:
+        raise ArtifactError(f"artifact {target}: {exc}") from exc
     artifact = RulesArtifact.from_payload(payload)
-    file_version = _version_of(target)
-    if file_version is not None and file_version != artifact.version:
+    named = _FILE_RE.match(target.name)
+    if named and int(named.group(1)) != artifact.version:
         raise ArtifactError(
             f"artifact {target} claims version {artifact.version}, "
-            f"filename says {file_version}"
+            f"filename says {int(named.group(1))}"
         )
     return artifact
-
-
-def load_latest_artifact(
-    directory: _PathLike,
-) -> Optional[LoadedArtifact]:
-    """The newest readable generation, falling back past damage.
-
-    Tries generations newest-first; a corrupt or torn newest artifact
-    is logged and skipped (the *last-good* generation wins), counting
-    each skip in :attr:`LoadedArtifact.fallbacks`.  Returns ``None``
-    when no generation is readable.
-    """
-    fallbacks = 0
-    for version, path in reversed(list_artifacts(directory)):
-        try:
-            artifact = read_artifact(path)
-        except ArtifactError as exc:
-            logger.warning(
-                "rules artifact v%d unreadable, falling back: %s",
-                version,
-                exc,
-            )
-            fallbacks += 1
-            continue
-        return LoadedArtifact(
-            artifact=artifact, path=path, fallbacks=fallbacks
-        )
-    return None
 
 
 def _coverage(hitlist: Hitlist) -> int:
@@ -379,8 +279,16 @@ class VersionedRuleStore:
         return artifacts[-1][0] if artifacts else 0
 
     def load_latest(self) -> Optional[LoadedArtifact]:
-        """Newest *readable* generation (last-good fallback)."""
-        return load_latest_artifact(self.directory)
+        """Newest *readable* generation (last-good fallback): a corrupt
+        or torn newer artifact is logged, skipped and counted in
+        :attr:`LoadedArtifact.fallbacks`; ``None`` when none reads."""
+        found, skipped = newest_valid(
+            self.directory, _FILE_RE, read_artifact, ArtifactError,
+            logger.warning,
+        )
+        if found is None:
+            return None
+        return LoadedArtifact(found[1], fallbacks=len(skipped))
 
     def load_version(self, version: int) -> RulesArtifact:
         """A specific generation; :class:`ArtifactError` if unreadable.
@@ -389,6 +297,23 @@ class VersionedRuleStore:
         must restart under version *k*'s rules, not whatever is newest.
         """
         return read_artifact(artifact_path(self.directory, version))
+
+    def head(self) -> int:
+        """Newest *readable* version (0 = none) — with :meth:`generation`
+        an engine's :class:`~repro.pipeline.swap.RuleSource`."""
+        loaded = self.load_latest()
+        return loaded.artifact.version if loaded else 0
+
+    def generation(self, version: int) -> Optional[RuleGeneration]:
+        """Generation ``version`` ready to stage (day index prebuilt),
+        or ``None`` when the store no longer holds a readable one."""
+        try:
+            artifact = self.load_version(version)
+        except ArtifactError:
+            return None
+        return RuleGeneration.prepare(
+            version, artifact.rules, artifact.hitlist, build_index=True
+        )
 
     def publish(
         self,
@@ -419,21 +344,13 @@ class VersionedRuleStore:
                 max_coverage_growth=max_coverage_growth,
             )
         write_artifact(artifact_path(self.directory, version), candidate)
-        self._prune()
+        prune_sealed(self.directory, _FILE_RE, self.keep)
         return candidate
-
-    def _prune(self) -> None:
-        artifacts = list_artifacts(self.directory)
-        for _version, path in artifacts[: -self.keep]:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing reader/cleaner
-                pass
 
 
 @dataclass
 class RefreshStats:
-    """What the refresher did, surfaced into the ``"rules"`` metrics."""
+    """What the refresher did."""
 
     attempts: int = 0
     published: int = 0
@@ -442,15 +359,6 @@ class RefreshStats:
     failure_reasons: List[str] = field(default_factory=list)
     consecutive_failures: int = 0
     last_published_version: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "published": self.published,
-            "failures": self.failures,
-            "consecutive_failures": self.consecutive_failures,
-            "last_published_version": self.last_published_version,
-        }
 
 
 class HitlistRefresher:

@@ -33,7 +33,6 @@ Fault-injection helpers for the robustness test-suite live in
 from repro.stream.checkpoint import (
     CheckpointError,
     RuleVersionMismatch,
-    latest_checkpoint,
     load_latest,
     read_checkpoint,
     tmp_leftover_count,
@@ -52,7 +51,6 @@ from repro.stream.processor import StreamDetectionEngine
 __all__ = [
     "CheckpointError",
     "RuleVersionMismatch",
-    "latest_checkpoint",
     "load_latest",
     "read_checkpoint",
     "tmp_leftover_count",

@@ -16,31 +16,32 @@ the payload :func:`write_checkpoint` was given.  A file of another
 format version is refused (:class:`CheckpointVersionError`), never
 migrated.
 
-The file is written atomically: the bytes go to a ``.tmp`` sibling first, are
-fsynced, and only then renamed over the final name (``os.replace`` is
-atomic on POSIX), after which the *directory* is fsynced too — the
-rename itself lives in directory metadata, and without that second
-fsync a power cut can roll the directory back to before the rename
-even though the data blocks hit the platter.  A crash therefore leaves
-either the previous checkpoint intact or a ``.tmp`` leftover — never a
-half-written final file.  The header makes the remaining failure modes (truncation on a
-dying disk, a foreign or future file format) detectable: the reader
-verifies magic, version, payload length and SHA-256 digest and falls
-back to the previous checkpoint with a logged warning on any mismatch.
+The header line, the digest, the atomic ``.tmp`` → fsync → rename →
+directory-fsync write and the newest-valid fallback are
+:mod:`repro.resilience.sealed`'s (rule artifacts are the same kind of
+file); this module is what makes a sealed file a *checkpoint*: the
+packed columns, the format-version refusal a whole directory can raise,
+and the ``.tmp``-leftover accounting.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-import os
 import pathlib
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.pipeline.state import pack_entries, unpack_entries
+from repro.resilience.sealed import (
+    SealedFileError,
+    list_sealed,
+    newest_valid,
+    prune_sealed,
+    read_sealed,
+    write_sealed,
+)
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -53,7 +54,6 @@ __all__ = [
     "list_checkpoints",
     "write_checkpoint",
     "read_checkpoint",
-    "latest_checkpoint",
     "load_latest",
     "tmp_leftover_count",
 ]
@@ -64,10 +64,7 @@ CHECKPOINT_MAGIC = "repro-stream-ckpt"
 CHECKPOINT_VERSION = 2
 
 _FILE_RE = re.compile(r"^ckpt-(\d{10})\.json$")
-_HEADER_RE = re.compile(
-    r"^(?P<magic>[\w.-]+) v(?P<version>\d+) "
-    r"sha256=(?P<digest>[0-9a-f]{64}) length=(?P<length>\d+)$"
-)
+_PathLike = Union[str, pathlib.Path]
 
 
 class CheckpointError(ValueError):
@@ -113,31 +110,18 @@ class RuleVersionMismatch(CheckpointError):
         )
 
 
-def checkpoint_path(
-    directory: Union[str, pathlib.Path], seq: int
-) -> pathlib.Path:
+def checkpoint_path(directory: _PathLike, seq: int) -> pathlib.Path:
     """The final path of checkpoint number ``seq``."""
     return pathlib.Path(directory) / f"ckpt-{seq:010d}.json"
 
 
-def list_checkpoints(
-    directory: Union[str, pathlib.Path]
-) -> List[Tuple[int, pathlib.Path]]:
+def list_checkpoints(directory: _PathLike) -> List[Tuple[int, pathlib.Path]]:
     """``(seq, path)`` of every well-named checkpoint, oldest first."""
-    directory = pathlib.Path(directory)
-    if not directory.is_dir():
-        return []
-    found = []
-    for path in directory.iterdir():
-        match = _FILE_RE.match(path.name)
-        if match:
-            found.append((int(match.group(1)), path))
-    found.sort()
-    return found
+    return list_sealed(directory, _FILE_RE)
 
 
 def write_checkpoint(
-    directory: Union[str, pathlib.Path],
+    directory: _PathLike,
     seq: int,
     payload: Dict[str, object],
     keep: int = 3,
@@ -165,93 +149,32 @@ def write_checkpoint(
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8") + b"\n"
-    digest = hashlib.sha256(head)
-    digest.update(blob)
-    header = (
-        f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} "
-        f"sha256={digest.hexdigest()} length={len(head) + len(blob)}\n"
-    ).encode("ascii")
     final = checkpoint_path(directory, seq)
-    temp = final.with_suffix(final.suffix + ".tmp")
-    with open(temp, "wb") as fh:
-        fh.write(header)
-        fh.write(head)
-        fh.write(blob)
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    os.replace(temp, final)
-    if fsync:
-        _fsync_directory(directory)
-    for _seq, stale in list_checkpoints(directory)[: -keep or None]:
-        if stale != final:
-            stale.unlink(missing_ok=True)
+    write_sealed(
+        final, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, (head, blob), fsync
+    )
+    prune_sealed(directory, _FILE_RE, keep, spare=final)
     return final
 
 
-def _fsync_directory(directory: pathlib.Path) -> None:
-    """Make the ``os.replace`` rename itself durable.
-
-    Directory fds can't be opened on some filesystems (or at all on
-    some platforms); failing to sync is then a durability downgrade,
-    not an error — the checkpoint content is already fsynced.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def read_checkpoint(
-    path: Union[str, pathlib.Path]
-) -> Dict[str, object]:
+def read_checkpoint(path: _PathLike) -> Dict[str, object]:
     """Parse and validate one checkpoint file.
 
     Raises :class:`CheckpointError` on any integrity violation.
     """
-    path = pathlib.Path(path)
     try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"unreadable: {exc}") from exc
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise CheckpointError("missing header line")
-    try:
-        header = raw[:newline].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError("undecodable header") from exc
-    match = _HEADER_RE.match(header)
-    if not match:
-        raise CheckpointError(f"malformed header {header!r}")
-    if match.group("magic") != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"wrong magic {match.group('magic')!r}")
-    version = int(match.group("version"))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(version)
-    start = newline + 1
-    length = int(match.group("length"))
-    if len(raw) - start != length:
-        raise CheckpointError(
-            f"payload is {len(raw) - start} bytes, header says {length} "
-            "(truncated or padded)"
-        )
-    body = memoryview(raw)[start:]
-    if hashlib.sha256(body).hexdigest() != match.group("digest"):
-        raise CheckpointError("payload digest mismatch")
-    head_end = raw.find(b"\n", start)
+        body = read_sealed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    except SealedFileError as exc:
+        if exc.found_version is not None:
+            raise CheckpointVersionError(exc.found_version) from exc
+        raise CheckpointError(str(exc)) from exc
+    head_end = body.find(b"\n")
     if head_end < 0:
         raise CheckpointError("missing head line")
     try:
-        head = json.loads(raw[start:head_end])
+        head = json.loads(body[:head_end])
         payload = head["payload"]
-        entries = unpack_entries(head["columns"], raw, head_end + 1)
+        entries = unpack_entries(head["columns"], body, head_end + 1)
         tables = payload.get("tables", ())
         if len(tables) != len(entries):
             raise ValueError(
@@ -271,93 +194,58 @@ class LoadedCheckpoint:
     ``fallbacks`` counts the newer-but-damaged generations skipped
     before ``seq`` validated — the number the stream metrics surface as
     ``checkpoints.fallbacks`` so silent fallback is visible.
-    ``tmp_leftovers`` counts ``.tmp`` siblings from interrupted writes
-    that were present alongside (they never validate, so they are not
-    fallbacks, but a lineage audit wants to know a write was torn).
     """
 
     seq: int
     payload: Dict[str, object]
     fallbacks: int = 0
-    tmp_leftovers: int = 0
 
 
-def tmp_leftover_count(directory: Union[str, pathlib.Path]) -> int:
+def _tmp_leftovers(directory: _PathLike) -> List[pathlib.Path]:
+    return sorted(pathlib.Path(directory).glob("ckpt-*.json.tmp"))
+
+
+def tmp_leftover_count(directory: _PathLike) -> int:
     """Leftover ``.tmp`` checkpoint files from interrupted writes.
 
-    A directory holding *only* such leftovers is indistinguishable from
-    an empty one to :func:`load_latest` (both return ``None``) — but to
-    a lineage audit they mean very different things: a fresh start
-    versus a worker that died mid-first-checkpoint.  Callers that fall
-    back to a fresh engine use this count to surface the difference
+    To :func:`load_latest` a directory holding *only* such leftovers
+    is an empty one (``None``); to a lineage audit it is a worker that
+    died mid-first-checkpoint, not a fresh start — callers falling back
+    to a fresh engine surface this count
     (``StreamMetrics.tmp_only_fallbacks``).
     """
-    directory = pathlib.Path(directory)
-    if not directory.is_dir():
-        return 0
-    return sum(1 for _ in directory.glob("ckpt-*.json.tmp"))
+    return len(_tmp_leftovers(directory))
 
 
-def load_latest(
-    directory: Union[str, pathlib.Path]
-) -> Optional[LoadedCheckpoint]:
+def load_latest(directory: _PathLike) -> Optional[LoadedCheckpoint]:
     """The newest *valid* checkpoint with fallback accounting.
 
     Invalid files (truncated, corrupt, another format version) and
     leftover ``.tmp`` files from an interrupted write are reported with
     a warning and skipped — the reader falls back to the previous
     checkpoint rather than crashing, and records how many generations
-    it skipped in :attr:`LoadedCheckpoint.fallbacks` (and how many
-    torn-write leftovers it saw in
-    :attr:`LoadedCheckpoint.tmp_leftovers`).  A directory with only
-    ``.tmp`` leftovers returns ``None`` like an empty one; use
+    it skipped in :attr:`LoadedCheckpoint.fallbacks`.  A directory with
+    only ``.tmp`` leftovers returns ``None`` like an empty one; use
     :func:`tmp_leftover_count` to tell the two apart.  When *every*
     candidate was refused for its format version — a directory another
     release wrote — that :class:`CheckpointVersionError` is raised:
     "no usable checkpoint" would send the operator looking for damage
     that is not there.
     """
-    directory = pathlib.Path(directory)
-    leftovers = 0
-    if directory.is_dir():
-        for leftover in sorted(directory.glob("ckpt-*.json.tmp")):
-            leftovers += 1
-            logger.warning(
-                "ignoring partially-written checkpoint temp file %s "
-                "(interrupted write)",
-                leftover.name,
-            )
-    fallbacks = 0
-    refusals: List[CheckpointVersionError] = []
-    for seq, path in reversed(list_checkpoints(directory)):
-        try:
-            return LoadedCheckpoint(
-                seq, read_checkpoint(path), fallbacks, leftovers
-            )
-        except CheckpointError as exc:
-            fallbacks += 1
-            if isinstance(exc, CheckpointVersionError):
-                refusals.append(exc)
-            logger.warning(
-                "checkpoint %s unusable (%s); falling back to the "
-                "previous one",
-                path.name,
-                exc,
-            )
-    if refusals and len(refusals) == fallbacks:
-        raise refusals[0]
+    for leftover in _tmp_leftovers(directory):
+        logger.warning(
+            "ignoring partially-written checkpoint temp file %s "
+            "(interrupted write)",
+            leftover.name,
+        )
+    found, skipped = newest_valid(
+        directory, _FILE_RE, read_checkpoint, CheckpointError,
+        logger.warning,
+    )
+    if found is not None:
+        return LoadedCheckpoint(*found, fallbacks=len(skipped))
+    if skipped and all(
+        isinstance(exc, CheckpointVersionError) for exc in skipped
+    ):
+        raise skipped[0]
     return None
-
-
-def latest_checkpoint(
-    directory: Union[str, pathlib.Path]
-) -> Optional[Tuple[int, Dict[str, object]]]:
-    """The newest valid ``(seq, payload)``, or ``None``.
-
-    Compatibility wrapper over :func:`load_latest`, which additionally
-    reports how many damaged generations were skipped.
-    """
-    loaded = load_latest(directory)
-    if loaded is None:
-        return None
-    return loaded.seq, loaded.payload

@@ -41,6 +41,7 @@ Determinism boundaries worth knowing:
 
 from __future__ import annotations
 
+import logging
 import pathlib
 import time
 from dataclasses import replace
@@ -61,7 +62,7 @@ from repro.runtime.shutdown import StopToken
 from repro.pipeline.swap import (
     PendingSwap,
     RuleGeneration,
-    migrate_table,
+    RuleSource,
 )
 from repro.stream.checkpoint import (
     CheckpointError,
@@ -71,6 +72,8 @@ from repro.stream.checkpoint import (
 )
 
 __all__ = ["StreamConfig", "StreamDetectionEngine"]
+
+logger = logging.getLogger("repro.stream.processor")
 
 #: Version of the engine-state payload inside a checkpoint.
 STATE_VERSION = 1
@@ -88,6 +91,20 @@ _IDENTITY_FIELDS = (
     "salt",
 )
 
+#: checkpoint counter -> the ``StreamMetrics`` field it persists
+_COUNTERS = {
+    "records": "records_processed",
+    "matched": "flows_matched",
+    "rejected_spoof": "flows_rejected_spoof",
+    "events": "events_emitted",
+    "checkpoints_written": "checkpoints_written",
+    "rules_swaps": "rules_swaps",
+    "rules_refresh_failures": "rules_refresh_failures",
+    "rules_evidence_migrated": "rules_evidence_migrated",
+    "rules_evidence_expired": "rules_evidence_expired",
+    "rules_classes_expired": "rules_classes_expired",
+}
+
 
 class StreamDetectionEngine:
     """Incremental, bounded-memory online detector."""
@@ -103,6 +120,7 @@ class StreamDetectionEngine:
         governor: Optional[MemoryGovernor] = None,
         deadline: Optional[DeadlineBudget] = None,
         rules_version: int = 0,
+        rule_source: Optional[RuleSource] = None,
     ) -> None:
         config = config or StreamConfig()
         if config.checkpoint_every and config.checkpoint_dir is None:
@@ -115,9 +133,10 @@ class StreamDetectionEngine:
             quarantine = QuarantineSink(config.quarantine_dir)
         self.quarantine = quarantine
         #: ``(pending_version, activate_at)`` a resumed checkpoint had
-        #: staged — the driver re-stages the matching generation so the
-        #: continued run swaps at the same event-time boundary
+        #: staged: :meth:`resume` re-stages it from the rule source at
+        #: that boundary (and reports it even when the source lost it)
         self.checkpoint_pending_rules: Optional[tuple] = None
+        self.rule_source = rule_source
         #: fleet lineage carried verbatim through checkpoints — the
         #: owning worker records ``{"worker_id", "ring_epoch",
         #: "slot_counts"}`` here and the router reads it back on
@@ -143,6 +162,11 @@ class StreamDetectionEngine:
             guards=self._guards,
             on_checkpoint=self.write_checkpoint,
         )
+        if rule_source is not None and rule_source.refresh_every:
+            self._pipeline.poll_every = rule_source.refresh_every
+            self._pipeline.on_poll = lambda: self._stage_from_source(
+                rule_source.head()
+            )
         self._stage = self._pipeline.stage
         self.metrics = self._stage.metrics
         self.metrics.rules_active_version = rules_version
@@ -170,6 +194,7 @@ class StreamDetectionEngine:
         deadline: Optional[DeadlineBudget] = None,
         rules_version: int = 0,
         migrate_rules: bool = False,
+        rule_source: Optional[RuleSource] = None,
     ) -> "StreamDetectionEngine":
         """Rebuild an engine from the newest usable checkpoint.
 
@@ -190,13 +215,17 @@ class StreamDetectionEngine:
         CheckpointError`), never merged.
 
         Rule-generation identity: the checkpoint records the rules
-        version its evidence accumulated under.  Resuming with a
-        different ``rules_version`` raises
-        :class:`~repro.stream.checkpoint.RuleVersionMismatch` unless
-        ``migrate_rules`` is set, in which case the checkpointed
-        evidence is migrated to the supplied generation (surviving
-        domains keep their windows; dropped domains/classes are
-        expired and counted) before ingest continues.
+        version its evidence accumulated under.  With ``migrate_rules``
+        the checkpointed evidence is migrated to the supplied
+        generation (surviving domains keep their windows; dropped
+        domains/classes are expired and counted).  Otherwise a
+        different ``rules_version`` resumes under the checkpoint's own
+        generation when ``rule_source`` still holds it — always exact —
+        and raises :class:`~repro.stream.checkpoint.RuleVersionMismatch`
+        when it does not.  A swap the checkpoint had staged is
+        re-staged from the source at its checkpointed boundary; if the
+        source lost that generation the run resumes without it (one
+        warning, :attr:`checkpoint_pending_rules` still set).
         """
         config = config or StreamConfig()
         if config.checkpoint_dir is None:
@@ -215,7 +244,13 @@ class StreamDetectionEngine:
         ckpt_rules = payload.get("rules") or {}
         ckpt_rules_version = int(ckpt_rules.get("active_version", 0))
         if ckpt_rules_version != rules_version and not migrate_rules:
-            raise RuleVersionMismatch(ckpt_rules_version, rules_version)
+            held = rule_source and rule_source.generation(
+                ckpt_rules_version
+            )
+            if held is None:
+                raise RuleVersionMismatch(ckpt_rules_version, rules_version)
+            rules, hitlist = held.rules, held.hitlist
+            rules_version = ckpt_rules_version
         saved = payload["config"]
         shards = max(int(saved.get("workers", 1)), len(payload["tables"]))
         if shards != 1:
@@ -239,51 +274,31 @@ class StreamDetectionEngine:
             governor=governor,
             deadline=deadline,
             rules_version=rules_version,
+            rule_source=rule_source,
         )
         engine.metrics.resumed_from_generation = loaded.seq
         engine.metrics.checkpoint_fallbacks = loaded.fallbacks
         engine._stage.table = EvidenceStateTable.from_state(
             payload["tables"][0]
         )
-        counters = payload["counters"]
-        engine.metrics.records_processed = int(counters["records"])
-        engine.metrics.flows_matched = int(counters["matched"])
-        engine.metrics.flows_rejected_spoof = int(
-            counters["rejected_spoof"]
-        )
-        engine.metrics.events_emitted = int(counters["events"])
-        engine.metrics.checkpoints_written = int(
-            counters["checkpoints_written"]
-        )
+        for name, field in _COUNTERS.items():
+            setattr(engine.metrics, field, int(payload["counters"][name]))
         engine.metrics.watermark = int(payload["watermark"])
-        engine.metrics.rules_swaps = int(counters.get("rules_swaps", 0))
-        engine.metrics.rules_refresh_failures = int(
-            counters.get("rules_refresh_failures", 0)
-        )
-        engine.metrics.rules_evidence_migrated = int(
-            counters.get("rules_evidence_migrated", 0)
-        )
-        engine.metrics.rules_evidence_expired = int(
-            counters.get("rules_evidence_expired", 0)
-        )
-        engine.metrics.rules_classes_expired = int(
-            counters.get("rules_classes_expired", 0)
-        )
         if ckpt_rules_version != rules_version:
-            report = migrate_table(engine.table, rules)
-            engine.metrics.rules_evidence_migrated += report.domains_kept
-            engine.metrics.rules_evidence_expired += (
-                report.domains_expired
-            )
-            engine.metrics.rules_classes_expired += (
-                report.classes_expired
-            )
+            engine._stage._migrate_evidence(rules)
         pending_version = ckpt_rules.get("pending_version")
         if pending_version is not None:
-            engine.checkpoint_pending_rules = (
+            engine.checkpoint_pending_rules = pending = (
                 int(pending_version),
                 int(ckpt_rules["pending_activate_at"]),
             )
+            if rule_source and not engine._stage_from_source(*pending):
+                logger.warning(
+                    "checkpoint had rules v%d staged for event-time %d "
+                    "but the rule source no longer holds it; resuming "
+                    "without it",
+                    *pending,
+                )
         engine.sink.truncate_to(int(payload["sink_position"]))
         lineage = payload.get("lineage")
         if lineage is not None:
@@ -326,8 +341,22 @@ class StreamDetectionEngine:
         stage), so callers observing the engine always see the active
         generation.
         """
-        boundary = self._stage.stage_swap(generation, activate_at)
-        return boundary
+        return self._stage.stage_swap(generation, activate_at)
+
+    def _stage_from_source(
+        self, version: int, activate_at: Optional[int] = None
+    ) -> bool:
+        """Stage generation ``version`` from the rule source unless it
+        is not newer than what is active or pending (idempotent: asking
+        twice changes nothing); ``False`` when the source lacks it."""
+        pending = self.pending_rules
+        current = pending.generation.version if pending else self.rules_version
+        if version <= current:
+            return True
+        generation = self.rule_source.generation(version)
+        if generation is not None:
+            self.stage_rules(generation, activate_at)
+        return generation is not None
 
     @property
     def records_processed(self) -> int:
@@ -399,29 +428,18 @@ class StreamDetectionEngine:
         started = time.perf_counter()
         self.sink.flush(sync=True)
         metrics = self.metrics
+        counters = {
+            name: getattr(metrics, field)
+            for name, field in _COUNTERS.items()
+        }
+        counters["checkpoints_written"] += 1  # counting this one
         payload: Dict[str, object] = {
             "state_version": STATE_VERSION,
             "config": {
-                "threshold": self.config.threshold,
-                "require_established": self.config.require_established,
-                "max_subscribers": self.config.max_subscribers,
-                "ttl_seconds": self.config.ttl_seconds,
-                "salt": self.config.salt,
+                name: getattr(self.config, name)
+                for name in _IDENTITY_FIELDS
             },
-            "counters": {
-                "records": metrics.records_processed,
-                "matched": metrics.flows_matched,
-                "rejected_spoof": metrics.flows_rejected_spoof,
-                "events": metrics.events_emitted,
-                "checkpoints_written": metrics.checkpoints_written + 1,
-                "rules_swaps": metrics.rules_swaps,
-                "rules_refresh_failures": metrics.rules_refresh_failures,
-                "rules_evidence_migrated": (
-                    metrics.rules_evidence_migrated
-                ),
-                "rules_evidence_expired": metrics.rules_evidence_expired,
-                "rules_classes_expired": metrics.rules_classes_expired,
-            },
+            "counters": counters,
             "rules": {
                 "active_version": metrics.rules_active_version,
                 "pending_version": metrics.rules_pending_version,

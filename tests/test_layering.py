@@ -74,6 +74,34 @@ class TestLayering:
         assert len(violations) == 1
         assert "sneaky" in violations[0]
 
+    def test_sealed_file_module_is_substrate(self, tmp_path):
+        """Checkpoints and rule artifacts share ``resilience.sealed``
+        only because it sits below both: the real module imports no
+        ``repro`` package at all, and a planted upward import is
+        flagged."""
+        real = _SRC / "repro" / "resilience" / "sealed.py"
+        assert not [
+            imported
+            for imported, _line in check_layering.iter_imports(
+                real, "repro.resilience.sealed"
+            )
+            if imported.startswith("repro")
+        ]
+        package = tmp_path / "repro" / "resilience"
+        package.mkdir(parents=True)
+        (tmp_path / "repro" / "__init__.py").write_text("")
+        (package / "__init__.py").write_text("")
+        (package / "sealed.py").write_text(
+            "from repro.pipeline.state import pack_entries\n"
+        )
+        (package / "quarantine.py").write_text(
+            "from repro.pipeline import events\n"  # not sealed: fine
+        )
+        violations, _ = check_layering.check(tmp_path)
+        assert len(violations) == 1
+        assert "repro.resilience.sealed" in violations[0]
+        assert "repro.pipeline" in violations[0]
+
     def test_cli_entrypoint_passes_on_real_tree(self, capsys):
         assert check_layering.main(["--root", str(_SRC)]) == 0
         assert "layering ok" in capsys.readouterr().out

@@ -32,7 +32,6 @@ from repro.resilience import (
     validate_flow_tuple,
 )
 from repro.stream.checkpoint import (
-    latest_checkpoint,
     load_latest,
     write_checkpoint,
 )
@@ -380,11 +379,6 @@ class TestCheckpointFallback:
         write_checkpoint(tmp_path, 5, {"gen": "only"})
         loaded = load_latest(tmp_path)
         assert loaded.seq == 5 and loaded.fallbacks == 0
-
-    def test_latest_checkpoint_wrapper_parity(self, tmp_path):
-        assert latest_checkpoint(tmp_path) is None
-        write_checkpoint(tmp_path, 7, {"gen": "x"})
-        assert latest_checkpoint(tmp_path) == (7, {"gen": "x"})
 
 
 # ---------------------------------------------------------------------------

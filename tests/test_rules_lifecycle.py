@@ -19,6 +19,7 @@ Three guarantees are pinned here:
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -28,7 +29,12 @@ from repro.core.rules import DetectionRule, RuleSet
 from repro.core.serialization import hitlist_to_json, rules_to_json
 from repro.faults import corrupt_payload_byte, truncate_file
 from repro.netflow.flowfile import write_flow_file
-from repro.pipeline import RuleGeneration, streaming_assembly
+from repro.pipeline import (
+    PendingSwap,
+    RuleGeneration,
+    RuleSource,
+    streaming_assembly,
+)
 from repro.resilience.retry import (
     LookupUnavailable,
     RetryPolicy,
@@ -54,6 +60,7 @@ from repro.stream import (
     StreamConfig,
     StreamDetectionEngine,
 )
+from repro.stream.checkpoint import list_checkpoints
 from repro.pipeline.events import JsonlEventSink
 from repro.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR, STUDY_START
 from tests.reference_fold import fold, read_tuples
@@ -756,11 +763,13 @@ class TestCheckpointRuleIdentity:
             engine.write_checkpoint()
         with JsonlEventSink(log, resume=True) as sink:
             engine = StreamDetectionEngine.resume(
-                rules_v1, hitlist_v1, config, sink, rules_version=1
+                rules_v1, hitlist_v1, config, sink, rules_version=1,
+                rule_source=RuleSource({2: generation}.get),
             )
             # the checkpoint carried the staged-but-not-applied swap
+            # and the engine put it back at the checkpointed boundary
             assert engine.checkpoint_pending_rules == (2, BOUNDARY)
-            engine.stage_rules(generation, activate_at=BOUNDARY)
+            assert engine.pending_rules == PendingSwap(generation, BOUNDARY)
             engine.process_flowfile(swap_flowfile)
         assert engine.rules_version == 2
 
@@ -772,3 +781,463 @@ class TestCheckpointRuleIdentity:
             uninterrupted.stage_rules(generation, activate_at=BOUNDARY)
             uninterrupted.process_flowfile(swap_flowfile)
         assert log.read_bytes() == full_log.read_bytes()
+
+
+# -- the engine's own rule source: reconcile on resume, poll in-loop ---
+
+
+def _gen(version, world):
+    return RuleGeneration(version, *world)
+
+
+class TestEngineReconcile:
+    """What four CLI helpers and the fleet worker used to do by hand:
+    :meth:`StreamDetectionEngine.resume` with a ``rule_source``."""
+
+    def _store(self, tmp_path, *worlds):
+        store = VersionedRuleStore(tmp_path / "rules")
+        for world in worlds:
+            store.publish(*world)
+        return store
+
+    def _checkpoint_under_v1(self, tmp_path, swap_flowfile, stage=None):
+        config = StreamConfig(checkpoint_dir=tmp_path / "ckpt")
+        engine = StreamDetectionEngine(
+            *world_v1(), config, rules_version=1
+        )
+        if stage is not None:
+            engine.stage_rules(stage, activate_at=BOUNDARY)
+        engine.process_flowfile(swap_flowfile, max_records=3)
+        engine.write_checkpoint()
+        return config
+
+    def test_store_is_a_rule_source(self, tmp_path):
+        store = self._store(tmp_path, world_v1(), world_v2())
+        assert store.head() == 2
+        generation = store.generation(1)
+        assert generation.version == 1 and generation.index is not None
+        assert rules_to_json(generation.rules) == rules_to_json(
+            world_v1()[0]
+        )
+        assert store.generation(9) is None
+        corrupt_payload_byte(artifact_path(store.directory, 2))
+        assert store.head() == 1  # newest *readable*
+        assert store.generation(2) is None
+        assert VersionedRuleStore(tmp_path / "empty").head() == 0
+
+    def test_source_cadence_needs_a_head(self):
+        with pytest.raises(ValueError, match="head"):
+            RuleSource(lambda version: None, refresh_every=10)
+        with pytest.raises(ValueError, match=">= 0"):
+            RuleSource(lambda version: None, refresh_every=-1)
+
+    def test_head_is_newer_and_source_holds_the_checkpoints_version(
+        self, tmp_path, swap_flowfile
+    ):
+        config = self._checkpoint_under_v1(tmp_path, swap_flowfile)
+        store = self._store(tmp_path, world_v1(), world_v2())
+        engine = StreamDetectionEngine.resume(
+            *world_v2(),
+            config,
+            rules_version=2,
+            rule_source=RuleSource(store.generation, store.head),
+        )
+        # resumed under the checkpoint's generation, not the supplied one
+        assert engine.rules_version == 1
+        assert "hub" in engine.rules
+        assert engine.metrics_dict()["rules"]["evidence_expired"] == 0
+        assert engine.records_processed == 3
+
+    def test_source_pruned_the_checkpoints_version(
+        self, tmp_path, swap_flowfile
+    ):
+        config = self._checkpoint_under_v1(tmp_path, swap_flowfile)
+        store = self._store(tmp_path, world_v1(), world_v2())
+        artifact_path(store.directory, 1).unlink()
+        with pytest.raises(RuleVersionMismatch) as excinfo:
+            StreamDetectionEngine.resume(
+                *world_v2(),
+                config,
+                rules_version=2,
+                rule_source=RuleSource(store.generation, store.head),
+            )
+        assert str(excinfo.value) == str(RuleVersionMismatch(1, 2))
+        assert "load_version(1)" in str(excinfo.value)
+        assert "--migrate-rules" in str(excinfo.value)
+
+    def test_pending_swap_is_restaged_at_the_checkpointed_boundary(
+        self, tmp_path, swap_flowfile
+    ):
+        # staged at an odd boundary no poll would ever pick
+        odd = BOUNDARY + 150
+        config = StreamConfig(checkpoint_dir=tmp_path / "ckpt")
+        engine = StreamDetectionEngine(
+            *world_v1(), config, rules_version=1
+        )
+        engine.stage_rules(_gen(2, world_v2()), activate_at=odd)
+        engine.process_flowfile(swap_flowfile, max_records=3)
+        engine.write_checkpoint()
+        store = self._store(tmp_path, world_v1(), world_v2())
+        resumed = StreamDetectionEngine.resume(
+            *world_v1(),
+            config,
+            rules_version=1,
+            rule_source=RuleSource(store.generation, store.head, 1),
+        )
+        assert resumed.checkpoint_pending_rules == (2, odd)
+        assert resumed.pending_rules.generation.version == 2
+        assert resumed.pending_rules.activate_at == odd
+        # polling every record re-stages nothing: head == pending
+        resumed.process_flowfile(swap_flowfile)
+        section = resumed.metrics_dict()["rules"]
+        assert section["active_version"] == 2
+        assert section["swap_count"] == 1
+        # SUB3's camera flow at BOUNDARY + 100 predates the odd
+        # boundary: it was folded under v1, SUB2's doorbell under v2
+        assert [
+            (e.class_name, e.detected_at) for e in resumed.sink.events
+        ][-2:] == [("camera", BOUNDARY + 100), ("doorbell", BOUNDARY + 200)]
+
+    def test_pending_generation_gone_resumes_and_still_reports_it(
+        self, tmp_path, swap_flowfile, caplog
+    ):
+        config = self._checkpoint_under_v1(
+            tmp_path, swap_flowfile, stage=_gen(2, world_v2())
+        )
+        store = self._store(tmp_path, world_v1())  # v2 never published
+        with caplog.at_level("WARNING", logger="repro.stream.processor"):
+            engine = StreamDetectionEngine.resume(
+                *world_v1(),
+                config,
+                rules_version=1,
+                rule_source=RuleSource(store.generation, store.head),
+            )
+        assert engine.checkpoint_pending_rules == (2, BOUNDARY)
+        assert engine.pending_rules is None
+        assert engine.metrics_dict()["rules"]["pending_version"] is None
+        warnings = [r for r in caplog.records if "rules v2" in r.message]
+        assert len(warnings) == 1
+        engine.process_flowfile(swap_flowfile)
+        assert engine.rules_version == 1  # ran on, under v1
+
+    def test_migrate_rules_takes_precedence_over_the_source(
+        self, tmp_path, swap_flowfile
+    ):
+        config = self._checkpoint_under_v1(
+            tmp_path, swap_flowfile, stage=_gen(2, world_v2())
+        )
+        store = self._store(tmp_path, world_v1(), world_v2())
+        engine = StreamDetectionEngine.resume(
+            *world_v2(),
+            config,
+            rules_version=2,
+            migrate_rules=True,
+            rule_source=RuleSource(store.generation, store.head),
+        )
+        assert engine.rules_version == 2  # not the source's v1
+        assert engine.metrics_dict()["rules"]["evidence_expired"] == 2
+        # the checkpointed pending v2 is what is now active: not re-staged
+        assert engine.checkpoint_pending_rules == (2, BOUNDARY)
+        assert engine.pending_rules is None
+
+
+_POLL_RECORDS = 2_000
+_POLL_EVERY = 500
+
+
+@pytest.fixture(scope="module")
+def poll_flowfile(tmp_path_factory):
+    """2,000 flows, one every 4 s (~2.2 h): long enough for four poll
+    positions and a swap boundary between them."""
+    endpoints = (CAM_IP, HUB_IP, NEW_IP)
+    path = tmp_path_factory.mktemp("rules_poll") / "flows.csv"
+    write_flow_file(
+        path,
+        [
+            _mkflow(
+                0x0A000000 + (i % 200), endpoints[i % 3], STUDY_START + i * 4
+            )
+            for i in range(_POLL_RECORDS)
+        ],
+    )
+    return path
+
+
+class _RecordingSource:
+    """A rule source that notes where in the stream it is polled."""
+
+    def __init__(self):
+        self.polls = []
+        self.engine = None
+
+    def head(self):
+        self.polls.append(self.engine.records_processed)
+        return 0
+
+    def attach(self, build):
+        self.engine = build(
+            RuleSource(lambda version: None, self.head, _POLL_EVERY)
+        )
+        return self.engine
+
+
+class TestEnginePoll:
+    """The poll is the chunk loop's third cut point: before folding
+    record ``k * N`` (``k >= 1``), whatever the chunking."""
+
+    def _fresh(self, source, **config):
+        return source.attach(
+            lambda rule_source: StreamDetectionEngine(
+                *world_v1(),
+                StreamConfig(**config),
+                rules_version=1,
+                rule_source=rule_source,
+            )
+        )
+
+    @pytest.mark.parametrize("chunk_size", [64, 768, 65536])
+    def test_polls_land_on_the_same_records_for_any_chunk_size(
+        self, poll_flowfile, chunk_size
+    ):
+        source = _RecordingSource()
+        engine = self._fresh(source, chunk_size=chunk_size)
+        assert engine.process_flowfile(poll_flowfile) == _POLL_RECORDS
+        # never at 0, and not at 2000: no record 2000 follows
+        assert source.polls == [500, 1000, 1500]
+
+    @pytest.mark.parametrize("segment", [1, 137, 500, 1250])
+    def test_polls_are_independent_of_call_segmentation(
+        self, poll_flowfile, segment
+    ):
+        source = _RecordingSource()
+        engine = self._fresh(source, chunk_size=300)
+        while engine.process_flowfile(poll_flowfile, max_records=segment):
+            pass
+        assert engine.records_processed == _POLL_RECORDS
+        assert source.polls == [500, 1000, 1500]
+
+    def test_checkpoints_and_polls_cut_the_same_chunk(
+        self, poll_flowfile, tmp_path
+    ):
+        source = _RecordingSource()
+        engine = self._fresh(
+            source,
+            chunk_size=65536,
+            checkpoint_dir=tmp_path / "ckpt",
+            checkpoint_every=300,
+            checkpoint_keep=10,
+        )
+        engine.process_flowfile(poll_flowfile)
+        assert source.polls == [500, 1000, 1500]
+        assert [
+            seq for seq, _ in list_checkpoints(tmp_path / "ckpt")
+        ] == [300, 600, 900, 1200, 1500, 1800]
+
+    def test_a_resume_landing_on_a_multiple_polls_there(
+        self, poll_flowfile, tmp_path
+    ):
+        config = StreamConfig(checkpoint_dir=tmp_path / "ckpt")
+        first = _RecordingSource()
+        killed = first.attach(
+            lambda rule_source: StreamDetectionEngine(
+                *world_v1(), config, rules_version=1,
+                rule_source=rule_source,
+            )
+        )
+        killed.process_flowfile(poll_flowfile, max_records=1000)
+        killed.write_checkpoint()
+        # stopped *on* record 1000: the poll before it has not happened
+        assert first.polls == [500]
+        second = _RecordingSource()
+        resumed = second.attach(
+            lambda rule_source: StreamDetectionEngine.resume(
+                *world_v1(), config, rules_version=1,
+                rule_source=rule_source,
+            )
+        )
+        resumed.process_flowfile(poll_flowfile)
+        assert second.polls == [1000, 1500]
+
+    def test_a_newer_head_is_staged_once_for_the_next_hour(
+        self, poll_flowfile, tmp_path
+    ):
+        """End to end in the engine: the poll at record 500 finds v2,
+        stages it for the next hour boundary, later polls are no-ops,
+        and the log equals a run staged by hand at that boundary."""
+        generation = _gen(2, world_v2())
+
+        def run(tag, source=None):
+            log = tmp_path / f"{tag}.jsonl"
+            with JsonlEventSink(log) as sink:
+                engine = StreamDetectionEngine(
+                    *world_v1(), StreamConfig(chunk_size=64), sink,
+                    rules_version=1, rule_source=source,
+                )
+                if source is None:
+                    engine.stage_rules(generation, activate_at=BOUNDARY)
+                engine.process_flowfile(poll_flowfile)
+            return log, engine
+
+        by_hand_log, by_hand = run("by-hand")
+        polled_log, polled = run(
+            "polled",
+            RuleSource({2: generation}.get, lambda: 2, _POLL_EVERY),
+        )
+        # record 500 is at STUDY_START + 2000 s: next hour == BOUNDARY
+        assert polled_log.read_bytes() == by_hand_log.read_bytes()
+        assert (
+            polled.metrics_dict()["rules"]
+            == by_hand.metrics_dict()["rules"]
+        )
+        assert polled.metrics_dict()["rules"]["swap_count"] == 1
+
+
+# -- the CLI on top: flags in, notices out, nothing else ---------------
+
+
+def _publish(store_dir, world):
+    VersionedRuleStore(store_dir).publish(*world)
+
+
+def _stream_cli(tmp_path, flows, tag, *extra, top=()):
+    from repro import cli
+
+    metrics = tmp_path / f"metrics-{tag}.json"
+    code = cli.main(
+        [
+            *top,
+            "stream", "run", str(flows),
+            "--hitlist-dir", str(tmp_path / "store"),
+            "--checkpoint-dir", str(tmp_path / f"ckpt-{tag}"),
+            "--checkpoint-every", "4",
+            "--events-out", str(tmp_path / f"events-{tag}.jsonl"),
+            "--stream-metrics-out", str(metrics),
+            *extra,
+        ]
+    )
+    document = json.loads(metrics.read_text()) if metrics.exists() else None
+    return code, document
+
+
+class TestCliRefresh:
+    def test_refresh_soak_in_process(self, tmp_path, swap_flowfile, capsys):
+        """CI's "refresh soak", on the swap corpus: an uninterrupted
+        run polling an unchanging store, against a run SIGTERMed at
+        record 1, a (content-identical) v2 published while it is down,
+        and a ``--resume`` that restarts under the checkpointed v1,
+        polls, stages v2 and hot-swaps at the hour boundary."""
+        _publish(tmp_path / "store", world_v1())
+        refresh = ("--hitlist-refresh-every", "2")
+        code, _ = _stream_cli(tmp_path, swap_flowfile, "full", *refresh)
+        assert code == 0
+        code, killed = _stream_cli(
+            tmp_path, swap_flowfile, "killed", *refresh,
+            "--inject-sigterm-at", "1",
+            top=("--drain-grace", "60"),
+        )
+        assert code == 3  # drained resumably
+        assert killed["throughput"]["records"] == 1
+        _publish(tmp_path / "store", world_v1())  # v2: an identity swap
+        capsys.readouterr()
+        code, resumed = _stream_cli(
+            tmp_path, swap_flowfile, "killed", *refresh, "--resume"
+        )
+        assert code == 0
+        stderr = capsys.readouterr().err
+        assert "# resuming under checkpointed rules v1" in stderr
+        # the identity swap is invisible in the event log...
+        assert (tmp_path / "events-full.jsonl").read_bytes() == (
+            tmp_path / "events-killed.jsonl"
+        ).read_bytes()
+        assert (tmp_path / "events-full.jsonl").stat().st_size > 0
+        # ...but visible in the metrics
+        assert resumed["throughput"]["records"] == len(SWAP_FLOWS)
+        assert resumed["rules"]["active_version"] == 2
+        assert resumed["rules"]["swap_count"] == 1
+        assert resumed["rules"]["pending_version"] is None
+
+    def test_a_pruned_generation_is_a_resume_error(
+        self, tmp_path, swap_flowfile, capsys
+    ):
+        _publish(tmp_path / "store", world_v1())
+        code, _ = _stream_cli(
+            tmp_path, swap_flowfile, "run", "--max-records", "3"
+        )
+        assert code == 0
+        _publish(tmp_path / "store", world_v2())
+        artifact_path(tmp_path / "store", 1).unlink()
+        capsys.readouterr()
+        code, _ = _stream_cli(tmp_path, swap_flowfile, "run", "--resume")
+        assert code == 2
+        assert (
+            f"error: cannot resume: {RuleVersionMismatch(1, 2)}"
+            in capsys.readouterr().err
+        )
+
+    def _with_a_malformed_line(self, tmp_path, swap_flowfile):
+        lines = swap_flowfile.read_text().splitlines(keepends=True)
+        lines.insert(2, "1,2,3\n")
+        path = tmp_path / "flows-bad.csv"
+        path.write_text("".join(lines))
+        return path
+
+    def test_malformed_line_is_quarantined_once_with_refresh_on(
+        self, tmp_path, swap_flowfile
+    ):
+        """At the parent every ``--hitlist-refresh-every`` segment
+        re-decoded the file from byte 0 and re-quarantined its bad
+        lines: 4 here instead of 1."""
+        flows = self._with_a_malformed_line(tmp_path, swap_flowfile)
+        _publish(tmp_path / "store", world_v1())
+        sections = {}
+        for tag, extra in (
+            ("plain", ()),
+            ("refresh", ("--hitlist-refresh-every", "2")),
+        ):
+            quarantine = tmp_path / f"quarantine-{tag}"
+            code, document = _stream_cli(
+                tmp_path, flows, tag, *extra,
+                top=("--quarantine-dir", str(quarantine)),
+            )
+            assert code == 0
+            sections[tag] = document["quarantine"]
+            samples = (quarantine / "quarantine.jsonl").read_text()
+            assert len(samples.splitlines()) == 1
+        assert sections["plain"] == {
+            "total": 1,
+            "by_reason": {"malformed_line": 1},
+        }
+        assert sections["refresh"] == sections["plain"]
+        assert (tmp_path / "events-plain.jsonl").read_bytes() == (
+            tmp_path / "events-refresh.jsonl"
+        ).read_bytes()
+
+    def test_the_file_is_decoded_once_however_many_polls(
+        self, tmp_path, swap_flowfile, monkeypatch
+    ):
+        """No clock: count decode passes and rows decoded.  At the
+        parent each refresh segment opened and decoded the file again
+        (7 passes, 42 rows decoded for this 6-row file)."""
+        from repro.netflow.parse import ColumnarDecodeStage
+
+        passes, rows = [], []
+        decode_blocks = ColumnarDecodeStage._decode_blocks
+
+        def counting(self, source, np):
+            passes.append(source)
+            for block in decode_blocks(self, source, np):
+                rows.append(len(block[0]))
+                yield block
+
+        monkeypatch.setattr(
+            ColumnarDecodeStage, "_decode_blocks", counting
+        )
+        _publish(tmp_path / "store", world_v1())
+        code, document = _stream_cli(
+            tmp_path, swap_flowfile, "once",
+            "--hitlist-refresh-every", "1",
+        )
+        assert code == 0
+        assert document["throughput"]["records"] == len(SWAP_FLOWS)
+        assert len(passes) == 1
+        assert sum(rows) == len(SWAP_FLOWS)

@@ -24,7 +24,6 @@ from repro.stream.checkpoint import (
     CheckpointError,
     CheckpointVersionError,
     checkpoint_path,
-    latest_checkpoint,
     list_checkpoints,
     load_latest,
     read_checkpoint,
@@ -87,8 +86,8 @@ class TestReadCheckpoint:
 
 class TestLatestCheckpointFallback:
     def test_picks_newest_valid(self, ckpt_dir):
-        seq, payload = latest_checkpoint(ckpt_dir)
-        assert (seq, payload["seq"]) == (300, 300)
+        loaded = load_latest(ckpt_dir)
+        assert (loaded.seq, loaded.payload["seq"]) == (300, 300)
 
     @pytest.mark.parametrize(
         "damage",
@@ -106,8 +105,8 @@ class TestLatestCheckpointFallback:
         with caplog.at_level(
             logging.WARNING, logger="repro.stream.checkpoint"
         ):
-            seq, payload = latest_checkpoint(ckpt_dir)
-        assert (seq, payload["seq"]) == (200, 200)
+            loaded = load_latest(ckpt_dir)
+        assert (loaded.seq, loaded.payload["seq"]) == (200, 200)
         assert any(
             "falling back" in record.message
             for record in caplog.records
@@ -118,8 +117,8 @@ class TestLatestCheckpointFallback:
         with caplog.at_level(
             logging.WARNING, logger="repro.stream.checkpoint"
         ):
-            seq, _payload = latest_checkpoint(ckpt_dir)
-        assert seq == 300  # the interrupted write never counts
+            loaded = load_latest(ckpt_dir)
+        assert loaded.seq == 300  # the interrupted write never counts
         assert any(
             "partially-written" in record.message
             for record in caplog.records
@@ -131,12 +130,12 @@ class TestLatestCheckpointFallback:
         with caplog.at_level(
             logging.WARNING, logger="repro.stream.checkpoint"
         ):
-            assert latest_checkpoint(ckpt_dir) is None
+            assert load_latest(ckpt_dir) is None
         assert len(caplog.records) == 3
 
     def test_empty_or_missing_directory(self, tmp_path):
-        assert latest_checkpoint(tmp_path) is None
-        assert latest_checkpoint(tmp_path / "never-created") is None
+        assert load_latest(tmp_path) is None
+        assert load_latest(tmp_path / "never-created") is None
 
 
 # -- the packed-column body ------------------------------------------------

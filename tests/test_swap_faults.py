@@ -25,7 +25,7 @@ import pytest
 from repro.faults import SWAP_FAULT_KINDS, SwapPlan
 from repro.netflow.flowfile import write_flow_file
 from repro.netflow.parse import ColumnarDecodeStage
-from repro.pipeline import RuleGeneration
+from repro.pipeline import RuleGeneration, RuleSource
 from repro.resilience.retry import RetryPolicy
 from repro.rules import (
     HitlistRefresher,
@@ -278,29 +278,32 @@ class TestSigtermMidSwap:
             if kill is not None:
                 assert token.reason == "signal:SIGTERM"
                 assert engine.records_processed == (kill // 64 + 1) * 64
-                # Resume under the generation the checkpoint was taken
-                # under — the version-identity check enforces this.
-                if engine.rules_version == 2:
-                    resume_world, version = (rules_v2, hitlist_v2), 2
-                else:
-                    resume_world, version = (rules_v1, hitlist_v1), 1
+                # The engine reconciles: handed v1 and a source holding
+                # v2, it resumes under the generation the checkpoint was
+                # taken under and re-stages a pending swap verbatim.
+                flipped = engine.rules_version == 2
                 with JsonlEventSink(log, resume=True) as sink:
                     engine = StreamDetectionEngine.resume(
-                        *resume_world,
+                        rules_v1,
+                        hitlist_v1,
                         config,
                         sink,
-                        rules_version=version,
+                        rules_version=1,
+                        rule_source=RuleSource({2: generation}.get),
                     )
-                    pending = engine.checkpoint_pending_rules
-                    if version == 1:
-                        # killed before the flip: the staged swap was
-                        # checkpointed and must be re-staged verbatim
-                        assert pending == (2, BOUNDARY)
-                        engine.stage_rules(
-                            generation, activate_at=pending[1]
-                        )
+                    if flipped:
+                        assert engine.rules_version == 2
+                        assert engine.checkpoint_pending_rules is None
+                        assert engine.pending_rules is None
                     else:
-                        assert pending is None
+                        # killed before the flip: the staged swap was
+                        # checkpointed and is back at its boundary
+                        assert engine.rules_version == 1
+                        assert engine.checkpoint_pending_rules == (
+                            2,
+                            BOUNDARY,
+                        )
+                        assert engine.pending_rules.activate_at == BOUNDARY
                     engine.process_flowfile(soak_flowfile)
             return log, engine
 

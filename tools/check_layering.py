@@ -12,6 +12,11 @@ The staged pipeline refactor rests on one directional rule:
 * :mod:`repro.netflow` is substrate — the columnar decode stage lives
   there next to the flow-line parser, so it must not import upward
   into the pipeline layer or any assembly;
+* :mod:`repro.resilience.sealed` (the crash-safe generation file both
+  stream checkpoints and rule artifacts are) is substrate: it imports
+  nothing from pipeline, stream, rules, collector or fleet, which is
+  what lets :mod:`repro.stream` and :mod:`repro.rules` share it
+  without importing each other;
 * :mod:`repro.rules` (the versioned rule-lifecycle subsystem) may sit
   on the substrate and shared layers (core, resilience, pipeline) but
   never on an assembly — and neither :mod:`repro.pipeline` nor
@@ -90,6 +95,15 @@ FORBIDDEN: Dict[str, Set[str]] = {
         "repro.engine",
         "repro.stream",
         "repro.ixp",
+        "repro.collector",
+        "repro.fleet",
+    },
+    "repro.resilience.sealed": {
+        "repro.pipeline",
+        "repro.engine",
+        "repro.stream",
+        "repro.ixp",
+        "repro.rules",
         "repro.collector",
         "repro.fleet",
     },
