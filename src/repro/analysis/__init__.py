@@ -2,23 +2,19 @@
 visibility, an analytic/Monte-Carlo detection-probability model, and
 plain-text rendering of tables and series for the benchmark harness."""
 
-from repro.analysis.timeline import HourlySeries, bucket_by_day, bucket_by_hour
-from repro.analysis.ecdf import Ecdf
-from repro.analysis.heavyhitters import heavy_hitter_visibility
-from repro.analysis.detection_model import (
-    estimate_detection_probabilities,
-    DetectionProbabilities,
-)
-from repro.analysis.reporting import render_series, render_table
+from repro import lazy_exports
 
-__all__ = [
-    "HourlySeries",
-    "bucket_by_day",
-    "bucket_by_hour",
-    "Ecdf",
-    "heavy_hitter_visibility",
-    "estimate_detection_probabilities",
-    "DetectionProbabilities",
-    "render_series",
-    "render_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.timeline": (
+            "HourlySeries", "bucket_by_day", "bucket_by_hour",
+        ),
+        "repro.analysis.ecdf": ("Ecdf",),
+        "repro.analysis.heavyhitters": ("heavy_hitter_visibility",),
+        "repro.analysis.detection_model": (
+            "estimate_detection_probabilities", "DetectionProbabilities",
+        ),
+        "repro.analysis.reporting": ("render_series", "render_table"),
+    },
+)

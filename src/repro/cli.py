@@ -25,66 +25,65 @@ simulation cost, later ones in the same process reuse it.
 from __future__ import annotations
 
 import argparse
+import importlib
 import pathlib
 import sys
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-from repro.experiments import (
-    false_positives,
-    fig5_visibility,
-    fig7_pipeline_trace,
-    fig6_heavy_hitters,
-    fig8_domain_traffic,
-    fig9_ecdf,
-    fig10_crosscheck,
-    fig11_isp_wild,
-    fig12_drilldown,
-    fig13_churn,
-    fig14_heatmap,
-    fig15_ixp,
-    fig16_ixp_asn,
-    fig17_alexa_activity,
-    fig18_usage,
-    defense_eval,
-    dns_visibility,
-    pipeline_counts,
-    rule_inventory,
-    scorecard,
-    table1_catalog,
-)
-from repro.experiments.context import ExperimentContext, get_context
+from typing import Callable, Optional, Sequence, Tuple
 
 __all__ = ["main", "EXPERIMENTS"]
 
-#: experiment id -> (run(context) -> result, render(result) -> str)
-EXPERIMENTS: Dict[str, Tuple[Callable, Callable]] = {
-    "table1": (
-        lambda context: table1_catalog.run(context.scenario.catalog),
-        table1_catalog.render,
-    ),
-    "fig5": (fig5_visibility.run, fig5_visibility.render),
-    "fig6": (fig6_heavy_hitters.run, fig6_heavy_hitters.render),
-    "fig7": (fig7_pipeline_trace.run, fig7_pipeline_trace.render),
-    "fig8": (fig8_domain_traffic.run, fig8_domain_traffic.render),
-    "fig9": (fig9_ecdf.run, fig9_ecdf.render),
-    "pipeline": (pipeline_counts.run, pipeline_counts.render),
-    "rules": (rule_inventory.run, rule_inventory.render),
-    "fig10": (fig10_crosscheck.run, fig10_crosscheck.render),
-    "fig11": (fig11_isp_wild.run, fig11_isp_wild.render),
-    "fig12": (fig12_drilldown.run, fig12_drilldown.render),
-    "fig13": (fig13_churn.run, fig13_churn.render),
-    "fig14": (fig14_heatmap.run, fig14_heatmap.render),
-    "fig15": (fig15_ixp.run, fig15_ixp.render),
-    "fig16": (fig16_ixp_asn.run, fig16_ixp_asn.render),
-    "fig17": (fig17_alexa_activity.run, fig17_alexa_activity.render),
-    "fig18": (fig18_usage.run, fig18_usage.render),
-    "false-positives": (false_positives.run, false_positives.render),
-    "dns-visibility": (dns_visibility.run, dns_visibility.render),
-    "scorecard": (scorecard.run, scorecard.render),
-    "defenses": (defense_eval.run, defense_eval.render),
+#: experiment id -> its module under :mod:`repro.experiments`, imported
+#: only when the command runs it
+_EXPERIMENT_MODULES = {
+    "table1": "table1_catalog",
+    "fig5": "fig5_visibility",
+    "fig6": "fig6_heavy_hitters",
+    "fig7": "fig7_pipeline_trace",
+    "fig8": "fig8_domain_traffic",
+    "fig9": "fig9_ecdf",
+    "pipeline": "pipeline_counts",
+    "rules": "rule_inventory",
+    "fig10": "fig10_crosscheck",
+    "fig11": "fig11_isp_wild",
+    "fig12": "fig12_drilldown",
+    "fig13": "fig13_churn",
+    "fig14": "fig14_heatmap",
+    "fig15": "fig15_ixp",
+    "fig16": "fig16_ixp_asn",
+    "fig17": "fig17_alexa_activity",
+    "fig18": "fig18_usage",
+    "false-positives": "false_positives",
+    "dns-visibility": "dns_visibility",
+    "scorecard": "scorecard",
+    "defenses": "defense_eval",
 }
 
 _EXPORTS = ("wild-daily", "wild-hourly", "crosscheck", "ixp-daily")
+
+
+def _experiment(identifier: str) -> Tuple[Callable, Callable]:
+    """``(run(context) -> result, render(result) -> str)`` of one
+    experiment, importing its module."""
+    module = importlib.import_module(
+        f"repro.experiments.{_EXPERIMENT_MODULES[identifier]}"
+    )
+    if identifier == "table1":
+        return (
+            lambda context: module.run(context.scenario.catalog),
+            module.render,
+        )
+    return module.run, module.render
+
+
+def __getattr__(name: str):
+    # ``EXPERIMENTS`` (id -> ``(run, render)``) loads every experiment
+    # module, so it is built only when asked for
+    if name == "EXPERIMENTS":
+        return {
+            identifier: _experiment(identifier)
+            for identifier in _EXPERIMENT_MODULES
+        }
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -277,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment", help="run one experiment (or 'all') and print it"
     )
     experiment.add_argument(
-        "id", choices=sorted(EXPERIMENTS) + ["all"]
+        "id", choices=sorted(_EXPERIMENT_MODULES) + ["all"]
     )
     experiment.add_argument(
         "-o",
@@ -506,10 +505,8 @@ def _emit(text: str, output: Optional[pathlib.Path]) -> None:
         print(f"wrote {output}", file=sys.stderr)
 
 
-def _run_experiment(
-    identifier: str, context: ExperimentContext
-) -> str:
-    run, render = EXPERIMENTS[identifier]
+def _run_experiment(identifier: str, context) -> str:
+    run, render = _experiment(identifier)
     return render(run(context))
 
 
@@ -522,8 +519,12 @@ def _write_json(path: pathlib.Path, document) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _world(args) -> ExperimentContext:
-    """The simulated world at the scale the global flags name."""
+def _world(args):
+    """The simulated world (an
+    :class:`~repro.experiments.context.ExperimentContext`) at the scale
+    the global flags name."""
+    from repro.experiments.context import get_context
+
     return get_context(
         seed=args.seed,
         wild_subscribers=args.subscribers,
@@ -1080,7 +1081,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
     if args.command == "list":
-        for identifier in sorted(EXPERIMENTS):
+        for identifier in sorted(_EXPERIMENT_MODULES):
             print(identifier)
         return 0
 
@@ -1103,6 +1104,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run_batch(args, parse_memory_size) -> int:
+    from repro.experiments.context import get_context
+
     context = get_context(
         seed=args.seed,
         wild_subscribers=args.subscribers,
@@ -1135,14 +1138,14 @@ def _run_batch(args, parse_memory_size) -> int:
         _write_json(args.metrics_out, metrics)
 
     if args.command == "pipeline":
-        print(pipeline_counts.render(pipeline_counts.run(context)))
+        print(_run_experiment("pipeline", context))
         return 0
 
     if args.command == "experiment":
         if args.id == "all":
             directory = args.output or pathlib.Path("results")
             directory.mkdir(parents=True, exist_ok=True)
-            for identifier in sorted(EXPERIMENTS):
+            for identifier in sorted(_EXPERIMENT_MODULES):
                 text = _run_experiment(identifier, context)
                 _emit(text, directory / f"{identifier}.txt")
             return 0

@@ -1,32 +1,18 @@
 """Backend infrastructure substrate: IPv4 addressing, autonomous systems,
 dedicated clusters, cloud virtual machines, and shared CDNs."""
 
-from repro.cloud.addressing import (
-    AddressAllocator,
-    AutonomousSystem,
-    ASRegistry,
-    Prefix,
-    ip_to_str,
-    str_to_ip,
-)
-from repro.cloud.infrastructure import (
-    BackendHost,
-    CdnFleet,
-    CloudVmPool,
-    DedicatedCluster,
-    InfrastructureKind,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AddressAllocator",
-    "AutonomousSystem",
-    "ASRegistry",
-    "Prefix",
-    "ip_to_str",
-    "str_to_ip",
-    "BackendHost",
-    "CdnFleet",
-    "CloudVmPool",
-    "DedicatedCluster",
-    "InfrastructureKind",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.cloud.addressing": (
+            "AddressAllocator", "AutonomousSystem", "ASRegistry", "Prefix",
+            "ip_to_str", "str_to_ip",
+        ),
+        "repro.cloud.infrastructure": (
+            "BackendHost", "CdnFleet", "CloudVmPool", "DedicatedCluster",
+            "InfrastructureKind",
+        ),
+    },
+)

@@ -22,28 +22,19 @@ never on :mod:`repro.engine` or :mod:`repro.ixp` (enforced by
 ``tools/check_layering.py``).
 """
 
-from repro.collector.control import ControlPlane
-from repro.collector.exporters import ExporterState, ExporterTable
-from repro.collector.metrics import CollectorMetrics
-from repro.collector.service import (
-    CollectorConfig,
-    CollectorService,
-    JOURNAL_HEADER,
-    truncate_journal,
-)
-from repro.collector.source import CollectorSource
-from repro.collector.targets import EngineTarget, FleetTarget
+from repro import lazy_exports
 
-__all__ = [
-    "CollectorConfig",
-    "CollectorMetrics",
-    "CollectorService",
-    "CollectorSource",
-    "ControlPlane",
-    "EngineTarget",
-    "ExporterState",
-    "ExporterTable",
-    "FleetTarget",
-    "JOURNAL_HEADER",
-    "truncate_journal",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.collector.control": ("ControlPlane",),
+        "repro.collector.exporters": ("ExporterState", "ExporterTable"),
+        "repro.collector.metrics": ("CollectorMetrics",),
+        "repro.collector.service": (
+            "CollectorConfig", "CollectorService", "JOURNAL_HEADER",
+            "truncate_journal",
+        ),
+        "repro.collector.source": ("CollectorSource",),
+        "repro.collector.targets": ("EngineTarget", "FleetTarget"),
+    },
+)

@@ -9,62 +9,32 @@ generate detection rules per class (:mod:`rules`) → evaluate rules over
 sampled flows (:mod:`detector`) and infer active usage (:mod:`usage`).
 """
 
-from repro.core.domains import DomainClassification, classify_domains
-from repro.core.infra import (
-    INFRA_DEDICATED,
-    INFRA_NO_RECORD,
-    INFRA_SHARED,
-    InfraVerdict,
-    classify_infrastructure,
-)
-from repro.core.certmatch import CensysRecovery, recover_via_certificates
-from repro.core.hitlist import (
-    GroundTruthObservations,
-    Hitlist,
-    PipelineReport,
-    build_hitlist,
-)
-from repro.core.rules import DetectionRule, RuleSet, generate_rules
-from repro.core.detector import Detection, FlowDetector, WindowedDetector
-from repro.core.usage import UsageDetector
-from repro.core.mitigation import (
-    FlowFilter,
-    MitigationPlanner,
-    MitigationPolicy,
-)
-from repro.core.serialization import (
-    hitlist_from_json,
-    hitlist_to_json,
-    rules_from_json,
-    rules_to_json,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DomainClassification",
-    "classify_domains",
-    "INFRA_DEDICATED",
-    "INFRA_NO_RECORD",
-    "INFRA_SHARED",
-    "InfraVerdict",
-    "classify_infrastructure",
-    "CensysRecovery",
-    "recover_via_certificates",
-    "GroundTruthObservations",
-    "Hitlist",
-    "PipelineReport",
-    "build_hitlist",
-    "DetectionRule",
-    "RuleSet",
-    "generate_rules",
-    "Detection",
-    "FlowDetector",
-    "WindowedDetector",
-    "UsageDetector",
-    "FlowFilter",
-    "MitigationPlanner",
-    "MitigationPolicy",
-    "hitlist_from_json",
-    "hitlist_to_json",
-    "rules_from_json",
-    "rules_to_json",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.domains": ("DomainClassification", "classify_domains"),
+        "repro.core.infra": (
+            "INFRA_DEDICATED", "INFRA_NO_RECORD", "INFRA_SHARED",
+            "InfraVerdict", "classify_infrastructure",
+        ),
+        "repro.core.certmatch": ("CensysRecovery", "recover_via_certificates"),
+        "repro.core.hitlist": (
+            "GroundTruthObservations", "Hitlist", "PipelineReport",
+            "build_hitlist",
+        ),
+        "repro.core.rules": ("DetectionRule", "RuleSet", "generate_rules"),
+        "repro.core.detector": (
+            "Detection", "FlowDetector", "WindowedDetector",
+        ),
+        "repro.core.usage": ("UsageDetector",),
+        "repro.core.mitigation": (
+            "FlowFilter", "MitigationPlanner", "MitigationPolicy",
+        ),
+        "repro.core.serialization": (
+            "hitlist_from_json", "hitlist_to_json", "rules_from_json",
+            "rules_to_json",
+        ),
+    },
+)

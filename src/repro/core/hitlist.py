@@ -23,33 +23,21 @@ the :class:`PipelineReport` carries the Section 4 headline counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.certmatch import CensysRecovery, recover_via_certificates
-from repro.core.domains import (
-    ROLE_GENERIC,
-    ROLE_PRIMARY,
-    ROLE_SUPPORT,
-    DomainClassification,
-    classify_domains,
-)
-from repro.core.infra import (
-    INFRA_DEDICATED,
-    INFRA_NO_RECORD,
-    INFRA_SHARED,
-    INFRA_UNKNOWN,
-    InfraVerdict,
-    classify_infrastructure,
-)
 from repro.dns.names import normalize
-from repro.resilience.retry import LookupUnavailable
-from repro.scenario import Scenario
 from repro.timeutil import (
     SECONDS_PER_DAY,
     STUDY_END,
     STUDY_START,
     day_index,
 )
+
+if TYPE_CHECKING:  # a loaded hitlist needs none of the world
+    from repro.core.certmatch import CensysRecovery
+    from repro.core.domains import DomainClassification
+    from repro.core.infra import InfraVerdict
+    from repro.scenario import Scenario
 
 __all__ = [
     "DomainObservation",
@@ -233,6 +221,23 @@ def build_hitlist(
     (:attr:`Hitlist.degraded_classes`) so rule generation demotes its
     level claim one step instead of emitting over-confident rules.
     """
+    from repro.core.certmatch import recover_via_certificates
+    from repro.core.domains import (
+        ROLE_GENERIC,
+        ROLE_PRIMARY,
+        ROLE_SUPPORT,
+        classify_domains,
+    )
+    from repro.core.infra import (
+        INFRA_DEDICATED,
+        INFRA_NO_RECORD,
+        INFRA_SHARED,
+        INFRA_UNKNOWN,
+        InfraVerdict,
+        classify_infrastructure,
+    )
+    from repro.resilience.retry import LookupUnavailable
+
     if observations is None:
         observations = GroundTruthObservations.from_library(
             scenario.library

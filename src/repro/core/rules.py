@@ -16,10 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.hitlist import Hitlist
-from repro.devices.catalog import DeviceCatalog
+
+if TYPE_CHECKING:
+    from repro.devices.catalog import DeviceCatalog
 
 __all__ = ["DetectionRule", "RuleSet", "generate_rules"]
 

@@ -2,42 +2,21 @@
 traffic profiles, idle/active behaviour models, and the testbed +
 experiment automation of Section 2."""
 
-from repro.devices.catalog import (
-    CATEGORIES,
-    DetectionClassSpec,
-    DeviceCatalog,
-    LEVEL_MANUFACTURER,
-    LEVEL_PLATFORM,
-    LEVEL_PRODUCT,
-    ProductSpec,
-    default_catalog,
-)
-from repro.devices.profiles import (
-    DomainSpec,
-    DomainUsage,
-    DeviceProfile,
-    ProfileLibrary,
-    build_profile_library,
-)
-from repro.devices.behavior import DeviceBehavior, InteractionKind
-from repro.devices.testbed import Testbed, ExperimentSchedule
+from repro import lazy_exports
 
-__all__ = [
-    "CATEGORIES",
-    "DetectionClassSpec",
-    "DeviceCatalog",
-    "LEVEL_MANUFACTURER",
-    "LEVEL_PLATFORM",
-    "LEVEL_PRODUCT",
-    "ProductSpec",
-    "default_catalog",
-    "DomainSpec",
-    "DomainUsage",
-    "DeviceProfile",
-    "ProfileLibrary",
-    "build_profile_library",
-    "DeviceBehavior",
-    "InteractionKind",
-    "Testbed",
-    "ExperimentSchedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.devices.catalog": (
+            "CATEGORIES", "DetectionClassSpec", "DeviceCatalog",
+            "LEVEL_MANUFACTURER", "LEVEL_PLATFORM", "LEVEL_PRODUCT",
+            "ProductSpec", "default_catalog",
+        ),
+        "repro.devices.profiles": (
+            "DomainSpec", "DomainUsage", "DeviceProfile", "ProfileLibrary",
+            "build_profile_library",
+        ),
+        "repro.devices.behavior": ("DeviceBehavior", "InteractionKind"),
+        "repro.devices.testbed": ("Testbed", "ExperimentSchedule"),
+    },
+)

@@ -2,26 +2,17 @@
 with TTL-driven churn, and a passive-DNS observation store standing in for
 Farsight DNSDB."""
 
-from repro.dns.names import (
-    is_subdomain,
-    matches_pattern,
-    normalize,
-    second_level_domain,
-)
-from repro.dns.zone import ResourceRecord, Zone, ZoneSet
-from repro.dns.resolver import Resolver, Resolution
-from repro.dns.dnsdb import PassiveDnsDatabase, PdnsObservation
+from repro import lazy_exports
 
-__all__ = [
-    "is_subdomain",
-    "matches_pattern",
-    "normalize",
-    "second_level_domain",
-    "ResourceRecord",
-    "Zone",
-    "ZoneSet",
-    "Resolver",
-    "Resolution",
-    "PassiveDnsDatabase",
-    "PdnsObservation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.dns.names": (
+            "is_subdomain", "matches_pattern", "normalize",
+            "second_level_domain",
+        ),
+        "repro.dns.zone": ("ResourceRecord", "Zone", "ZoneSet"),
+        "repro.dns.resolver": ("Resolver", "Resolution"),
+        "repro.dns.dnsdb": ("PassiveDnsDatabase", "PdnsObservation"),
+    },
+)

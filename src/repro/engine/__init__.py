@@ -29,20 +29,16 @@ bypasses the engine entirely and stays bit-exact with the historical
 serial implementation.
 """
 
-from repro.engine.plan import CohortPlan, RulePlan, build_cohort_plan, plan_shards
-from repro.engine.runner import run_wild_isp_sharded
-from repro.engine.worker import ShardResult, ShardTask, simulate_shard
-from repro.pipeline.metrics import EngineMetrics, ShardMetrics
+from repro import lazy_exports
 
-__all__ = [
-    "CohortPlan",
-    "RulePlan",
-    "EngineMetrics",
-    "ShardMetrics",
-    "ShardResult",
-    "ShardTask",
-    "build_cohort_plan",
-    "plan_shards",
-    "run_wild_isp_sharded",
-    "simulate_shard",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.engine.plan": (
+            "CohortPlan", "RulePlan", "build_cohort_plan", "plan_shards",
+        ),
+        "repro.engine.runner": ("run_wild_isp_sharded",),
+        "repro.engine.worker": ("ShardResult", "ShardTask", "simulate_shard"),
+        "repro.pipeline.metrics": ("EngineMetrics", "ShardMetrics"),
+    },
+)

@@ -3,6 +3,11 @@
 ground-truth capture, and wild runs are computed once per process and
 reused by every benchmark."""
 
-from repro.experiments.context import ExperimentContext, get_context
+from repro import lazy_exports
 
-__all__ = ["ExperimentContext", "get_context"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.context": ("ExperimentContext", "get_context"),
+    },
+)

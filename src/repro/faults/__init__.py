@@ -36,50 +36,24 @@ Everything here is deterministic per seed — a fault matrix that cannot
 be replayed exactly cannot assert bit-identical recovery.
 """
 
-from repro.faults.datagrams import (
-    DATAGRAM_FAULT_KINDS,
-    DatagramPlan,
-    UdpReplayShim,
-    encode_export_stream,
-)
-from repro.faults.fleet import FLEET_FAULT_KINDS, FleetPlan
-from repro.faults.files import (
-    corrupt_payload_byte,
-    corrupt_version_header,
-    jitter_order,
-    truncate_file,
-    write_partial_temp,
-)
-from repro.faults.injection import (
-    FlakyProxy,
-    InjectedFault,
-    MemoryPressurePlan,
-    ShardFault,
-    ShardFaultPlan,
-    SignalPlan,
-    corrupt_flow_lines,
-)
-from repro.faults.swap import SWAP_FAULT_KINDS, SwapPlan
+from repro import lazy_exports
 
-__all__ = [
-    "DATAGRAM_FAULT_KINDS",
-    "DatagramPlan",
-    "UdpReplayShim",
-    "encode_export_stream",
-    "FLEET_FAULT_KINDS",
-    "FleetPlan",
-    "SWAP_FAULT_KINDS",
-    "SwapPlan",
-    "FlakyProxy",
-    "InjectedFault",
-    "MemoryPressurePlan",
-    "ShardFault",
-    "ShardFaultPlan",
-    "SignalPlan",
-    "corrupt_flow_lines",
-    "corrupt_payload_byte",
-    "corrupt_version_header",
-    "jitter_order",
-    "truncate_file",
-    "write_partial_temp",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.datagrams": (
+            "DATAGRAM_FAULT_KINDS", "DatagramPlan", "UdpReplayShim",
+            "encode_export_stream",
+        ),
+        "repro.faults.fleet": ("FLEET_FAULT_KINDS", "FleetPlan"),
+        "repro.faults.files": (
+            "corrupt_payload_byte", "corrupt_version_header", "jitter_order",
+            "truncate_file", "write_partial_temp",
+        ),
+        "repro.faults.injection": (
+            "FlakyProxy", "InjectedFault", "MemoryPressurePlan", "ShardFault",
+            "ShardFaultPlan", "SignalPlan", "corrupt_flow_lines",
+        ),
+        "repro.faults.swap": ("SWAP_FAULT_KINDS", "SwapPlan"),
+    },
+)

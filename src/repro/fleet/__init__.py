@@ -28,35 +28,20 @@ Layering: the fleet sits on ``repro.pipeline``, ``repro.stream``,
 fleet adapter (``FleetTarget``) lives on the collector side.
 """
 
-from repro.fleet.merge import merge_event_logs, truncate_log
-from repro.fleet.metrics import FleetMetrics, WorkerStats
-from repro.fleet.ring import DEFAULT_RING_SLOTS, HashRing
-from repro.fleet.service import (
-    FleetConfig,
-    FleetService,
-    RouterCrash,
-    run_fleet,
-)
-from repro.fleet.worker import (
-    WorkerSpec,
-    worker_checkpoint_dir,
-    worker_dir,
-    worker_log_path,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_RING_SLOTS",
-    "FleetConfig",
-    "FleetMetrics",
-    "FleetService",
-    "HashRing",
-    "RouterCrash",
-    "WorkerSpec",
-    "WorkerStats",
-    "merge_event_logs",
-    "run_fleet",
-    "truncate_log",
-    "worker_checkpoint_dir",
-    "worker_dir",
-    "worker_log_path",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fleet.merge": ("merge_event_logs", "truncate_log"),
+        "repro.fleet.metrics": ("FleetMetrics", "WorkerStats"),
+        "repro.fleet.ring": ("DEFAULT_RING_SLOTS", "HashRing"),
+        "repro.fleet.service": (
+            "FleetConfig", "FleetService", "RouterCrash", "run_fleet",
+        ),
+        "repro.fleet.worker": (
+            "WorkerSpec", "worker_checkpoint_dir", "worker_dir",
+            "worker_log_path",
+        ),
+    },
+)

@@ -49,7 +49,7 @@ from repro.netflow.parse import IndexedFlowChunk
 from repro.pipeline.events import JsonlEventSink
 from repro.pipeline.swap import RuleSource
 from repro.resilience.supervisor import HeartbeatWriter
-from repro.stream.checkpoint import load_latest, tmp_leftover_count
+from repro.stream.checkpoint import NoUsableCheckpoint, tmp_leftover_count
 from repro.stream.processor import StreamConfig, StreamDetectionEngine
 
 __all__ = [
@@ -145,17 +145,9 @@ def _build_engine(
         checkpoint_dir=ckpt_dir,
         checkpoint_every=0,  # the worker owns the cadence
     )
-    resuming = spec.resume and load_latest(ckpt_dir) is not None
-    # A resume reconciles in the engine: it continues under the
-    # generation it checkpointed (the base rules, or the staged one when
-    # the worker died after applying the swap) and re-stages a pending
-    # swap at the checkpointed boundary, not a new one.
-    build = StreamDetectionEngine.resume if resuming else StreamDetectionEngine
-    engine = build(
-        rules,
-        hitlist,
-        config,
-        sink=JsonlEventSink(log_path, resume=resuming),
+    sink = JsonlEventSink(log_path, resume=spec.resume)
+    settings = dict(
+        sink=sink,
         rules_version=spec.rules_version,
         rule_source=RuleSource(
             lambda version: staged[0]
@@ -163,11 +155,26 @@ def _build_engine(
             else None
         ),
     )
-    if spec.resume and not resuming:
-        # A directory holding only torn-write .tmp leftovers means the
-        # worker died mid-first-checkpoint, not a fresh start — the
-        # lineage audit reads this counter to tell them apart.
-        engine.metrics.tmp_only_fallbacks = tmp_leftover_count(ckpt_dir)
+    engine = None
+    if spec.resume:
+        # A resume reads the checkpoint once, in the engine, and
+        # reconciles there: it continues under the generation it
+        # checkpointed (the base rules, or the staged one when the
+        # worker died after applying the swap) and re-stages a pending
+        # swap at the checkpointed boundary, not a new one.
+        try:
+            engine = StreamDetectionEngine.resume(
+                rules, hitlist, config, **settings
+            )
+        except NoUsableCheckpoint:
+            sink.truncate_to(0)  # nothing to continue: the log starts over
+    if engine is None:
+        engine = StreamDetectionEngine(rules, hitlist, config, **settings)
+        if spec.resume:
+            # A directory holding only torn-write .tmp leftovers means
+            # the worker died mid-first-checkpoint, not a fresh start —
+            # the lineage audit reads this counter to tell them apart.
+            engine.metrics.tmp_only_fallbacks = tmp_leftover_count(ckpt_dir)
     if (
         staged is not None
         and engine.pending_rules is None

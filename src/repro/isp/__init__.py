@@ -2,33 +2,20 @@
 population with address churn, CGNAT/adversary hooks for the scenario
 matrix, and the ground-truth + wild-scale simulation drivers."""
 
-from repro.isp.topology import BorderRouter, HomeVantagePoint, IspTopology
-from repro.isp.subscribers import SubscriberPopulation
-from repro.isp.cgnat import AddressPlan, CgnatPool, build_address_plan
-from repro.isp.adversary import assign_hidden, assign_mimics
-from repro.isp.simulation import (
-    GroundTruthCapture,
-    GtFlowEvent,
-    WildConfig,
-    WildIspResult,
-    run_ground_truth,
-    run_wild_isp,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BorderRouter",
-    "HomeVantagePoint",
-    "IspTopology",
-    "SubscriberPopulation",
-    "AddressPlan",
-    "CgnatPool",
-    "build_address_plan",
-    "assign_hidden",
-    "assign_mimics",
-    "GroundTruthCapture",
-    "GtFlowEvent",
-    "WildConfig",
-    "WildIspResult",
-    "run_ground_truth",
-    "run_wild_isp",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.isp.topology": (
+            "BorderRouter", "HomeVantagePoint", "IspTopology",
+        ),
+        "repro.isp.subscribers": ("SubscriberPopulation",),
+        "repro.isp.cgnat": ("AddressPlan", "CgnatPool", "build_address_plan"),
+        "repro.isp.adversary": ("assign_hidden", "assign_mimics"),
+        "repro.isp.simulation": (
+            "GroundTruthCapture", "GtFlowEvent", "WildConfig", "WildIspResult",
+            "run_ground_truth", "run_wild_isp",
+        ),
+    },
+)

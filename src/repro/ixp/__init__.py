@@ -6,24 +6,16 @@ Flow-level detection at the fabric is a :mod:`repro.pipeline`
 assembly — :func:`~repro.ixp.detect.detect_fabric_flows` keys by
 source address and keeps the anti-spoofing Validate stage on."""
 
-from repro.ixp.detect import IxpDetectionResult, detect_fabric_flows
-from repro.ixp.members import IxpMember, build_members
-from repro.ixp.fabric import (
-    IxpConfig,
-    IxpFabricTap,
-    IxpResult,
-    run_wild_ixp,
-    make_spoofed_flows,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "IxpDetectionResult",
-    "detect_fabric_flows",
-    "IxpMember",
-    "build_members",
-    "IxpConfig",
-    "IxpFabricTap",
-    "IxpResult",
-    "run_wild_ixp",
-    "make_spoofed_flows",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ixp.detect": ("IxpDetectionResult", "detect_fabric_flows"),
+        "repro.ixp.members": ("IxpMember", "build_members"),
+        "repro.ixp.fabric": (
+            "IxpConfig", "IxpFabricTap", "IxpResult", "run_wild_ixp",
+            "make_spoofed_flows",
+        ),
+    },
+)

@@ -24,8 +24,7 @@ columns, so the memo caches above serve the per-line parser only.  A
 block the kernel declines — comments or blank lines mid-block,
 malformed or oddly spelled fields — takes the per-line path
 (:meth:`ColumnarDecodeStage._decode_lines`, the one home of the
-per-line error messages and quarantine reasons) instead.  numpy is
-imported lazily so the substrate stays importable without it.
+per-line error messages and quarantine reasons) instead.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ import itertools
 import pathlib
 import string
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.cloud.addressing import str_to_ip
 from repro.netflow.records import FlowKey, FlowRecord
@@ -96,20 +97,6 @@ _HEX_VALUES = bytes(
     int(chr(byte), 16) if chr(byte) in string.hexdigits else 255
     for byte in range(256)
 )
-
-_np = None
-
-
-def _numpy():
-    """Import numpy on first columnar use (keeps the per-line paths
-    importable without it)."""
-    global _np
-    if _np is None:
-        import numpy
-
-        _np = numpy
-    return _np
-
 
 def _evict_half(cache: Dict[str, int]) -> None:
     """Drop an arbitrary half of a memo cache (the insertion-oldest
@@ -363,7 +350,6 @@ class ColumnarDecodeStage:
         engine continues from its checkpointed record count
         (quarantine accounting still covers the skipped prefix).
         """
-        np = _numpy()
         index = 0
         to_skip = skip
         for columns in self._cut(self._decode_blocks(source, np), np):
@@ -606,7 +592,6 @@ def chunks_from_records(
     sources that never touch text (the IXP fabric tap, sweep cells)
     enter the vectorized path here.
     """
-    np = _numpy()
     iterator = iter(records)
     index = start_index
     while True:

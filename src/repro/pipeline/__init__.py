@@ -26,83 +26,33 @@ The layering contract is directional: those three packages import
 of them (``tools/check_layering.py`` enforces it in CI).
 """
 
-from repro.pipeline.assemble import (
-    FlowDetectionResult,
-    batch_assembly,
-    run_flow_detection,
-    streaming_assembly,
-)
-from repro.pipeline.columnar import EndpointDayIndex
-from repro.pipeline.config import StreamConfig
-from repro.pipeline.core import GUARD_STRIDE, GuardSet, StagedRun
-from repro.pipeline.events import (
-    DetectionEvent,
-    JsonlEventSink,
-    MemoryEventSink,
-    read_event_log,
-)
-from repro.pipeline.flow import (
-    AddressKeying,
-    BatchDetectStage,
-    FlowDetectStage,
-    FlowPipeline,
-    StreamingDetectStage,
-    SubscriberKeying,
-)
-from repro.pipeline.metrics import (
-    METRICS_SCHEMA,
-    EngineMetrics,
-    ShardMetrics,
-    StreamMetrics,
-)
-from repro.pipeline.state import EvidenceStateTable
-from repro.pipeline.swap import (
-    MigrationReport,
-    PendingSwap,
-    RuleGeneration,
-    RuleSource,
-    migrate_progress,
-    migrate_table,
-    next_activation,
-)
+from repro import lazy_exports
 
-__all__ = [
-    # core machinery
-    "GUARD_STRIDE",
-    "GuardSet",
-    "StagedRun",
-    # configuration
-    "StreamConfig",
-    # live rule swap
-    "RuleGeneration",
-    "RuleSource",
-    "PendingSwap",
-    "MigrationReport",
-    "migrate_progress",
-    "migrate_table",
-    "next_activation",
-    # stages and driver
-    "FlowPipeline",
-    "FlowDetectStage",
-    "StreamingDetectStage",
-    "BatchDetectStage",
-    "SubscriberKeying",
-    "AddressKeying",
-    "EndpointDayIndex",
-    # state / events
-    "EvidenceStateTable",
-    "DetectionEvent",
-    "MemoryEventSink",
-    "JsonlEventSink",
-    "read_event_log",
-    # assemblies
-    "streaming_assembly",
-    "batch_assembly",
-    "run_flow_detection",
-    "FlowDetectionResult",
-    # metrics
-    "METRICS_SCHEMA",
-    "EngineMetrics",
-    "ShardMetrics",
-    "StreamMetrics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.pipeline.assemble": (
+            "FlowDetectionResult", "batch_assembly", "run_flow_detection",
+            "streaming_assembly",
+        ),
+        "repro.pipeline.columnar": ("EndpointDayIndex",),
+        "repro.pipeline.config": ("StreamConfig",),
+        "repro.pipeline.core": ("GUARD_STRIDE", "GuardSet", "StagedRun"),
+        "repro.pipeline.events": (
+            "DetectionEvent", "JsonlEventSink", "MemoryEventSink",
+            "read_event_log",
+        ),
+        "repro.pipeline.flow": (
+            "AddressKeying", "BatchDetectStage", "FlowDetectStage",
+            "FlowPipeline", "StreamingDetectStage", "SubscriberKeying",
+        ),
+        "repro.pipeline.metrics": (
+            "METRICS_SCHEMA", "EngineMetrics", "ShardMetrics", "StreamMetrics",
+        ),
+        "repro.pipeline.state": ("EvidenceStateTable",),
+        "repro.pipeline.swap": (
+            "MigrationReport", "PendingSwap", "RuleGeneration", "RuleSource",
+            "migrate_progress", "migrate_table", "next_activation",
+        ),
+    },
+)

@@ -32,48 +32,25 @@ which attempt produced the result); when they do not, the metrics
 document says exactly which cohort-hours are missing.
 """
 
-from repro.resilience.lookups import (
-    LookupStats,
-    ResilientLookup,
-    ResilientPassiveDns,
-    ResilientScanDataset,
-)
-from repro.resilience.quarantine import (
-    QuarantineSink,
-    validate_flow_record,
-    validate_flow_tuple,
-)
-from repro.resilience.retry import (
-    BreakerOpen,
-    CircuitBreaker,
-    LookupUnavailable,
-    RetryPolicy,
-    TransientLookupError,
-    call_with_retry,
-)
-from repro.resilience.supervisor import (
-    DeadLetter,
-    ShardSupervisor,
-    SupervisorConfig,
-    SupervisorReport,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BreakerOpen",
-    "CircuitBreaker",
-    "DeadLetter",
-    "LookupStats",
-    "LookupUnavailable",
-    "QuarantineSink",
-    "ResilientLookup",
-    "ResilientPassiveDns",
-    "ResilientScanDataset",
-    "RetryPolicy",
-    "ShardSupervisor",
-    "SupervisorConfig",
-    "SupervisorReport",
-    "TransientLookupError",
-    "call_with_retry",
-    "validate_flow_record",
-    "validate_flow_tuple",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.resilience.lookups": (
+            "LookupStats", "ResilientLookup", "ResilientPassiveDns",
+            "ResilientScanDataset",
+        ),
+        "repro.resilience.quarantine": (
+            "QuarantineSink", "validate_flow_record", "validate_flow_tuple",
+        ),
+        "repro.resilience.retry": (
+            "BreakerOpen", "CircuitBreaker", "LookupUnavailable",
+            "RetryPolicy", "TransientLookupError", "call_with_retry",
+        ),
+        "repro.resilience.supervisor": (
+            "DeadLetter", "ShardSupervisor", "SupervisorConfig",
+            "SupervisorReport",
+        ),
+    },
+)

@@ -15,38 +15,17 @@ import the assemblies (``repro.engine``/``repro.stream``/``repro.ixp``)
 — enforced by ``tools/check_layering.py``.
 """
 
-from repro.rules.lifecycle import (
-    ARTIFACT_MAGIC,
-    ARTIFACT_VERSION,
-    ArtifactError,
-    CandidateRejected,
-    HitlistRefresher,
-    LoadedArtifact,
-    RefreshStats,
-    RulesArtifact,
-    VersionedRuleStore,
-    artifact_path,
-    list_artifacts,
-    read_artifact,
-    scenario_recompute,
-    validate_candidate,
-    write_artifact,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ARTIFACT_MAGIC",
-    "ARTIFACT_VERSION",
-    "ArtifactError",
-    "CandidateRejected",
-    "HitlistRefresher",
-    "LoadedArtifact",
-    "RefreshStats",
-    "RulesArtifact",
-    "VersionedRuleStore",
-    "artifact_path",
-    "list_artifacts",
-    "read_artifact",
-    "scenario_recompute",
-    "validate_candidate",
-    "write_artifact",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.rules.lifecycle": (
+            "ARTIFACT_MAGIC", "ARTIFACT_VERSION", "ArtifactError",
+            "CandidateRejected", "HitlistRefresher", "LoadedArtifact",
+            "RefreshStats", "RulesArtifact", "VersionedRuleStore",
+            "artifact_path", "list_artifacts", "read_artifact",
+            "scenario_recompute", "validate_candidate", "write_artifact",
+        ),
+    },
+)

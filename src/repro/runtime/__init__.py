@@ -24,35 +24,20 @@ of wall clock.  Four modules, one contract each:
   never silent.
 """
 
-from repro.runtime.deadline import DeadlineBudget
-from repro.runtime.memory import (
-    MemoryGovernor,
-    parse_memory_size,
-    read_rss_bytes,
-)
-from repro.runtime.overload import OverloadMetrics, SHED_ACTIONS
-from repro.runtime.shutdown import (
-    EXIT_COMPLETED,
-    EXIT_DRAINED,
-    EXIT_DRAIN_TIMEOUT,
-    ShutdownCoordinator,
-    StopToken,
-    current_token,
-)
-from repro.runtime.workers import resolve_workers
+from repro import lazy_exports
 
-__all__ = [
-    "DeadlineBudget",
-    "MemoryGovernor",
-    "OverloadMetrics",
-    "SHED_ACTIONS",
-    "EXIT_COMPLETED",
-    "EXIT_DRAINED",
-    "EXIT_DRAIN_TIMEOUT",
-    "ShutdownCoordinator",
-    "StopToken",
-    "current_token",
-    "parse_memory_size",
-    "read_rss_bytes",
-    "resolve_workers",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.runtime.deadline": ("DeadlineBudget",),
+        "repro.runtime.memory": (
+            "MemoryGovernor", "parse_memory_size", "read_rss_bytes",
+        ),
+        "repro.runtime.overload": ("OverloadMetrics", "SHED_ACTIONS"),
+        "repro.runtime.shutdown": (
+            "EXIT_COMPLETED", "EXIT_DRAINED", "EXIT_DRAIN_TIMEOUT",
+            "ShutdownCoordinator", "StopToken", "current_token",
+        ),
+        "repro.runtime.workers": ("resolve_workers",),
+    },
+)

@@ -30,36 +30,21 @@ Fault-injection helpers for the robustness test-suite live in
 :mod:`repro.faults`.
 """
 
-from repro.stream.checkpoint import (
-    CheckpointError,
-    RuleVersionMismatch,
-    load_latest,
-    read_checkpoint,
-    tmp_leftover_count,
-    write_checkpoint,
-)
-from repro.pipeline.config import StreamConfig
-from repro.pipeline.events import (
-    DetectionEvent,
-    JsonlEventSink,
-    MemoryEventSink,
-    read_event_log,
-)
-from repro.pipeline.state import EvidenceStateTable
-from repro.stream.processor import StreamDetectionEngine
+from repro import lazy_exports
 
-__all__ = [
-    "CheckpointError",
-    "RuleVersionMismatch",
-    "load_latest",
-    "read_checkpoint",
-    "tmp_leftover_count",
-    "write_checkpoint",
-    "DetectionEvent",
-    "JsonlEventSink",
-    "MemoryEventSink",
-    "read_event_log",
-    "StreamConfig",
-    "StreamDetectionEngine",
-    "EvidenceStateTable",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.stream.checkpoint": (
+            "CheckpointError", "RuleVersionMismatch", "load_latest",
+            "read_checkpoint", "tmp_leftover_count", "write_checkpoint",
+        ),
+        "repro.pipeline.config": ("StreamConfig",),
+        "repro.pipeline.events": (
+            "DetectionEvent", "JsonlEventSink", "MemoryEventSink",
+            "read_event_log",
+        ),
+        "repro.pipeline.state": ("EvidenceStateTable",),
+        "repro.stream.processor": ("StreamDetectionEngine",),
+    },
+)

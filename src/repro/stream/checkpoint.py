@@ -48,6 +48,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "CheckpointError",
     "CheckpointVersionError",
+    "NoUsableCheckpoint",
     "RuleVersionMismatch",
     "LoadedCheckpoint",
     "checkpoint_path",
@@ -86,6 +87,11 @@ class CheckpointVersionError(CheckpointError):
             f"finish or restart that run with the release that wrote "
             f"it (formats are not migrated)"
         )
+
+
+class NoUsableCheckpoint(CheckpointError):
+    """A resume found no checkpoint to continue from (an empty
+    directory, or one holding only damaged or ``.tmp`` files)."""
 
 
 class RuleVersionMismatch(CheckpointError):

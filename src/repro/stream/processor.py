@@ -66,6 +66,7 @@ from repro.pipeline.swap import (
 )
 from repro.stream.checkpoint import (
     CheckpointError,
+    NoUsableCheckpoint,
     RuleVersionMismatch,
     load_latest,
     write_checkpoint,
@@ -205,7 +206,9 @@ class StreamDetectionEngine:
         truncated to the checkpointed position so re-folded records
         re-emit into a log that ends up byte-identical.  The metrics
         record which checkpoint generation was resumed from and how
-        many damaged generations were skipped getting there.  A
+        many damaged generations were skipped getting there; with none
+        usable it raises :class:`~repro.stream.checkpoint.
+        NoUsableCheckpoint`.  A
         directory whose every checkpoint another release wrote (a
         different file-format version) raises
         :class:`~repro.stream.checkpoint.CheckpointVersionError`, which
@@ -232,7 +235,7 @@ class StreamDetectionEngine:
             raise ValueError("resume needs config.checkpoint_dir")
         loaded = load_latest(config.checkpoint_dir)
         if loaded is None:
-            raise CheckpointError(
+            raise NoUsableCheckpoint(
                 f"no usable checkpoint under {config.checkpoint_dir}"
             )
         payload = loaded.payload

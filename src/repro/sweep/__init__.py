@@ -10,31 +10,17 @@ the detections against the truth, and emits one ``repro.sweep.metrics/1`` JSON. 
 aggregates cells into a precision/recall/F1/time-to-detection table.
 """
 
-from repro.sweep.axes import (
-    CellTruth,
-    SweepCell,
-    TrafficModel,
-    class_pattern_domains,
-    leaf_classes,
-    synthesize_cell,
-)
-from repro.sweep.grid import GRID_PRESETS, SweepGrid, load_grid
-from repro.sweep.runner import SweepResult, run_cell, run_sweep
-from repro.sweep.scorecard import build_scorecard, render_markdown
+from repro import lazy_exports
 
-__all__ = [
-    "CellTruth",
-    "SweepCell",
-    "TrafficModel",
-    "class_pattern_domains",
-    "leaf_classes",
-    "synthesize_cell",
-    "GRID_PRESETS",
-    "SweepGrid",
-    "load_grid",
-    "SweepResult",
-    "run_cell",
-    "run_sweep",
-    "build_scorecard",
-    "render_markdown",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sweep.axes": (
+            "CellTruth", "SweepCell", "TrafficModel", "class_pattern_domains",
+            "leaf_classes", "synthesize_cell",
+        ),
+        "repro.sweep.grid": ("GRID_PRESETS", "SweepGrid", "load_grid"),
+        "repro.sweep.runner": ("SweepResult", "run_cell", "run_sweep"),
+        "repro.sweep.scorecard": ("build_scorecard", "render_markdown"),
+    },
+)

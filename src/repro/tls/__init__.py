@@ -1,7 +1,12 @@
 """TLS substrate: certificate models and an internet-wide scan dataset
 standing in for Censys certificate/banner data."""
 
-from repro.tls.certificates import Certificate
-from repro.tls.scanner import ScanDataset, ScannedHost
+from repro import lazy_exports
 
-__all__ = ["Certificate", "ScanDataset", "ScannedHost"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.tls.certificates": ("Certificate",),
+        "repro.tls.scanner": ("ScanDataset", "ScannedHost"),
+    },
+)

@@ -225,6 +225,76 @@ class TestTmpOnlyFallback:
         assert tmp_leftover_count(tmp_path / "absent") == 0
 
 
+class TestWorkerStart:
+    """A worker start reads its newest checkpoint once: choosing fresh
+    vs resume is the engine's ``resume`` finding one or not, not a
+    second load, SHA-256 check and unpack of the same file."""
+
+    @staticmethod
+    def _count_loads(monkeypatch):
+        import importlib
+
+        from repro.stream import checkpoint
+
+        calls, original = [], checkpoint.load_latest
+
+        def counting(directory):
+            calls.append(directory)
+            return original(directory)
+
+        for name in (
+            "repro.stream.checkpoint",
+            "repro.stream.processor",
+            "repro.fleet.worker",
+        ):
+            module = importlib.import_module(name)
+            if hasattr(module, "load_latest"):
+                monkeypatch.setattr(module, "load_latest", counting)
+        return calls
+
+    def test_resume_loads_the_checkpoint_once(
+        self, rules, hitlist, gt_flowfile, tmp_path, monkeypatch
+    ):
+        from repro.fleet.worker import WorkerSpec, _build_engine
+
+        fleet = str(tmp_path / "fleet")
+        first, _ = _build_engine(
+            WorkerSpec(0, 0, fleet, 0), rules, hitlist, None
+        )
+        first.process_flowfile(gt_flowfile, max_records=500)
+        first.write_checkpoint()
+        first.sink.close()
+        calls = self._count_loads(monkeypatch)
+        resumed, lineage = _build_engine(
+            WorkerSpec(0, 1, fleet, 0, resume=True), rules, hitlist, None
+        )
+        resumed.sink.close()
+        assert len(calls) == 1
+        assert resumed.records_processed == 500
+        assert resumed.metrics.resumed_from_generation is not None
+        assert lineage["worker_id"] == 0
+
+    def test_resume_with_only_tmp_leftovers_starts_fresh(
+        self, rules, hitlist, tmp_path, monkeypatch
+    ):
+        from repro.fleet.worker import WorkerSpec, _build_engine
+
+        fleet = tmp_path / "fleet"
+        torn = worker_checkpoint_dir(fleet, 0) / "ckpt-0000000001.json.tmp"
+        torn.parent.mkdir(parents=True)
+        torn.write_text("{")
+        worker_log_path(fleet, 0).write_text('{"stale": true}\n')
+        calls = self._count_loads(monkeypatch)
+        engine, _ = _build_engine(
+            WorkerSpec(0, 1, str(fleet), 0, resume=True), rules, hitlist, None
+        )
+        engine.sink.close()
+        assert len(calls) == 1
+        assert engine.records_processed == 0
+        assert engine.metrics.tmp_only_fallbacks == 1
+        assert worker_log_path(fleet, 0).read_bytes() == b""
+
+
 class TestForeignFormatRefusal:
     def test_resume_over_another_releases_checkpoints_says_so(
         self, rules, hitlist, gt_flowfile, tmp_path

@@ -74,6 +74,36 @@ class TestLayering:
         assert len(violations) == 1
         assert "sneaky" in violations[0]
 
+    def test_checker_reads_lazy_export_tables(self, tmp_path):
+        """A re-export that moved from an import statement into a
+        package's ``lazy_exports`` table is still an edge: a forbidden
+        module named there is flagged, and the real packages' tables
+        are read."""
+        package = tmp_path / "repro"
+        for name in ("", "engine", "stream", "pipeline", "ixp"):
+            directory = package / name if name else package
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / "__init__.py").write_text("import repro.pipeline\n")
+        (package / "stream" / "__init__.py").write_text(
+            "from repro import lazy_exports\n"
+            "import repro.pipeline\n"
+            "__all__, __getattr__, __dir__ = lazy_exports(__name__, {\n"
+            "    'repro.engine.runner': ('run_wild_isp_sharded',),\n"
+            "})\n"
+        )
+        violations, _ = check_layering.check(tmp_path)
+        assert len(violations) == 1
+        assert "__init__.py:4: repro.stream imports repro.engine.runner" in (
+            violations[0]
+        )
+        real = _SRC / "repro" / "stream" / "__init__.py"
+        assert "repro.stream.processor" in {
+            imported
+            for imported, _line in check_layering.iter_imports(
+                real, "repro.stream"
+            )
+        }
+
     def test_sealed_file_module_is_substrate(self, tmp_path):
         """Checkpoints and rule artifacts share ``resilience.sealed``
         only because it sits below both: the real module imports no

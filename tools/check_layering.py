@@ -136,13 +136,21 @@ def iter_imports(
 
     Handles plain imports, from-imports, and relative imports
     (resolved against ``module``); imports nested in functions count
-    too — a lazy import is still a dependency.
+    too — a lazy import is still a dependency.  So does every module
+    named in a package's :func:`repro.lazy_exports` table: a name
+    re-exported through a string is still an edge.
     """
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     package_parts = module.split(".")
     is_package = path.name == "__init__.py"
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
+        if isinstance(node, ast.Call) and _is_lazy_exports(node.func):
+            for table in node.args:
+                if isinstance(table, ast.Dict):
+                    for key in table.keys:
+                        if isinstance(key, ast.Constant):
+                            yield key.value, key.lineno
+        elif isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, node.lineno
         elif isinstance(node, ast.ImportFrom):
@@ -159,6 +167,10 @@ def iter_imports(
             )
             if target:
                 yield target, node.lineno
+
+
+def _is_lazy_exports(func: ast.expr) -> bool:
+    return getattr(func, "id", getattr(func, "attr", None)) == "lazy_exports"
 
 
 def within(module: str, package: str) -> bool:
