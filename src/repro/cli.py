@@ -926,6 +926,7 @@ def _run_collect(args) -> int:
     ``--resume`` continues from.
     """
     from repro.collector import CollectorConfig, CollectorService
+    from repro.netflow.journal import JournalError
     from repro.runtime import (
         EXIT_DRAINED,
         ShutdownCoordinator,
@@ -971,7 +972,12 @@ def _run_collect(args) -> int:
             if target is None:
                 return 2
             service = CollectorService(target, config=config)
-            exit_code = service.run(resume=args.resume)
+            try:
+                exit_code = service.run(resume=args.resume)
+            except JournalError as exc:
+                action = "resume" if args.resume else "open the journal"
+                print(f"error: cannot {action}: {exc}", file=sys.stderr)
+                return 2
             metrics = service.metrics_snapshot()
             if service.journal_kept is not None:
                 print(
@@ -1016,30 +1022,44 @@ def _run_collect(args) -> int:
 def _stream_ingest(engine, args) -> int:
     """Run the stream engine's ingest, optionally under fault probes.
 
-    The fault harness (``--inject-sigterm-at N``) bounds the fold at
-    record index N, delivers a real SIGTERM there and carries on: the
-    engine's next guard poll sees the stop before record N folds, so
-    the drain lands on exactly N records for any ``--chunk-size``.
+    ``--inject-sigterm-at N`` splits the chunk holding record N and
+    sends a real SIGTERM between the halves of the one decode pass: the
+    next guard poll sees the stop before record N folds, so the drain
+    lands on exactly N records for any ``--chunk-size``.
     """
-    max_records = args.max_records
-    if args.inject_sigterm_at is not None:
-        import os
-        import signal
+    from repro.netflow.parse import ColumnarDecodeStage
 
-        before = args.inject_sigterm_at - engine.records_processed
-        if before >= 0 and (max_records is None or before < max_records):
-            processed = engine.process_flowfile(
-                args.flows, max_records=before
-            )
-            if processed < before or engine.stopped:
-                return processed
-            os.kill(os.getpid(), signal.SIGTERM)
-            if max_records is not None:
-                max_records -= before
-            return processed + engine.process_flowfile(
-                args.flows, max_records=max_records
-            )
-    return engine.process_flowfile(args.flows, max_records=max_records)
+    max_records, at = args.max_records, args.inject_sigterm_at
+    chunks = ColumnarDecodeStage(
+        engine.config.chunk_size, quarantine=engine.quarantine
+    ).iter_chunks(args.flows, skip=engine.records_processed)
+    before = -1 if at is None else at - engine.records_processed
+    if before < 0 or (max_records is not None and before >= max_records):
+        return engine.process_chunks(chunks, max_records=max_records)
+    import itertools
+    import os
+    import signal
+
+    rest = []
+
+    def head():
+        for chunk in chunks:
+            cut = at - chunk.start_index
+            if cut < len(chunk):
+                rest.append(chunk.tail(cut))
+                yield chunk.head(cut)
+                return
+            yield chunk
+
+    processed = engine.process_chunks(head())
+    if processed < before or engine.stopped:
+        return processed
+    os.kill(os.getpid(), signal.SIGTERM)
+    if max_records is not None:
+        max_records -= before
+    return processed + engine.process_chunks(
+        itertools.chain(rest, chunks), max_records=max_records
+    )
 
 
 def _run_sweep(args) -> int:

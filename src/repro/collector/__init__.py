@@ -30,10 +30,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.collector.control": ("ControlPlane",),
         "repro.collector.exporters": ("ExporterState", "ExporterTable"),
         "repro.collector.metrics": ("CollectorMetrics",),
-        "repro.collector.service": (
-            "CollectorConfig", "CollectorService", "JOURNAL_HEADER",
-            "truncate_journal",
-        ),
+        "repro.collector.service": ("CollectorConfig", "CollectorService"),
         "repro.collector.source": ("CollectorSource",),
         "repro.collector.targets": ("EngineTarget", "FleetTarget"),
     },

@@ -35,14 +35,15 @@ contract the uncheckpointed tail always had.
 
 **The journal is the delivered-set oracle.**  Every record that was
 delivered, decodable, and valid is appended — *after* the fold
-accepted it — to an ordinary flow file.  Replaying the journal through
-a fresh engine must reproduce the live run's event log byte for byte;
-the fault matrix proves exactly that for every datagram fault.  The
-journal is fsynced before every checkpoint so the invariant
-``journal records >= checkpoint records`` holds across kills, and
-:func:`truncate_journal` restores equality on resume (dropping the
-uncheckpointed tail that the resumed socket loop will not re-receive;
-for the fleet, which replays its journal, only a torn last line).
+accepted it — to the journal (:mod:`repro.netflow.journal`, one
+segment per fold).  Replaying the journal through a fresh engine must
+reproduce the live run's event log byte for byte; the fault matrix
+proves exactly that for every datagram fault.  The journal is fsynced
+before every checkpoint so the invariant ``journal records >=
+checkpoint records`` holds across kills, and :func:`truncate_journal`
+restores equality on resume (dropping the uncheckpointed tail that the
+resumed socket loop will not re-receive; for the fleet, which replays
+its journal, only a torn last segment).
 
 **Drain.**  A stop request (SIGTERM via the CLI's
 :class:`~repro.runtime.shutdown.ShutdownCoordinator`, or a deadline)
@@ -72,21 +73,16 @@ from repro.collector.control import ControlPlane
 from repro.collector.source import CollectorSource
 from repro.collector.targets import EngineTarget, FleetTarget
 from repro.netflow.datagram import FlowBlock
-from repro.netflow.flowfile import format_flow_columns
+from repro.netflow.journal import encode_segment, open_journal
+from repro.netflow.journal import truncate_journal
 from repro.netflow.parse import FlowChunk
 from repro.runtime.shutdown import EXIT_COMPLETED, EXIT_DRAINED
 
 __all__ = [
     "CollectorConfig",
     "CollectorService",
-    "truncate_journal",
     "FOLD_ROWS",
-    "JOURNAL_HEADER",
 ]
-
-#: Journal files are ordinary flow files; sampling is per-record
-#: irrelevant to the detection tuple, so the header pins 1.
-JOURNAL_HEADER = "# haystack-flows v1 sampling=1\n"
 
 _MAX_DATAGRAM = 65535
 
@@ -123,50 +119,13 @@ class CollectorConfig:
     max_datagrams: Optional[int] = None
     #: service-owned checkpoint cadence in folded records; 0 disables
     checkpoint_every: int = 0
-    #: delivered-set journal (flow file) path; ``None`` disables
+    #: delivered-set journal path; ``None`` disables
     journal: Optional[pathlib.Path] = None
     #: written (atomically) after both sockets are bound:
     #: ``{"udp_port": …, "control_port": …, "pid": …}``
     ready_file: Optional[pathlib.Path] = None
     #: socket timeout — the idle/stop/expiry poll cadence
     poll_interval: float = 0.2
-
-
-def truncate_journal(
-    path: pathlib.Path, records: Optional[int] = None
-) -> int:
-    """Cut the journal back to its first ``records`` complete data
-    lines — all of them when ``None`` — and drop a torn final line.
-
-    Called on resume.  For the engine target the checkpoint is
-    authoritative about how many records the continued run starts
-    from, and the journal must agree or the delivered-set oracle would
-    claim records the resumed engine never folded.  For either target
-    an unclean stop can leave a newline-less last line (writes are
-    buffered) that a replay would reject as malformed.  The kept lines
-    are a prefix, so the file is scanned (a line at a time, nothing
-    retained) for where the first surplus or torn line starts and
-    truncated there in place; comment and header lines before that
-    point stay, and nothing is written when there is nothing to cut.
-    Returns the data lines kept.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return 0
-    data = offset = 0
-    with open(path, "r+b") as fh:
-        for line in fh:
-            stripped = line.strip()
-            is_data = bool(stripped) and not stripped.startswith(b"#")
-            if not line.endswith(b"\n") or (is_data and data == records):
-                fh.seek(offset)
-                fh.truncate()
-                fh.flush()
-                os.fsync(fh.fileno())
-                break
-            data += is_data
-            offset += len(line)
-    return data
 
 
 class CollectorService:
@@ -198,7 +157,7 @@ class CollectorService:
         )
         target.attach(config, self.source.metrics)
         self._lock = threading.Lock()
-        self._journal: Optional[IO[str]] = None
+        self._journal: Optional[IO[bytes]] = None
         #: decoded, not yet validated blocks awaiting the next fold
         self._held: List[FlowBlock] = []
         self._held_rows = 0
@@ -206,7 +165,7 @@ class CollectorService:
         self.udp_port: Optional[int] = None
         self.control_port: Optional[int] = None
         self.datagrams_seen = 0
-        #: data lines the journal held after a resume cut it
+        #: rows the journal held after a resume cut it
         self.journal_kept: Optional[int] = None
         self._draining = False
 
@@ -285,15 +244,16 @@ class CollectorService:
             sock.close()
 
     def _start(self, resume: bool = False) -> None:
-        """Start the target and open the journal; a ``resume`` first
-        cuts the journal to what the target's resume rule keeps."""
+        """Open the journal (refusing a file that is not one), then
+        start the target; a ``resume`` first cuts the journal to what
+        the target's resume rule keeps."""
         journal = self.config.journal
         if resume and journal is not None:
             self.journal_kept = truncate_journal(
                 journal, self.target.resume_records
             )
-        self.target.start(journal, resume)
         self._open_journal()
+        self.target.start(journal, resume)
 
     def _serve(self, sock: socket.socket) -> int:
         config = self.config
@@ -368,7 +328,7 @@ class CollectorService:
         def journal(rows: int, flush: bool = False) -> None:
             # ``flush`` hands the rows to the OS: readable, not durable
             if self._journal is not None and rows:
-                self._journal.write(format_flow_columns(columns[:, :rows]))
+                self._journal.write(encode_segment(columns[:, :rows]))
                 if flush:
                     self._journal.flush()
 
@@ -397,15 +357,8 @@ class CollectorService:
     # -- journal -------------------------------------------------------
 
     def _open_journal(self) -> None:
-        if self.config.journal is None:
-            return
-        path = pathlib.Path(self.config.journal)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not path.exists() or path.stat().st_size == 0
-        self._journal = open(path, "a", encoding="ascii")
-        if fresh:
-            self._journal.write(JOURNAL_HEADER)
-            self._journal.flush()
+        if self.config.journal is not None:
+            self._journal = open_journal(self.config.journal)
 
     def _flush_journal(self) -> None:
         if self._journal is None:

@@ -66,7 +66,7 @@ class EngineTarget:
     def position(self) -> int:
         return self.engine.records_processed
 
-    #: journal data lines a resume keeps: the checkpoint's
+    #: journal rows a resume keeps: the checkpoint's
     resume_records = position
 
     @property
@@ -120,7 +120,7 @@ class FleetTarget:
 
     #: the router has no guard of its own; the loop polls the token
     stopped = False
-    #: a resume keeps every complete journal line and replays them
+    #: a resume keeps every complete journal segment and replays them
     resume_records = None
 
     def __init__(

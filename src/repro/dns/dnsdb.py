@@ -19,7 +19,8 @@ Section 4.2.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import Sequence, Set, Tuple
 
 from repro.cloud.addressing import str_to_ip
 from repro.dns.names import normalize, second_level_domain
@@ -57,12 +58,17 @@ class PassiveDnsDatabase:
         self._by_rrname: Dict[str, List[PdnsObservation]] = {}
         self._a_by_address: Dict[int, List[PdnsObservation]] = {}
         self._cname_by_target: Dict[str, List[PdnsObservation]] = {}
+        #: ``slds_for_address`` answers by ``(address, start, end)``;
+        #: infrastructure classification asks the same question for
+        #: every domain sharing an address, and any ingest clears it
+        self._slds_memo: Dict[Tuple[int, int, int], FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------
     # ingestion
 
     def ingest(self, records: Iterable[ResourceRecord], when: int) -> None:
         """Ingest the answer section of one resolution at time ``when``."""
+        self._slds_memo.clear()
         for record in records:
             rrname = normalize(record.rrname)
             if self.coverage_filter is not None and not self.coverage_filter(
@@ -150,14 +156,20 @@ class PassiveDnsDatabase:
         Includes ``owner`` itself — a name with a direct A record is its
         own query name.
         """
-        owner = normalize(owner)
+        return self._query_names(normalize(owner), start, end, _depth)
+
+    def _query_names(
+        self, owner: str, start: int, end: int, depth: int = 0
+    ) -> Set[str]:
+        """:meth:`query_names_for_owner` for an already normalised
+        ``owner`` (stored rrnames are)."""
         names = {owner}
-        if _depth > 8:
+        if depth > 8:
             return names
-        for observation in self._cname_by_target.get(owner, []):
+        for observation in self._cname_by_target.get(owner, ()):
             if observation.overlaps(start, end):
-                names |= self.query_names_for_owner(
-                    observation.rrname, start, end, _depth + 1
+                names |= self._query_names(
+                    observation.rrname, start, end, depth + 1
                 )
         return names
 
@@ -167,7 +179,7 @@ class PassiveDnsDatabase:
         """Every query name observed ultimately resolving to ``address``."""
         names: Set[str] = set()
         for owner in self.owners_of_address(address, start, end):
-            names |= self.query_names_for_owner(owner, start, end)
+            names |= self._query_names(owner, start, end)
         return names
 
     def slds_for_address(
@@ -181,19 +193,23 @@ class PassiveDnsDatabase:
         ``devA.com`` even though the A-record owner lives under the cloud
         provider's domain.
         """
-        slds: Set[str] = set()
-        for owner in self.owners_of_address(address, start, end):
-            query_names = self.query_names_for_owner(owner, start, end)
-            non_terminal = query_names - {owner}
-            if non_terminal:
-                # The A-record owner is a CNAME target (provider name);
-                # ownership is defined by the querying names.
-                slds |= {
-                    second_level_domain(name) for name in non_terminal
-                }
-            else:
-                slds.add(second_level_domain(owner))
-        return slds
+        key = (address, start, end)
+        memo = self._slds_memo.get(key)
+        if memo is None:
+            slds: Set[str] = set()
+            for owner in self.owners_of_address(address, start, end):
+                query_names = self._query_names(owner, start, end)
+                non_terminal = query_names - {owner}
+                if non_terminal:
+                    # The A-record owner is a CNAME target (provider
+                    # name); ownership is defined by the querying names.
+                    slds |= {
+                        second_level_domain(name) for name in non_terminal
+                    }
+                else:
+                    slds.add(second_level_domain(owner))
+            memo = self._slds_memo[key] = frozenset(slds)
+        return set(memo)
 
     # ------------------------------------------------------------------
     # statistics

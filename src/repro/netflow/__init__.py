@@ -1,6 +1,7 @@
 """Flow-measurement substrate: packet and flow records, packet sampling,
 a flow cache (collector), binary NetFlow v9 / IPFIX codecs, the
-memoised CSV line parser and the columnar flow-file decoder."""
+memoised CSV line parser, the columnar flow-file decoder and the
+collector's segment journal."""
 
 from repro import lazy_exports
 
@@ -27,5 +28,9 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "parse_flow_line", "read_flow_file", "write_flow_file",
         ),
         "repro.netflow.ipfix": ("IpfixCodec",),
+        "repro.netflow.journal": (
+            "JournalError", "TornSegment", "encode_segment", "is_journal",
+            "open_journal", "read_columns", "truncate_journal",
+        ),
     },
 )

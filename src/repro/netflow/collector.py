@@ -93,9 +93,5 @@ class FlowCollector:
         return exported
 
     @property
-    def cached_flows(self) -> int:
-        return len(self._cache)
-
-    @property
     def exported_flows(self) -> int:
         return len(self._exported)

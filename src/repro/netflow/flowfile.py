@@ -33,14 +33,10 @@ __all__ = [
     "write_flow_file",
     "read_flow_file",
     "format_flow",
-    "format_flow_columns",
     "parse_flow_line",
 ]
 
 _HEADER_PREFIX = "# haystack-flows v1"
-#: one data line, newline included: the ten columns with ``src``/``dst``
-#: as four octets each
-_LINE = "%d,%d,%d.%d.%d.%d,%d.%d.%d.%d,%d,%d,%d,%d,%d,0x%02x\n"
 
 
 def format_flow(flow: FlowRecord) -> str:
@@ -57,30 +53,6 @@ def format_flow(flow: FlowRecord) -> str:
             str(flow.packets),
             str(flow.bytes),
             f"0x{flow.tcp_flags:02x}",
-        )
-    )
-
-
-def format_flow_columns(columns) -> str:
-    """The text of a ten-column block (see
-    :class:`~repro.netflow.datagram.FlowBlock`): ``format_flow(row) +
-    "\\n"`` for every row, rendered in one pass over the columns."""
-    first, last, src, dst, proto, sport, dport, packets, octets, flags = (
-        columns
-    )
-    quads = [
-        ((address >> shift) & 0xFF).tolist()
-        for address in (src, dst)
-        for shift in (24, 16, 8, 0)
-    ]
-    return "".join(
-        map(
-            _LINE.__mod__,
-            zip(
-                first.tolist(), last.tolist(), *quads, proto.tolist(),
-                sport.tolist(), dport.tolist(), packets.tolist(),
-                octets.tolist(), flags.tolist(),
-            ),
         )
     )
 

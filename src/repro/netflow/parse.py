@@ -38,6 +38,7 @@ from typing import IO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cloud.addressing import str_to_ip
+from repro.netflow.journal import is_journal, read_columns
 from repro.netflow.records import FlowKey, FlowRecord
 from repro.resilience.quarantine import QuarantineSink, validate_flow_tuple
 
@@ -230,27 +231,20 @@ class FlowChunk:
 
     def head(self, count: int) -> "FlowChunk":
         """The first ``count`` rows (``max_records`` bounding)."""
-        return FlowChunk(
-            self.start_index,
-            self.first[:count],
-            self.src[:count],
-            self.dst[:count],
-            self.proto[:count],
-            self.dport[:count],
-            self.flags[:count],
-        )
+        return self._slice(slice(None, count), 0)
 
     def tail(self, drop: int) -> "FlowChunk":
         """Rows from ``drop`` on, re-indexed (resume fast-forward)."""
-        return FlowChunk(
-            self.start_index + drop,
-            self.first[drop:],
-            self.src[drop:],
-            self.dst[drop:],
-            self.proto[drop:],
-            self.dport[drop:],
-            self.flags[drop:],
+        return self._slice(slice(drop, None), drop)
+
+    def _columns(self, rows: slice) -> tuple:
+        return (
+            self.first[rows], self.src[rows], self.dst[rows],
+            self.proto[rows], self.dport[rows], self.flags[rows],
         )
+
+    def _slice(self, rows: slice, shift: int) -> "FlowChunk":
+        return FlowChunk(self.start_index + shift, *self._columns(rows))
 
 
 class IndexedFlowChunk(FlowChunk):
@@ -276,29 +270,9 @@ class IndexedFlowChunk(FlowChunk):
         super().__init__(start, first, src, dst, proto, dport, flags)
         self.indices = indices
 
-    def head(self, count: int) -> "IndexedFlowChunk":
-        """The first ``count`` rows (``max_records`` bounding)."""
-        return IndexedFlowChunk(
-            self.indices[:count],
-            self.first[:count],
-            self.src[:count],
-            self.dst[:count],
-            self.proto[:count],
-            self.dport[:count],
-            self.flags[:count],
-        )
-
-    def tail(self, drop: int) -> "IndexedFlowChunk":
-        """Rows from ``drop`` on (indices travel with their rows)."""
-        return IndexedFlowChunk(
-            self.indices[drop:],
-            self.first[drop:],
-            self.src[drop:],
-            self.dst[drop:],
-            self.proto[drop:],
-            self.dport[drop:],
-            self.flags[drop:],
-        )
+    def _slice(self, rows: slice, shift: int) -> "IndexedFlowChunk":
+        # indices travel with their rows
+        return IndexedFlowChunk(self.indices[rows], *self._columns(rows))
 
 
 class ColumnarDecodeStage:
@@ -348,18 +322,22 @@ class ColumnarDecodeStage:
 
         The first yielded row carries index ``skip`` — how a resumed
         engine continues from its checkpointed record count
-        (quarantine accounting still covers the skipped prefix).
+        (quarantine accounting still covers the skipped prefix).  A
+        path that starts like a collector journal is read through
+        :mod:`repro.netflow.journal` instead of the text kernel.
         """
-        index = 0
-        to_skip = skip
-        for columns in self._cut(self._decode_blocks(source, np), np):
+        if isinstance(source, (str, pathlib.Path)) and is_journal(source):
+            blocks, index, to_skip = read_columns(source, skip), skip, 0
+        else:
+            blocks, index, to_skip = self._decode_blocks(source), 0, skip
+        for columns in self._cut(blocks):
             chunk = FlowChunk(index, *columns)
             index += len(chunk)
             chunk, to_skip = _skip_rows(chunk, to_skip)
             if len(chunk):
                 yield chunk
 
-    def _cut(self, blocks, np):
+    def _cut(self, blocks):
         """Re-cut decoded ``(6, rows)`` blocks into arrays of exactly
         ``chunk_size`` valid rows (the last one fewer)."""
         size = self.chunk_size
@@ -377,7 +355,7 @@ class ColumnarDecodeStage:
         if rows:
             yield np.concatenate(held, axis=1)
 
-    def _decode_blocks(self, source, np):
+    def _decode_blocks(self, source):
         """Read ``source`` in blocks of complete lines and decode each
         into one ``(6, rows)`` int64 array."""
         owns = isinstance(source, (str, pathlib.Path))
@@ -393,16 +371,16 @@ class ColumnarDecodeStage:
                 cut = block.rfind(newline) + 1
                 carry = block[cut:]
                 if cut:
-                    yield self._decode_block(block[:cut], np)
+                    yield self._decode_block(block[:cut])
             if carry:
-                yield self._decode_block(carry + newline, np)
+                yield self._decode_block(carry + newline)
         finally:
             if owns:
                 stream.close()
 
     # -- decoding -----------------------------------------------------
 
-    def _decode_block(self, block: Union[bytes, str], np):
+    def _decode_block(self, block: Union[bytes, str]):
         """Decode one block of newline-terminated lines.
 
         Text-stream blocks are encoded for the kernel (a non-ASCII
@@ -415,16 +393,15 @@ class ColumnarDecodeStage:
         columns = _decode_bytes(
             block.encode("ascii", "replace") if text else block,
             self.quarantine is not None,
-            np,
         )
         if columns is None:
             lines = block.split("\n") if text else io.TextIOWrapper(
                 io.BytesIO(block), encoding="ascii"
             )
-            columns = np.stack(self._decode_lines(lines, np))
+            columns = np.stack(self._decode_lines(lines))
         return columns
 
-    def _decode_lines(self, lines: Iterable[str], np):
+    def _decode_lines(self, lines: Iterable[str]):
         """Per-line fallback: the contract for comments, malformed
         lines, unparseable fields and impossible tuples."""
         parser = self.parser
@@ -463,7 +440,7 @@ class ColumnarDecodeStage:
         )
 
 
-def _decode_bytes(data: bytes, strict: bool, np):
+def _decode_bytes(data: bytes, strict: bool):
     """The byte-level kernel: ``(6, rows)`` int64, or ``None`` to
     decline the block (the caller then takes the per-line path).
 
@@ -497,11 +474,11 @@ def _decode_bytes(data: bytes, strict: bool, np):
     bounds[1:] = seps.reshape(rows, -1).T
     bounds[0, 0] = -1
     bounds[0, 1:] = bounds[-1, :-1]
-    first = _decimal(buf, bounds[0], bounds[1], np)
+    first = _decimal(buf, bounds[0], bounds[1])
     # the eight address octets and ``proto`` are consecutive tokens
-    small = _decimal(buf, bounds[2:11], bounds[3:12], np)
-    dport = _decimal(buf, bounds[12], bounds[13], np)
-    flags = _flag_bits(buf, bounds[15], bounds[16], np)
+    small = _decimal(buf, bounds[2:11], bounds[3:12])
+    dport = _decimal(buf, bounds[12], bounds[13])
+    flags = _flag_bits(buf, bounds[15], bounds[16])
     if first is None or small is None or dport is None or flags is None:
         return None
     if small[:8].max() > 255:
@@ -518,7 +495,7 @@ def _decode_bytes(data: bytes, strict: bool, np):
     return out
 
 
-def _decimal(buf, before, after, np):
+def _decimal(buf, before, after):
     """The tokens between separator positions ``before`` and ``after``
     as int64, right-aligned digit by digit; ``None`` unless every token
     is 1-18 ASCII digits.
@@ -554,7 +531,7 @@ def _decimal(buf, before, after, np):
     return values if worst <= 9 else None
 
 
-def _flag_bits(buf, before, after, np):
+def _flag_bits(buf, before, after):
     """``0x`` + one or two hex digits as int64; ``None`` otherwise."""
     lengths = after - before
     if int(lengths.min()) < 4 or int(lengths.max()) > 5:

@@ -19,6 +19,11 @@ file intact or a ``.tmp`` leftover, never a half-written final file;
 truncation on a dying disk and foreign or future formats are caught by
 the reader (magic, version, length, digest), and :func:`newest_valid`
 falls back past damaged generations, counting them.
+
+The header itself is one codec pair, :func:`seal_header` /
+:func:`parse_header`, shared with the collector's journal
+(:mod:`repro.netflow.journal`), which appends many sealed *segments*
+to one file instead of writing one body per file.
 """
 
 from __future__ import annotations
@@ -27,11 +32,14 @@ import hashlib
 import os
 import pathlib
 import re
-from typing import Callable, List, Optional, Pattern, Sequence, Tuple
-from typing import Type, TypeVar, Union
+from typing import Callable, List, NamedTuple, Optional, Pattern, Sequence
+from typing import Tuple, Type, TypeVar, Union
 
 __all__ = [
     "SealedFileError",
+    "SealedHeader",
+    "seal_header",
+    "parse_header",
     "write_sealed",
     "read_sealed",
     "list_sealed",
@@ -58,6 +66,56 @@ class SealedFileError(ValueError):
         super().__init__(message)
 
 
+def seal_header(magic: str, version: int, parts: Sequence[bytes]) -> bytes:
+    """The header line that seals ``parts`` (the body, in order)."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return (
+        f"{magic} v{version} sha256={digest.hexdigest()} "
+        f"length={sum(map(len, parts))}\n"
+    ).encode("ascii")
+
+
+class SealedHeader(NamedTuple):
+    """A checked header line: the body it seals."""
+
+    length: int
+    digest: str
+
+    def check(self, body: bytes) -> bytes:
+        """``body``, if it is the one sealed."""
+        if len(body) != self.length:
+            raise SealedFileError(
+                f"payload is {len(body)} bytes, header says "
+                f"{self.length} (truncated or padded)"
+            )
+        if hashlib.sha256(body).hexdigest() != self.digest:
+            raise SealedFileError("payload digest mismatch")
+        return body
+
+
+def parse_header(line: bytes, magic: str, version: int) -> SealedHeader:
+    """Check one header line (newline stripped) against the expected
+    ``magic`` and ``version``; :class:`SealedFileError` when it is
+    malformed, foreign, or of another format version."""
+    try:
+        header = line.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise SealedFileError("undecodable header") from exc
+    match = _HEADER_RE.match(header)
+    if not match:
+        raise SealedFileError(f"malformed header {header!r}")
+    if match.group("magic") != magic:
+        raise SealedFileError(f"wrong magic {match.group('magic')!r}")
+    found = int(match.group("version"))
+    if found != version:
+        raise SealedFileError(
+            f"format version {found}, not {version}", found_version=found
+        )
+    return SealedHeader(int(match.group("length")), match.group("digest"))
+
+
 def write_sealed(
     path: _PathLike,
     magic: str,
@@ -67,13 +125,7 @@ def write_sealed(
 ) -> None:
     """Atomically write ``parts`` (the body, in order) under a header."""
     path = pathlib.Path(path)
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part)
-    header = (
-        f"{magic} v{version} sha256={digest.hexdigest()} "
-        f"length={sum(map(len, parts))}\n"
-    ).encode("ascii")
+    header = seal_header(magic, version, parts)
     temp = path.with_name(path.name + ".tmp")
     with open(temp, "wb") as fh:
         fh.write(header)
@@ -113,30 +165,8 @@ def read_sealed(path: _PathLike, magic: str, version: int) -> bytes:
     newline = raw.find(b"\n")
     if newline < 0:
         raise SealedFileError("missing header line")
-    try:
-        header = raw[:newline].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise SealedFileError("undecodable header") from exc
-    match = _HEADER_RE.match(header)
-    if not match:
-        raise SealedFileError(f"malformed header {header!r}")
-    if match.group("magic") != magic:
-        raise SealedFileError(f"wrong magic {match.group('magic')!r}")
-    found = int(match.group("version"))
-    if found != version:
-        raise SealedFileError(
-            f"format version {found}, not {version}", found_version=found
-        )
-    body = raw[newline + 1 :]
-    length = int(match.group("length"))
-    if len(body) != length:
-        raise SealedFileError(
-            f"payload is {len(body)} bytes, header says {length} "
-            "(truncated or padded)"
-        )
-    if hashlib.sha256(body).hexdigest() != match.group("digest"):
-        raise SealedFileError("payload digest mismatch")
-    return body
+    header = parse_header(raw[:newline], magic, version)
+    return header.check(raw[newline + 1 :])
 
 
 def list_sealed(

@@ -165,9 +165,7 @@ class StreamDetectionEngine:
         )
         if rule_source is not None and rule_source.refresh_every:
             self._pipeline.poll_every = rule_source.refresh_every
-            self._pipeline.on_poll = lambda: self._stage_from_source(
-                rule_source.head()
-            )
+            self._pipeline.on_poll = self._poll_source
         self._stage = self._pipeline.stage
         self.metrics = self._stage.metrics
         self.metrics.rules_active_version = rules_version
@@ -360,6 +358,11 @@ class StreamDetectionEngine:
         if generation is not None:
             self.stage_rules(generation, activate_at)
         return generation is not None
+
+    def _poll_source(self) -> None:
+        """One refresh poll; a head the source cannot load is a failure."""
+        if not self._stage_from_source(self.rule_source.head()):
+            self.metrics.rules_refresh_failures += 1
 
     @property
     def records_processed(self) -> int:

@@ -20,6 +20,26 @@ def triples(items):
     return {(i.subscriber, i.class_name, i.detected_at) for i in items}
 
 
+def flow_row(flow):
+    """A record's ten journal columns, in segment column order."""
+    return (
+        flow.first_switched, flow.last_switched, flow.src_ip, flow.dst_ip,
+        flow.protocol, flow.src_port, flow.dst_port, flow.packets,
+        flow.bytes, flow.tcp_flags,
+    )
+
+
+def journal_rows(path):
+    """Every row a collector journal holds, decoded: ten-tuples."""
+    from repro.netflow.journal import read_columns
+
+    return [
+        tuple(row)
+        for columns in read_columns(path, fields=range(10))
+        for row in columns.T.tolist()
+    ]
+
+
 def write_artifacts(directory, rules, hitlist):
     """``rules.json`` + ``hitlist.json`` as ``--artifacts`` reads them."""
     directory.mkdir(parents=True, exist_ok=True)

@@ -20,11 +20,13 @@ from repro.collector import (
     CollectorSource,
     ControlPlane,
     ExporterState,
-    JOURNAL_HEADER,
-    truncate_journal,
 )
 from repro.faults import encode_export_stream
-from repro.netflow.flowfile import format_flow
+from repro.netflow.journal import (
+    encode_segment,
+    open_journal,
+    truncate_journal,
+)
 from repro.netflow.ipfix import IpfixCodec
 from repro.netflow.records import (
     FlowKey,
@@ -320,88 +322,116 @@ class TestCollectorSource:
         assert json.loads(json.dumps(document)) == document
 
 
+def _write_journal(path, sizes, start=0):
+    """A journal of ``len(sizes)`` segments holding consecutive
+    ``_flow`` rows; returns the rows."""
+    import numpy as np
+
+    from tests.conftest import flow_row
+
+    rows = [flow_row(_flow(start + i)) for i in range(sum(sizes))]
+    at = 0
+    with open_journal(path) as journal:
+        for size in sizes:
+            block = np.array(rows[at : at + size], dtype=np.uint64)
+            journal.write(encode_segment(block.reshape(size, 10).T))
+            at += size
+    return rows
+
+
 class TestTruncateJournal:
-    def test_keeps_prefix_and_comments(self, tmp_path):
+    """The resume cut (:func:`repro.netflow.journal.truncate_journal`);
+    the damage table is ``tests/test_journal.py``."""
+
+    def test_keeps_a_prefix_across_segments(self, tmp_path):
+        from tests.conftest import journal_rows
+
         path = tmp_path / "journal.csv"
-        lines = [format_flow(_flow(i)) for i in range(10)]
-        path.write_text(
-            JOURNAL_HEADER + "\n".join(lines) + "\n", encoding="ascii"
-        )
+        rows = _write_journal(path, [3, 0, 4, 3])
+        assert truncate_journal(path, 7) == 7
+        assert journal_rows(path) == rows[:7]
+        # a cut inside a segment re-seals that segment's prefix
         assert truncate_journal(path, 4) == 4
-        kept = path.read_text().splitlines()
-        assert kept[0] == JOURNAL_HEADER.strip()
-        assert kept[1:] == lines[:4]
+        assert journal_rows(path) == rows[:4]
 
     def test_truncate_beyond_length_keeps_everything(self, tmp_path):
         path = tmp_path / "journal.csv"
-        path.write_text(
-            JOURNAL_HEADER + format_flow(_flow()) + "\n",
-            encoding="ascii",
-        )
+        _write_journal(path, [1])
+        whole = path.read_bytes()
         assert truncate_journal(path, 99) == 1
+        assert path.read_bytes() == whole
 
     def test_missing_journal_is_empty(self, tmp_path):
         assert truncate_journal(tmp_path / "absent.csv", 5) == 0
 
     def test_header_only_journal_keeps_its_header(self, tmp_path):
+        """A zero-row segment is a header and an empty body."""
         path = tmp_path / "journal.csv"
-        path.write_text(JOURNAL_HEADER, encoding="ascii")
+        _write_journal(path, [0])
+        whole = path.read_bytes()
+        assert whole.count(b"\n") == 1
         assert truncate_journal(path, 0) == 0
-        assert path.read_text() == JOURNAL_HEADER
+        assert path.read_bytes() == whole
 
     def test_large_journal_is_cut_in_place(self, tmp_path):
-        """Far larger than any read buffer, comment lines inside the
-        kept prefix: the file is truncated where data line 3,501
-        starts — same inode, no rewrite, nothing held in memory."""
+        """Far larger than any read buffer: the file is truncated
+        inside the segment holding row 7,001 — same inode, the
+        segments before it untouched, nothing held in memory."""
         import io
 
+        from tests.conftest import journal_rows
+
         path = tmp_path / "journal.csv"
-        lines = [format_flow(_flow(i)) for i in range(5000)]
-        lines.insert(4000, "# past the cut")
-        lines.insert(3500, "# right before the cut")
-        lines.insert(10, "# rotated")
-        text = JOURNAL_HEADER + "\n".join(lines) + "\n"
-        assert len(text) > 16 * io.DEFAULT_BUFFER_SIZE
-        path.write_text(text, encoding="ascii")
+        rows = _write_journal(path, [2000] * 5)
+        assert path.stat().st_size > 16 * io.DEFAULT_BUFFER_SIZE
+        before = path.read_bytes()
         inode = path.stat().st_ino
-        assert truncate_journal(path, 3500) == 3500
+        assert truncate_journal(path, 7000) == 7000
         assert path.stat().st_ino == inode
-        kept = path.read_text().splitlines()
-        assert kept == [JOURNAL_HEADER.strip()] + lines[:3502]
-        assert kept[-1] == "# right before the cut"
+        assert journal_rows(path) == rows[:7000]
+        kept = path.read_bytes()
+        fourth = before.index(b"haystack-journal", 1)  # segment 2
+        for _ in range(2):
+            fourth = before.index(b"haystack-journal", fourth + 1)
+        assert kept[:fourth] == before[:fourth]
         # idempotent, and a no-op when nothing lies past the cut
-        assert truncate_journal(path, 3500) == 3500
-        assert path.read_text().splitlines() == kept
+        assert truncate_journal(path, 7000) == 7000
+        assert path.read_bytes() == kept
 
     def test_torn_tail_of_a_multi_block_journal(self, tmp_path):
         """No record bound (the fleet's resume rule): every complete
-        line of a journal many read blocks long stays, the newline-less
-        last one goes, and a second call writes nothing."""
+        segment of a journal many read blocks long stays, the torn last
+        one goes, and a second call writes nothing."""
         path = tmp_path / "journal.csv"
-        lines = [format_flow(_flow(i)) for i in range(6000)]
-        whole = JOURNAL_HEADER + "\n".join(lines) + "\n"
+        _write_journal(path, [3000] * 4)
+        whole = path.read_bytes()
         assert len(whole) > 256 * 1024
-        path.write_text(whole + lines[0][:17], encoding="ascii")
-        assert truncate_journal(path) == 6000
-        assert path.read_text(encoding="ascii") == whole
+        _write_journal(path, [3000])
+        segment = path.read_bytes()[len(whole) :]
+        path.write_bytes(whole + segment[: len(segment) // 2])
+        assert truncate_journal(path) == 12000
+        assert path.read_bytes() == whole
         stamp = path.stat().st_mtime_ns
-        assert truncate_journal(path) == 6000
+        assert truncate_journal(path) == 12000
         assert path.stat().st_mtime_ns == stamp
 
     @pytest.mark.parametrize("torn", ["1583020800,10.0.", "# rota"])
     def test_torn_tail_exactly_at_records(self, tmp_path, torn):
-        """The checkpoint covers every complete line and the kill left
-        half of the next one: the cut lands on the torn line."""
+        """The checkpoint covers every complete segment and the kill
+        left bytes of no complete header line behind it: the cut lands
+        there."""
+        from tests.conftest import journal_rows
+
         path = tmp_path / "journal.csv"
-        lines = [format_flow(_flow(i)) for i in range(10)]
-        whole = JOURNAL_HEADER + "\n".join(lines) + "\n"
-        path.write_text(whole + torn, encoding="ascii")
+        rows = _write_journal(path, [4, 6])
+        whole = path.read_bytes()
+        path.write_bytes(whole + torn.encode())
         assert truncate_journal(path, 10) == 10
-        assert path.read_text(encoding="ascii") == whole
-        # ... and a torn line inside the surplus changes nothing
-        path.write_text(whole + torn, encoding="ascii")
+        assert path.read_bytes() == whole
+        # ... and a torn tail inside the surplus changes nothing
+        path.write_bytes(whole + torn.encode())
         assert truncate_journal(path, 4) == 4
-        assert path.read_text(encoding="ascii").splitlines()[1:] == lines[:4]
+        assert journal_rows(path) == rows[:4]
 
 
 def _engine(rules, hitlist, **config_kwargs):

@@ -5,8 +5,8 @@ blocks (:mod:`repro.netflow.datagram`), the collector validates them
 with masks, and :class:`CollectorService` holds, folds and journals
 them as chunks.  Each step is pinned here against the per-record code
 it replaced: the ``int.from_bytes`` field loop (kept below as the
-reference), the scalar validator, ``format_flow``, and a service that
-folds every datagram on its own.
+reference), the scalar validator, the record-at-a-time adapter, and a
+service that folds every datagram on its own.
 """
 
 import json
@@ -24,7 +24,6 @@ from repro.collector import (
     CollectorService,
     CollectorSource,
     FleetTarget,
-    truncate_journal,
 )
 from repro.collector import service as service_module
 from repro.fleet import FleetConfig, FleetService
@@ -34,8 +33,12 @@ from repro.netflow.datagram import (
     block_columns,
     records_from_columns,
 )
-from repro.netflow.flowfile import format_flow, format_flow_columns
 from repro.netflow.ipfix import IpfixCodec
+from repro.netflow.journal import (
+    encode_segment,
+    open_journal,
+    truncate_journal,
+)
 from repro.netflow.records import FlowKey, FlowRecord, PROTO_TCP, TCP_ACK
 from repro.netflow.v9 import NetflowV9Codec
 from repro.resilience.quarantine import (
@@ -50,6 +53,7 @@ from repro.stream import (
     StreamConfig,
     StreamDetectionEngine,
 )
+from tests.conftest import flow_row, journal_rows
 
 #: field type feeding each column, per codec (first, last, src, dst,
 #: proto, sport, dport, packets, bytes, flags)
@@ -313,17 +317,26 @@ class TestValidateMasks:
         assert entry == {"reason": "time_travel", "sample": repr(bad)[:256]}
 
 
+def _segment_rows(directory, columns):
+    """``columns`` through one journal segment and back."""
+    path = directory / "journal.bin"
+    with open_journal(path) as journal:
+        journal.write(encode_segment(columns))
+    return journal_rows(path)
+
+
 class TestJournalRender:
     @settings(max_examples=100, deadline=None)
     @given(_rows)
-    def test_block_text_equals_format_flow(self, rows):
+    def test_block_round_trips_through_a_segment(
+        self, tmp_path_factory, rows
+    ):
         kept = CollectorSource().validate([_block(rows)])
-        assert format_flow_columns(kept) == "".join(
-            format_flow(record) + "\n"
-            for record in records_from_columns(kept)
-        )
+        assert _segment_rows(tmp_path_factory.mktemp("segment"), kept) == [
+            flow_row(record) for record in records_from_columns(kept)
+        ]
 
-    def test_wide_counters(self):
+    def test_wide_counters(self, tmp_path):
         flows = [
             _flow(0, packets=2**32, bytes=2**40 + 7),
             _flow(1, packets=2**63 - 1, bytes=2**32 - 1, tcp_flags=0),
@@ -331,9 +344,9 @@ class TestJournalRender:
         ]
         codec = IpfixCodec()
         (block,) = codec.decode_message(codec.encode(flows, 0)).blocks
-        assert format_flow_columns(block.columns) == "".join(
-            format_flow(flow) + "\n" for flow in flows
-        )
+        assert _segment_rows(tmp_path, block.columns) == [
+            flow_row(flow) for flow in flows
+        ]
 
 
 # -- the hold ---------------------------------------------------------------
@@ -355,14 +368,6 @@ def _service(rules, hitlist, directory, token=None, **config):
     )
     service._open_journal()
     return service
-
-
-def _data_lines(path):
-    return [
-        line
-        for line in path.read_text(encoding="ascii").splitlines()
-        if line and not line.startswith("#")
-    ]
 
 
 def _two_exporter_stream(flows):
@@ -407,7 +412,7 @@ class TestHold:
         service._journal.close()
         return (
             [event.to_line() for event in service.engine.sink.events],
-            (directory / "journal.csv").read_bytes(),
+            journal_rows(directory / "journal.csv"),
             sorted(path.name for path in (directory / "ckpt").iterdir()),
             service.source.metrics.to_dict(),
             dict(service.source.quarantine.counts),
@@ -438,7 +443,7 @@ class TestHold:
             "ckpt-0000002519.json",
             "ckpt-0000002799.json",
         ]
-        assert journal.count(b"\n") == 1 + 2799
+        assert len(journal) == 2799
 
     def test_stop_mid_chunk_journals_what_was_folded(
         self, rules, hitlist, gt_flows, tmp_path
@@ -465,8 +470,8 @@ class TestHold:
         # journal and counter follow the accepted prefix, not the hold
         assert service.engine.records_processed == 12
         assert service.source.metrics.records_folded == 12
-        assert _data_lines(tmp_path / "journal.csv") == [
-            format_flow(flow) for flow in gt_flows[:12]
+        assert journal_rows(tmp_path / "journal.csv") == [
+            flow_row(flow) for flow in gt_flows[:12]
         ]
 
     def test_stop_folds_the_held_rows(
@@ -488,8 +493,8 @@ class TestHold:
         assert service.engine.stopped
         assert service.engine.records_processed == 30
         assert service.source.metrics.records_folded == 30
-        assert _data_lines(tmp_path / "journal.csv") == [
-            format_flow(flow) for flow in gt_flows[:30]
+        assert journal_rows(tmp_path / "journal.csv") == [
+            flow_row(flow) for flow in gt_flows[:30]
         ]
         assert [path.name for path in (tmp_path / "ckpt").iterdir()] == [
             "ckpt-0000000030.json"
@@ -534,8 +539,8 @@ class TestHold:
             service._journal.close()
         assert fleet.metrics.records_routed == 3000
         assert service.source.metrics.records_folded == 3000
-        assert _data_lines(tmp_path / "journal.csv") == [
-            format_flow(flow) for flow in flows
+        assert journal_rows(tmp_path / "journal.csv") == [
+            flow_row(flow) for flow in flows
         ]
         replay = StreamDetectionEngine(
             rules, hitlist, StreamConfig(checkpoint_every=0), MemoryEventSink()
@@ -580,8 +585,8 @@ class TestHold:
         assert codes == [EXIT_DRAINED]
         assert service.engine.records_processed == 40
         assert service.source.metrics.records_folded == 40
-        assert _data_lines(tmp_path / "journal.csv") == [
-            format_flow(flow) for flow in gt_flows[:40]
+        assert journal_rows(tmp_path / "journal.csv") == [
+            flow_row(flow) for flow in gt_flows[:40]
         ]
         assert [path.name for path in (tmp_path / "ckpt").iterdir()] == [
             "ckpt-0000000040.json"
@@ -643,8 +648,8 @@ class TestHold:
         )
         assert engine.records_processed == 100
         assert truncate_journal(journal, engine.records_processed) == 100
-        assert _data_lines(journal) == [
-            format_flow(flow) for flow in gt_flows[:100]
+        assert journal_rows(journal) == [
+            flow_row(flow) for flow in gt_flows[:100]
         ]
 
 

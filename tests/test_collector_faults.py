@@ -43,7 +43,6 @@ from repro.collector import (
     CollectorService,
     CollectorSource,
     FleetTarget,
-    JOURNAL_HEADER,
 )
 from repro.faults import (
     DATAGRAM_FAULT_KINDS,
@@ -52,10 +51,10 @@ from repro.faults import (
     encode_export_stream,
 )
 from repro.fleet import FleetConfig, FleetService, worker_checkpoint_dir
-from repro.netflow.flowfile import format_flow
 from repro.netflow.v9 import NetflowV9Codec
 from repro.runtime import EXIT_DRAINED, StopToken
 from repro.stream.checkpoint import load_latest
+from tests.conftest import flow_row, journal_rows
 from repro.stream import (
     MemoryEventSink,
     StreamConfig,
@@ -86,7 +85,7 @@ def clean_datagrams(batches):
 def _fold_live(rules, hitlist, delivered, journal):
     """Drive the delivered stream through the shipped service loop.
 
-    Returns (event lines, journal data lines, collector metrics); the
+    Returns (event lines, journal rows, collector metrics); the
     journal is the file at ``journal``, written by the service.
     """
     sink = MemoryEventSink()
@@ -105,7 +104,7 @@ def _fold_live(rules, hitlist, delivered, journal):
         service._journal.close()
     assert engine.records_processed == service.source.metrics.records_folded
     lines = [event.to_line() for event in sink.events]
-    return lines, _data_lines(journal), service.source.metrics
+    return lines, journal_rows(journal), service.source.metrics
 
 
 def _fleet_service(rules, hitlist, directory, workers=2, **config):
@@ -141,14 +140,6 @@ def _fold_fleet(service, delivered, resume=False):
         if service._journal is not None:
             service._journal.close()
     return service.target.events_out.read_text().splitlines()
-
-
-def _data_lines(journal):
-    return [
-        line
-        for line in journal.read_text(encoding="ascii").splitlines()
-        if line and not line.startswith("#")
-    ]
 
 
 def _replay_oracle(rules, hitlist, journal):
@@ -193,14 +184,14 @@ class TestDatagramFaultMatrix:
         assert _fold_fleet(sharded, delivered) == live
         assert sharded.config.journal.read_bytes() == path.read_bytes()
         assert sharded.source.metrics.to_dict() == metrics.to_dict()
-        # the block-rendered journal is, byte for byte, what the
-        # record-at-a-time adapter and format_flow give
+        # the journal holds, row for row, what the record-at-a-time
+        # adapter gives
         source = CollectorSource()
-        assert path.read_text(encoding="ascii") == JOURNAL_HEADER + "".join(
-            format_flow(record) + "\n"
+        assert journal == [
+            flow_row(record)
             for number, payload in enumerate(delivered)
             for record in source.ingest(payload, now=number * 0.001)
-        )
+        ]
         # the fault must not have silenced the stream entirely
         assert metrics.records_folded > 0, kind
         # every rejected datagram carries a typed reason
@@ -227,7 +218,8 @@ class TestDatagramFaultMatrix:
             rules, hitlist, tmp_path, workers, checkpoint_every=200
         )
         assert _fold_fleet(sharded, clean_datagrams) == live
-        assert sharded.config.journal.read_bytes() == path.read_bytes()
+        # the cadence cuts the fleet's folds (so its segments) apart
+        assert journal_rows(sharded.config.journal) == journal_rows(path)
         fleet = sharded.target.fleet.metrics
         assert fleet.records_routed == _BATCH * len(clean_datagrams)
         assert fleet.restarts == fleet.rebalances == 0
@@ -265,9 +257,9 @@ class TestDatagramFaultMatrix:
             first.target.abort()  # no drain, no final checkpoint
             first._journal.close()
         journal = first.config.journal
-        assert len(_data_lines(journal)) == 300
+        assert len(journal_rows(journal)) == 300
         with open(journal, "ab") as fh:
-            fh.write(b"1583020800,10.0.")
+            fh.write(b"haystack-journal v1 sha256=")
 
         second = _fleet_service(
             rules, hitlist, tmp_path, checkpoint_every=200
@@ -276,7 +268,7 @@ class TestDatagramFaultMatrix:
         rest = encode_export_stream(batches[60:], factory)
         assert _fold_fleet(second, rest, resume=True) == live
         assert second.journal_kept == 300
-        assert journal.read_bytes() == path.read_bytes()
+        assert journal_rows(journal) == journal_rows(path)
         fleet = second.target.fleet.metrics
         # the checkpointed 200 were skipped, the tail of 100 re-folded
         assert fleet.records_skipped == 200
@@ -535,11 +527,7 @@ class TestCollectorCliSoak:
         )
         assert json.loads(sample)["reason"].startswith("datagram_")
 
-        first_records = sum(
-            1
-            for line in journal.read_text().splitlines()
-            if line and not line.startswith("#")
-        )
+        first_records = len(journal_rows(journal))
         assert first_records > 0
 
         # ---- second life: resume, exporter re-announces template ----
@@ -562,11 +550,7 @@ class TestCollectorCliSoak:
 
         # no double-counting across the kill: the journal's record
         # count equals what the resumed engine reports having folded
-        final = [
-            line
-            for line in journal.read_text().splitlines()
-            if line and not line.startswith("#")
-        ]
+        final = journal_rows(journal)
         reported = dict(
             part.split("=")
             for part in err.splitlines()[-1].lstrip("# ").split()

@@ -378,7 +378,7 @@ class TestDecodeParity:
         """The writer's two ``#`` header lines are peeled off the first
         block; they do not send it down the per-line path."""
 
-        def fell_back(self, lines, np):
+        def fell_back(self, lines):
             raise AssertionError("clean block took the per-line path")
 
         monkeypatch.setattr(ColumnarDecodeStage, "_decode_lines", fell_back)

@@ -129,3 +129,14 @@ class TestInverseQueries:
     def test_window_restricts_inverse_view(self, db):
         slds = db.slds_for_address(str_to_ip("62.0.0.5"), 0, 3500)
         assert slds == {"vendor.example"}
+
+    def test_an_ingest_after_a_query_is_seen_by_the_next(self, db):
+        address = str_to_ip("60.0.0.1")
+        first = db.slds_for_address(address, 0, 10000)
+        first.add("mutated.example")  # a caller's copy, not the memo
+        assert db.slds_for_address(address, 0, 10000) == {"vendor.example"}
+        db.ingest([_a("cdn.third.example", "60.0.0.1")], 5000)
+        assert db.slds_for_address(address, 0, 10000) == {
+            "vendor.example",
+            "third.example",
+        }

@@ -159,3 +159,47 @@ class TestPublicSurface:
         )
         fig11 = importlib.import_module("repro.experiments.fig11_isp_wild")
         assert registry["fig11"] == (fig11.run, fig11.render)
+
+
+class TestBlasPool:
+    """``python -m repro`` caps OpenBLAS at one thread before numpy
+    loads: nothing here calls BLAS, and the idle pool's workers spin."""
+
+    _THREADS = (
+        "import os\n"
+        "import repro.__main__\n"
+        "import numpy\n"
+        "print('THREADS', len(os.listdir('/proc/self/task')),"
+        " os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+
+    def _run(self, **env):
+        environment = {
+            name: value for name, value in os.environ.items()
+            if name != "OPENBLAS_NUM_THREADS"
+        }
+        environment.update(env)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(_SRC), environment.get("PYTHONPATH")))
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", self._THREADS],
+            env=environment, capture_output=True, text=True, timeout=120,
+        )
+        (line,) = [
+            line for line in done.stdout.splitlines()
+            if line.startswith("THREADS ")
+        ]
+        threads, setting = line.split()[1:]
+        return int(threads), setting
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2
+        or not os.path.isdir("/proc/self/task"),
+        reason="one core starts no BLAS workers",
+    )
+    def test_one_thread_after_numpy_loads(self):
+        assert self._run() == (1, "1")
+
+    def test_a_setting_from_outside_wins(self):
+        assert self._run(OPENBLAS_NUM_THREADS="2")[1] == "2"

@@ -493,8 +493,8 @@ class TestDecodeFuzzParity:
         taken = {"kernel": 0, "lines": 0}
         kernel = parse._decode_bytes
 
-        def counting(data, strict, np):
-            columns = kernel(data, strict, np)
+        def counting(data, strict):
+            columns = kernel(data, strict)
             taken["kernel" if columns is not None else "lines"] += 1
             return columns
 
@@ -603,7 +603,7 @@ class TestDecimalKernel:
         buf = np.frombuffer(data, dtype=np.uint8)
         commas = np.flatnonzero(buf == ord(","))
         before = np.concatenate(([-1], commas[:-1]))
-        values = _decimal(buf, before, commas, np)
+        values = _decimal(buf, before, commas)
         if values is None:
             return
         assert values.dtype == np.int64

@@ -825,6 +825,32 @@ class TestEngineReconcile:
         assert store.generation(2) is None
         assert VersionedRuleStore(tmp_path / "empty").head() == 0
 
+    def test_a_head_the_store_cannot_load_is_a_refresh_failure(
+        self, tmp_path, swap_flowfile
+    ):
+        """v2 is pruned between the poll's ``head()`` and its load: one
+        failure, counted.  At the parent the counter was persisted and
+        rendered but never incremented."""
+        store = self._store(tmp_path, world_v1(), world_v2())
+
+        def head():
+            version = store.head()
+            if version == 2:
+                artifact_path(store.directory, 2).unlink()
+            return version
+
+        engine = StreamDetectionEngine(
+            *world_v1(),
+            StreamConfig(),
+            rules_version=1,
+            rule_source=RuleSource(store.generation, head, 2),
+        )
+        engine.process_flowfile(swap_flowfile)  # polls before 2 and 4
+        section = engine.metrics_dict()["rules"]
+        assert section["refresh_failures"] == 1
+        assert section["active_version"] == 1
+        assert section["swap_count"] == 0
+
     def test_source_cadence_needs_a_head(self):
         with pytest.raises(ValueError, match="head"):
             RuleSource(lambda version: None, refresh_every=10)
@@ -1212,6 +1238,29 @@ class TestCliRefresh:
             tmp_path / "events-refresh.jsonl"
         ).read_bytes()
 
+    def test_a_malformed_line_before_the_sigterm_is_quarantined_once(
+        self, tmp_path, swap_flowfile
+    ):
+        """``--inject-sigterm-at`` splits one decode pass.  At the
+        parent the fold after the signal decoded the file again from
+        byte 0 and quarantined the line a second time."""
+        flows = self._with_a_malformed_line(tmp_path, swap_flowfile)
+        _publish(tmp_path / "store", world_v1())
+        quarantine = tmp_path / "quarantine"
+        code, document = _stream_cli(
+            tmp_path, flows, "killed", "--inject-sigterm-at", "4",
+            top=("--quarantine-dir", str(quarantine),
+                 "--drain-grace", "60"),
+        )
+        assert code == 3  # drained resumably
+        assert document["throughput"]["records"] == 4
+        assert document["quarantine"] == {
+            "total": 1,
+            "by_reason": {"malformed_line": 1},
+        }
+        samples = (quarantine / "quarantine.jsonl").read_text()
+        assert len(samples.splitlines()) == 1
+
     def test_the_file_is_decoded_once_however_many_polls(
         self, tmp_path, swap_flowfile, monkeypatch
     ):
@@ -1223,9 +1272,9 @@ class TestCliRefresh:
         passes, rows = [], []
         decode_blocks = ColumnarDecodeStage._decode_blocks
 
-        def counting(self, source, np):
+        def counting(self, source):
             passes.append(source)
-            for block in decode_blocks(self, source, np):
+            for block in decode_blocks(self, source):
                 rows.append(len(block[0]))
                 yield block
 
