@@ -20,12 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.reporting import render_table
-from repro.core.detector import WindowedDetector, anonymize_subscriber
+from repro.core.detector import FlowDetector, anonymize_subscriber
 from repro.core.hitlist import build_hitlist
 from repro.core.rules import generate_rules
 from repro.devices.behavior import DeviceBehavior
 from repro.scenario import build_default_scenario
-from repro.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR, STUDY_START
+from repro.timeutil import SECONDS_PER_HOUR, STUDY_START
 
 VULNERABLE_PRODUCT = "Wansview Cam"  # the class behind the "attack"
 INFECTED_LINES = 60
@@ -55,9 +55,7 @@ def main() -> None:
     rng = np.random.default_rng(5)
     resolver = scenario.make_resolver(feed_dnsdb=False)
 
-    detector = WindowedDetector(
-        rules, hitlist, window_seconds=SECONDS_PER_DAY, threshold=0.4
-    )
+    detector = FlowDetector(rules, hitlist, threshold=0.4)
 
     # Population: infected lines all host the vulnerable camera (plus
     # whatever else); clean lines host random other devices.
@@ -90,7 +88,12 @@ def main() -> None:
             detector, scenario, rng, resolver, subscriber, products
         )
 
-    detected = detector.detections_in_window(0)
+    # the whole simulated day's evidence: class -> lines it detected
+    detected = {}
+    for detection in detector.detections():
+        detected.setdefault(detection.class_name, set()).add(
+            detection.subscriber
+        )
     suspicious_set = set(suspicious)
 
     rows = []
@@ -110,7 +113,7 @@ def main() -> None:
                 f"{min(lift, 999):.0f}x",
             )
         )
-    rows.sort(key=lambda row: -row[1])
+    rows.sort(key=lambda row: (-row[1], row[0]))
     print(
         render_table(
             (

@@ -1,4 +1,4 @@
-"""Shared analysis utilities: time bucketing, ECDFs, heavy-hitter
+"""Shared analysis utilities: ECDFs, heavy-hitter
 visibility, an analytic/Monte-Carlo detection-probability model, and
 plain-text rendering of tables and series for the benchmark harness."""
 
@@ -7,9 +7,6 @@ from repro import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.analysis.timeline": (
-            "HourlySeries", "bucket_by_day", "bucket_by_hour",
-        ),
         "repro.analysis.ecdf": ("Ecdf",),
         "repro.analysis.heavyhitters": ("heavy_hitter_visibility",),
         "repro.analysis.detection_model": (

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.timeutil import SECONDS_PER_HOUR, STUDY_START
+from repro.timeutil import STUDY_START, hour_index
 
 __all__ = ["heavy_hitter_visibility"]
 
@@ -31,11 +31,11 @@ def heavy_hitter_visibility(
         lambda: defaultdict(int)
     )
     for event in home_events:
-        bucket = (event.timestamp - origin) // SECONDS_PER_HOUR
+        bucket = hour_index(event.timestamp, origin)
         home_bytes[bucket][event.dst_ip] += event.bytes
     isp_seen: Dict[int, Set[int]] = defaultdict(set)
     for event in isp_events:
-        bucket = (event.timestamp - origin) // SECONDS_PER_HOUR
+        bucket = hour_index(event.timestamp, origin)
         isp_seen[bucket].add(event.dst_ip)
 
     result: Dict[float, Dict[int, float]] = {

@@ -11,7 +11,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ip_to_str", "str_to_ip",
         ),
         "repro.cloud.infrastructure": (
-            "BackendHost", "CdnFleet", "CloudVmPool", "DedicatedCluster",
+            "CdnFleet", "CloudVmPool", "DedicatedCluster",
             "InfrastructureKind",
         ),
     },

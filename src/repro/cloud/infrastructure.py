@@ -30,7 +30,6 @@ from repro.dns.names import second_level_domain
 
 __all__ = [
     "InfrastructureKind",
-    "BackendHost",
     "DedicatedCluster",
     "CloudVmPool",
     "CdnFleet",
@@ -43,15 +42,6 @@ class InfrastructureKind:
     DEDICATED = "dedicated"
     CLOUD_VM = "cloud_vm"
     CDN = "cdn"
-
-
-@dataclass(frozen=True)
-class BackendHost:
-    """A single server endpoint in some backend infrastructure."""
-
-    address: int
-    kind: str
-    operator: str
 
 
 def _stable_hash(*parts: object) -> int:

@@ -43,7 +43,9 @@ before every checkpoint so the invariant ``journal records >=
 checkpoint records`` holds across kills, and :func:`truncate_journal`
 restores equality on resume (dropping the uncheckpointed tail that the
 resumed socket loop will not re-receive; for the fleet, which replays
-its journal, only a torn last segment).
+its journal, only a torn last segment).  A journal holding fewer
+records than the checkpoint breaks the invariant, and the resume is
+refused.
 
 **Drain.**  A stop request (SIGTERM via the CLI's
 :class:`~repro.runtime.shutdown.ShutdownCoordinator`, or a deadline)
@@ -73,8 +75,12 @@ from repro.collector.control import ControlPlane
 from repro.collector.source import CollectorSource
 from repro.collector.targets import EngineTarget, FleetTarget
 from repro.netflow.datagram import FlowBlock
-from repro.netflow.journal import encode_segment, open_journal
-from repro.netflow.journal import truncate_journal
+from repro.netflow.journal import (
+    JournalError,
+    encode_segment,
+    open_journal,
+    truncate_journal,
+)
 from repro.netflow.parse import FlowChunk
 from repro.runtime.shutdown import EXIT_COMPLETED, EXIT_DRAINED
 
@@ -246,12 +252,19 @@ class CollectorService:
     def _start(self, resume: bool = False) -> None:
         """Open the journal (refusing a file that is not one), then
         start the target; a ``resume`` first cuts the journal to what
-        the target's resume rule keeps."""
+        the target's resume rule keeps, and refuses a journal shorter
+        than the checkpoint — replaying it could not reproduce the
+        event log."""
         journal = self.config.journal
         if resume and journal is not None:
-            self.journal_kept = truncate_journal(
-                journal, self.target.resume_records
-            )
+            wanted = self.target.resume_records
+            self.journal_kept = truncate_journal(journal, wanted)
+            if wanted is not None and self.journal_kept < wanted:
+                raise JournalError(
+                    f"journal {journal} holds {self.journal_kept} "
+                    f"records, fewer than the {wanted} the checkpoint "
+                    "has folded"
+                )
         self._open_journal()
         self.target.start(journal, resume)
 

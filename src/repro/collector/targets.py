@@ -21,6 +21,7 @@ from __future__ import annotations
 import pathlib
 from typing import Callable, Optional, Union
 
+from repro.netflow.journal import JournalError
 from repro.netflow.parse import FlowChunk
 from repro.pipeline.metrics import StreamMetrics
 from repro.resilience.quarantine import QuarantineSink
@@ -154,9 +155,17 @@ class FleetTarget:
         return self.position - self._last_checkpoint
 
     def start(self, journal, resume: bool) -> None:
-        """Spawn the workers; a resume replays the journal first."""
-        self.fleet.start_push(journal, resume=resume)
+        """Spawn the workers; a resume replays the journal first, and
+        refuses one shorter than the workers' checkpoints."""
+        stopped = self.fleet.start_push(journal, resume=resume)
         self._last_checkpoint = self.position
+        missing = sum(self.fleet.unreplayed.values())
+        if missing and not stopped:
+            folded = self.fleet.metrics.records_skipped + missing
+            raise JournalError(
+                f"journal {journal} holds {self.position} records, "
+                f"fewer than the {folded} the checkpoints have folded"
+            )
 
     def fold(self, chunk: FlowChunk, journal: Callable[..., None]) -> int:
         """Journal every row and flush, then admit: a death replay

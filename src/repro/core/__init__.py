@@ -6,7 +6,9 @@ infrastructure via passive DNS (:mod:`infra`) → recover unmapped domains
 via TLS certificates/banners (:mod:`certmatch`) → assemble the daily
 hitlist and drop shared-infrastructure devices (:mod:`hitlist`) →
 generate detection rules per class (:mod:`rules`) → evaluate rules over
-sampled flows (:mod:`detector`) and infer active usage (:mod:`usage`).
+sampled flows (:mod:`detector`).  The Section 7.1 active-use threshold
+is applied where the wild-ISP simulation draws per-hour packet counts
+(:mod:`repro.isp.simulation`).
 """
 
 from repro import lazy_exports
@@ -25,10 +27,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "build_hitlist",
         ),
         "repro.core.rules": ("DetectionRule", "RuleSet", "generate_rules"),
-        "repro.core.detector": (
-            "Detection", "FlowDetector", "WindowedDetector",
-        ),
-        "repro.core.usage": ("UsageDetector",),
+        "repro.core.detector": ("Detection", "FlowDetector"),
         "repro.core.mitigation": (
             "FlowFilter", "MitigationPlanner", "MitigationPolicy",
         ),

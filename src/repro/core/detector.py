@@ -1,15 +1,10 @@
 """Rule evaluation over sampled flow records.
 
-Two evaluation styles mirror the paper's analyses:
-
-* :class:`FlowDetector` accumulates evidence *cumulatively* per
-  subscriber and reports, for each detection class, the earliest moment
-  its rule (and every ancestor's) was satisfied — the Section 5
-  time-to-detection crosscheck.
-* :class:`WindowedDetector` evaluates rules independently within
-  aggregation windows (an hour, a day), which is how the in-the-wild
-  Figures 11-14 count "subscriber lines with IoT activity per
-  hour/day".
+:class:`FlowDetector` accumulates evidence *cumulatively* per
+subscriber and reports, for each detection class, the earliest moment
+its rule (and every ancestor's) was satisfied — the Section 5
+time-to-detection crosscheck.  (The in-the-wild Figures 11-14 count
+per hour/day windows in :mod:`repro.isp.simulation`.)
 
 Subscriber identifiers are anonymised through :func:`anonymize_subscriber`
 before they are stored, matching the paper's ethics setup — raw user
@@ -20,19 +15,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.hitlist import Hitlist
 from repro.core.rules import RuleSet
 from repro.netflow.records import PROTO_TCP, FlowRecord
-from repro.timeutil import STUDY_START, day_index
+from repro.timeutil import day_index
 
 __all__ = [
     "anonymize_subscriber",
     "Detection",
     "SubscriberProgress",
     "FlowDetector",
-    "WindowedDetector",
 ]
 
 
@@ -47,7 +41,7 @@ def anonymize_subscriber(identifier: int, salt: str = "haystack") -> str:
 class _AnonymizerCache:
     """Memoised :func:`anonymize_subscriber` keyed by raw identifier.
 
-    Both detectors hash every observed flow's subscriber id; on the
+    The detector hashes every observed flow's subscriber id; on the
     wild-ISP flow volumes that made blake2b a per-flow hot spot.  The
     cache is bounded by the subscriber population, never the flow count.
     """
@@ -304,100 +298,3 @@ class FlowDetector:
             for class_name, detected_at in emitted
         ]
 
-
-class WindowedDetector:
-    """Window-scoped rule evaluation (hour/day aggregation).
-
-    Evidence is bucketed by ``window_seconds``; each window is evaluated
-    independently, so a class needing many domains may be detectable in
-    a daily window but not in any hourly one — the effect behind the
-    paper's Figure 11(a) vs 11(b) gap.
-    """
-
-    def __init__(
-        self,
-        rules: RuleSet,
-        hitlist: Hitlist,
-        window_seconds: int,
-        threshold: float = 0.4,
-        origin: int = STUDY_START,
-        require_established: bool = False,
-    ) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window must be positive")
-        self.rules = rules
-        self.hitlist = hitlist
-        self.window_seconds = window_seconds
-        self.threshold = threshold
-        self.origin = origin
-        self.require_established = require_established
-        #: window index -> subscriber -> set of seen domains
-        self._windows: Dict[int, Dict[str, Set[str]]] = {}
-        self._anonymize = _AnonymizerCache()
-        self.flows_seen = 0
-        self.flows_matched = 0
-        self.flows_rejected_spoof = 0
-
-    def window_of(self, when: int) -> int:
-        """Window index containing epoch second ``when``."""
-        return (when - self.origin) // self.window_seconds
-
-    def observe_flow(self, subscriber: int, flow: FlowRecord) -> Optional[str]:
-        """Fold one exported flow into its aggregation window.
-
-        Returns the matched hitlist domain, if any, and keeps the same
-        ``flows_seen``/``flows_matched``/``flows_rejected_spoof``
-        counters as :class:`FlowDetector`.
-        """
-        self.flows_seen += 1
-        if (
-            self.require_established
-            and flow.protocol == PROTO_TCP
-            and not flow.has_established_evidence()
-        ):
-            self.flows_rejected_spoof += 1
-            return None
-        when = flow.first_switched
-        fqdn = self.hitlist.lookup(
-            day_index(when), flow.dst_ip, flow.dst_port
-        )
-        if fqdn is None:
-            return None
-        self.flows_matched += 1
-        self.observe_evidence(subscriber, fqdn, when)
-        return fqdn
-
-    def observe_evidence(
-        self, subscriber: int, fqdn: str, when: int
-    ) -> None:
-        """Directly record domain evidence (pre-attributed flows)."""
-        window = self._windows.setdefault(self.window_of(when), {})
-        window.setdefault(self._anonymize(subscriber), set()).add(fqdn)
-
-    def detections_in_window(
-        self, window_index: int, threshold: Optional[float] = None
-    ) -> Dict[str, Set[str]]:
-        """class name -> set of subscribers detected in the window."""
-        threshold = self.threshold if threshold is None else threshold
-        by_class: Dict[str, Set[str]] = {}
-        for subscriber, seen in self._windows.get(window_index, {}).items():
-            for class_name in self.rules.detected_classes(seen, threshold):
-                by_class.setdefault(class_name, set()).add(subscriber)
-        return by_class
-
-    def windows(self) -> List[int]:
-        return sorted(self._windows)
-
-    def counts_per_window(
-        self, threshold: Optional[float] = None
-    ) -> Dict[int, Dict[str, int]]:
-        """window -> class -> number of detected subscribers."""
-        return {
-            window: {
-                class_name: len(subscribers)
-                for class_name, subscribers in self.detections_in_window(
-                    window, threshold
-                ).items()
-            }
-            for window in self.windows()
-        }

@@ -15,8 +15,8 @@ certificate fallback (Section 4.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Set, Tuple
 
 from repro.dns.dnsdb import PassiveDnsDatabase
 from repro.dns.names import normalize, second_level_domain
@@ -105,16 +105,3 @@ def classify_infrastructure(
         tuple(daily),
         tuple(sorted(shared_addresses)),
     )
-
-
-def classify_all(
-    fqdns,
-    dnsdb: PassiveDnsDatabase,
-    start: int,
-    end: int,
-) -> Dict[str, InfraVerdict]:
-    """Classify a collection of domains; convenience wrapper."""
-    return {
-        normalize(fqdn): classify_infrastructure(fqdn, dnsdb, start, end)
-        for fqdn in fqdns
-    }

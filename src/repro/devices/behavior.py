@@ -41,10 +41,6 @@ class HourTraffic:
     def total_packets(self) -> int:
         return sum(self.packets.values())
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.bytes.values())
-
 
 class DeviceBehavior:
     """Generates hourly traffic for one device instance.
@@ -130,9 +126,6 @@ class DeviceBehavior:
         return float(
             sum(usage.rate(active) for usage in self.profile.usages)
         )
-
-    def expected_domain_rate(self, fqdn: str, active: bool) -> float:
-        return self.profile.usage_for(fqdn).rate(active)
 
     @staticmethod
     def flows_for_packets(packet_count: int, mean_flow_size: float = 30.0) -> int:

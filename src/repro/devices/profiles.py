@@ -271,11 +271,6 @@ class ProfileLibrary:
             spec for spec in self.domains.values() if spec.role_hint == role
         ]
 
-    def domains_with_hosting(self, hosting: str) -> List[DomainSpec]:
-        return [
-            spec for spec in self.domains.values() if spec.hosting == hosting
-        ]
-
     def contacted_domains(self) -> Set[str]:
         """Every FQDN contacted by at least one testbed device."""
         return {
@@ -283,10 +278,6 @@ class ProfileLibrary:
             for profile in self.profiles.values()
             for usage in profile.usages
         }
-
-    def class_member_profiles(self, class_name: str) -> List[DeviceProfile]:
-        spec = self.catalog.detection_class(class_name)
-        return [self.profiles[name] for name in spec.member_products]
 
 
 # ---------------------------------------------------------------------------

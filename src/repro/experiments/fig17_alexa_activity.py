@@ -9,7 +9,7 @@ from typing import Dict, Optional
 
 from repro.analysis.reporting import render_series, render_table
 from repro.experiments.context import ExperimentContext
-from repro.timeutil import SECONDS_PER_HOUR, STUDY_START
+from repro.timeutil import hour_index
 
 __all__ = ["Fig17Result", "run", "render"]
 
@@ -63,11 +63,11 @@ def run(
     isp: Dict[int, int] = defaultdict(int)
     for event in capture.home_events:
         if event.device_id == device_id:
-            hour = (event.timestamp - STUDY_START) // SECONDS_PER_HOUR
+            hour = hour_index(event.timestamp)
             home[hour] += event.packets
     for event in capture.isp_events:
         if event.device_id == device_id:
-            hour = (event.timestamp - STUDY_START) // SECONDS_PER_HOUR
+            hour = hour_index(event.timestamp)
             isp[hour] += event.packets
     return Fig17Result(
         device=product, home_per_hour=dict(home), isp_per_hour=dict(isp)

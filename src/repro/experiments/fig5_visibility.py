@@ -15,7 +15,7 @@ from typing import Dict, List, Set, Tuple
 from repro.analysis.reporting import render_series, render_table
 from repro.experiments.context import ExperimentContext
 from repro.netflow.records import classify_port
-from repro.timeutil import SECONDS_PER_HOUR, STUDY_START
+from repro.timeutil import hour_index
 
 __all__ = ["VisibilityResult", "run", "render"]
 
@@ -42,7 +42,7 @@ class VisibilityResult:
 def _per_hour_sets(events, attribute: str) -> Dict[int, Set]:
     buckets: Dict[int, Set] = defaultdict(set)
     for event in events:
-        bucket = (event.timestamp - STUDY_START) // SECONDS_PER_HOUR
+        bucket = hour_index(event.timestamp)
         buckets[bucket].add(getattr(event, attribute))
     return buckets
 
@@ -87,7 +87,7 @@ def run(context: ExperimentContext) -> VisibilityResult:
         series: Dict[str, List[Tuple[int, int]]] = defaultdict(list)
         for_hour: Dict[int, List] = defaultdict(list)
         for event in events:
-            bucket = (event.timestamp - STUDY_START) // SECONDS_PER_HOUR
+            bucket = hour_index(event.timestamp)
             for_hour[bucket].append(event)
         for hour in sorted(for_hour):
             for event in for_hour[hour]:

@@ -239,6 +239,9 @@ class FleetService:
         self._flow_path: Optional[pathlib.Path] = None
         self._position = 0
         self._batches_sent = 0
+        #: slot -> checkpointed rows a resume's replay never reached
+        #: (the source ended first); empty after a complete replay
+        self.unreplayed: Dict[int, int] = {}
 
     @property
     def ring_path(self) -> pathlib.Path:
@@ -289,14 +292,19 @@ class FleetService:
         through normal admission with those skips — the collector
         therefore re-folds journaled records a crash left
         uncheckpointed instead of dropping them.  Returns True if a
-        stop request cut that replay short.
+        stop request cut that replay short; a source that ended before
+        a slot's checkpointed prefix leaves it in :attr:`unreplayed`.
         """
         self._flow_path = pathlib.Path(source_path)
         self.ring = self._load_or_create_ring(resume)
         self.metrics.ring_epoch = self.ring.epoch
         skips = self._initial_skips() if resume else None
         self._spawn_all(resume)
-        return self._admit(skips) if resume else False
+        if not resume:
+            return False
+        stopped = self._admit(skips)
+        self.unreplayed = skips
+        return stopped
 
     def admit_chunk(
         self, chunk, skips: Optional[Dict[int, int]] = None

@@ -761,13 +761,6 @@ class PacketLevelValidation:
     event_domains: frozenset
     packet_domains: frozenset
 
-    @property
-    def relative_difference(self) -> float:
-        reference = max(1, self.wire_packets)
-        return abs(self.event_sampled - self.packet_sampled) / (
-            reference / 100.0
-        )
-
 
 def validate_packet_level(
     scenario: Scenario,

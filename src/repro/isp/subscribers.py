@@ -45,11 +45,6 @@ class OwnershipAssignment:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(arrays))
 
-    def all_owners(self) -> np.ndarray:
-        if not self.product_owners:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(list(self.product_owners.values())))
-
 
 class SubscriberPopulation:
     """The ISP's broadband subscriber lines."""

@@ -2,20 +2,20 @@
 fabric with IPFIX sampling, routing asymmetry, and the anti-spoofing
 filter of Section 6.3.
 
-Flow-level detection at the fabric is a :mod:`repro.pipeline`
-assembly — :func:`~repro.ixp.detect.detect_fabric_flows` keys by
-source address and keeps the anti-spoofing Validate stage on."""
+The Section 6 results are aggregate: :func:`~repro.ixp.fabric.
+run_wild_ixp` draws per-member detected-IP counts per day; the
+anti-spoofing filter on flow records is
+:class:`~repro.core.detector.FlowDetector`'s ``require_established``
+(see ``examples/ixp_antispoofing.py``)."""
 
 from repro import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.ixp.detect": ("IxpDetectionResult", "detect_fabric_flows"),
         "repro.ixp.members": ("IxpMember", "build_members"),
         "repro.ixp.fabric": (
-            "IxpConfig", "IxpFabricTap", "IxpResult", "run_wild_ixp",
-            "make_spoofed_flows",
+            "IxpConfig", "IxpResult", "run_wild_ixp", "make_spoofed_flows",
         ),
     },
 )

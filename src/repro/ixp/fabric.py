@@ -17,8 +17,8 @@ detection classes by penetration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.core.rules import RuleSet
 from repro.ixp.members import IxpMember
 from repro.netflow.records import (
     PROTO_TCP,
-    TCP_ACK,
     TCP_SYN,
     FlowKey,
     FlowRecord,
@@ -39,7 +38,6 @@ from repro.timeutil import STUDY_START
 __all__ = [
     "IxpConfig",
     "IxpResult",
-    "IxpFabricTap",
     "run_wild_ixp",
     "make_spoofed_flows",
 ]
@@ -58,8 +56,6 @@ class IxpConfig:
     #: fraction of each member's population emitting spoofed-SYN noise
     spoofed_fraction: float = 0.15
     require_established: bool = True
-    #: rows per column chunk in flow-level detection
-    chunk_size: int = 65536
 
 
 @dataclass
@@ -221,73 +217,3 @@ def make_spoofed_flows(
         )
     return flows
 
-
-class IxpFabricTap:
-    """Flow-level capture at one member's IXP port.
-
-    Complements the statistical :func:`run_wild_ixp`: real IPFIX
-    records from one member's port, with the fabric's low sampling
-    rate and routing asymmetry applied per packet.  Used by tests and
-    demos that need actual flow records rather than aggregate counts.
-    """
-
-    def __init__(
-        self,
-        member: IxpMember,
-        sampling_interval: int = 1000,
-        routing_visibility: float = 0.55,
-        seed: int = 3,
-    ) -> None:
-        from repro.netflow.collector import FlowCollector
-        from repro.netflow.sampler import PacketSampler
-
-        if not 0.0 < routing_visibility <= 1.0:
-            raise ValueError(
-                f"routing visibility must be in (0, 1]: "
-                f"{routing_visibility}"
-            )
-        self.member = member
-        self.routing_visibility = routing_visibility
-        self._sampler = PacketSampler(
-            sampling_interval, mode="random", seed=seed
-        )
-        self._collector = FlowCollector(
-            sampling_interval=sampling_interval
-        )
-        import random
-
-        self._route_rng = random.Random(seed * 31 + 7)
-        self._routed_flows: dict = {}
-        self.packets_seen = 0
-        self.packets_bypassed = 0
-
-    def _flow_transits_fabric(self, packet) -> bool:
-        """Routing asymmetry: a flow either transits this fabric or
-        takes a private interconnect — decided per 5-tuple, sticky."""
-        key = (
-            packet.src_ip, packet.dst_ip, packet.protocol,
-            packet.src_port, packet.dst_port,
-        )
-        decision = self._routed_flows.get(key)
-        if decision is None:
-            decision = (
-                self._route_rng.random() < self.routing_visibility
-            )
-            self._routed_flows[key] = decision
-        return decision
-
-    def observe(self, packet) -> bool:
-        """One member-port packet; returns True if it was sampled."""
-        self.packets_seen += 1
-        if not self._flow_transits_fabric(packet):
-            self.packets_bypassed += 1
-            return False
-        if not self._sampler.sample(packet):
-            return False
-        self._collector.observe(packet)
-        return True
-
-    def export(self):
-        """Flush and return the exported flow records."""
-        self._collector.flush()
-        return self._collector.drain()

@@ -17,7 +17,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "TCP_ACK", "TCP_FIN", "TCP_RST", "TCP_SYN", "WEB_PORTS",
             "NTP_PORT", "classify_port",
         ),
-        "repro.netflow.sampler": ("PacketSampler", "sample_packet_counts"),
+        "repro.netflow.sampler": ("PacketSampler",),
         "repro.netflow.collector": ("FlowCollector",),
         "repro.netflow.datagram": (
             "DatagramError", "DatagramHeader", "DecodedDatagram",

@@ -2,14 +2,10 @@
 
 Routers in the paper export sampled flow data: the ISP samples packets at
 a consistent rate at all border routers, the IXP an order of magnitude
-lower across its fabric.  Two implementations are provided:
-
-* :class:`PacketSampler` — per-packet decisions for the ground-truth
-  (testbed) simulations, supporting both *random* (independent 1-in-N)
-  and *deterministic* (every Nth packet) modes;
-* :func:`sample_packet_counts` — a vectorised binomial thinning used by
-  the wild-scale generators, statistically identical to random 1-in-N
-  sampling of the aggregate packet counts.
+lower across its fabric.  :class:`PacketSampler` makes per-packet
+decisions for the ground-truth (testbed) simulations, supporting both
+*random* (independent 1-in-N) and *deterministic* (every Nth packet)
+modes.
 """
 
 from __future__ import annotations
@@ -17,11 +13,9 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from repro.netflow.records import PacketRecord
 
-__all__ = ["PacketSampler", "sample_packet_counts"]
+__all__ = ["PacketSampler"]
 
 
 class PacketSampler:
@@ -84,19 +78,3 @@ class PacketSampler:
             return 0.0
         return self.kept / self.seen
 
-
-def sample_packet_counts(
-    counts: np.ndarray, interval: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Binomially thin an array of wire packet counts.
-
-    Equivalent in distribution to pushing every individual packet through
-    a random 1-in-``interval`` :class:`PacketSampler` and counting
-    survivors, but vectorised for the wild-scale simulations.
-    """
-    if interval < 1:
-        raise ValueError("sampling interval must be >= 1")
-    counts = np.asarray(counts)
-    if interval == 1:
-        return counts.copy()
-    return rng.binomial(counts, 1.0 / interval)

@@ -1,18 +1,18 @@
 """The staged flow pipeline every detection entry point assembles.
 
 One stage graph — ``Source → Decode → Validate → Detect → Sink`` —
-implemented once, assembled three ways:
+implemented once, assembled two ways:
 
 * the **batch wild-ISP engine** (:mod:`repro.engine`) runs plan →
   simulate → aggregate stages through :class:`StagedRun` with guarded
   shard admission;
 * the **stream engine** (:mod:`repro.stream`) wraps
-  :func:`streaming_assembly` with checkpoint/resume;
-* the **IXP path** (:mod:`repro.ixp`) keys by address and keeps the
-  TCP-established anti-spoofing filter on in the Validate stage.
+  :func:`streaming_assembly` with checkpoint/resume.
 
-Every input (flow files, record iterables, fleet admission, the IXP
-fabric, sweep cells, the live collector's held datagram blocks) folds
+Keying by source address and the TCP-established anti-spoofing filter
+(the IXP's view) are options of any assembly.  Every input (flow
+files, record iterables, fleet admission, sweep cells, the live
+collector's held datagram blocks) folds
 as numpy column chunks (``FlowChunk``) through
 :meth:`FlowPipeline.run_chunks` — the one loop — with vectorized
 filtering and endpoint lookup; ``tests/reference_fold.py`` is the
@@ -21,7 +21,7 @@ row-at-a-time oracle ``tests/test_columnar.py`` pins it to.
 One :class:`StreamConfig` tunes every assembly that folds flows; guard
 budgets arrive separately, as a :class:`GuardSet`.
 
-The layering contract is directional: those three packages import
+The layering contract is directional: those packages import
 :mod:`repro.pipeline`, never each other, and this package imports none
 of them (``tools/check_layering.py`` enforces it in CI).
 """

@@ -3,9 +3,8 @@
 An *assembly* is a :class:`~repro.pipeline.flow.FlowPipeline` wired
 with a concrete keying, Detect stage, sink, and guard set.  The heavy
 entry points own their assemblies — the stream engine adds
-checkpoint/resume around a streaming assembly, the IXP path
-(:mod:`repro.ixp.detect`) keys by address — while this module provides
-the two generic ones library code and the CLI use directly:
+checkpoint/resume around a streaming assembly — while this module
+provides the two generic ones library code and the CLI use directly:
 
 * :func:`streaming_assembly` — online detection into an event sink,
   bounded state, checkpointing only through the caller's callback;

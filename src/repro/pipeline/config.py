@@ -12,8 +12,8 @@ budgets are not engine knobs — they reach an assembly as a
 
 It is defined here rather than in :mod:`repro.stream` so the shared
 layer can read it without an upward import — :mod:`repro.pipeline`
-never imports :mod:`repro.engine`, :mod:`repro.stream`, or
-:mod:`repro.ixp`; ``repro.stream.StreamConfig`` is this class.
+never imports :mod:`repro.engine` or :mod:`repro.stream`;
+``repro.stream.StreamConfig`` is this class.
 """
 
 from __future__ import annotations

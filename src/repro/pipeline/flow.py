@@ -26,15 +26,15 @@ without taxing the non-matching majority:
 
 Keying is the other assembly axis: :class:`SubscriberKeying` anonymises
 raw subscriber line identifiers into salted digests (ISP paths),
-:class:`AddressKeying` keys by source address (the IXP path, where no
-subscriber notion exists).
+:class:`AddressKeying` keys by source address (the IXP's view, where
+no subscriber notion exists).
 
 :class:`FlowPipeline` is the driver and :meth:`FlowPipeline.run_chunks`
-its one loop: flow files, record iterables, fleet admission, the IXP
-fabric, sweep cells and the live collector's held datagram blocks all
-fold through it, with one sink emission, one checkpoint cadence and one
-guard set.  The batch engine, the stream engine, and the IXP fabric
-path are thin assemblies of these parts; the tests hold the loop to an
+its one loop: flow files, record iterables, fleet admission, sweep
+cells and the live collector's held datagram blocks all fold through
+it, with one sink emission, one checkpoint cadence and one guard set.
+The batch engine and the stream engine are thin assemblies of these
+parts; the tests hold the loop to an
 independent row-at-a-time oracle (``tests/reference_fold.py``).
 """
 
@@ -127,7 +127,7 @@ class SubscriberKeying:
 
 
 class AddressKeying:
-    """Source address → ``(dotted quad, ring slot)`` (IXP paths).
+    """Source address → ``(dotted quad, ring slot)`` (the IXP's view).
 
     At an IXP there is no subscriber notion — detection is per source
     address per the paper's Section 6 — so the key is the address

@@ -1,12 +1,12 @@
 """Run metrics shared by every pipeline assembly.
 
 One metrics document family (version tag ``repro.engine.metrics/1``,
-kept for trajectory continuity) covers all three entry points: the
+kept for trajectory continuity) covers every entry point: the
 sharded batch engine emits an :class:`EngineMetrics`, the streaming
 and flow-replay assemblies a :class:`StreamMetrics`.  Emission lives
 here — in :mod:`repro.pipeline` — so the per-stage accounting is
 implemented once and the assemblies (:mod:`repro.engine`,
-:mod:`repro.stream`, :mod:`repro.ixp`) merely fill it in.
+:mod:`repro.stream`) merely fill it in.
 
 Batch schema::
 

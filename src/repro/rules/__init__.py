@@ -1,12 +1,12 @@
-"""Versioned rule lifecycle: publish, validate, refresh, hot-swap.
+"""Versioned rule lifecycle: publish, validate, hot-swap.
 
 The paper re-derives the hitlist per time window because DNS↔IP
 mappings churn daily; a long-running detector therefore needs rule
 updates *without* a restart (the restart would lose evidence state).
 :mod:`repro.rules.lifecycle` owns the artifact side of that story —
 a versioned on-disk store with crash-safe publishes and last-good
-fallback, candidate validation, and a background refresher that
-recomputes rules through the resilient lookup adapters.  The pipeline
+fallback, and candidate validation; ``repro artifacts --versioned``
+publishes, and a running engine polls the store's head.  The pipeline
 side (staging, event-time activation, evidence migration) lives in
 :mod:`repro.pipeline.swap`.
 
@@ -22,10 +22,9 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "repro.rules.lifecycle": (
             "ARTIFACT_MAGIC", "ARTIFACT_VERSION", "ArtifactError",
-            "CandidateRejected", "HitlistRefresher", "LoadedArtifact",
-            "RefreshStats", "RulesArtifact", "VersionedRuleStore",
-            "artifact_path", "list_artifacts", "read_artifact",
-            "scenario_recompute", "validate_candidate", "write_artifact",
+            "CandidateRejected", "LoadedArtifact", "RulesArtifact",
+            "VersionedRuleStore", "artifact_path", "list_artifacts",
+            "read_artifact", "validate_candidate", "write_artifact",
         ),
     },
 )

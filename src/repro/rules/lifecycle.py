@@ -1,4 +1,4 @@
-"""Versioned rule artifacts, candidate validation, background refresh.
+"""Versioned rule artifacts and candidate validation.
 
 The detection rules of Section 5 are derived from a *daily* hitlist:
 the DNS↔IP mappings behind IoT backends churn, so a long-running
@@ -18,13 +18,13 @@ artifact half of the live-refresh story:
 * :class:`VersionedRuleStore` — a directory of versioned artifacts
   with monotonically increasing versions, last-good fallback on
   corrupt newest generations, and pruning.
-* :class:`HitlistRefresher` — recomputes candidates through the
-  resilient backend adapters (:mod:`repro.resilience.lookups`),
-  validates, publishes; failures (backend outage, validation reject)
-  leave the store untouched — consumers keep detecting on the
-  last-good generation — and the background loop retries under the
-  jittered capped backoff of :class:`~repro.resilience.retry.
-  RetryPolicy`.
+
+``repro artifacts --versioned`` is the publisher.  A recompute that
+routes :func:`~repro.core.hitlist.build_hitlist` through the resilient
+lookup adapters (:mod:`repro.resilience.lookups`) either yields a
+candidate :meth:`VersionedRuleStore.publish` gates, or fails; either
+way a failure leaves the store on its last-good generation.  Consumers
+poll :meth:`VersionedRuleStore.head`.
 
 The pipeline half — staging a loaded generation, event-time activation
 at the next hour boundary, evidence migration — lives in
@@ -36,15 +36,12 @@ from __future__ import annotations
 import json
 import logging
 import pathlib
-import random
 import re
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
-from repro.core.hitlist import Hitlist, build_hitlist
-from repro.core.rules import RuleSet, generate_rules
+from repro.core.hitlist import Hitlist
+from repro.core.rules import RuleSet
 from repro.core.serialization import (
     hitlist_from_json,
     hitlist_to_json,
@@ -52,11 +49,6 @@ from repro.core.serialization import (
     rules_to_json,
 )
 from repro.pipeline.swap import RuleGeneration
-from repro.resilience.lookups import (
-    ResilientPassiveDns,
-    ResilientScanDataset,
-)
-from repro.resilience.retry import LookupUnavailable, RetryPolicy
 from repro.resilience.sealed import (
     SealedFileError,
     list_sealed,
@@ -71,15 +63,12 @@ __all__ = [
     "ARTIFACT_VERSION",
     "ArtifactError",
     "CandidateRejected",
-    "HitlistRefresher",
     "LoadedArtifact",
-    "RefreshStats",
     "RulesArtifact",
     "VersionedRuleStore",
     "artifact_path",
     "list_artifacts",
     "read_artifact",
-    "scenario_recompute",
     "validate_candidate",
     "write_artifact",
 ]
@@ -346,181 +335,3 @@ class VersionedRuleStore:
         write_artifact(artifact_path(self.directory, version), candidate)
         prune_sealed(self.directory, _FILE_RE, self.keep)
         return candidate
-
-
-@dataclass
-class RefreshStats:
-    """What the refresher did."""
-
-    attempts: int = 0
-    published: int = 0
-    #: failed refreshes by cause — backend outage, validation reject, …
-    failures: int = 0
-    failure_reasons: List[str] = field(default_factory=list)
-    consecutive_failures: int = 0
-    last_published_version: int = 0
-
-
-class HitlistRefresher:
-    """Recompute → validate → publish, with last-good degradation.
-
-    ``recompute`` is a zero-argument callable returning ``(rules,
-    hitlist)`` — typically :func:`scenario_recompute`, which routes
-    the Figure-7 pipeline through the resilient passive-DNS and scan
-    adapters.  A refresh that fails — the backends stayed unavailable
-    past the retry budget (:class:`~repro.resilience.retry.
-    LookupUnavailable`), the candidate flunked validation
-    (:class:`CandidateRejected`), or the publish itself errored —
-    leaves the store untouched, so every consumer keeps detecting on
-    the last-good generation.
-
-    :meth:`run` is the background loop: refresh every ``interval``
-    seconds, and after failures wait out a capped backoff drawn from
-    ``policy`` (full jitter when the policy enables it, seeded for
-    deterministic tests) before trying again.  Tests drive
-    :meth:`refresh_once` directly — the loop adds only scheduling.
-    """
-
-    def __init__(
-        self,
-        store: VersionedRuleStore,
-        recompute: Callable[[], Tuple[RuleSet, Hitlist]],
-        policy: Optional[RetryPolicy] = None,
-        max_coverage_drop: float = 0.5,
-        max_coverage_growth: float = 20.0,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.store = store
-        self.recompute = recompute
-        self.policy = policy or RetryPolicy(
-            backoff_base=1.0, backoff_cap=60.0, jitter=True, seed=None
-        )
-        self.max_coverage_drop = max_coverage_drop
-        self.max_coverage_growth = max_coverage_growth
-        self.stats = RefreshStats()
-        self._sleep = sleep
-        self._rng = random.Random(self.policy.seed)
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def refresh_once(self) -> Optional[RulesArtifact]:
-        """One refresh attempt; ``None`` (and counters) on failure."""
-        self.stats.attempts += 1
-        try:
-            rules, hitlist = self.recompute()
-            artifact = self.store.publish(
-                rules,
-                hitlist,
-                max_coverage_drop=self.max_coverage_drop,
-                max_coverage_growth=self.max_coverage_growth,
-            )
-        except (LookupUnavailable, CandidateRejected, ArtifactError) as exc:
-            self.stats.failures += 1
-            self.stats.consecutive_failures += 1
-            self.stats.failure_reasons.append(
-                f"{type(exc).__name__}: {exc}"
-            )
-            logger.warning(
-                "rule refresh failed (staying on last-good v%d): %s",
-                self.store.latest_version(),
-                exc,
-            )
-            return None
-        self.stats.published += 1
-        self.stats.consecutive_failures = 0
-        self.stats.last_published_version = artifact.version
-        logger.info("published rules generation v%d", artifact.version)
-        return artifact
-
-    def run(self, interval: float, max_refreshes: Optional[int] = None):
-        """The refresh loop (blocking; :meth:`start` wraps in a thread).
-
-        After each failed attempt the wait grows by the policy's capped
-        backoff (keyed by the consecutive-failure count); a success
-        resets to ``interval``.
-        """
-        refreshes = 0
-        while not self._stop.is_set():
-            if self._stop.wait(self._next_delay(interval)):
-                break
-            self.refresh_once()
-            refreshes += 1
-            if max_refreshes is not None and refreshes >= max_refreshes:
-                break
-
-    def _next_delay(self, interval: float) -> float:
-        if self.stats.consecutive_failures == 0:
-            return interval
-        backoff = self.policy.delay(
-            self.stats.consecutive_failures - 1, rng=self._rng
-        )
-        return interval + backoff
-
-    def start(self, interval: float) -> None:
-        """Run the refresh loop on a daemon thread."""
-        if self._thread is not None and self._thread.is_alive():
-            raise RuntimeError("refresher already running")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self.run,
-            args=(interval,),
-            name="hitlist-refresher",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self, timeout: Optional[float] = 5.0) -> None:
-        """Signal the loop to exit and join the thread."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None
-
-
-def scenario_recompute(
-    scenario,
-    observations=None,
-    start: Optional[int] = None,
-    end: Optional[int] = None,
-    policy: Optional[RetryPolicy] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    dnsdb=None,
-    scans=None,
-) -> Callable[[], Tuple[RuleSet, Hitlist]]:
-    """A ``recompute`` callable running Figure 7 over resilient adapters.
-
-    Rebuilds the hitlist from the scenario's passive-DNS and scan
-    backends (or explicit ``dnsdb``/``scans`` overrides, e.g. a
-    :class:`repro.faults.FlakyProxy`-wrapped backend under test),
-    wrapped in :class:`~repro.resilience.lookups.ResilientPassiveDns` /
-    :class:`~repro.resilience.lookups.ResilientScanDataset`, then
-    derives rules from the scenario's catalog.
-    """
-    from repro.timeutil import STUDY_END, STUDY_START
-
-    window_start = STUDY_START if start is None else start
-    window_end = STUDY_END if end is None else end
-
-    def recompute() -> Tuple[RuleSet, Hitlist]:
-        resilient_dns = ResilientPassiveDns(
-            dnsdb if dnsdb is not None else scenario.dnsdb,
-            policy=policy,
-            sleep=sleep,
-        )
-        resilient_scans = ResilientScanDataset(
-            scans if scans is not None else scenario.scans,
-            policy=policy,
-            sleep=sleep,
-        )
-        hitlist = build_hitlist(
-            scenario,
-            observations=observations,
-            start=window_start,
-            end=window_end,
-            dnsdb=resilient_dns,
-            scans=resilient_scans,
-        )
-        rules = generate_rules(scenario.catalog, hitlist)
-        return rules, hitlist
-
-    return recompute

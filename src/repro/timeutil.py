@@ -9,7 +9,6 @@ into hours and days relative to that anchor.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Iterator
 
 #: Midnight UTC, November 15th 2019 — the first day of the paper's study.
 STUDY_START = int(
@@ -65,26 +64,3 @@ def hour_start(index: int, origin: int = STUDY_START) -> int:
 def day_start(index: int, origin: int = STUDY_START) -> int:
     """Return the epoch timestamp at which day bucket ``index`` begins."""
     return origin + index * SECONDS_PER_DAY
-
-
-def iter_hours(start: int, end: int) -> Iterator[int]:
-    """Yield the epoch timestamp of every full hour in ``[start, end)``."""
-    first = start - (start % SECONDS_PER_HOUR)
-    if first < start:
-        first += SECONDS_PER_HOUR
-    for ts in range(first, end, SECONDS_PER_HOUR):
-        yield ts
-
-
-def format_day(timestamp: int) -> str:
-    """Render an epoch timestamp as the paper's day labels, e.g.
-    ``"Nov-15"``.
-    """
-    moment = _dt.datetime.fromtimestamp(timestamp, tz=_dt.timezone.utc)
-    return moment.strftime("%b-%d")
-
-
-def format_hour(timestamp: int) -> str:
-    """Render an epoch timestamp as ``"Nov-15 13:00"`` (UTC)."""
-    moment = _dt.datetime.fromtimestamp(timestamp, tz=_dt.timezone.utc)
-    return moment.strftime("%b-%d %H:00")

@@ -12,11 +12,6 @@ from repro.analysis.reporting import (
     render_series,
     render_table,
 )
-from repro.analysis.timeline import (
-    HourlySeries,
-    bucket_by_day,
-    bucket_by_hour,
-)
 from repro.timeutil import STUDY_START
 
 
@@ -88,36 +83,6 @@ class TestHeavyHitters:
         home = [_Event(STUDY_START + 10, 1, 100)]
         result = heavy_hitter_visibility(home, [])
         assert result[0.1][0] == 0.0
-
-
-class TestTimeline:
-    def test_bucket_by_hour(self):
-        events = [
-            _Event(STUDY_START + 10, 1, 0),
-            _Event(STUDY_START + 3700, 1, 0),
-            _Event(STUDY_START + 3800, 2, 0),
-        ]
-        buckets = bucket_by_hour(
-            events, lambda e: e.timestamp, lambda e: e.dst_ip
-        )
-        assert buckets == {0: {1}, 1: {1, 2}}
-
-    def test_bucket_by_day(self):
-        events = [
-            _Event(STUDY_START + 10, 1, 0),
-            _Event(STUDY_START + 90_000, 2, 0),
-        ]
-        buckets = bucket_by_day(
-            events, lambda e: e.timestamp, lambda e: e.dst_ip
-        )
-        assert buckets == {0: {1}, 1: {2}}
-
-    def test_hourly_series(self):
-        series = HourlySeries.from_sets("s", {0: {1, 2}, 2: {3}})
-        assert series.mean() == 1.5
-        assert series.max() == 2
-        assert series.items() == [(0, 2), (2, 1)]
-        assert series.label_for(0) == "Nov-15 00:00"
 
 
 class TestReporting:

@@ -51,6 +51,7 @@ from repro.faults import (
     encode_export_stream,
 )
 from repro.fleet import FleetConfig, FleetService, worker_checkpoint_dir
+from repro.netflow.journal import JournalError, truncate_journal
 from repro.netflow.v9 import NetflowV9Codec
 from repro.runtime import EXIT_DRAINED, StopToken
 from repro.stream.checkpoint import load_latest
@@ -273,6 +274,42 @@ class TestDatagramFaultMatrix:
         # the checkpointed 200 were skipped, the tail of 100 re-folded
         assert fleet.records_skipped == 200
         assert fleet.records_routed == 300
+
+    @pytest.mark.parametrize("kept", [0, 100], ids=["emptied", "cut"])
+    def test_fleet_resume_refuses_a_journal_shorter_than_its_checkpoints(
+        self, rules, hitlist, clean_datagrams, tmp_path, kept
+    ):
+        """The workers checkpointed 200 records but the journal lost
+        them: replaying it could not reproduce the event log, so the
+        resume is refused, naming both counts."""
+        first = _fleet_service(
+            rules, hitlist, tmp_path, checkpoint_every=200
+        )
+        try:
+            first._start()
+            for number, payload in enumerate(clean_datagrams[:40]):
+                first.feed(payload, now=number * 0.001)
+            deadline = time.monotonic() + 30
+            while not all(
+                load_latest(worker_checkpoint_dir(tmp_path / "fleet", worker))
+                for worker in range(2)
+            ):
+                assert time.monotonic() < deadline, "no checkpoint"
+                time.sleep(0.02)
+        finally:
+            first.target.abort()
+            first._journal.close()
+        journal = first.config.journal
+        assert truncate_journal(journal, kept) == kept
+        second = _fleet_service(
+            rules, hitlist, tmp_path, checkpoint_every=200
+        )
+        with pytest.raises(
+            JournalError,
+            match=f"holds {kept} records, fewer than the 200 the "
+            "checkpoints have folded",
+        ):
+            _fold_fleet(second, [], resume=True)
 
     def test_drop_surfaces_sequence_gaps(
         self, rules, hitlist, clean_datagrams, tmp_path

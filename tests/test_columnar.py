@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.rules import DetectionRule, RuleSet
 from repro.cli import main as cli_main
-from repro.ixp import IxpConfig, detect_fabric_flows, make_spoofed_flows
+from repro.ixp import make_spoofed_flows
 from repro.netflow.parse import ColumnarDecodeStage, chunks_from_records
 from repro.pipeline import (
     AddressKeying,
@@ -416,18 +416,29 @@ class TestDecodeParity:
         assert bad in str(caught.value)
 
 
-# -- the IXP assembly (established filter) ----------------------------
+# -- address keying + the established filter on the chunk loop -------
 
 
-def _fabric_per_record(rules, hitlist, flows, require_established):
-    """The fabric assembly's stage folded row by row."""
-    stage = BatchDetectStage(
+def _fabric_stage(rules, hitlist, require_established):
+    return BatchDetectStage(
         rules,
         hitlist,
         AddressKeying(),
         require_established=require_established,
     )
+
+
+def _fabric_per_record(rules, hitlist, flows, require_established):
+    """The address-keyed stage folded row by row."""
+    stage = _fabric_stage(rules, hitlist, require_established)
     fold(FlowPipeline(stage), record_tuples(flows))
+    return stage
+
+
+def _fabric_chunked(rules, hitlist, flows, require_established, size):
+    """The same stage folded as column chunks of ``size`` rows."""
+    stage = _fabric_stage(rules, hitlist, require_established)
+    FlowPipeline(stage).run_chunks(chunks_from_records(flows, size))
     return stage
 
 
@@ -435,12 +446,10 @@ class TestIxpColumnar:
     def test_spoofed_flows_rejected_identically(self, rules, hitlist):
         spoofed = make_spoofed_flows(hitlist, count=300)
         per_record = _fabric_per_record(rules, hitlist, spoofed, True)
-        chunked = detect_fabric_flows(
-            rules, hitlist, spoofed, IxpConfig(chunk_size=64)
-        )
-        assert chunked.detections == per_record.detections()
+        chunked = _fabric_chunked(rules, hitlist, spoofed, True, 64)
+        assert chunked.detections() == per_record.detections()
         assert (
-            chunked.flows_rejected_spoof
+            chunked.metrics.flows_rejected_spoof
             == per_record.metrics.flows_rejected_spoof
             == 300
         )
@@ -450,13 +459,8 @@ class TestIxpColumnar:
         self, rules, hitlist, gt_flows
     ):
         per_record = _fabric_per_record(rules, hitlist, gt_flows, False)
-        chunked = detect_fabric_flows(
-            rules,
-            hitlist,
-            gt_flows,
-            IxpConfig(require_established=False, chunk_size=1000),
-        )
-        assert chunked.detections == per_record.detections()
+        chunked = _fabric_chunked(rules, hitlist, gt_flows, False, 1000)
+        assert chunked.detections() == per_record.detections()
         assert _metric_fields(chunked.metrics) == _metric_fields(
             per_record.metrics
         )

@@ -1,14 +1,12 @@
-"""Tests for flow-level and windowed detection."""
+"""Tests for flow-level detection."""
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.detector import (
     FlowDetector,
     SubscriberProgress,
-    WindowedDetector,
     anonymize_subscriber,
 )
 from repro.core.rules import DetectionRule, RuleSet
@@ -20,7 +18,7 @@ from repro.netflow.records import (
     TCP_ACK,
     TCP_SYN,
 )
-from repro.timeutil import SECONDS_PER_HOUR, STUDY_START
+from repro.timeutil import STUDY_START
 
 
 def _flow_to(hitlist, fqdn, when, flags=TCP_ACK, day=0):
@@ -179,68 +177,8 @@ class TestFlowDetector:
         assert len(subscribers) == 2
 
 
-class TestWindowedDetector:
-    def test_evidence_does_not_leak_across_windows(self, rules, hitlist):
-        rule = rules.rule("Smartthings Dev.")
-        detector = WindowedDetector(
-            rules, hitlist, window_seconds=SECONDS_PER_HOUR, threshold=1.0
-        )
-        detector.observe_evidence(7, rule.domains[0], STUDY_START + 10)
-        detector.observe_evidence(
-            7, rule.domains[1], STUDY_START + SECONDS_PER_HOUR + 10
-        )
-        assert detector.detections_in_window(0) == {}
-        assert detector.detections_in_window(1) == {}
-
-    def test_detection_within_one_window(self, rules, hitlist):
-        rule = rules.rule("Smartthings Dev.")
-        detector = WindowedDetector(
-            rules, hitlist, window_seconds=SECONDS_PER_HOUR, threshold=1.0
-        )
-        for fqdn in rule.domains:
-            detector.observe_evidence(7, fqdn, STUDY_START + 10)
-        detected = detector.detections_in_window(0)
-        assert "Smartthings Dev." in detected
-
-    def test_daily_window_aggregates_hours(self, rules, hitlist):
-        rule = rules.rule("Smartthings Dev.")
-        detector = WindowedDetector(
-            rules, hitlist, window_seconds=24 * SECONDS_PER_HOUR,
-            threshold=1.0,
-        )
-        detector.observe_evidence(7, rule.domains[0], STUDY_START + 10)
-        detector.observe_evidence(
-            7, rule.domains[1], STUDY_START + 5 * SECONDS_PER_HOUR
-        )
-        assert "Smartthings Dev." in detector.detections_in_window(0)
-
-    def test_counts_per_window(self, rules, hitlist):
-        fqdn = rules.rule("Netatmo Weather St.").domains[0]
-        detector = WindowedDetector(
-            rules, hitlist, window_seconds=SECONDS_PER_HOUR
-        )
-        for subscriber in range(5):
-            detector.observe_evidence(subscriber, fqdn, STUDY_START + 1)
-        counts = detector.counts_per_window()
-        assert counts[0]["Netatmo Weather St."] == 5
-
-    def test_observe_flow_path(self, rules, hitlist):
-        fqdn = rules.rule("Netatmo Weather St.").domains[0]
-        detector = WindowedDetector(
-            rules, hitlist, window_seconds=SECONDS_PER_HOUR
-        )
-        assert detector.observe_flow(
-            7, _flow_to(hitlist, fqdn, STUDY_START + 5)
-        ) == fqdn
-
-    def test_rejects_nonpositive_window(self, rules, hitlist):
-        with pytest.raises(ValueError):
-            WindowedDetector(rules, hitlist, window_seconds=0)
-
-
 class TestObserveFlowCounters:
-    """Regression pins for the observe_flow accounting shared by both
-    detectors: every flow lands in exactly one of seen/rejected buckets
+    """Regression pins for the observe_flow accounting: every flow lands in exactly one of seen/rejected buckets
     and matched counts only hitlist hits that survived the filter."""
 
     def _unknown_flow(self, when, flags=TCP_ACK, protocol=PROTO_TCP):
@@ -278,21 +216,8 @@ class TestObserveFlowCounters:
             (_flow_to(hitlist, fqdn, t + 6), False, True),
         ]
 
-    @pytest.mark.parametrize("detector_kind", ["flow", "windowed"])
-    def test_counters_on_crafted_sequence(
-        self, rules, hitlist, detector_kind
-    ):
-        if detector_kind == "flow":
-            detector = FlowDetector(
-                rules, hitlist, require_established=True
-            )
-        else:
-            detector = WindowedDetector(
-                rules,
-                hitlist,
-                window_seconds=SECONDS_PER_HOUR,
-                require_established=True,
-            )
+    def test_counters_on_crafted_sequence(self, rules, hitlist):
+        detector = FlowDetector(rules, hitlist, require_established=True)
         sequence = self._crafted_sequence(rules, hitlist)
         for flow, _rejected, _matched in sequence:
             detector.observe_flow(31337, flow)
@@ -310,16 +235,8 @@ class TestObserveFlowCounters:
             <= detector.flows_seen - detector.flows_rejected_spoof
         )
 
-    @pytest.mark.parametrize("detector_kind", ["flow", "windowed"])
-    def test_filter_off_rejects_nothing(
-        self, rules, hitlist, detector_kind
-    ):
-        if detector_kind == "flow":
-            detector = FlowDetector(rules, hitlist)
-        else:
-            detector = WindowedDetector(
-                rules, hitlist, window_seconds=SECONDS_PER_HOUR
-            )
+    def test_filter_off_rejects_nothing(self, rules, hitlist):
+        detector = FlowDetector(rules, hitlist)
         for flow, _, _ in self._crafted_sequence(rules, hitlist):
             detector.observe_flow(31337, flow)
         assert detector.flows_rejected_spoof == 0

@@ -1,113 +1,8 @@
-"""Tests for usage detection (§7.1) and level determination (§4.3.1)."""
-
-import pytest
+"""Tests for level determination (§4.3.1)."""
 
 from repro.core.levels import determine_levels, validate_distinguishability
 from repro.core.rules import DetectionRule, RuleSet
-from repro.core.usage import UsageDetector, derive_active_markers
 from repro.devices.catalog import LEVEL_PRODUCT
-from repro.netflow.records import FlowKey, FlowRecord, PROTO_TCP, TCP_ACK
-from repro.timeutil import SECONDS_PER_HOUR, STUDY_START
-
-
-class TestActiveMarkers:
-    def test_difference(self):
-        markers = derive_active_markers(
-            idle_domains={"a", "b"}, active_domains={"a", "b", "c"}
-        )
-        assert markers == {"c"}
-
-    def test_markers_from_capture(self, context):
-        """Active-only domains appear only in active ground truth."""
-        capture = context.capture
-        idle = {
-            event.fqdn
-            for event in capture.home_events
-            if event.mode == "idle"
-        }
-        active = {
-            event.fqdn
-            for event in capture.home_events
-            if event.mode == "active"
-        }
-        markers = derive_active_markers(idle, active)
-        library = context.scenario.library
-        active_only = {
-            usage.fqdn
-            for profile in library.profiles.values()
-            for usage in profile.usages
-            if usage.active_only
-        }
-        assert markers <= active_only | set()
-        assert markers  # some markers exist
-
-
-class TestUsageDetector:
-    @pytest.fixture
-    def usage(self, rules, hitlist):
-        return UsageDetector(
-            rules, hitlist, "Alexa Enabled", packet_threshold=10
-        )
-
-    def test_below_threshold_is_idle(self, usage):
-        usage.observe_packets(7, STUDY_START + 100, 9)
-        assert not usage.is_active(7, 0)
-        assert usage.observed_hours() == {0: {7}}
-
-    def test_at_threshold_is_active(self, usage):
-        usage.observe_packets(7, STUDY_START + 100, 10)
-        assert usage.is_active(7, 0)
-
-    def test_accumulates_within_hour(self, usage):
-        usage.observe_packets(7, STUDY_START + 100, 6)
-        usage.observe_packets(7, STUDY_START + 200, 6)
-        assert usage.is_active(7, 0)
-
-    def test_hours_are_independent(self, usage):
-        usage.observe_packets(7, STUDY_START + 100, 6)
-        usage.observe_packets(7, STUDY_START + SECONDS_PER_HOUR + 100, 6)
-        assert not usage.is_active(7, 0)
-        assert not usage.is_active(7, 1)
-
-    def test_marker_domain_forces_active(self, rules, hitlist):
-        detector = UsageDetector(
-            rules,
-            hitlist,
-            "TP-link Dev.",
-            packet_threshold=10_000,
-            active_markers={rules.rule("TP-link Dev.").domains[-1]},
-        )
-        detector.observe_packets(
-            7, STUDY_START + 5, 1, marker=True
-        )
-        assert detector.is_active(7, 0)
-
-    def test_active_hours_summary(self, usage):
-        usage.observe_packets(1, STUDY_START + 100, 20)
-        usage.observe_packets(2, STUDY_START + 100, 1)
-        assert usage.active_hours() == {0: {1}}
-
-    def test_observe_flow_matches_class_domains(self, rules, hitlist):
-        detector = UsageDetector(
-            rules, hitlist, "Netatmo Weather St.", packet_threshold=3
-        )
-        fqdn = rules.rule("Netatmo Weather St.").domains[0]
-        port = hitlist.domain_ports[fqdn][0]
-        address = next(
-            addr
-            for (addr, p), name in hitlist.endpoints_for_day(0).items()
-            if name == fqdn and p == port
-        )
-        flow = FlowRecord(
-            key=FlowKey(1, address, PROTO_TCP, 50000, port),
-            first_switched=STUDY_START + 10,
-            last_switched=STUDY_START + 20,
-            packets=5,
-            bytes=500,
-            tcp_flags=TCP_ACK,
-        )
-        detector.observe_flow(7, flow)
-        assert detector.is_active(7, 0)
 
 
 class TestLevels:

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.detector import (
     FlowDetector,
-    WindowedDetector,
     anonymize_subscriber,
 )
 from repro.engine import (
@@ -24,13 +23,6 @@ from repro.engine import (
 )
 from repro.engine.plan import RulePlan, domain_day_availability
 from repro.isp.simulation import WildConfig, run_ground_truth, run_wild_isp
-from repro.netflow.records import (
-    PROTO_TCP,
-    TCP_ACK,
-    TCP_SYN,
-    FlowKey,
-    FlowRecord,
-)
 from repro.pipeline.metrics import METRICS_SCHEMA
 from repro.scenario import build_default_scenario
 from repro.timeutil import STUDY_START
@@ -295,9 +287,7 @@ class TestBugfixRegressions:
         assert a100 != a50
 
     def test_anonymize_cache_matches_plain_hash(self, rules, hitlist):
-        detector = WindowedDetector(
-            rules, hitlist, window_seconds=3600
-        )
+        detector = FlowDetector(rules, hitlist)
         detector.observe_evidence(1234, "x.example", STUDY_START)
         detector.observe_evidence(1234, "y.example", STUDY_START)
         assert detector._anonymize(1234) == anonymize_subscriber(1234)
@@ -307,38 +297,6 @@ class TestBugfixRegressions:
         detector = FlowDetector(rules, hitlist)
         detector.observe_evidence(77, "x.example", STUDY_START)
         assert detector._anonymize(77) == anonymize_subscriber(77)
-
-    def test_windowed_detector_counter_parity(self, rules, hitlist):
-        detector = WindowedDetector(
-            rules,
-            hitlist,
-            window_seconds=3600,
-            require_established=True,
-        )
-        address, port = sorted(hitlist.endpoints_for_day(0))[0]
-
-        def flow(dst_ip, dst_port, flags):
-            return FlowRecord(
-                key=FlowKey(
-                    src_ip=0x0A000001,
-                    dst_ip=dst_ip,
-                    protocol=PROTO_TCP,
-                    src_port=40000,
-                    dst_port=dst_port,
-                ),
-                first_switched=STUDY_START,
-                last_switched=STUDY_START,
-                packets=1,
-                bytes=100,
-                tcp_flags=flags,
-            )
-
-        assert detector.observe_flow(1, flow(address, port, TCP_ACK))
-        assert detector.observe_flow(2, flow(address, port, TCP_SYN)) is None
-        assert detector.observe_flow(3, flow(1, 9, TCP_ACK)) is None
-        assert detector.flows_seen == 3
-        assert detector.flows_matched == 1
-        assert detector.flows_rejected_spoof == 1
 
     def test_ground_truth_skips_zero_packet_hours(self, scenario):
         class _ZeroTraffic:

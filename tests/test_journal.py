@@ -138,10 +138,16 @@ CASES = {
         ("refused", "at byte {offset}: wrong magic 'repro-checkpoint'"),
     ),
     "empty file": (
-        _empty, ("rows", 0, 0), ("rows", 0, 0), ("kept", 0),
+        _empty,
+        ("rows", 0, 0),
+        ("rows", 0, 0),
+        ("refused", f"holds 0 records, fewer than the {CHECKPOINT} the"),
     ),
     "header only": (
-        _header_only, ("rows", 0, 0), ("rows", 0, 0), ("kept", 0),
+        _header_only,
+        ("rows", 0, 0),
+        ("rows", 0, 0),
+        ("refused", f"holds 0 records, fewer than the {CHECKPOINT} the"),
     ),
     "mid-segment cut": (
         _clean, None, ("rows", 0, 16), ("kept", CHECKPOINT),

@@ -1,9 +1,9 @@
 """The pipeline layering contract (see ``tools/check_layering.py``).
 
-The tier-1 incarnation of the CI ``layering`` job: the three entry
-point assemblies (engine, stream, ixp) depend on the shared
-:mod:`repro.pipeline` layer and never on each other, and the pipeline
-layer never imports an assembly.
+The tier-1 incarnation of the CI ``layering`` job: the assemblies
+depend on the shared :mod:`repro.pipeline` layer and never on each
+other, the pipeline layer never imports an assembly, and no public
+callable in ``src/`` has only tests for callers.
 """
 
 import pathlib
@@ -27,7 +27,6 @@ class TestLayering:
         assert uses_pipeline == {
             "repro.engine": True,
             "repro.stream": True,
-            "repro.ixp": True,
             "repro.collector": True,
             "repro.fleet": True,
         }
@@ -52,11 +51,7 @@ class TestLayering:
         assert len(violations) == 1
         assert "repro.stream" in violations[0]
         assert "repro.engine" in violations[0]
-        assert uses == {
-            "repro.engine": True,
-            "repro.stream": True,
-            "repro.ixp": True,
-        }
+        assert uses == {"repro.engine": True, "repro.stream": True}
 
     def test_checker_resolves_relative_imports(self, tmp_path):
         """`from .. import engine` inside repro.stream is caught."""
@@ -135,3 +130,67 @@ class TestLayering:
     def test_cli_entrypoint_passes_on_real_tree(self, capsys):
         assert check_layering.main(["--root", str(_SRC)]) == 0
         assert "layering ok" in capsys.readouterr().out
+
+
+def _plant(tmp_path, files):
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return tmp_path
+
+
+class TestTestOnlyCode:
+    def test_real_tree_has_no_test_only_code(self):
+        assert check_layering.unreferenced(_SRC.parent) == []
+
+    def test_every_allowlist_entry_gives_a_reason(self):
+        assert all(
+            reason.strip()
+            for reason in check_layering.TEST_ONLY_ALLOWED.values()
+        )
+
+    def test_flags_a_test_only_function_and_passes_an_allowlisted_one(
+        self, tmp_path
+    ):
+        """A public function only ``tests/`` calls is flagged; one an
+        example calls, one on the allowlist, private names and a
+        definition's references to itself are not what decide it."""
+        repo = _plant(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/mod.py": (
+                "def used():\n    return 1\n\n"
+                "def test_only(n):\n"
+                "    return test_only(n - 1) if n else 0\n\n"
+                "def kept_for_tests():\n    return 2\n\n"
+                "def _private():\n    return 3\n\n"
+                "class Stale:\n    pass\n"
+            ),
+            "examples/demo.py": "from repro.mod import used\nused()\n",
+            "tests/test_mod.py": (
+                "from repro.mod import Stale, kept_for_tests, test_only\n"
+                "test_only(2); kept_for_tests(); Stale()\n"
+            ),
+        })
+        violations = check_layering.unreferenced(
+            repo, allowed={"repro.mod.kept_for_tests": "a reference check"}
+        )
+        assert len(violations) == 2
+        assert "mod.py:4: repro.mod.test_only has no caller" in violations[0]
+        assert "repro.mod.Stale has no caller" in violations[1]
+
+    def test_flags_a_stale_or_reasonless_allowlist_entry(self, tmp_path):
+        repo = _plant(tmp_path, {
+            "src/repro/__init__.py": "",
+            "src/repro/mod.py": "def used():\n    return 1\n",
+            "tools/run.py": "from repro.mod import used\nused()\n",
+        })
+        assert check_layering.unreferenced(
+            repo, allowed={"repro.mod.used": "now has a caller"}
+        ) == [
+            "allowlist entry repro.mod.used matches no test-only code "
+            "(it gained a caller or was deleted): drop it"
+        ]
+        assert check_layering.unreferenced(
+            repo, allowed={"repro.mod.used": " "}
+        ) == ["allowlist entry repro.mod.used gives no reason"]

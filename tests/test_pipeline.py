@@ -1,8 +1,8 @@
 """The staged ``repro.pipeline`` layer: cross-path equivalence and the
-shared machinery the three assemblies ride on.
+shared machinery the assemblies ride on.
 
-The defining property of the refactor is that batch, stream, and IXP
-detection are the *same* stage graph assembled three ways, so the first
+The defining property of the refactor is that batch and stream
+detection are the *same* stage graph assembled two ways, so the first
 test class here pins triple equality — batch
 :class:`~repro.core.detector.FlowDetector` (the golden oracle), the
 stream engine's event log, and the generic pipeline assemblies must all
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.rules import DetectionRule, RuleSet
-from repro.ixp import IxpConfig, detect_fabric_flows, make_spoofed_flows
+from repro.ixp import make_spoofed_flows
 from repro.netflow.flowfile import parse_flow_line
 from repro.netflow.parse import (
     ColumnarDecodeStage,
@@ -31,6 +31,7 @@ from repro.netflow.parse import (
     chunks_from_records,
 )
 from repro.pipeline import (
+    AddressKeying,
     FlowPipeline,
     GuardSet,
     MemoryEventSink,
@@ -116,22 +117,30 @@ class TestCrossPathEquivalence:
         }
 
 
-# -- the IXP assembly: anti-spoofing validate stage -------------------
+# -- the IXP setting: address keying, anti-spoofing validate stage ----
+
+
+def _fabric_detection(rules, hitlist, flows, require_established):
+    return run_flow_detection(
+        rules,
+        hitlist,
+        flows,
+        StreamConfig(require_established=require_established),
+        keying=AddressKeying(),
+    )
 
 
 class TestIxpAntiSpoofing:
     def test_spoofed_syns_all_rejected(self, rules, hitlist):
         spoofed = make_spoofed_flows(hitlist, count=300)
-        result = detect_fabric_flows(rules, hitlist, spoofed)
+        result = _fabric_detection(rules, hitlist, spoofed, True)
         assert result.flows_rejected_spoof == 300
         assert result.detections == []
-        assert result.detected_addresses == []
         assert result.metrics.records_processed == 300
 
     def test_filter_off_admits_spoofed_flows(self, rules, hitlist):
         spoofed = make_spoofed_flows(hitlist, count=300)
-        config = IxpConfig(require_established=False)
-        result = detect_fabric_flows(rules, hitlist, spoofed, config)
+        result = _fabric_detection(rules, hitlist, spoofed, False)
         assert result.flows_rejected_spoof == 0
         assert result.metrics.flows_matched == 300
 

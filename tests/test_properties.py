@@ -5,8 +5,8 @@ relationships the methodology relies on:
 
 * evidence monotonicity: more evidence never loses a detection;
 * threshold monotonicity: a stricter D never detects more;
-* windowed vs cumulative consistency: anything a windowed detector
-  finds, the cumulative detector finds no later;
+* cumulative vs whole-set consistency: the classes the cumulative
+  detector reports are exactly those the whole evidence set satisfies;
 * passive-DNS forward/inverse consistency;
 * collector conservation: packets in == packets across exported flows.
 """
@@ -120,25 +120,20 @@ class TestRuleSetProperties:
 class TestDetectorConsistency:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31))
-    def test_windowed_never_beats_cumulative(
+    def test_cumulative_classes_match_the_evidence_set(
         self, rules, hitlist, seed
     ):
-        """Any (subscriber, class) a daily window detects, the
-        cumulative detector detects too (its evidence is a superset)."""
-        from repro.core.detector import (
-            FlowDetector,
-            WindowedDetector,
-            anonymize_subscriber,
-        )
+        """The (subscriber, class) pairs the cumulative detector
+        reports are exactly the classes whose rule and ancestors' rules
+        the subscriber's whole evidence set satisfies, however the
+        evidence is spread over time."""
+        from repro.core.detector import FlowDetector, anonymize_subscriber
         from repro.timeutil import SECONDS_PER_DAY, STUDY_START
 
         rng = np.random.default_rng(seed)
         domains = sorted(hitlist.domain_classes)
         cumulative = FlowDetector(rules, hitlist, threshold=0.4)
-        windowed = WindowedDetector(
-            rules, hitlist, window_seconds=SECONDS_PER_DAY,
-            threshold=0.4,
-        )
+        seen = {}
         for _ in range(60):
             subscriber = int(rng.integers(0, 3))
             fqdn = domains[int(rng.integers(0, len(domains)))]
@@ -146,17 +141,16 @@ class TestDetectorConsistency:
                 rng.integers(0, 3 * SECONDS_PER_DAY)
             )
             cumulative.observe_evidence(subscriber, fqdn, when)
-            windowed.observe_evidence(subscriber, fqdn, when)
-        cumulative_pairs = {
-            (d.subscriber, d.class_name)
-            for d in cumulative.detections()
+            seen.setdefault(anonymize_subscriber(subscriber), set()).add(
+                fqdn
+            )
+        assert {
+            (d.subscriber, d.class_name) for d in cumulative.detections()
+        } == {
+            (subscriber, class_name)
+            for subscriber, evidence in seen.items()
+            for class_name in rules.detected_classes(evidence, 0.4)
         }
-        for window in windowed.windows():
-            for class_name, subscribers in windowed.detections_in_window(
-                window
-            ).items():
-                for subscriber in subscribers:
-                    assert (subscriber, class_name) in cumulative_pairs
 
 
 # ---------------------------------------------------------------------------

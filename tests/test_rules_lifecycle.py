@@ -1,4 +1,4 @@
-"""Versioned rule lifecycle: artifacts, store, refresher, hot swap.
+"""Versioned rule lifecycle: artifacts, store, recompute, hot swap.
 
 Three guarantees are pinned here:
 
@@ -24,8 +24,8 @@ import random
 
 import pytest
 
-from repro.core.hitlist import Hitlist, PipelineReport
-from repro.core.rules import DetectionRule, RuleSet
+from repro.core.hitlist import Hitlist, PipelineReport, build_hitlist
+from repro.core.rules import DetectionRule, RuleSet, generate_rules
 from repro.core.serialization import hitlist_to_json, rules_to_json
 from repro.faults import corrupt_payload_byte, truncate_file
 from repro.netflow.flowfile import write_flow_file
@@ -35,8 +35,8 @@ from repro.pipeline import (
     RuleSource,
     streaming_assembly,
 )
+from repro.resilience.lookups import ResilientPassiveDns, ResilientScanDataset
 from repro.resilience.retry import (
-    LookupUnavailable,
     RetryPolicy,
     TransientLookupError,
     call_with_retry,
@@ -45,13 +45,11 @@ from repro.rules import (
     ARTIFACT_MAGIC,
     ArtifactError,
     CandidateRejected,
-    HitlistRefresher,
     RulesArtifact,
     VersionedRuleStore,
     artifact_path,
     list_artifacts,
     read_artifact,
-    scenario_recompute,
     validate_candidate,
     write_artifact,
 )
@@ -365,125 +363,39 @@ class TestValidation:
         assert published.version == 2
 
 
-# -- background refresher ----------------------------------------------
+# -- a publisher's recompute -------------------------------------------
 
 
-class TestRefresher:
-    def test_success_publishes_and_resets_failures(self, tmp_path):
-        store = VersionedRuleStore(tmp_path)
-        refresher = HitlistRefresher(store, lambda: world_v1())
-        refresher.stats.consecutive_failures = 3
-        artifact = refresher.refresh_once()
-        assert artifact is not None and artifact.version == 1
-        assert refresher.stats.published == 1
-        assert refresher.stats.consecutive_failures == 0
-        assert refresher.stats.last_published_version == 1
+def recompute(scenario, dnsdb=None, scans=None):
+    """What a publisher recomputes: Figure 7 over the resilient lookup
+    adapters (no retries, no sleeping) around ``dnsdb`` / ``scans`` —
+    the scenario's backends unless given, e.g. a
+    :class:`repro.faults.SwapPlan`-wrapped one — then the class rules.
+    Returns ``(rules, hitlist)``, ready for
+    :meth:`VersionedRuleStore.publish`."""
+    policy = RetryPolicy(max_retries=0, backoff_base=0.0)
+    hitlist = build_hitlist(
+        scenario,
+        dnsdb=ResilientPassiveDns(
+            scenario.dnsdb if dnsdb is None else dnsdb,
+            policy=policy,
+            sleep=lambda _s: None,
+        ),
+        scans=ResilientScanDataset(
+            scenario.scans if scans is None else scans,
+            policy=policy,
+            sleep=lambda _s: None,
+        ),
+    )
+    return generate_rules(scenario.catalog, hitlist), hitlist
 
-    def test_backend_failure_keeps_last_good(self, tmp_path):
-        store = VersionedRuleStore(tmp_path)
-        store.publish(*world_v1())
 
-        def down():
-            raise LookupUnavailable("passive DNS unreachable")
-
-        refresher = HitlistRefresher(store, down)
-        assert refresher.refresh_once() is None
-        assert refresher.stats.failures == 1
-        assert refresher.stats.consecutive_failures == 1
-        assert "LookupUnavailable" in refresher.stats.failure_reasons[0]
-        assert store.load_latest().artifact.version == 1
-
-    def test_validation_reject_keeps_last_good(self, tmp_path):
-        store = VersionedRuleStore(tmp_path)
-        store.publish(*world_v1())
-        _, hitlist = world_v1()
-        refresher = HitlistRefresher(store, lambda: (RuleSet([]), hitlist))
-        assert refresher.refresh_once() is None
-        assert refresher.stats.failures == 1
-        assert "CandidateRejected" in refresher.stats.failure_reasons[0]
-        assert store.load_latest().artifact.version == 1
-
-    def test_backoff_schedule_is_seeded_deterministic(self, tmp_path):
-        policy = RetryPolicy(
-            backoff_base=1.0, backoff_cap=60.0, jitter=True, seed=7
-        )
-
-        def schedule():
-            refresher = HitlistRefresher(
-                VersionedRuleStore(tmp_path), lambda: world_v1(),
-                policy=policy,
-            )
-            delays = []
-            for failures in range(1, 6):
-                refresher.stats.consecutive_failures = failures
-                delays.append(refresher._next_delay(10.0))
-            return delays
-
-        first, second = schedule(), schedule()
-        assert first == second  # same seed, same backoff draws
-        for failures, delay in enumerate(first, start=1):
-            cap = min(60.0, 1.0 * 2.0 ** (failures - 1))
-            assert 10.0 <= delay <= 10.0 + cap
-        refresher = HitlistRefresher(
-            VersionedRuleStore(tmp_path), lambda: world_v1(), policy=policy
-        )
-        assert refresher._next_delay(10.0) == 10.0  # healthy: no backoff
-
-    def test_run_loop_retries_through_outage(self, tmp_path):
-        store = VersionedRuleStore(tmp_path)
-        attempts = []
-
-        def flaky_recompute():
-            attempts.append(len(attempts))
-            if len(attempts) < 3:
-                raise LookupUnavailable("still down")
-            return world_v1()
-
-        refresher = HitlistRefresher(
-            store,
-            flaky_recompute,
-            policy=RetryPolicy(
-                backoff_base=0.0, backoff_cap=0.0, jitter=True, seed=1
-            ),
-        )
-        refresher.run(0.0, max_refreshes=3)
-        assert refresher.stats.attempts == 3
-        assert refresher.stats.failures == 2
-        assert refresher.stats.published == 1
-        assert store.load_latest().artifact.version == 1
-
-    def test_background_thread_start_stop(self, tmp_path):
-        import time as _time
-
-        store = VersionedRuleStore(tmp_path)
-        refresher = HitlistRefresher(store, lambda: world_v1())
-        refresher.start(0.001)
-        deadline = _time.monotonic() + 5.0
-        while (
-            refresher.stats.attempts < 2
-            and _time.monotonic() < deadline
-        ):
-            _time.sleep(0.005)
-        refresher.stop()
-        assert refresher.stats.attempts >= 2
-        assert refresher._thread is None
-        loaded = store.load_latest()
-        assert loaded is not None  # at least one publish landed
-
-    def test_scenario_recompute_through_resilient_backends(
-        self, scenario, tmp_path
-    ):
+class TestRecompute:
+    def test_recompute_through_resilient_backends(self, scenario, tmp_path):
         """Figure-7 recompute over the resilient adapters publishes a
         first generation from the real scenario backends."""
-        recompute = scenario_recompute(
-            scenario,
-            policy=RetryPolicy(max_retries=0),
-            sleep=lambda _s: None,
-        )
-        store = VersionedRuleStore(tmp_path)
-        refresher = HitlistRefresher(store, recompute)
-        artifact = refresher.refresh_once()
-        assert artifact is not None and artifact.version == 1
+        artifact = VersionedRuleStore(tmp_path).publish(*recompute(scenario))
+        assert artifact.version == 1
         assert artifact.rules.class_names()
         assert any(artifact.hitlist.daily_endpoints.values())
 

@@ -1,12 +1,10 @@
 """Tests for packet sampling and the flow collector."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.netflow.collector import FlowCollector
 from repro.netflow.records import PacketRecord, PROTO_TCP
-from repro.netflow.sampler import PacketSampler, sample_packet_counts
+from repro.netflow.sampler import PacketSampler
 
 
 def _packet(ts=0, src=1, dst=2, sport=1000, dport=443, size=100):
@@ -53,37 +51,6 @@ class TestPacketSampler:
 
     def test_observed_rate_empty(self):
         assert PacketSampler(5).observed_rate == 0.0
-
-
-class TestSamplePacketCounts:
-    def test_interval_one_identity(self):
-        rng = np.random.default_rng(0)
-        counts = np.array([5, 10, 0])
-        out = sample_packet_counts(counts, 1, rng)
-        assert (out == counts).all()
-
-    def test_thinned_counts_bounded(self):
-        rng = np.random.default_rng(0)
-        counts = np.full(1000, 50)
-        out = sample_packet_counts(counts, 10, rng)
-        assert (out <= counts).all()
-        assert abs(out.mean() - 5.0) < 0.5
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            sample_packet_counts(np.array([1]), 0, np.random.default_rng(0))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(st.integers(min_value=0, max_value=1000), min_size=1,
-                 max_size=50),
-        st.integers(min_value=1, max_value=1000),
-    )
-    def test_never_exceeds_input(self, counts, interval):
-        rng = np.random.default_rng(1)
-        out = sample_packet_counts(np.array(counts), interval, rng)
-        assert (out <= np.array(counts)).all()
-        assert (out >= 0).all()
 
 
 class TestFlowCollector:

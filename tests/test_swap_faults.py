@@ -13,7 +13,7 @@ fault kind          asserted recovery
 =================  ==================================================
 corrupt_artifact    loader falls back to last-good; detection intact
 crash_mid_publish   torn wreckage never served; version never reused
-backend_outage      refresh fails counted; store stays last-good
+backend_outage      recompute publishes nothing bad; store last-good
 sigterm_mid_swap    drain + resume is byte-identical across the swap
 =================  ==================================================
 """
@@ -22,17 +22,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.levels import coarser_level
 from repro.faults import SWAP_FAULT_KINDS, SwapPlan
 from repro.netflow.flowfile import write_flow_file
 from repro.netflow.parse import ColumnarDecodeStage
 from repro.pipeline import RuleGeneration, RuleSource
-from repro.resilience.retry import RetryPolicy
-from repro.rules import (
-    HitlistRefresher,
-    VersionedRuleStore,
-    read_artifact,
-    scenario_recompute,
-)
+from repro.rules import CandidateRejected, VersionedRuleStore, read_artifact
 from repro.runtime import ShutdownCoordinator, StopToken
 from repro.rules.lifecycle import ArtifactError
 from repro.stream import (
@@ -46,6 +41,7 @@ from tests.test_rules_lifecycle import (
     CAM_IP,
     HUB_IP,
     NEW_IP,
+    recompute,
     world_v1,
     world_v2,
     write_swap_flowfile,
@@ -172,60 +168,53 @@ class TestCrashMidPublish:
 
 
 class TestBackendOutage:
-    def test_refresh_fails_counted_and_store_stays_last_good(
+    def test_whole_backend_outage_leaves_store_last_good(
         self, scenario, tmp_path
     ):
+        """Both backends down: every domain drops, the empty candidate
+        is refused, and the store keeps serving (and numbering from)
+        its last-good generation."""
         store = VersionedRuleStore(tmp_path / "rules")
-        policy = RetryPolicy(max_retries=0, backoff_base=0.0)
-        healthy = scenario_recompute(
-            scenario, policy=policy, sleep=lambda _s: None
-        )
-        assert HitlistRefresher(store, healthy).refresh_once() is not None
+        assert store.publish(*recompute(scenario)).version == 1
 
         plan = SwapPlan("backend_outage", seed=3)
-        dark = scenario_recompute(
+        rules, hitlist = recompute(
             scenario,
-            policy=policy,
-            sleep=lambda _s: None,
             dnsdb=plan.wrap_backend(scenario.dnsdb),
             scans=plan.wrap_backend(scenario.scans),
         )
-        refresher = HitlistRefresher(store, dark)
-        assert refresher.refresh_once() is None
-        assert refresher.stats.failures == 1
-        assert refresher.stats.consecutive_failures == 1
-        assert refresher.stats.failure_reasons  # cause recorded
+        with pytest.raises(CandidateRejected):
+            store.publish(rules, hitlist)
         loaded = store.load_latest()
         assert loaded.artifact.version == 1  # last-good untouched
         assert loaded.fallbacks == 0
+        assert store.latest_version() == 1  # nothing burned
 
     def test_targeted_outage_also_fails_closed(self, scenario, tmp_path):
         """An outage on specific keys (not the whole backend) still
         cannot publish a bad generation: either the recompute degrades
-        and the candidate passes validation, or the refresh fails —
+        and the candidate passes validation, or the gates refuse it —
         never a torn store."""
         store = VersionedRuleStore(tmp_path / "rules")
-        policy = RetryPolicy(max_retries=0, backoff_base=0.0)
-        healthy = scenario_recompute(
-            scenario, policy=policy, sleep=lambda _s: None
-        )
-        HitlistRefresher(store, healthy).refresh_once()
-        before = store.latest_version()
-        domain = next(iter(store.load_latest().artifact.hitlist.domain_ports))
+        before = store.publish(*recompute(scenario))
+        domain = next(iter(before.hitlist.domain_ports))
         plan = SwapPlan("backend_outage", seed=5)
-        partial = scenario_recompute(
+        rules, hitlist = recompute(
             scenario,
-            policy=policy,
-            sleep=lambda _s: None,
             dnsdb=plan.wrap_backend(scenario.dnsdb, outage_keys=[domain]),
         )
-        refresher = HitlistRefresher(store, partial)
-        artifact = refresher.refresh_once()
-        if artifact is None:
-            assert store.latest_version() == before
+        for name in rules.class_names():  # degraded classes demoted
+            level = before.rules.rule(name).level
+            if name in hitlist.degraded_classes:
+                level = coarser_level(level)
+            assert rules.rule(name).level == level
+        try:
+            artifact = store.publish(rules, hitlist)
+        except CandidateRejected:
+            assert store.latest_version() == before.version
         else:
-            assert artifact.version == before + 1
-            assert store.load_latest().fallbacks == 0
+            assert artifact.version == before.version + 1
+        assert store.load_latest().fallbacks == 0
 
 
 # -- sigterm_mid_swap --------------------------------------------------

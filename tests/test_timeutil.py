@@ -1,8 +1,17 @@
 """Tests for repro.timeutil."""
 
-import pytest
+import datetime
 
 from repro import timeutil as tu
+
+
+def _day(timestamp):
+    """(month, day) of an epoch timestamp, UTC midnight required."""
+    moment = datetime.datetime.fromtimestamp(
+        timestamp, tz=datetime.timezone.utc
+    )
+    assert (moment.hour, moment.minute, moment.second) == (0, 0, 0)
+    return moment.month, moment.day
 
 
 class TestAnchors:
@@ -19,10 +28,10 @@ class TestAnchors:
         assert tu.STUDY_START < tu.IDLE_START < tu.IDLE_END <= tu.STUDY_END
 
     def test_study_starts_nov_15(self):
-        assert tu.format_day(tu.STUDY_START) == "Nov-15"
+        assert _day(tu.STUDY_START) == (11, 15)
 
     def test_idle_starts_nov_23(self):
-        assert tu.format_day(tu.IDLE_START) == "Nov-23"
+        assert _day(tu.IDLE_START) == (11, 23)
 
 
 class TestBucketing:
@@ -54,15 +63,3 @@ class TestBucketing:
         assert tu.hour_of_day(tu.STUDY_START + 25 * 3600) == 1
 
 
-class TestIteration:
-    def test_iter_hours_yields_full_hours_only(self):
-        start = tu.STUDY_START + 10
-        hours = list(tu.iter_hours(start, start + 2 * 3600))
-        assert all(ts % 3600 == 0 for ts in hours)
-        assert len(hours) == 2
-
-    def test_iter_hours_empty_window(self):
-        assert list(tu.iter_hours(tu.STUDY_START, tu.STUDY_START)) == []
-
-    def test_format_hour(self):
-        assert tu.format_hour(tu.STUDY_START) == "Nov-15 00:00"

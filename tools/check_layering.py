@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Layering checker: the pipeline dependency contract, enforced.
+"""Layering checker: the pipeline dependency contract, enforced — and
+no public code that only tests call.
 
 The staged pipeline refactor rests on one directional rule:
 
-* :mod:`repro.engine`, :mod:`repro.stream`, and :mod:`repro.ixp` are
-  *assemblies* — each may import :mod:`repro.pipeline`, and none may
-  import the other two;
+* :mod:`repro.engine` and :mod:`repro.stream` are *assemblies* — each
+  imports :mod:`repro.pipeline`, and neither may import the other;
+  :mod:`repro.ixp` (the aggregate fabric model) imports none of the
+  assemblies either;
 * :mod:`repro.pipeline` is the shared layer — it may import the
   substrate (core, netflow, runtime, resilience, ...) but none of the
-  three assemblies;
+  assemblies;
 * :mod:`repro.netflow` is substrate — the columnar decode stage lives
   there next to the flow-line parser, so it must not import upward
   into the pipeline layer or any assembly;
@@ -35,8 +37,17 @@ The staged pipeline refactor rests on one directional rule:
 
 This script walks the import statements of every module in the scoped
 packages with :mod:`ast` (no third-party import-linter needed) and
-exits non-zero on a violation, printing ``file:line`` for each.  It is
-wired into CI as the ``layering`` job and into the tier-1 suite via
+exits non-zero on a violation, printing ``file:line`` for each.
+
+The second check keeps ``src/`` to what runs: every public module-level
+function or class of :mod:`repro` must be referred to — by name, outside
+its own body — from ``src/``, ``benchmarks/``, ``examples/`` or
+``tools/``.  A name only ``tests/`` uses fails unless
+:data:`TEST_ONLY_ALLOWED` lists it with a reason.  Matching is by name
+(a method or attribute of the same name counts as a reference), so the
+check errs towards passing.
+
+Both run in CI as the ``layering`` job and in the tier-1 suite via
 ``tests/test_layering.py``.
 
 Usage::
@@ -50,7 +61,7 @@ import argparse
 import ast
 import pathlib
 import sys
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 #: package -> packages it must never import (directly or lazily).
 FORBIDDEN: Dict[str, Set[str]] = {
@@ -114,10 +125,47 @@ FORBIDDEN: Dict[str, Set[str]] = {
 MUST_USE_PIPELINE = (
     "repro.engine",
     "repro.stream",
-    "repro.ixp",
     "repro.collector",
     "repro.fleet",
 )
+
+#: directories (beside ``src``) whose code counts as a caller
+CALLER_DIRS = ("src", "benchmarks", "examples", "tools")
+
+#: public ``repro`` functions/classes (or whole packages) that only
+#: tests call, each with the reason it stays in ``src``
+TEST_ONLY_ALLOWED: Dict[str, str] = {
+    "repro.faults": (
+        "the fault-injection harness: the fault, soak and swap suites "
+        "break the shipped code through it, so it must import from the "
+        "package and track its internals"
+    ),
+    "repro.isp.simulation.validate_packet_level": (
+        "reference check: packet-level sampling the vectorised "
+        "event-level simulation is compared against"
+    ),
+    "repro.analysis.detection_model.exact_detection_probability": (
+        "reference check: the exact sum the Monte Carlo detection "
+        "estimate is compared against"
+    ),
+    "repro.core.levels.validate_levels": (
+        "reference check: generated rules must claim no level finer "
+        "than the backend structure inferred from the catalog supports"
+    ),
+    "repro.stream.checkpoint.list_checkpoints": (
+        "the checkpoint-directory listing the kill/resume suites pin "
+        "cadence and pruning on; a resume itself only needs the newest "
+        "valid checkpoint"
+    ),
+    "repro.resilience.lookups.ResilientPassiveDns": (
+        "the resilient passive-DNS adapter build_hitlist's degraded-"
+        "class path is driven through (dnsdb=...)"
+    ),
+    "repro.resilience.lookups.ResilientScanDataset": (
+        "the resilient scan adapter build_hitlist's certificate "
+        "fallback is driven through (scans=...)"
+    ),
+}
 
 
 def module_name(root: pathlib.Path, path: pathlib.Path) -> str:
@@ -207,6 +255,82 @@ def check(root: pathlib.Path) -> Tuple[List[str], Dict[str, bool]]:
     return violations, uses_pipeline
 
 
+def public_definitions(
+    root: pathlib.Path,
+) -> Iterator[Tuple[str, str, pathlib.Path, int]]:
+    """``(module, name, path, line)`` of every public module-level
+    function and class under ``root/repro``."""
+    for path in sorted((root / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        module = module_name(root, path)
+        for node in tree.body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not node.name.startswith("_"):
+                yield module, node.name, path, node.lineno
+
+
+def referenced_names(repo: pathlib.Path) -> Set[str]:
+    """Every name the caller directories refer to: loaded names,
+    attributes and imported names, except a definition's references
+    to itself inside its own body."""
+    names: Set[str] = set()
+    for directory in CALLER_DIRS:
+        for path in sorted((repo / directory).rglob("*.py")):
+            tree = ast.parse(
+                path.read_text(encoding="utf-8"), filename=str(path)
+            )
+            for top in tree.body:
+                own = getattr(top, "name", None)
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    elif isinstance(node, ast.alias):
+                        name = node.name.rpartition(".")[2]
+                    else:
+                        continue
+                    if name != own:
+                        names.add(name)
+    return names
+
+
+def unreferenced(
+    repo: pathlib.Path, allowed: Optional[Dict[str, str]] = None
+) -> List[str]:
+    """Public callables of ``repo/src`` only tests use, and allowlist
+    entries without a reason or that no longer match one."""
+    allowed = TEST_ONLY_ALLOWED if allowed is None else allowed
+    used = referenced_names(repo)
+    violations: List[str] = []
+    matched: Set[str] = set()
+    for module, name, path, line in public_definitions(repo / "src"):
+        if name in used:
+            continue
+        qualified = f"{module}.{name}"
+        entry = next(
+            (key for key in allowed if within(qualified, key)), None
+        )
+        if entry is None:
+            violations.append(
+                f"{path}:{line}: {qualified} has no caller outside "
+                "tests (delete it, or allowlist it with a reason in "
+                "tools/check_layering.py)"
+            )
+        else:
+            matched.add(entry)
+    for entry, reason in allowed.items():
+        if not reason.strip():
+            violations.append(f"allowlist entry {entry} gives no reason")
+        elif entry not in matched:
+            violations.append(
+                f"allowlist entry {entry} matches no test-only code "
+                "(it gained a caller or was deleted): drop it"
+            )
+    return violations
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -227,11 +351,15 @@ def main(argv=None) -> int:
                 "assembly has come off the shared layer",
                 file=sys.stderr,
             )
-    if violations:
+    test_only = unreferenced(args.root.resolve().parent)
+    for violation in test_only:
+        print(violation, file=sys.stderr)
+    if violations or test_only:
         return 1
     print(
-        "layering ok: engine/stream/ixp/collector/fleet sit on "
-        "pipeline, not on each other"
+        "layering ok: engine/stream/collector/fleet sit on pipeline, "
+        "not on each other; every public callable has a caller "
+        "outside tests"
     )
     return 0
 
